@@ -152,6 +152,8 @@ def cmd_pressure(args) -> int:
         f"extrapolated-estimate: {est.s_extrapolated!r} (heuristic, Richardson)",
         f"converged: {'true' if est.converged else 'false'}",
     ]
+    if est.dropped:
+        comments.append(f"dropped-depths: {' '.join(str(n) for n in est.dropped)}")
     _emit_table(("n", "root"), est.history, comments, args.out)
     return 0
 

@@ -511,6 +511,8 @@ def analyze(
     d.append(
         ("pressure-history", " ".join(f"{n}:{_fmt(r)}" for n, r in pressure.history))
     )
+    if pressure.dropped:
+        d.append(("pressure-depths-dropped", " ".join(str(n) for n in pressure.dropped)))
     if split.triangular in ("ADominant", "CDominant"):
         s1, s2 = triangular_roots(sys)
         closed_root = triangular_pressure_root(sys)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import BadExponents, NotTriangular
 from .ifs import BernoulliWeights, IfsSystem
-from .linalg2 import singular_values
 from .splitting import SplitReport, sample_e_s_angles
 
 RENORM_EVERY = 32
@@ -169,8 +168,3 @@ def lyapunov_via_directions(
     vals = -0.5 * np.log(wx * wx + wy * wy)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(count))
 
-
-def single_map_exponents(sys: IfsSystem) -> ExponentTriple:
-    """Degenerate one-map case: exponents are the log singular values."""
-    a1, a2 = singular_values(sys.maps[0].linear)
-    return ExponentTriple(0.0, -math.log(a1), -math.log(a2))

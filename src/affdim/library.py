@@ -34,11 +34,6 @@ def sec44() -> ParsedSystem:
     return ParsedSystem(IfsSystem(maps, label="sec44"), BernoulliWeights.uniform(3), polygon)
 
 
-def sec44_dimension() -> float:
-    """Closed form 1 + log 2 / log(81/16)."""
-    return 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
-
-
 def phi_c(c) -> ParsedSystem:
     """Six-map family of parallelogram systems on the unit square, 0 < c < 1/2.
 

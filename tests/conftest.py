@@ -8,6 +8,8 @@ when requested: the leading 1/n coefficient jumps across a branch switch, so
 depth-extrapolation tolerances only hold away from the kinks.
 """
 
+from fractions import Fraction as F
+
 from affdim.ifs import AffineMap, IfsSystem
 from affdim.linalg2 import Mat2, operator_norm
 
@@ -26,6 +28,16 @@ def _draw_triangular(rng, n_maps, ratio, bscale, norm_cap, dominant, big_range):
         m = m.scaled(min(1.0, norm_cap / operator_norm(m)))
         rows.append(AffineMap(m, (0.0, 0.0)))
     return IfsSystem(tuple(rows))
+
+
+def six_distinct_maps_system():
+    """Six lower-triangular maps whose linear parts all differ (the shears
+    do), so merging maps by linear part saves nothing: 6^12 words exceed the
+    default enumeration cap while 6^8 fit under it."""
+    return IfsSystem(tuple(
+        AffineMap(Mat2.lower_triangular(F(1, 3), F(k, 10), F(1, 4)), (F(k, 6), F(0)))
+        for k in range(6)
+    ))
 
 
 def random_triangular_system(

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import six_distinct_maps_system
+
 from affdim.cli import main
 from affdim.ifs import serialize_system
 from affdim.library import sec44
@@ -96,6 +98,21 @@ class TestTableCommands:
         assert len(roots) == 3
         assert roots[0] > roots[1] > roots[2]
         assert roots[2] == pytest.approx(1.4273, abs=2e-2)
+        assert "dropped-depths" not in out
+
+    def test_pressure_phi_c_reaches_depth_12(self, capsys):
+        code, out, _ = run_cli(["pressure", "--example", "phi-c", "--param", "c=1/4"], capsys)
+        assert code == 0
+        depths = [l.split("\t")[0] for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert depths == ["2", "4", "8", "12"]
+        assert "dropped-depths" not in out
+
+    def test_pressure_dropped_depths_comment(self, capsys, tmp_path):
+        cfg = tmp_path / "six.cfg"
+        cfg.write_text(serialize_system(six_distinct_maps_system()))
+        code, out, _ = run_cli(["pressure", "--config", str(cfg), "--n", "2,12"], capsys)
+        assert code == 0
+        assert "# dropped-depths: 12" in out.splitlines()
 
     def test_hochman_dyadic_rows(self, capsys):
         code, out, _ = run_cli(

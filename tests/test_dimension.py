@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_triangular_system
+from conftest import random_triangular_system, six_distinct_maps_system
 
 from affdim.dimension import (
     analyze,
@@ -245,6 +245,13 @@ class TestAnalyze:
             upper = float(d["pressure-root-upper"])
             if rep.certified_value is not None:
                 assert rep.certified_value <= upper + 1e-9
+
+    def test_dropped_depths_become_a_detail(self):
+        sysm = six_distinct_maps_system()
+        rep = analyze(sysm, pressure_schedule=(2, 12))
+        assert dict(rep.details)["pressure-depths-dropped"] == "12"
+        rep = analyze(sysm, pressure_schedule=(2,))
+        assert "pressure-depths-dropped" not in dict(rep.details)
 
     def test_deterministic_reports(self):
         sysm, w, poly = sec44()

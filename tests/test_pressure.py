@@ -4,16 +4,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import affdim.pressure as pressure_mod
 from affdim.errors import EnumerationTooLarge, NoDomination, NoSignChange, NotTriangular
 from affdim.ifs import AffineMap, IfsSystem
-from affdim.library import phi_c, sec44
-from affdim.linalg2 import Mat2, singular_values
+from affdim.library import hl_demo, phi_c, sec44
+from affdim.linalg2 import Mat2, phi_s, singular_values
 from affdim.pressure import (
+    ROOT_TOL,
+    phi_log_values,
     pressure_n,
     pressure_root,
     triangular_pressure,
     triangular_pressure_root,
     triangular_roots,
+    word_log_singulars,
 )
 
 SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
@@ -27,7 +31,48 @@ def similar_system(rho, n, angle=0.6):
     return IfsSystem(maps)
 
 
-from conftest import random_triangular_system
+from conftest import random_triangular_system, six_distinct_maps_system
+
+
+def phi_c_subsystem():
+    """phi-c, c = 1/4, without maps 4 and 6: four maps, three linear parts."""
+    sysm, _, _ = phi_c(F(1, 4))
+    return IfsSystem(tuple(f for k, f in enumerate(sysm.maps, 1) if k not in (4, 6)))
+
+
+def shared_linear_part_system():
+    """Three maps; the first and last share a linear part but not a translation."""
+    a = Mat2(0.5, 0.1, -0.05, 0.3)
+    b = Mat2.lower_triangular(0.25, 0.2, 0.4)
+    return IfsSystem((AffineMap(a, (0.0, 0.0)), AffineMap(b, (0.5, 0.0)),
+                      AffineMap(a, (0.0, 0.6))))
+
+
+def brute_force_phi_sum(sysm, s, n):
+    """sum over all N^n words of phi^s(A_w), one product per word, no merging."""
+    products = [Mat2.identity()]
+    for _ in range(n):
+        products = [p @ f.linear for p in products for f in sysm.maps]
+    return math.fsum(phi_s(p, s) for p in products)
+
+
+def bisection_root(sysm, n, tol=ROOT_TOL):
+    """Reference depth-n root: midpoint of a plain bisection bracket on [0, 4]."""
+    log_a1, log_a2, log_w = word_log_singulars(sysm, n)
+
+    def p(s):
+        v = phi_log_values(log_a1, log_a2, s) + log_w
+        m = float(np.max(v))
+        return m + math.log(float(np.sum(np.exp(v - m))))
+
+    lo, hi = 0.0, 4.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if p(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestPressureN:
@@ -65,7 +110,7 @@ class TestPressureN:
                 assert p8 <= p4 + 1e-12
 
     def test_enumeration_cap(self):
-        sysm, _, _ = phi_c(F(1, 4))
+        sysm = six_distinct_maps_system()
         with pytest.raises(EnumerationTooLarge):
             pressure_n(sysm, 1.0, 10)
 
@@ -101,9 +146,22 @@ class TestPressureRoot:
         assert est.s_extrapolated == pytest.approx(want, abs=1e-3)
 
     def test_schedule_auto_adjusts_under_cap(self):
-        sysm, _, _ = phi_c(F(1, 4))  # 6 maps: 6^12 blows the cap
+        sysm = six_distinct_maps_system()  # 6 linear parts: 6^12 blows the cap
         est = pressure_root(sysm)
         assert [n for n, _ in est.history] == [2, 4, 8]
+
+    def test_dropped_depths_recorded(self):
+        est = pressure_root(six_distinct_maps_system(), (2, 12))
+        assert [n for n, _ in est.history] == [2]
+        assert est.dropped == (12,)
+        sysm, _, _ = sec44()
+        assert pressure_root(sysm, (2, 4)).dropped == ()
+
+    def test_phi_c_merged_reaches_depth_12(self):
+        sysm, _, _ = phi_c(F(1, 4))  # 6 maps, 3 linear parts: 3^12 words
+        est = pressure_root(sysm)
+        assert [n for n, _ in est.history] == [2, 4, 8, 12]
+        assert est.dropped == ()
 
     def test_no_sign_change_for_weak_contraction(self):
         maps = tuple(
@@ -112,6 +170,55 @@ class TestPressureRoot:
         sysm = IfsSystem(maps)
         with pytest.raises(NoSignChange):
             pressure_root(sysm, (1, 2))
+
+
+class TestMergedSymbols:
+    @pytest.mark.parametrize("make", [
+        lambda: phi_c(F(1, 4))[0], phi_c_subsystem, shared_linear_part_system,
+    ], ids=["phi-c", "phi-c-without-4-6", "shared-linear-part"])
+    def test_matches_unmerged_brute_force(self, make):
+        sysm = make()
+        for n in (1, 2, 3, 4):
+            for s in (0.0, 0.4, 1.0, 1.5, 2.0, 2.7):
+                want = brute_force_phi_sum(sysm, s, n)
+                got = math.exp(n * pressure_n(sysm, s, n))
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_enumerates_distinct_linear_parts(self):
+        log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)
+        assert log_a1.shape == (27,)  # 3^3, not 4^3
+        assert math.fsum(np.exp(log_w)) == pytest.approx(4 ** 3, rel=1e-14)
+
+
+def _root_systems():
+    rng = np.random.default_rng(47)
+    systems = [pytest.param(random_triangular_system(rng), id=f"random-{k}") for k in range(8)]
+    return systems + [pytest.param(hl_demo()[0], id="hl-demo"),
+                      pytest.param(sec44()[0], id="sec44")]
+
+
+class TestDepthRootFinder:
+    @pytest.mark.parametrize("sysm", _root_systems())
+    def test_bounds_from_above_in_few_evaluations(self, sysm, monkeypatch):
+        evals = []
+
+        def counted(log_a1, log_a2, s):
+            evals.append(s)
+            return phi_log_values(log_a1, log_a2, s)
+
+        monkeypatch.setattr(pressure_mod, "phi_log_values", counted)
+        for n in (2, 4, 8):
+            evals.clear()
+            (_, r), = pressure_root(sysm, (n,)).history
+            assert len(evals) <= 15
+            assert pressure_n(sysm, r, n) <= 0.0
+            assert abs(r - bisection_root(sysm, n)) <= 2 * ROOT_TOL
+
+    def test_solve_sum_equals_one_bounds_from_above(self):
+        a = np.array([0.5, 0.3, 0.2])
+        r = pressure_mod._solve_sum_equals_one(lambda s: float(np.sum(a ** s)), tol=1e-12)
+        assert float(np.sum(a ** r)) <= 1.0
+        assert float(np.sum(a ** (r - 1e-12))) > 1.0
 
 
 class TestTriangularClosedForms:
