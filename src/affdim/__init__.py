@@ -6,6 +6,7 @@ from .dimension import (
     DimensionReport,
     EstimateSeries,
     analyze,
+    analyze_targets,
     box_dimension_estimate,
     correlation_dimension_estimate,
     hueter_lalley_check,

@@ -98,26 +98,20 @@ def cmd_analyze(args) -> int:
         exclude = tuple(int(x) for x in args.subsystem_exclude.split(","))
         system = dimension.build_subsystem(system, exclude, args.subsystem_depth)
         weights = BernoulliWeights.uniform(system.n)
-    blocks = []
-    reports = []
-    certified = True
     targets = ("measure", "attractor") if args.target == "both" else (args.target,)
-    for target in targets:
-        rep = dimension.analyze(
-            system,
-            weights,
-            polygon=parsed.polygon,
-            hochman_depth=args.hochman_depth,
-            mc_n=args.mc_n,
-            mc_trials=args.mc_trials,
-            rng_seed=args.seed,
-            target=target,
-            family_closed_form=_family_closed_form(args),
-        )
-        blocks.append(rep.render())
-        reports.append(rep)
-        certified = certified and rep.certified_value is not None
-    text = "\n\n".join(blocks) + "\n"
+    reports = dimension.analyze_targets(
+        system,
+        targets,
+        weights,
+        polygon=parsed.polygon,
+        hochman_depth=args.hochman_depth,
+        mc_n=args.mc_n,
+        mc_trials=args.mc_trials,
+        rng_seed=args.seed,
+        family_closed_form=_family_closed_form(args),
+    )
+    certified = all(rep.certified_value is not None for rep in reports)
+    text = "\n\n".join(rep.render() for rep in reports) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -211,11 +205,18 @@ def _parse_line_maps(text: str) -> LineIfs:
         raise AffdimError(str(e)) from None
 
 
-def _parse_depth_range(text: str) -> int:
-    if ".." in text:
-        _lo, hi = text.split("..", 1)
-        return int(hi)
-    return int(text)
+def _parse_depth_range(text: str):
+    """(lo, hi) of a depth argument "HI" (rows 1..HI) or "LO..HI"."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = (int(lo), int(hi)) if sep else (1, int(lo))
+    except ValueError:
+        raise AffdimError(f"bad --n {text!r}; expected N or LO..HI") from None
+    if not 1 <= lo <= hi:
+        raise AffdimError(f"bad --n {text!r}; need 1 <= LO <= HI")
+    if hi < 2:
+        raise AffdimError(f"bad --n {text!r}; the largest depth must be >= 2")
+    return lo, hi
 
 
 def cmd_hochman(args) -> int:
@@ -228,9 +229,12 @@ def cmd_hochman(args) -> int:
             ifs, _ = dimension.x_axis_line_ifs(parsed.system, weights)
         else:
             ifs, _ = dimension.direction_line_ifs(parsed.system, weights)
-    rep = hochman_rate(ifs, _parse_depth_range(args.n))
+    lo, hi = _parse_depth_range(args.n)
+    rep = hochman_rate(ifs, hi)
     rows = [
-        (n, "inf" if d == float("inf") else _fmt(d), rate) for n, d, rate in rep.rows
+        (n, "inf" if d == float("inf") else _fmt(d), rate)
+        for n, d, rate in rep.rows
+        if n >= lo
     ]
     _emit_table(("n", "delta_n", "rate"), rows, (f"verdict: {rep.verdict}",), args.out)
     return 0
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--maps", help='line maps "beta,gamma;beta,gamma;..." (rationals)')
     ph.add_argument("--derive", choices=("x", "direction"), default="direction",
                     help="derive the line system from a planar config")
-    ph.add_argument("--n", default="6", help="max depth, e.g. 6 or 1..6")
+    ph.add_argument("--n", default="6", help="max depth or depth range, e.g. 6 or 3..6")
     ph.add_argument("--out")
     ph.set_defaults(fn=cmd_hochman)
 

@@ -111,22 +111,14 @@ def ly_dimension_formula(h: float, chi_s: float, chi_ss: float, dim_t: float) ->
     return h / chi_ss + (1.0 - chi_s / chi_ss) * dim_t
 
 
-def lower_bound_iteration(h: float, chi_s: float, chi_ss: float, tol: float = 1e-14) -> float:
-    """Fixed-point iteration x -> h/chi_ss + (1 - chi_s/chi_ss) min{h/(chi_ss-chi_s), x}
-    from x0 = h/chi_ss; the limit is min{2h/chi_ss, h/chi_s}."""
+def lower_bound_iteration(h: float, chi_s: float, chi_ss: float) -> float:
+    """Limit min{2h/chi_ss, h/chi_s} of the fixed-point iteration
+    x -> h/chi_ss + (1 - chi_s/chi_ss) min{h/(chi_ss-chi_s), x} from
+    x0 = h/chi_ss: the fixed point h/chi_s when it lies below the cap
+    h/(chi_ss-chi_s) (chi_ss <= 2 chi_s), else the capped value 2h/chi_ss."""
     if not (0 < chi_s <= chi_ss):
         raise BadExponents(f"need 0 < chi_s <= chi_ss, got {chi_s}, {chi_ss}")
-    if chi_s == chi_ss:
-        return h / chi_s
-    cap = h / (chi_ss - chi_s)
-    shrink = 1.0 - chi_s / chi_ss
-    x = h / chi_ss
-    for _ in range(1_000_000):
-        nxt = h / chi_ss + shrink * min(cap, x)
-        if abs(nxt - x) < tol:
-            return nxt
-        x = nxt
-    return x
+    return min(2.0 * h / chi_ss, h / chi_s)
 
 
 def one_bunched(m: Mat2) -> bool:
@@ -439,22 +431,45 @@ def _fmt(x) -> str:
 
 @dataclass
 class _Ctx:
-    """Shared per-system computations, weight-independent where possible."""
+    """What one analyze command computes once: the weight-independent
+    certificates and detail lines, and every Delta_n table and exponent
+    triple its reports ask for, keyed by all inputs of the call."""
 
     sys: IfsSystem
     split: SplitReport
     ssc: Optional[object]
     pressure: object
-    hochman_x: Optional[DeltaReport] = None
-    hochman_dir: Optional[DeltaReport] = None
     details: list = field(default_factory=list)
+    delta_reports: dict = field(default_factory=dict)  # (maps, depth) -> DeltaReport
+    exponent_triples: dict = field(default_factory=dict)
+
+    def delta_report(self, ifs: LineIfs, depth: int) -> DeltaReport:
+        key = (ifs.maps, depth)
+        if key not in self.delta_reports:
+            self.delta_reports[key] = hochman_rate(ifs, depth)
+        return self.delta_reports[key]
+
+    def exponents(self, weights, mc_n, mc_trials, rng_seed) -> ExponentTriple:
+        key = (weights.p, mc_n, mc_trials, rng_seed)
+        if key not in self.exponent_triples:
+            if self.sys.is_triangular():
+                t = lyapunov_triangular(self.sys, weights)
+            else:
+                t = lyapunov_monte_carlo(self.sys, weights, mc_n, mc_trials, rng_seed)
+            self.exponent_triples[key] = t
+        return self.exponent_triples[key]
 
 
-def _hochman_depth_for(n_maps: int, requested: Optional[int]) -> int:
+def _hochman_depth_for(n_maps: int, requested: Optional[int], details: list) -> int:
+    """Delta_n depth whose N^n stays near 1e5 words; a clipped explicit
+    request is named in ``details``."""
     cap_depth = max(2, int(math.log(1e5) / math.log(max(n_maps, 2))))
     if requested is None:
         return min(8, cap_depth)
-    return max(2, min(requested, cap_depth))
+    depth = max(2, min(requested, cap_depth))
+    if depth != requested:
+        details.append(("hochman-depth-clipped", f"{requested} -> {depth}"))
+    return depth
 
 
 def analyze(
@@ -478,10 +493,41 @@ def analyze(
     weights (uniform by default); "attractor" additionally tries the
     theorem-prescribed weight vectors and closes the pressure sandwich.
     """
+    (report,) = analyze_targets(
+        sys, (target,), weights, polygon=polygon, forward_cone=forward_cone,
+        backward_cone=backward_cone, hochman_depth=hochman_depth, mc_n=mc_n,
+        mc_trials=mc_trials, rng_seed=rng_seed, pressure_schedule=pressure_schedule,
+        tol=tol, family_closed_form=family_closed_form,
+    )
+    return report
+
+
+def analyze_targets(
+    sys: IfsSystem,
+    targets: Sequence[str],
+    weights: Optional[BernoulliWeights] = None,
+    polygon: Optional[Polygon] = None,
+    forward_cone: Optional[Multicone] = None,
+    backward_cone: Optional[Multicone] = None,
+    hochman_depth: Optional[int] = None,
+    mc_n: int = 1000,
+    mc_trials: int = 1000,
+    rng_seed: int = 0,
+    pressure_schedule: Optional[Sequence[int]] = None,
+    tol: float = 1e-9,
+    family_closed_form: Optional[Tuple[str, float]] = None,
+) -> tuple:
+    """One report per target, in order, as ``analyze`` would give each.
+
+    The splitting certificate, the SSC check, the pressure root, the shared
+    detail lines, every Delta_n table and every exponent triple are computed
+    once and shared by all targets.
+    """
     from .pressure import pressure_root, triangular_pressure_root, triangular_roots
 
-    if target not in ("measure", "attractor"):
-        raise ValueError("target must be 'measure' or 'attractor'")
+    for target in targets:
+        if target not in ("measure", "attractor"):
+            raise ValueError("target must be 'measure' or 'attractor'")
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
 
@@ -523,19 +569,13 @@ def analyze(
         name, value = family_closed_form
         d.append((name, _fmt(value)))
 
-    if target == "measure":
-        return _measure_report(
-            ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone
+    reports = []
+    for target in targets:
+        build = _measure_report if target == "measure" else _attractor_report
+        reports.append(
+            build(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)
         )
-    return _attractor_report(
-        ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone
-    )
-
-
-def _exponents(ctx: _Ctx, weights, mc_n, mc_trials, rng_seed) -> ExponentTriple:
-    if ctx.sys.is_triangular():
-        return lyapunov_triangular(ctx.sys, weights)
-    return lyapunov_monte_carlo(ctx.sys, weights, mc_n, mc_trials, rng_seed)
+    return tuple(reports)
 
 
 def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
@@ -546,7 +586,7 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     hyps = []
     assumptions = []
 
-    t = _exponents(ctx, weights, mc_n, mc_trials, rng_seed)
+    t = ctx.exponents(weights, mc_n, mc_trials, rng_seed)
     dim_lyap = lyapunov_dimension(t)
     details.append(("weights", " ".join(_fmt(float(p)) for p in weights.p)))
     details.append(("entropy", _fmt(t.entropy)))
@@ -584,12 +624,12 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     # step 3: triangular a-dominant -- transversal measure is self-similar
     if split.triangular == "ADominant":
         merged_x, merged_wx = x_axis_line_ifs(sys, weights)
-        depth = _hochman_depth_for(merged_x.n, hochman_depth)
-        ctx.hochman_x = hochman_rate(merged_x, depth)
-        details.append(("hochman-x-verdict", ctx.hochman_x.verdict))
+        depth = _hochman_depth_for(merged_x.n, hochman_depth, details)
+        hochman_x = ctx.delta_report(merged_x, depth)
+        details.append(("hochman-x-verdict", hochman_x.verdict))
         h_m = float(-sum(float(w) * math.log(float(w)) for w in merged_wx))
         details.append(("transversal-entropy", _fmt(h_m)))
-        if ctx.hochman_x.verdict == "TrendBounded":
+        if hochman_x.verdict == "TrendBounded":
             hochman_status = TREND
             assumptions.append(
                 f"separation trend of the projected line system certified to depth {depth} only"
@@ -602,7 +642,7 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
             hyps.append(("transversal-saturates", VERIFIED if equal else FAILED))
             return report(T_ADOM, value, (value, value))
         hyps.append(
-            ("hochman-x", FAILED if ctx.hochman_x.verdict == "ExactOverlap" else UNKNOWN)
+            ("hochman-x", FAILED if hochman_x.verdict == "ExactOverlap" else UNKNOWN)
         )
         lower = t.entropy / t.chi_ss
         return report(T_LY, None, (lower, upper))
@@ -612,12 +652,13 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     hyps.append(("backward-non-overlapping", bno_status))
 
     nu_dim_closed = None
+    hochman_dir = None
     h_dir = t.entropy
     if split.triangular == "CDominant":
         merged_dir, merged_wdir = direction_line_ifs(sys, weights)
-        depth = _hochman_depth_for(merged_dir.n, hochman_depth)
-        ctx.hochman_dir = hochman_rate(merged_dir, depth)
-        details.append(("hochman-direction-verdict", ctx.hochman_dir.verdict))
+        depth = _hochman_depth_for(merged_dir.n, hochman_depth, details)
+        hochman_dir = ctx.delta_report(merged_dir, depth)
+        details.append(("hochman-direction-verdict", hochman_dir.verdict))
         h_dir = float(-sum(float(w) * math.log(float(w)) for w in merged_wdir))
     if t.chi_ss > t.chi_s:
         nu_dim_closed = h_dir / (t.chi_ss - t.chi_s)
@@ -656,8 +697,8 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     # 5d: trend-gated direction dimension (triangular c-dominant)
     if (
         split.triangular == "CDominant"
-        and ctx.hochman_dir is not None
-        and ctx.hochman_dir.verdict == "TrendBounded"
+        and hochman_dir is not None
+        and hochman_dir.verdict == "TrendBounded"
         and nu_dim_closed is not None
         and bno_status != VERIFIED
     ):

@@ -5,6 +5,14 @@ depth-n compositions sharing an exact contraction ratio (+inf when every
 ratio class is a singleton, 0 on an exact overlap).  Rational arithmetic is
 mandatory for verdicts: Delta_n must distinguish 0 from 1e-300, which floats
 cannot.  Float input still yields rate diagnostics, verdict Inconclusive.
+
+The arithmetic is exact and in Python integers.  With q the least common
+denominator of all betas and gammas, every depth-n word is one integer pair
+(P, T) standing for the ratio P/q^n and the translation T/q^n; appending a
+symbol multiplies and adds integers, and ratio classes are grouped by P.
+Only the final minimum gap becomes a Fraction, gap/q^n.  One level-by-level
+enumeration yields every depth, so ``hochman_rate`` builds Delta_1..Delta_n
+in a single pass instead of re-enumerating each depth from level one.
 """
 
 from __future__ import annotations
@@ -97,24 +105,57 @@ class DeltaReport:
         return "\n".join(lines)
 
 
-def _compositions(ifs: LineIfs, n: int, cap: int):
-    """All (ratio, translation) pairs of depth-n compositions.
-
-    Translations obey g_(uv)(0) = g_u(g_v(0)) exactly; the enumeration
-    appends symbols on the right, so level k+1 entries are
-    (beta_w * beta_i, g_w(gamma_i)).
-    """
+def _check_cap(ifs: LineIfs, n: int, cap: int) -> None:
     total = ifs.n ** n
     if total > cap:
         raise EnumerationTooLarge(f"{ifs.n}^{n} = {total} exceeds cap {cap}")
-    level = [(b, g) for b, g in ifs.maps]
-    for _ in range(n - 1):
-        nxt = []
-        for (bw, gw) in level:
-            for (b, g) in ifs.maps:
-                nxt.append((bw * b, bw * g + gw))
-        level = nxt
-    return level
+
+
+def _levels(ifs: LineIfs, n_max: int, cap: int):
+    """Yield (q**n, ratios, translations) for every depth n = 1..n_max.
+
+    On rational input q is the least common denominator of all betas and
+    gammas, so beta_i = p_i/q and gamma_i = r_i/q with integers p_i, r_i.
+    A depth-n word w is then carried as one integer pair (P, T) with
+    beta_w = P/q^n and gamma_w = T/q^n: appending symbol i on the right gives
+    g_(wi)(x) = g_w(g_i(x)), i.e. (P p_i, T q + P r_i).  Float input runs the
+    same recursion with q = 1.  Words are listed in lexicographic order.
+    EnumerationTooLarge is raised before the first depth with N^n > cap.
+    """
+    if ifs.is_rational():
+        q = math.lcm(*(Fraction(x).denominator for m in ifs.maps for x in m))
+        gens = [(int(Fraction(b) * q), int(Fraction(g) * q)) for b, g in ifs.maps]
+    else:
+        q = 1
+        gens = [(float(b), float(g)) for b, g in ifs.maps]
+    ratios, translations = [1], [0]
+    for n in range(1, n_max + 1):
+        _check_cap(ifs, n, cap)
+        translations = [t * q + r * P for P, t in zip(ratios, translations) for _, r in gens]
+        ratios = [P * p for P in ratios for p, _ in gens]
+        yield q ** n, ratios, translations
+
+
+def _delta(scale, ratios, translations, exact: bool):
+    """Delta_n of one enumerated level: the smallest distance between the
+    translations of words with equal ratio, rescaled by 1/q^n."""
+    groups = {}
+    for P, t in zip(ratios, translations):
+        key = P if exact else round(math.log(abs(P)) / _QUANT)
+        groups.setdefault(key, []).append(t)
+    best = None
+    for vals in groups.values():
+        if len(vals) < 2:
+            continue
+        vals.sort()
+        gap = min(b - a for a, b in zip(vals, vals[1:]))
+        if best is None or gap < best:
+            best = gap
+            if best == 0:
+                break
+    if best is None:
+        return math.inf
+    return Fraction(best, scale) if exact else best
 
 
 def delta_n(ifs: LineIfs, n: int, cap: int = DEFAULT_CAP):
@@ -126,27 +167,10 @@ def delta_n(ifs: LineIfs, n: int, cap: int = DEFAULT_CAP):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact = ifs.is_rational()
-    comps = _compositions(ifs, n, cap)
-    groups = {}
-    for beta, gamma in comps:
-        if exact:
-            key = beta
-        else:
-            key = round(math.log(abs(float(beta))) / _QUANT)
-        groups.setdefault(key, []).append(gamma)
-    best = None
-    for vals in groups.values():
-        if len(vals) < 2:
-            continue
-        vals.sort()
-        for a, b in zip(vals, vals[1:]):
-            gap = b - a
-            if best is None or gap < best:
-                best = gap
-            if best == 0:
-                return best
-    return math.inf if best is None else best
+    _check_cap(ifs, n, cap)
+    for level in _levels(ifs, n, cap):
+        pass  # only the deepest level is kept
+    return _delta(*level, ifs.is_rational())
 
 
 def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaReport:
@@ -164,8 +188,8 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
     rows = []
     overlap = False
     rates_ok = True
-    for n in range(1, n_max + 1):
-        d = delta_n(ifs, n, cap=cap)
+    for n, level in enumerate(_levels(ifs, n_max, cap), 1):
+        d = _delta(*level, exact)
         if d == math.inf:
             rate = -math.inf
         elif d == 0:

@@ -8,7 +8,9 @@ when requested: the leading 1/n coefficient jumps across a branch switch, so
 depth-extrapolation tolerances only hold away from the kinks.
 """
 
+import math
 from fractions import Fraction as F
+from itertools import product
 
 from affdim.ifs import AffineMap, IfsSystem
 from affdim.linalg2 import Mat2, operator_norm
@@ -61,3 +63,28 @@ def random_triangular_system(
         root = triangular_pressure_root(sysm)
         if root < 2.0 and min(abs(root - 1.0), abs(root - 2.0)) >= BREAKPOINT_GAP:
             return sysm
+
+
+def compose_line_word(ifs, word, one=F(1), zero=F(0)):
+    """(beta_w, gamma_w) of g_w = g_{w_1} o ... o g_{w_n}, symbol by symbol."""
+    beta, gamma = one, zero
+    for s in word:
+        b, g = ifs.maps[s]
+        gamma = gamma + beta * g
+        beta = beta * b
+    return beta, gamma
+
+
+def brute_force_delta(ifs, n):
+    """Oracle for Delta_n: min over all distinct word pairs, infinity when no
+    pair shares a contraction ratio."""
+    comps = [compose_line_word(ifs, w) for w in product(range(ifs.n), repeat=n)]
+    best = None
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            if comps[i][0] != comps[j][0]:
+                continue
+            gap = abs(comps[i][1] - comps[j][1])
+            if best is None or gap < best:
+                best = gap
+    return math.inf if best is None else best

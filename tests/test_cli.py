@@ -76,6 +76,15 @@ class TestAnalyzeCommand:
         assert doc[0]["certified_value"] == pytest.approx(SEC44_DIM, abs=1e-9)
         assert doc[0]["hypotheses"]["condition4"] == "Verified"
 
+    def test_hochman_depth_clip_is_named(self, capsys):
+        argv = ["analyze", "--example", "sec44", "--target", "measure", "--hochman-depth"]
+        code, out, _ = run_cli(argv + ["50"], capsys)
+        assert code == 0
+        assert "hochman-depth-clipped: 50 -> 10" in out.splitlines()
+        code, out, _ = run_cli(argv + ["6"], capsys)
+        assert code == 0
+        assert "hochman-depth-clipped" not in out
+
     def test_config_round_trip(self, capsys, tmp_path):
         sysm, w, poly = sec44()
         cfg = tmp_path / "sec44.cfg"
@@ -126,6 +135,20 @@ class TestTableCommands:
             assert delta == f"1/{2 ** k}"
         assert "verdict: TrendBounded" in out
 
+    def test_hochman_depth_range_rows(self, capsys):
+        code, out, _ = run_cli(["hochman", "--maps", "1/2,0;1/2,1/2", "--n", "3..6"], capsys)
+        assert code == 0
+        rows = [l.split("\t")[:2] for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert rows == [[str(k), f"1/{2 ** k}"] for k in range(3, 7)]
+        assert "# verdict: TrendBounded" in out.splitlines()
+
+    @pytest.mark.parametrize("spec", ["abc", "1", "0..1", "6..2", "3..", "..4", ""])
+    def test_hochman_bad_depth_exit_1(self, spec, capsys):
+        code, out, err = run_cli(["hochman", "--maps", "1/2,0;1/2,1/2", "--n", spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("affdim: error: bad --n")
+
     def test_ssc_report(self, capsys):
         code, out, _ = run_cli(["ssc", "--example", "sec44"], capsys)
         assert code == 0
@@ -163,6 +186,47 @@ class TestTableCommands:
         )
         assert code == 0
         assert any(l.startswith("# slope:") for l in out.splitlines())
+
+
+def _count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestComputeOnce:
+    """One analyze command computes each weight-independent stage once,
+    whatever the number of targets and weight candidates."""
+
+    def test_sec44_pressure_and_hochman_once(self, monkeypatch, capsys):
+        import affdim.dimension
+        import affdim.pressure
+
+        roots = _count_calls(monkeypatch, affdim.pressure, "pressure_root")
+        rates = _count_calls(monkeypatch, affdim.dimension, "hochman_rate")
+        code, out, _ = run_cli(["analyze", "--example", "sec44"], capsys)
+        assert code == 0
+        assert [l for l in out.splitlines() if l.startswith("target:")] == [
+            "target: measure", "target: attractor"]
+        assert out.count("hochman-direction-verdict: TrendBounded") == 2
+        assert len(roots) == 1
+        assert len(rates) == 1
+
+    def test_hl_demo_monte_carlo_once(self, monkeypatch, capsys):
+        import affdim.dimension
+
+        runs = _count_calls(monkeypatch, affdim.dimension, "lyapunov_monte_carlo")
+        code, out, _ = run_cli(["analyze", "--example", "hl-demo"], capsys)
+        assert code == 2
+        assert out.count("stderr-chi-s: ") == 2  # both targets use MC exponents
+        assert len(runs) == 1
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from conftest import random_triangular_system, six_distinct_maps_system
 
 from affdim.dimension import (
     analyze,
+    analyze_targets,
     backward_non_overlapping,
     box_dimension_estimate,
     build_subsystem,
@@ -252,6 +253,19 @@ class TestAnalyze:
         assert dict(rep.details)["pressure-depths-dropped"] == "12"
         rep = analyze(sysm, pressure_schedule=(2,))
         assert "pressure-depths-dropped" not in dict(rep.details)
+
+    @pytest.mark.parametrize("example", [sec44, hl_demo])
+    def test_shared_context_matches_separate_runs(self, example):
+        sysm, w, poly = example()
+        both = analyze_targets(sysm, ("measure", "attractor"), w, polygon=poly, rng_seed=2)
+        alone = [analyze(sysm, w, polygon=poly, target=t, rng_seed=2)
+                 for t in ("measure", "attractor")]
+        assert [r.render() for r in both] == [r.render() for r in alone]
+
+    def test_unknown_target_rejected(self):
+        sysm, w, poly = sec44()
+        with pytest.raises(ValueError, match="target"):
+            analyze_targets(sysm, ("measure", "both"), w, polygon=poly)
 
     def test_deterministic_reports(self):
         sysm, w, poly = sec44()

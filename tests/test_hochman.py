@@ -5,33 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import brute_force_delta, compose_line_word
+
 from affdim.errors import EnumerationTooLarge
-from affdim.hochman import LineIfs, delta_n, hochman_rate
-
-
-def brute_force_delta(ifs, n):
-    """Oracle: min over all distinct word pairs, infinity when no pair shares
-    a contraction ratio."""
-
-    def compose(word):
-        beta, gamma = F(1), F(0)
-        for s in word:  # g_w = g_{w_1} o ... o g_{w_n}
-            b, g = ifs.maps[s]
-            gamma = gamma + beta * g
-            beta = beta * b
-        return beta, gamma
-
-    words = list(product(range(ifs.n), repeat=n))
-    comps = [compose(w) for w in words]
-    best = None
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if comps[i][0] != comps[j][0]:
-                continue
-            gap = abs(comps[i][1] - comps[j][1])
-            if best is None or gap < best:
-                best = gap
-    return math.inf if best is None else best
+from affdim.hochman import LineIfs, _levels, delta_n, hochman_rate
 
 
 class TestDeltaN:
@@ -65,30 +42,41 @@ class TestDeltaN:
                 assert delta_n(ifs, n) == brute_force_delta(ifs, n)
 
     def test_composition_translation_identity(self):
+        # level n of the enumeration holds, in lexicographic word order, the
+        # integer pairs (P, T) with beta_w = P/q^n and gamma_w = T/q^n; and
         # g_(uv)(0) = g_u(g_v(0)) exactly in rational arithmetic
         ifs = LineIfs(((F(2, 5), F(1, 3)), (F(-1, 4), F(2, 7))))
-        rng = np.random.default_rng(73)
-        from affdim.hochman import _compositions
-
+        levels = list(_levels(ifs, 4, 10 ** 6))
+        assert len(levels) == 4
         for n in (2, 3, 4):
-            comps = {i: c for i, c in enumerate(_compositions(ifs, n, 10 ** 6))}
+            scale, ratios, translations = levels[n - 1]
+            assert scale == 420 ** n  # q = lcm(5, 3, 4, 7)
+            words = list(product(range(ifs.n), repeat=n))
+            assert len(ratios) == len(translations) == len(words)
+            for w, p, t in zip(words, ratios, translations):
+                assert type(p) is int and type(t) is int
+                assert (F(p, scale), F(t, scale)) == compose_line_word(ifs, w)
+        rng = np.random.default_rng(73)
         for _ in range(20):
             u = [int(x) for x in rng.integers(0, 2, size=3)]
             v = [int(x) for x in rng.integers(0, 2, size=3)]
-
-            def compose(word):
-                beta, gamma = F(1), F(0)
-                for s in word:
-                    b, g = ifs.maps[s]
-                    gamma = gamma + beta * g
-                    beta = beta * b
-                return beta, gamma
-
-            bu, gu = compose(u)
-            bv, gv = compose(v)
-            buv, guv = compose(u + v)
+            bu, gu = compose_line_word(ifs, u)
+            bv, gv = compose_line_word(ifs, v)
+            buv, guv = compose_line_word(ifs, u + v)
             assert guv == gu + bu * gv
             assert buv == bu * bv
+
+    def test_float_input_matches_float_composition(self):
+        # float input runs the same recursion with q = 1 and groups ratios by
+        # a quantised log
+        maps = ((0.5, 0.0), (-0.5, 0.75), (0.5, 0.125))
+        ifs = LineIfs(maps)
+        for n in (1, 2, 3):
+            *_, (scale, ratios, translations) = _levels(ifs, n, 10 ** 6)
+            assert scale == 1
+            for w, p, t in zip(product(range(3), repeat=n), ratios, translations):
+                assert (p, t) == compose_line_word(ifs, w, one=1.0, zero=0.0)
+        assert delta_n(ifs, 1) == 0.125
 
     def test_single_map_always_infinite(self):
         # every ratio class is a singleton only when there is a single word
@@ -101,6 +89,9 @@ class TestDeltaN:
         ifs = LineIfs(((F(1, 2), F(0)), (F(1, 2), F(1, 2))))
         with pytest.raises(EnumerationTooLarge):
             delta_n(ifs, 40)
+        assert delta_n(ifs, 3, cap=8) == F(1, 8)  # N^n exactly at the cap
+        with pytest.raises(EnumerationTooLarge, match="2\\^4 = 16 exceeds cap 8"):
+            delta_n(ifs, 4, cap=8)
 
 
 class TestHochmanRate:
@@ -125,6 +116,25 @@ class TestHochmanRate:
         assert rep.verdict == "TrendBounded"
         for n, d, rate in rep.rows:
             assert d >= F(1, 3) * F(1, 3) ** n
+
+    def test_rows_match_delta_n(self):
+        for maps in (
+            ((F(1, 3), F(0)), (F(-2, 7), F(1, 2)), (F(1, 3), F(3, 5))),
+            ((0.3, 0.0), (-0.3, 0.5), (0.45, 0.25)),
+        ):
+            ifs = LineIfs(maps)
+            rep = hochman_rate(ifs, 6)
+            assert [d for _, d, _ in rep.rows] == [delta_n(ifs, n) for n in range(1, 7)]
+
+    def test_cap_reached_only_past_an_overlap(self):
+        # the rows stop at the first exact overlap, before the cap matters;
+        # without one the first depth over the cap raises
+        overlap = LineIfs(((F(1, 2), F(0)), (F(1, 2), F(0))))
+        rep = hochman_rate(overlap, 30, cap=10)
+        assert rep.verdict == "ExactOverlap" and len(rep.rows) == 1
+        dyadic = LineIfs(((F(1, 2), F(0)), (F(1, 2), F(1, 2))))
+        with pytest.raises(EnumerationTooLarge, match="2\\^4 = 16"):
+            hochman_rate(dyadic, 6, cap=8)
 
     def test_float_input_inconclusive(self):
         ifs = LineIfs(((0.5, 0.0), (0.5, 0.5)))
