@@ -179,9 +179,9 @@ def cmd_directions(args) -> int:
         parsed.system, weights, args.depth, args.count, args.seed, split
     )
     sep = splitting.min_angle_separation(
-        parsed.system, weights, args.depth, args.count, args.seed, split
+        parsed.system, weights, args.depth, args.count, args.seed, split, ss_angles=angles
     )
-    rows = [(i, float(a)) for i, a in enumerate(angles)]
+    rows = list(enumerate(angles.tolist()))
     _emit_table(("i", "theta"), rows, (f"min-separation: {sep!r}",), args.out)
     return 0
 

@@ -26,7 +26,8 @@ from .errors import EnumerationTooLarge
 
 DEFAULT_CAP = 2_000_000
 
-# float-mode ratio grouping quantum (diagnostics only)
+# float-mode ratio grouping quantum (diagnostics only); float ratios are
+# grouped by sign and quantised log-magnitude
 _QUANT = 1e-12
 
 
@@ -141,7 +142,7 @@ def _delta(scale, ratios, translations, exact: bool):
     translations of words with equal ratio, rescaled by 1/q^n."""
     groups = {}
     for P, t in zip(ratios, translations):
-        key = P if exact else round(math.log(abs(P)) / _QUANT)
+        key = P if exact else (P > 0, round(math.log(abs(P)) / _QUANT))
         groups.setdefault(key, []).append(t)
     best = None
     for vals in groups.values():

@@ -21,6 +21,18 @@ from .linalg2 import Mat2, operator_norm
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
 
+_STREAM_OFFSET = 0x9E3779B9  # separates derived RNG streams
+SYMBOL_BLOCK = 1 << 18  # symbols drawn per block by the sampling kernels
+
+
+def rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator keyed by seed + stream * _STREAM_OFFSET (mod 2^64).
+
+    Philox is counter-based, so each (seed, stream) pair is reproducible bit
+    for bit, and streams of one seed never share a key.
+    """
+    return np.random.Generator(np.random.Philox(key=(seed + _STREAM_OFFSET * stream) % (1 << 64)))
+
 
 # ---------------------------------------------------------------------------
 # Affine maps and systems
@@ -145,6 +157,41 @@ class BernoulliWeights:
     def as_array(self) -> np.ndarray:
         return np.array([float(x) for x in self.p])
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = self.as_array.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """Symbols 0..N-1, i.i.d. by the weights, of the given shape.
+
+        Equal bit for bit to ``gen.choice(N, size=shape, p=self.as_array)``:
+        the same uniforms, counted against the same normalised cdf instead of
+        bisected.  Philox hands out its doubles in C order, so consecutive
+        draws of row blocks equal one draw of the stacked shape.
+        """
+        u = gen.random(shape)
+        out = np.zeros(u.shape, dtype=np.intp)
+        for c in self._cdf[:-1]:
+            out += u >= c
+        return out
+
+
+def draw_blockwise(weights: BernoulliWeights, gen, count: int, depth: int, kernel) -> np.ndarray:
+    """``kernel`` applied to consecutive row blocks of a (count, depth) symbol
+    draw, results concatenated along the first axis.
+
+    The rows equal those of one ``weights.draw(gen, (count, depth))``, so a
+    kernel that treats rows independently returns the same values, while
+    the symbol and uniform arrays stay at about SYMBOL_BLOCK entries.
+    """
+    rows = max(1, SYMBOL_BLOCK // depth)
+    starts = range(0, count, rows) if count > 0 else (0,)
+    return np.concatenate(
+        [kernel(weights.draw(gen, (min(rows, count - lo), depth))) for lo in starts]
+    )
+
 
 def validate_word(sys: IfsSystem, word: Sequence[int]) -> None:
     for s in word:
@@ -221,7 +268,8 @@ def sample_measure(
     """``count`` draws of f_w(seed_point) with w ~ weights^depth, as (count, 2).
 
     Philox is counter-based, so the stream is reproducible bit-for-bit and can
-    be partitioned by sample index without changing values.
+    be partitioned by sample index without changing values; the symbols are
+    drawn in blocks of samples.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -229,18 +277,20 @@ def sample_measure(
         raise ValueError("count must be >= 1")
     if len(weights) != sys.n:
         raise ValueError("weights length does not match the system")
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    syms = rng.choice(sys.n, size=(count, depth), p=weights.as_array)
     A = sys.linear_array
     t = sys.translation_array
     a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
     tx, ty = t[:, 0], t[:, 1]
-    x = np.full(count, float(seed_point[0]))
-    y = np.full(count, float(seed_point[1]))
-    for k in range(depth - 1, -1, -1):
-        i = syms[:, k]
-        x, y = a11[i] * x + a12[i] * y + tx[i], a21[i] * x + a22[i] * y + ty[i]
-    return np.column_stack([x, y])
+
+    def points(syms):
+        x = np.full(len(syms), float(seed_point[0]))
+        y = np.full(len(syms), float(seed_point[1]))
+        for k in range(depth - 1, -1, -1):
+            i = syms[:, k]
+            x, y = a11[i] * x + a12[i] * y + tx[i], a21[i] * x + a22[i] * y + ty[i]
+        return np.column_stack([x, y])
+
+    return draw_blockwise(weights, rng(rng_seed), count, depth, points)
 
 
 # ---------------------------------------------------------------------------

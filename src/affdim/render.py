@@ -4,20 +4,23 @@ Two modes: ``cylinders`` fills the depth-n images of a seed polygon,
 ``chaos`` plots chaos-game sample points.  The pixel path is plain float
 arithmetic plus floor rounding, so identical inputs give bit-identical
 images; P6 needs no image library and hashes cleanly in golden tests.
+Both modes paint with one scatter in drawing order (polygons in word order,
+orbit points in time order) in which the last write to a pixel wins.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import UnsupportedDepth
-from .ifs import BernoulliWeights, IfsSystem, Polygon, compose_word
+from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
 
 CYLINDER_WORD_CAP = 200_000
+PAIR_BLOCK = 1 << 16  # (polygon, pixel row) pairs scanned at once
+PIXEL_BLOCK = 1 << 20  # pixel writes expanded at once
 
 # per-first-symbol fill colors, cycled when the alphabet is larger
 PALETTE = (
@@ -30,6 +33,7 @@ PALETTE = (
     (227, 119, 194),
     (127, 127, 127),
 )
+_PALETTE_ARRAY = np.array(PALETTE, dtype=np.uint8)
 BACKGROUND = (255, 255, 255)
 
 
@@ -71,42 +75,135 @@ def _pixel_grid(spec: RenderSpec):
     return img
 
 
-def _fill_convex(img, spec: RenderSpec, vertices, color):
-    """Scanline fill of a convex polygon given in plane coordinates."""
-    x0, y0, x1, y1 = spec.viewport
+def _paint_runs(img, row, start, stop, color) -> None:
+    """Paint the pixel runs img[row[k], start[k]..stop[k]] = PALETTE[color[k]]
+    as if one after another, so a later run wins wherever runs overlap.
+
+    The runs are expanded to flat pixel indices PIXEL_BLOCK at a time; within
+    a block np.unique on the reversed indices picks each pixel's last write,
+    so the result never depends on the order numpy applies duplicate
+    fancy-index assignments in.
+    """
+    flat_img = img.reshape(-1, 3)
+    length = stop - start + 1
+    for block, flat in _expand_blocks(length, row * img.shape[1] + start, PIXEL_BLOCK):
+        colors = np.repeat(color[block], length[block])
+        _, rev_first = np.unique(flat[::-1], return_index=True)
+        last = len(flat) - 1 - rev_first
+        flat_img[flat[last]] = _PALETTE_ARRAY[colors[last]]
+
+
+def _expand_blocks(length, first, budget):
+    """Split items with ``length[k]`` consecutive integers from ``first[k]``
+    into blocks of whole items holding at most ``budget`` integers (or one
+    item); yield each block's item slice and its integers, in order."""
+    ends = np.cumsum(length)
+    lo = 0
+    while lo < len(length):
+        base = ends[lo] - length[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        n = length[lo:hi]
+        block = slice(lo, hi)
+        yield block, np.repeat(first[block] - (ends[block] - n - base), n) + np.arange(
+            ends[hi - 1] - base
+        )
+        lo = hi
+
+
+def _cylinder_maps(sys: IfsSystem, depth: int):
+    """Float maps f_w for every depth-n word, in lexicographic word order.
+
+    Level k+1 is [f.compose(g) for f in maps for g in level k]: the same
+    right-to-left fold as compose_word, so each map is bit-identical to
+    compose_word(float system, w), at about N/(N-1) compositions per word.
+    """
+    maps = [f.to_float() for f in sys.maps]
+    level = maps
+    for _ in range(depth - 1):
+        level = [f.compose(g) for f in maps for g in level]
+    return level
+
+
+def _cylinder_vertices(sys: IfsSystem, polygon: Polygon, depth: int):
+    """Vertex arrays (x, y), one row per depth-n word in word order, of the
+    float images f_w(polygon), ordered as Polygon orders them: reversed where
+    the shoelace sum, taken left to right, is negative."""
+    vx, vy = np.array(polygon.to_float().vertices).T
+    coef = np.array(
+        [(f.linear.a11, f.linear.a12, f.linear.a21, f.linear.a22) + f.translation
+         for f in _cylinder_maps(sys, depth)]
+    )
+    a11, a12, a21, a22, tx, ty = (c[:, None] for c in coef.T)
+    xs = a11 * vx + a12 * vy + tx
+    ys = a21 * vx + a22 * vy + ty
+    xs_b, ys_b = np.roll(xs, -1, axis=1), np.roll(ys, -1, axis=1)
+    area2 = xs[:, 0] * ys_b[:, 0] - xs_b[:, 0] * ys[:, 0]
+    for k in range(1, len(vx)):
+        area2 = area2 + (xs[:, k] * ys_b[:, k] - xs_b[:, k] * ys[:, k])
+    flip = (area2 < 0)[:, None]
+    return np.where(flip, xs[:, ::-1], xs), np.where(flip, ys[:, ::-1], ys)
+
+
+def _scanline_runs(spec: RenderSpec, cols, rows):
+    """Scanline fill of convex polygons, one per row of the pixel-coordinate
+    arrays ``cols`` and ``rows``, for every (polygon, pixel row) pair at once.
+
+    Returns (polygon, row, first column, last column) of each painted run,
+    in polygon order.  Per pair it evaluates the float expressions of the
+    scalar scanline fill: the crossings of the row centre with the edges,
+    the pixel centres between the outermost crossings, or, for a sliver
+    thinner than a pixel, the column under its centre.
+    """
     w, h = spec.width, spec.height
-    # plane -> pixel coordinates (column float, row float)
-    cols = [(vx - x0) / (x1 - x0) * w for vx, vy in vertices]
-    rows = [(y1 - vy) / (y1 - y0) * h for vx, vy in vertices]
-    r_lo = max(0, int(math.floor(min(rows))))
-    r_hi = min(h - 1, int(math.ceil(max(rows))))
-    n = len(vertices)
-    for r in range(r_lo, r_hi + 1):
-        yc = r + 0.5
-        xs = []
-        for i in range(n):
-            ra, ca = rows[i], cols[i]
-            rb, cb = rows[(i + 1) % n], cols[(i + 1) % n]
-            if (ra <= yc < rb) or (rb <= yc < ra):
-                tpar = (yc - ra) / (rb - ra)
-                xs.append(ca + tpar * (cb - ca))
-        if len(xs) < 2:
-            continue
-        lo, hi = min(xs), max(xs)
-        c_lo = max(0, int(math.floor(lo + 0.5)))
-        c_hi = min(w - 1, int(math.floor(hi - 0.5)))
-        if c_hi >= c_lo:
-            img[r, c_lo : c_hi + 1] = color
-        elif hi - lo > 0:  # thinner than a pixel: mark the center column
-            c = int(math.floor((lo + hi) / 2))
-            if 0 <= c < w:
-                img[r, c] = color
+    r_lo = np.maximum(0.0, np.floor(rows.min(axis=1)))
+    r_hi = np.minimum(h - 1.0, np.ceil(rows.max(axis=1)))
+    n_rows = np.maximum(r_hi - r_lo + 1.0, 0.0).astype(np.int64)
+    r_lo = np.where(n_rows > 0, r_lo, 0.0).astype(np.int64)
+    cols_b, rows_b = np.roll(cols, -1, axis=1), np.roll(rows, -1, axis=1)
+    out = []
+    for block, row in _expand_blocks(n_rows, r_lo, PAIR_BLOCK):
+        poly = np.repeat(np.arange(block.start, block.stop), n_rows[block])
+        yc = (row + 0.5)[:, None]
+        ra, rb, ca, cb = rows[poly], rows_b[poly], cols[poly], cols_b[poly]
+        crosses = ((ra <= yc) & (yc < rb)) | ((rb <= yc) & (yc < ra))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xs = ca + (yc - ra) / (rb - ra) * (cb - ca)
+        x_lo = np.where(crosses, xs, np.inf).min(axis=1)
+        x_hi = np.where(crosses, xs, -np.inf).max(axis=1)
+        filled = crosses.sum(axis=1) >= 2
+        c_lo = np.maximum(0.0, np.floor(x_lo + 0.5))
+        c_hi = np.minimum(w - 1.0, np.floor(x_hi - 0.5))
+        wide = filled & (c_hi >= c_lo)
+        with np.errstate(invalid="ignore"):
+            centre = np.floor((x_lo + x_hi) / 2)
+            thin = filled & ~wide & (x_hi - x_lo > 0) & (centre >= 0) & (centre < w)
+        keep = wide | thin
+        first = np.where(wide, c_lo, centre)[keep].astype(np.int64)
+        last = np.where(wide, c_hi, centre)[keep].astype(np.int64)
+        out.append((poly[keep], row[keep], first, last))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _fill_polygons(img, spec: RenderSpec, xs, ys, color) -> None:
+    """Fill convex polygons, one per row of the plane-coordinate vertex
+    arrays ``xs`` and ``ys``, with PALETTE[color[k]], later rows winning."""
+    x0, y0, x1, y1 = spec.viewport
+    cols = (xs - x0) / (x1 - x0) * spec.width
+    rows = (y1 - ys) / (y1 - y0) * spec.height
+    poly, row, first, last = _scanline_runs(spec, cols, rows)
+    _paint_runs(img, row, first, last, color[poly])
 
 
 def render_cylinders(
     sys: IfsSystem, spec: RenderSpec, polygon: Optional[Polygon] = None
 ) -> np.ndarray:
-    """Fill the depth-n images of the seed polygon, colored by first symbol."""
+    """Fill the depth-n images of the seed polygon, colored by first symbol.
+
+    The seed polygon is validated once; its images under the invertible
+    maps are convex, so they are kept as vertex arrays (reversed where their
+    shoelace area is negative, as Polygon orders them) and a float sliver
+    that rounds to zero area is still drawn instead of rejected.
+    """
     if spec.depth < 1:
         raise ValueError("cylinders mode needs depth >= 1")
     if sys.n ** spec.depth > CYLINDER_WORD_CAP:
@@ -116,15 +213,10 @@ def render_cylinders(
     if polygon is None:
         r = sys.bounding_radius
         polygon = Polygon(((-r, -r), (r, -r), (r, r), (-r, r)))
-    polygon = polygon.to_float()
+    xs, ys = _cylinder_vertices(sys, polygon, spec.depth)
+    first_symbol = np.arange(len(xs)) // sys.n ** (spec.depth - 1)
     img = _pixel_grid(spec)
-    float_sys = IfsSystem(tuple(f.to_float() for f in sys.maps))
-    words = [(i,) for i in range(1, sys.n + 1)]
-    for _ in range(spec.depth - 1):
-        words = [w + (i,) for w in words for i in range(1, sys.n + 1)]
-    for w in words:
-        poly = polygon.transform(compose_word(float_sys, w))
-        _fill_convex(img, spec, poly.vertices, PALETTE[(w[0] - 1) % len(PALETTE)])
+    _fill_polygons(img, spec, xs, ys, first_symbol % len(PALETTE))
     return img
 
 
@@ -134,29 +226,35 @@ def render_chaos(
     weights: Optional[BernoulliWeights] = None,
     burn_in: int = 100,
 ) -> np.ndarray:
-    """Chaos game: iterate randomly chosen maps and plot the orbit."""
+    """Chaos game: iterate randomly chosen maps and plot the orbit.
+
+    The orbit runs on Python floats (the same IEEE operations as on numpy
+    scalars); pixels are computed and painted after the loop, a later point
+    winning a shared pixel.
+    """
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    syms = rng.choice(sys.n, size=spec.count + burn_in, p=weights.as_array)
-    img = _pixel_grid(spec)
+    syms = weights.draw(rng(spec.seed), spec.count + burn_in)
+    steps = [
+        (a[0][0], a[0][1], a[1][0], a[1][1], t[0], t[1])
+        for a, t in zip(sys.linear_array.tolist(), sys.translation_array.tolist())
+    ]
+    px, py = (float(c) for c in sys.maps[0].fixed_point())
+    xs, ys = [], []
+    for s in syms.tolist():
+        a11, a12, a21, a22, tx, ty = steps[s]
+        px, py = a11 * px + a12 * py + tx, a21 * px + a22 * py + ty
+        xs.append(px)
+        ys.append(py)
     x0, y0, x1, y1 = spec.viewport
     w, h = spec.width, spec.height
-    fx, fy = (float(c) for c in sys.maps[0].fixed_point())
-    px, py = fx, fy
-    A = sys.linear_array
-    t = sys.translation_array
-    for k, s in enumerate(syms):
-        px, py = (
-            A[s, 0, 0] * px + A[s, 0, 1] * py + t[s, 0],
-            A[s, 1, 0] * px + A[s, 1, 1] * py + t[s, 1],
-        )
-        if k < burn_in:
-            continue
-        col = int((px - x0) / (x1 - x0) * w)
-        row = int((y1 - py) / (y1 - y0) * h)
-        if 0 <= col < w and 0 <= row < h:
-            img[row, col] = PALETTE[int(s) % len(PALETTE)]
+    col = (np.array(xs[burn_in:]) - x0) / (x1 - x0) * w
+    row = (y1 - np.array(ys[burn_in:])) / (y1 - y0) * h
+    # int() truncates toward zero, so 0 <= int(v) < n exactly when -1 < v < n
+    inside = (col > -1) & (col < w) & (row > -1) & (row < h)
+    col = col[inside].astype(np.int64)
+    img = _pixel_grid(spec)
+    _paint_runs(img, row[inside].astype(np.int64), col, col, syms[burn_in:][inside] % len(PALETTE))
     return img
 
 

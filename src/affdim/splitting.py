@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotCertified, NotTriangular, PrefixTooShort
-from .ifs import BernoulliWeights, IfsSystem, validate_word
+from .ifs import BernoulliWeights, IfsSystem, draw_blockwise, rng, validate_word
 from .linalg2 import (
     Mat2,
     ProjArc,
@@ -36,7 +36,6 @@ from .linalg2 import (
 
 ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-12
-_STREAM_OFFSET = 0x9E3779B9  # separates derived RNG streams
 
 
 @dataclass(frozen=True)
@@ -182,14 +181,14 @@ def check_multicone_invariance(sys: IfsSystem, m: Multicone, margin: float = 0.0
 def propose_multicone(sys: IfsSystem, inflate: float = 0.01, rounds: int = 60) -> Optional[Multicone]:
     """Best-effort forward multicone: fatten sampled attracting directions and
     absorb their images until invariant or hopeless."""
-    rng = np.random.Generator(np.random.Philox(key=1234567))
+    gen = rng(1234567)
     angles = []
     for f in sys.maps:
         p = ProjPoint(0.3)
         angles.append(proj_act(f.linear, p).theta)
     for _ in range(160):
-        depth = int(rng.integers(8, 30))
-        word = rng.integers(0, sys.n, size=depth)
+        depth = int(gen.integers(8, 30))
+        word = gen.integers(0, sys.n, size=depth)
         mat = Mat2.identity()
         for s in word:
             mat = sys.maps[int(s)].linear.to_float() @ mat
@@ -197,7 +196,7 @@ def propose_multicone(sys: IfsSystem, inflate: float = 0.01, rounds: int = 60) -
             mat = mat.scaled(1.0 / mx)
         # long products are numerically rank one; map a generic vector rather
         # than going through the nonsingular projective action
-        x, y = mat.apply(ProjPoint(rng.uniform(0, math.pi)).to_vector())
+        x, y = mat.apply(ProjPoint(gen.uniform(0, math.pi)).to_vector())
         if x != 0.0 or y != 0.0:
             angles.append(ProjPoint.from_vector(x, y).theta)
 
@@ -465,10 +464,6 @@ def default_direction_depth(
     return int(min(max(math.ceil(math.log(tol) / math.log(r)), 8), 400))
 
 
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed + _STREAM_OFFSET * stream) % (1 << 64)))
-
-
 def sample_nu_ss(
     sys: IfsSystem,
     weights: BernoulliWeights,
@@ -497,47 +492,36 @@ def sample_nu_ss_angles(
         depth = default_direction_depth(sys, split)
     if split.triangular == "ADominant":
         return np.full(count, math.pi / 2)
-    rng = _rng(rng_seed)
-    syms = rng.choice(sys.n, size=(count, depth), p=weights.as_array)
     if split.triangular == "CDominant":
         a, b, c = _triangular_ratios(sys)
         bc = b / c
         ac = a / c
-        slopes = np.zeros(count)
-        pref = np.ones(count)
-        for k in range(depth):
-            i = syms[:, k]
-            slopes -= bc[i] * pref
-            pref = pref * ac[i]
-        return np.mod(np.arctan(slopes), math.pi)
-    # generic route: batched inverse products applied to the backward seed
-    cone = _backward_cone(split)
-    seed_theta = cone.seed_point().theta if cone is not None else 0.4
-    A = sys.linear_array
-    dets = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-    inv = np.empty_like(A)
-    inv[:, 0, 0] = A[:, 1, 1] / dets
-    inv[:, 0, 1] = -A[:, 0, 1] / dets
-    inv[:, 1, 0] = -A[:, 1, 0] / dets
-    inv[:, 1, 1] = A[:, 0, 0] / dets
-    p11 = np.ones(count)
-    p12 = np.zeros(count)
-    p21 = np.zeros(count)
-    p22 = np.ones(count)
-    for k in range(depth):
-        i = syms[:, k]
-        b11, b12, b21, b22 = inv[i, 0, 0], inv[i, 0, 1], inv[i, 1, 0], inv[i, 1, 1]
-        n11 = p11 * b11 + p12 * b21
-        n12 = p11 * b12 + p12 * b22
-        n21 = p21 * b11 + p22 * b21
-        n22 = p21 * b12 + p22 * b22
-        scale = np.maximum(np.maximum(np.abs(n11), np.abs(n12)),
-                           np.maximum(np.abs(n21), np.abs(n22)))
-        p11, p12, p21, p22 = n11 / scale, n12 / scale, n21 / scale, n22 / scale
-    vx, vy = math.cos(seed_theta), math.sin(seed_theta)
-    wx = p11 * vx + p12 * vy
-    wy = p21 * vx + p22 * vy
-    return np.mod(np.arctan2(wy, wx), math.pi)
+
+        def angles(syms):
+            slopes = np.zeros(len(syms))
+            pref = np.ones(len(syms))
+            for k in range(depth):
+                i = syms[:, k]
+                slopes -= bc[i] * pref
+                pref = pref * ac[i]
+            return np.mod(np.arctan(slopes), math.pi)
+
+    else:
+        # generic route: batched inverse products applied to the backward seed
+        cone = _backward_cone(split)
+        seed_theta = cone.seed_point().theta if cone is not None else 0.4
+        A = sys.linear_array
+        dets = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+        inv = np.empty_like(A)
+        inv[:, 0, 0] = A[:, 1, 1] / dets
+        inv[:, 0, 1] = -A[:, 0, 1] / dets
+        inv[:, 1, 0] = -A[:, 1, 0] / dets
+        inv[:, 1, 1] = A[:, 0, 0] / dets
+
+        def angles(syms):
+            return _product_angles(inv, syms, seed_theta)
+
+    return draw_blockwise(weights, rng(rng_seed), count, depth, angles)
 
 
 def sample_e_s_angles(
@@ -555,29 +539,42 @@ def sample_e_s_angles(
         depth = default_direction_depth(sys, split, field="s")
     if split.triangular == "CDominant":
         return np.full(count, math.pi / 2)
-    rng = _rng(rng_seed, stream=1)
-    syms = rng.choice(sys.n, size=(count, depth), p=weights.as_array)
     if split.triangular == "ADominant":
         a, b, c = _triangular_ratios(sys)
         ba = b / a
         ca = c / a
-        slopes = np.zeros(count)
-        pref = np.ones(count)
-        for k in range(depth):  # column k is the k-th symbol into the past
-            i = syms[:, k]
-            slopes += ba[i] * pref
-            pref = pref * ca[i]
-        return np.mod(np.arctan(slopes), math.pi)
-    cone = split.multicone
-    seed_theta = cone.seed_point().theta if cone is not None else 1.1
-    A = sys.linear_array
+
+        def angles(syms):
+            slopes = np.zeros(len(syms))
+            pref = np.ones(len(syms))
+            for k in range(depth):  # column k is the k-th symbol into the past
+                i = syms[:, k]
+                slopes += ba[i] * pref
+                pref = pref * ca[i]
+            return np.mod(np.arctan(slopes), math.pi)
+
+    else:
+        cone = split.multicone
+        seed_theta = cone.seed_point().theta if cone is not None else 1.1
+        A = sys.linear_array
+
+        def angles(syms):
+            return _product_angles(A, syms, seed_theta)
+
+    return draw_blockwise(weights, rng(rng_seed, stream=1), count, depth, angles)
+
+
+def _product_angles(mats, syms, seed_theta: float) -> np.ndarray:
+    """Angles in [0, pi) of M_{s_1} ... M_{s_depth} applied to the seed
+    direction, one product per row of ``syms``, renormalised every step."""
+    count, depth = syms.shape
     p11 = np.ones(count)
     p12 = np.zeros(count)
     p21 = np.zeros(count)
     p22 = np.ones(count)
     for k in range(depth):
         i = syms[:, k]
-        b11, b12, b21, b22 = A[i, 0, 0], A[i, 0, 1], A[i, 1, 0], A[i, 1, 1]
+        b11, b12, b21, b22 = mats[i, 0, 0], mats[i, 0, 1], mats[i, 1, 0], mats[i, 1, 1]
         n11 = p11 * b11 + p12 * b21
         n12 = p11 * b12 + p12 * b22
         n21 = p21 * b11 + p22 * b21
@@ -598,19 +595,30 @@ def min_angle_separation(
     count: int,
     rng_seed: int,
     split: Optional[SplitReport] = None,
+    ss_angles: Optional[np.ndarray] = None,
 ) -> float:
     """Empirical min of |sin(e_s - e_ss)| over sampled pairs of past/future
-    words; positive under dominated splitting."""
+    words; positive under dominated splitting.
+
+    ``ss_angles`` passes e_ss samples already drawn with these arguments
+    (``sample_nu_ss_angles``), so a caller that prints them samples once.
+    """
     split = _require_certified(sys, split)
-    ss = np.sort(sample_nu_ss_angles(sys, weights, depth, count, rng_seed, split))
-    es = np.sort(sample_e_s_angles(sys, weights, depth, count, rng_seed, split))
-    # min over all pairs of the circular angular gap (period pi), via merge
-    idx = np.searchsorted(ss, es)
+    if ss_angles is None:
+        ss_angles = sample_nu_ss_angles(sys, weights, depth, count, rng_seed, split)
+    es = sample_e_s_angles(sys, weights, depth, count, rng_seed, split)
+    return math.sin(min_circular_gap(ss_angles, es))
+
+
+def min_circular_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """min over all pairs (x in a, y in b) of the angular distance mod pi,
+    capped at pi: each y is compared with its two neighbours in sorted a,
+    wrapping at the ends of [0, pi)."""
+    a = np.sort(a)
+    idx = np.searchsorted(a, b)
     best = math.pi
-    n = len(ss)
-    for j, e in enumerate(es):
-        for i in (idx[j] - 1, idx[j] % n):
-            d = abs(e - ss[i % n])
-            d = min(d, math.pi - d)
-            best = min(best, d)
-    return math.sin(best)
+    for i in ((idx - 1) % len(a), idx % len(a)):
+        d = np.abs(b - a[i])
+        d = np.minimum(d, math.pi - d)
+        best = min(best, float(d.min()))
+    return best

@@ -88,3 +88,35 @@ def brute_force_delta(ifs, n):
             if best is None or gap < best:
                 best = gap
     return math.inf if best is None else best
+
+
+def fill_convex_oracle(img, spec, vertices, color):
+    """Scalar scanline fill of one convex polygon given in plane coordinates:
+    the reference for the batched fill in ``affdim.render``."""
+    x0, y0, x1, y1 = spec.viewport
+    w, h = spec.width, spec.height
+    cols = [(vx - x0) / (x1 - x0) * w for vx, vy in vertices]
+    rows = [(y1 - vy) / (y1 - y0) * h for vx, vy in vertices]
+    r_lo = max(0, int(math.floor(min(rows))))
+    r_hi = min(h - 1, int(math.ceil(max(rows))))
+    n = len(vertices)
+    for r in range(r_lo, r_hi + 1):
+        yc = r + 0.5
+        xs = []
+        for i in range(n):
+            ra, ca = rows[i], cols[i]
+            rb, cb = rows[(i + 1) % n], cols[(i + 1) % n]
+            if (ra <= yc < rb) or (rb <= yc < ra):
+                tpar = (yc - ra) / (rb - ra)
+                xs.append(ca + tpar * (cb - ca))
+        if len(xs) < 2:
+            continue
+        lo, hi = min(xs), max(xs)
+        c_lo = max(0, int(math.floor(lo + 0.5)))
+        c_hi = min(w - 1, int(math.floor(hi - 0.5)))
+        if c_hi >= c_lo:
+            img[r, c_lo : c_hi + 1] = color
+        elif hi - lo > 0:  # thinner than a pixel: mark the center column
+            c = int(math.floor((lo + hi) / 2))
+            if 0 <= c < w:
+                img[r, c] = color

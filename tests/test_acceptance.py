@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
 from itertools import product
@@ -298,11 +299,27 @@ def test_criterion_10_thread_count_determinism():
         ["lyapunov", "--example", "hl-demo", "--seed", "7", "--mc-n", "400",
          "--mc-trials", "200"],
         ["boxdim", "--example", "sec44", "--count", "50000", "--seed", "7"],
+        ["directions", "--example", "hl-demo", "--count", "5000", "--seed", "7"],
     ]
     for args in jobs:
         one = _run_cli(args, env_threads=1)
         eight = _run_cli(args, env_threads=8)
         assert one.returncode == eight.returncode
         assert one.stdout == eight.stdout, f"thread-count dependent output: {args}"
-    _report(10, "analyze, lyapunov, boxdim byte-identical under 1-thread and "
-                "8-thread environments")
+    renders = [
+        ["render", "--example", "sec44", "--depth", "6", "--width", "96", "--height", "64"],
+        ["render", "--example", "phi-c", "--param", "c=1/4", "--mode", "chaos",
+         "--count", "20000", "--width", "64", "--height", "64", "--seed", "7"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for args in renders:
+            images = []
+            for threads in (1, 8):
+                path = os.path.join(tmp, f"{args[3]}-{threads}.ppm")
+                proc = _run_cli(args + ["--out", path], env_threads=threads)
+                assert proc.returncode == 0, proc.stderr.decode()
+                with open(path, "rb") as fh:
+                    images.append(fh.read())
+            assert images[0] == images[1], f"thread-count dependent image: {args}"
+    _report(10, "analyze, lyapunov, boxdim, directions and both render modes "
+                "byte-identical under 1-thread and 8-thread environments")

@@ -229,6 +229,18 @@ class TestComputeOnce:
         assert len(runs) == 1
 
 
+    def test_directions_samples_nu_ss_once(self, monkeypatch, capsys):
+        import affdim.splitting
+
+        draws = _count_calls(monkeypatch, affdim.splitting, "sample_nu_ss_angles")
+        code, out, _ = run_cli(
+            ["directions", "--example", "hl-demo", "--count", "50", "--seed", "2"], capsys
+        )
+        assert code == 0
+        assert "# min-separation: " in out
+        assert len(draws) == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -237,12 +249,31 @@ class TestDeterminism:
             ["lyapunov", "--example", "hl-demo", "--seed", "5",
              "--mc-n", "200", "--mc-trials", "50"],
             ["boxdim", "--example", "sec44", "--count", "20000", "--seed", "5"],
+            ["directions", "--example", "hl-demo", "--count", "2000", "--seed", "5"],
         ],
     )
     def test_byte_identical_reruns(self, argv, capsys):
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1.encode() == out2.encode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--example", "sec44", "--depth", "6", "--width", "96",
+             "--height", "64"],
+            ["render", "--example", "phi-c", "--param", "c=1/4", "--mode", "chaos",
+             "--count", "20000", "--width", "64", "--height", "64", "--seed", "5"],
+        ],
+    )
+    def test_byte_identical_images(self, argv, capsys, tmp_path):
+        images = []
+        for k in range(2):
+            out = tmp_path / f"run{k}.ppm"
+            code, _, _ = run_cli(argv + ["--out", str(out)], capsys)
+            assert code == 0
+            images.append(out.read_bytes())
+        assert images[0] == images[1]
 
 
 class TestRender:
@@ -329,6 +360,18 @@ class TestRender:
         colored = np.argwhere((img != 255).any(axis=2))
         assert len(colored) == 1  # one pixel at the fixed point
         assert tuple(colored[0]) == (32, 32)  # floor((y1-1)/2*64), floor(1/2*64)
+
+    def test_hl_demo_depth_9_renders(self, capsys, tmp_path):
+        """The float images of the square are slivers at depth 9; they are
+        drawn rather than rejected as degenerate polygons."""
+        out = tmp_path / "hl9.ppm"
+        code, _, err = run_cli(
+            ["render", "--example", "hl-demo", "--depth", "9", "--width", "64",
+             "--height", "64", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.read_bytes().startswith(b"P6\n64 64\n255\n")
 
     def test_unsupported_depth(self, capsys, tmp_path):
         out = tmp_path / "deep.ppm"

@@ -17,7 +17,7 @@ from affdim.ergodic import (
     lyapunov_via_directions,
 )
 from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem
-from affdim.library import phi_c, sec44
+from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, singular_values
 
 
@@ -128,6 +128,18 @@ class TestMonteCarlo:
         a = lyapunov_monte_carlo(sysm, w, n=100, trials=50, rng_seed=17)
         b = lyapunov_monte_carlo(sysm, w, n=100, trials=50, rng_seed=17)
         assert a == b
+
+    def test_step_blocks_do_not_change_the_stream(self, monkeypatch):
+        """Blocks of steps reproduce one (n, trials) draw, so the block size
+        (1 step, 7, or all n at once) leaves every bit of the result."""
+        import affdim.ergodic
+
+        sysm, w, _ = hl_demo()
+        runs = []
+        for block in (1, 7, 100):
+            monkeypatch.setattr(affdim.ergodic, "MC_BLOCK_STEPS", block)
+            runs.append(lyapunov_monte_carlo(sysm, w, n=100, trials=30, rng_seed=23))
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestLyapunovDimension:

@@ -136,6 +136,17 @@ class TestHochmanRate:
         with pytest.raises(EnumerationTooLarge, match="2\\^4 = 16"):
             hochman_rate(dyadic, 6, cap=8)
 
+    def test_float_rows_match_rational_on_mixed_signs(self):
+        """Ratios of opposite sign never share a class: the dyadic maps give
+        the same rows as floats as they do as rationals (inf, 1/16, 1/64, and
+        the first exact overlap at n = 4)."""
+        exact = LineIfs(((F(1, 2), F(0)), (F(-1, 2), F(3, 4)), (F(1, 4), F(1, 8))))
+        floats = LineIfs(((0.5, 0.0), (-0.5, 0.75), (0.25, 0.125)))
+        want, got = hochman_rate(exact, 6), hochman_rate(floats, 6)
+        assert [d for _, d, _ in want.rows] == [math.inf, F(1, 16), F(1, 64), 0]
+        assert [d for _, d, _ in got.rows] == [float(d) for _, d, _ in want.rows]
+        assert got.verdict == want.verdict == "ExactOverlap"
+
     def test_float_input_inconclusive(self):
         ifs = LineIfs(((0.5, 0.0), (0.5, 0.5)))
         rep = hochman_rate(ifs, 4)

@@ -15,6 +15,7 @@ from affdim.ifs import (
     natural_projection,
     parse_system,
     polygons_disjoint,
+    rng,
     sample_measure,
     serialize_system,
 )
@@ -147,6 +148,52 @@ class TestSampleMeasure:
         a = sample_measure(sysm, w, depth=12, count=500, rng_seed=99)
         b = sample_measure(sysm, w, depth=12, count=500, rng_seed=99)
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 50, 1])
+    def test_blocks_equal_one_shot_draw(self, block, monkeypatch):
+        """Symbols drawn a block of samples at a time give the points of one
+        rng.choice draw of the whole (count, depth) array."""
+        import affdim.ifs
+
+        sysm, _, _ = sec44()
+        w = BernoulliWeights((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+        if block is not None:
+            monkeypatch.setattr(affdim.ifs, "SYMBOL_BLOCK", block)
+        got = sample_measure(sysm, w, depth=7, count=301, rng_seed=5, seed_point=(0.25, 0.5))
+        syms = rng(5).choice(3, size=(301, 7), p=w.as_array)
+        A, t = sysm.linear_array, sysm.translation_array
+        x, y = np.full(301, 0.25), np.full(301, 0.5)
+        for k in range(6, -1, -1):
+            i = syms[:, k]
+            x, y = (A[i, 0, 0] * x + A[i, 0, 1] * y + t[i, 0],
+                    A[i, 1, 0] * x + A[i, 1, 1] * y + t[i, 1])
+        assert np.array_equal(got, np.column_stack([x, y]))
+
+
+class TestBernoulliDraw:
+    class _Uniforms:
+        """Stands in for a Generator whose uniforms are given."""
+
+        def __init__(self, u):
+            self.u = np.asarray(u, dtype=float)
+
+        def random(self, shape):
+            return self.u.reshape(shape)
+
+    def test_uniform_on_a_cdf_step_counts_it(self):
+        """A uniform equal to a cdf value goes to the next symbol, as the
+        right-sided searchsorted of Generator.choice does."""
+        w = BernoulliWeights((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+        u = [0.0, 0.25, 0.2499999999999999, 0.5, 0.75, 0.9999999999999999]
+        got = w.draw(self._Uniforms(u), (2, 3))
+        assert got.tolist() == [[0, 1, 0], [2, 2, 2]]
+        assert np.array_equal(got.ravel(), np.cumsum(w.as_array).searchsorted(u, side="right"))
+
+    def test_shapes(self):
+        w = BernoulliWeights.uniform(3)
+        assert w.draw(rng(1), 5).shape == (5,)
+        assert w.draw(rng(1), (4, 2)).shape == (4, 2)
+        assert w.draw(rng(1), (0, 3)).shape == (0, 3)
 
 
 class TestCheckSsc:

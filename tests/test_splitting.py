@@ -14,6 +14,8 @@ from affdim.splitting import (
     check_multicone_invariance,
     check_triangular_split,
     min_angle_separation,
+    min_circular_gap,
+    sample_e_s_angles,
     sample_nu_ss,
     sample_nu_ss_angles,
     stable_direction,
@@ -305,6 +307,57 @@ class TestMinSeparation:
         sep = min_angle_separation(sysm, w, None, 10_000, 21)
         assert sep > 0.5  # e_ss slopes stay within [-27/19, 27/19], e_s vertical
         assert sep == pytest.approx(0.5746, abs=2e-2)
+
+
+class TestMinCircularGap:
+    @staticmethod
+    def brute_force(a, b):
+        best = math.pi
+        for x in a:
+            for y in b:
+                d = abs(y - x)
+                best = min(best, d, math.pi - d)
+        return best
+
+    def test_matches_double_loop(self):
+        gen = np.random.default_rng(31)
+        for _ in range(200):
+            a = gen.uniform(0.0, math.pi, size=int(gen.integers(1, 30)))
+            b = gen.uniform(0.0, math.pi, size=int(gen.integers(1, 30)))
+            assert min_circular_gap(a, b) == self.brute_force(a, b)
+
+    def test_wraps_at_pi(self):
+        a = np.array([0.001, 1.5])
+        b = np.array([math.pi - 0.002, 0.9])
+        assert min_circular_gap(a, b) == self.brute_force(a, b)
+        assert min_circular_gap(a, b) == pytest.approx(0.003, abs=1e-15)
+        assert min_circular_gap(b, a) == pytest.approx(0.003, abs=1e-15)
+
+    def test_min_angle_separation_is_sin_of_pair_minimum(self):
+        sysm, w, _ = hl_demo()
+        ss = sample_nu_ss_angles(sysm, w, None, 150, 3)
+        es = sample_e_s_angles(sysm, w, None, 150, 3)
+        want = math.sin(self.brute_force(ss, es))
+        assert min_angle_separation(sysm, w, None, 150, 3) == want
+        assert min_angle_separation(sysm, w, None, 150, 3, ss_angles=ss) == want
+
+
+class TestSampleBlocks:
+    @pytest.mark.parametrize("example, sampler", [
+        ("hl-demo", "nu_ss"), ("hl-demo", "e_s"),  # generic product routes
+        ("phi-c 2/5", "nu_ss"), ("phi-c 1/4", "e_s"),  # triangular slope series
+    ])
+    def test_blocks_do_not_change_the_angles(self, example, sampler, monkeypatch):
+        import affdim.ifs
+
+        if example == "hl-demo":
+            sysm, w, _ = hl_demo()
+        else:
+            sysm, w, _ = phi_c(F(example.split()[1]))
+        fn = sample_nu_ss_angles if sampler == "nu_ss" else sample_e_s_angles
+        whole = fn(sysm, w, 12, 257, 8)
+        monkeypatch.setattr(affdim.ifs, "SYMBOL_BLOCK", 40)
+        assert np.array_equal(fn(sysm, w, 12, 257, 8), whole)
 
 
 class TestDominationProperties:
