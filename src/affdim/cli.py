@@ -16,21 +16,14 @@ from fractions import Fraction
 from . import dimension, ergodic, pressure, render, splitting
 from .errors import AffdimError
 from .hochman import LineIfs, hochman_rate
-from .ifs import BernoulliWeights, ParsedSystem, check_ssc, parse_system, sample_measure
+from .ifs import (BernoulliWeights, ParsedSystem, check_ssc, format_number, parse_system,
+                  sample_measure)
 from .library import example_names, get_example, phi_c_closed_form
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors are exit code 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    return str(x)
 
 
 def _add_source_flags(p):
@@ -74,7 +67,7 @@ def _weights_for(parsed: ParsedSystem) -> BernoulliWeights:
 def _emit_table(header, rows, comments=(), out=None):
     lines = ["\t".join(header)]
     for row in rows:
-        lines.append("\t".join(_fmt(c) for c in row))
+        lines.append("\t".join(format_number(c) for c in row))
     lines.extend(f"# {c}" for c in comments)
     text = "\n".join(lines) + "\n"
     if out:
@@ -95,7 +88,12 @@ def cmd_analyze(args) -> int:
     weights = _weights_for(parsed)
     system = parsed.system
     if args.subsystem_exclude:
-        exclude = tuple(int(x) for x in args.subsystem_exclude.split(","))
+        exclude = _parse_int_list(args.subsystem_exclude, "--subsystem-exclude", "SYM,SYM,...")
+        if not all(1 <= k <= system.n for k in exclude) or len(set(exclude)) == system.n:
+            raise AffdimError(f"bad --subsystem-exclude {args.subsystem_exclude!r}; "
+                              f"need symbols in 1..{system.n}, not all of them")
+        if args.subsystem_depth < 1:
+            raise AffdimError(f"bad --subsystem-depth {args.subsystem_depth}; need >= 1")
         system = dimension.build_subsystem(system, exclude, args.subsystem_depth)
         weights = BernoulliWeights.uniform(system.n)
     targets = ("measure", "attractor") if args.target == "both" else (args.target,)
@@ -137,9 +135,20 @@ def cmd_analyze(args) -> int:
     return 0 if certified else 2
 
 
+def _parse_int_list(text: str, flag: str, form: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise AffdimError(f"bad {flag} {text!r}; expected {form}") from None
+
+
 def cmd_pressure(args) -> int:
     parsed = _load(args)
-    schedule = tuple(int(x) for x in args.n.split(",")) if args.n else None
+    schedule = None
+    if args.n:
+        schedule = _parse_int_list(args.n, "--n", "N,N,... (e.g. 2,4,8)")
+        if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+            raise AffdimError(f"bad --n {args.n!r}; need increasing depths >= 1")
     est = pressure.pressure_root(parsed.system, schedule)
     comments = [
         f"upper-bound: {est.s_upper!r}",
@@ -232,7 +241,7 @@ def cmd_hochman(args) -> int:
     lo, hi = _parse_depth_range(args.n)
     rep = hochman_rate(ifs, hi)
     rows = [
-        (n, "inf" if d == float("inf") else _fmt(d), rate)
+        (n, "inf" if d == float("inf") else format_number(d), rate)
         for n, d, rate in rep.rows
         if n >= lo
     ]

@@ -4,6 +4,9 @@ checks each theorem's hypotheses, and combines them into a certified report.
 Decision procedure (measure target), in precedence order:
 
 1. exponents, Lyapunov dimension and the pressure root are always computed;
+   the root of a dominated triangular system comes from the exact closed
+   form (``pressure-method: closed-form``), that of any other system from
+   finite-depth roots along the schedule (``pressure-history``);
 2. without certified dominated splitting and strong separation only the
    pressure/Lyapunov upper bounds are reported;
 3. triangular a-dominant systems go through the projected x-axis system
@@ -39,8 +42,9 @@ from .ergodic import (
     lyapunov_triangular,
 )
 from .hochman import DeltaReport, LineIfs, hochman_rate
-from .ifs import BernoulliWeights, IfsSystem, Polygon, check_ssc, compose_word
+from .ifs import BernoulliWeights, IfsSystem, Polygon, check_ssc, compose_word, format_number
 from .linalg2 import Mat2, ProjArc, angle_gap, arc_image, singular_values
+from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
 from .splitting import Multicone, SplitReport, certify, sample_nu_ss_angles
 
 # fired-theorem labels
@@ -423,41 +427,42 @@ def build_subsystem(
     return IfsSystem(tuple(compose_word(sys, w) for w in kept), label=label)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 @dataclass
 class _Ctx:
     """What one analyze command computes once: the weight-independent
-    certificates and detail lines, and every Delta_n table and exponent
-    triple its reports ask for, keyed by all inputs of the call."""
+    certificates, pressure data and detail lines, and every Delta_n table,
+    exponent triple and measure report its targets ask for, each keyed by
+    all inputs of the call that builds it."""
 
     sys: IfsSystem
     split: SplitReport
     ssc: Optional[object]
-    pressure: object
+    pressure: RootEstimate
+    triangular_roots: Optional[Tuple[float, float]] = None  # (s1, s2) when dominated
     details: list = field(default_factory=list)
-    delta_reports: dict = field(default_factory=dict)  # (maps, depth) -> DeltaReport
-    exponent_triples: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)  # (stage, *inputs) -> result
+
+    def _once(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def delta_report(self, ifs: LineIfs, depth: int) -> DeltaReport:
-        key = (ifs.maps, depth)
-        if key not in self.delta_reports:
-            self.delta_reports[key] = hochman_rate(ifs, depth)
-        return self.delta_reports[key]
+        return self._once(("delta", ifs.maps, depth), lambda: hochman_rate(ifs, depth))
 
     def exponents(self, weights, mc_n, mc_trials, rng_seed) -> ExponentTriple:
-        key = (weights.p, mc_n, mc_trials, rng_seed)
-        if key not in self.exponent_triples:
+        def build():
             if self.sys.is_triangular():
-                t = lyapunov_triangular(self.sys, weights)
-            else:
-                t = lyapunov_monte_carlo(self.sys, weights, mc_n, mc_trials, rng_seed)
-            self.exponent_triples[key] = t
-        return self.exponent_triples[key]
+                return lyapunov_triangular(self.sys, weights)
+            return lyapunov_monte_carlo(self.sys, weights, mc_n, mc_trials, rng_seed)
+
+        return self._once(("exponents", weights.p, mc_n, mc_trials, rng_seed), build)
+
+    def measure_report(self, weights, *args) -> DimensionReport:
+        """``_measure_report`` for ``weights`` and the remaining arguments
+        (hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)."""
+        return self._once(("measure", weights.p) + args,
+                          lambda: _measure_report(self, weights, *args))
 
 
 def _hochman_depth_for(n_maps: int, requested: Optional[int], details: list) -> int:
@@ -520,11 +525,13 @@ def analyze_targets(
     """One report per target, in order, as ``analyze`` would give each.
 
     The splitting certificate, the SSC check, the pressure root, the shared
-    detail lines, every Delta_n table and every exponent triple are computed
-    once and shared by all targets.
-    """
-    from .pressure import pressure_root, triangular_pressure_root, triangular_roots
+    detail lines, every Delta_n table, every exponent triple and every
+    measure report are computed once and shared by all targets.
 
+    Dominated triangular systems take the pressure root from the exact
+    closed form (``pressure-method: closed-form``); every other system runs
+    ``pressure_root`` along ``pressure_schedule`` (``pressure-history``).
+    """
     for target in targets:
         if target not in ("measure", "attractor"):
             raise ValueError("target must be 'measure' or 'attractor'")
@@ -533,9 +540,14 @@ def analyze_targets(
 
     split = certify(sys, multicone=forward_cone)
     ssc = check_ssc(sys, polygon) if polygon is not None else None
-    pressure = pressure_root(sys, pressure_schedule)
+    roots = None
+    if split.triangular in ("ADominant", "CDominant"):
+        roots = triangular_roots(sys)
+        pressure = RootEstimate.closed_form(triangular_pressure_root(sys, roots))
+    else:
+        pressure = pressure_root(sys, pressure_schedule)
 
-    ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure)
+    ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots)
     d = ctx.details
     if sys.label:
         d.append(("label", sys.label))
@@ -545,37 +557,36 @@ def analyze_targets(
         d.append(("split-method", split.method))
     if split.triangular:
         d.append(("split-triangular", split.triangular))
-    d.append(("split-margin", _fmt(split.margin)))
+    d.append(("split-margin", format_number(split.margin)))
     if ssc is not None:
         d.append(("ssc-holds", "true" if ssc.holds else "false"))
-        d.append(("ssc-kappa", _fmt(ssc.kappa)))
-        d.append(("ssc-margin", _fmt(ssc.margin)))
+        d.append(("ssc-kappa", format_number(ssc.kappa)))
+        d.append(("ssc-margin", format_number(ssc.margin)))
     else:
         d.append(("ssc-holds", "unchecked (no polygon)"))
-    d.append(("pressure-root-upper", _fmt(pressure.s_upper)))
-    d.append(("pressure-root-estimate", _fmt(pressure.s_extrapolated)))
-    d.append(
-        ("pressure-history", " ".join(f"{n}:{_fmt(r)}" for n, r in pressure.history))
-    )
+    d.append(("pressure-root-upper", format_number(pressure.s_upper)))
+    d.append(("pressure-root-estimate", format_number(pressure.s_extrapolated)))
+    if pressure.method == "closed-form":
+        d.append(("pressure-method", pressure.method))
+    else:
+        history = " ".join(f"{n}:{format_number(r)}" for n, r in pressure.history)
+        d.append(("pressure-history", history))
     if pressure.dropped:
         d.append(("pressure-depths-dropped", " ".join(str(n) for n in pressure.dropped)))
-    if split.triangular in ("ADominant", "CDominant"):
-        s1, s2 = triangular_roots(sys)
-        closed_root = triangular_pressure_root(sys)
-        d.append(("triangular-s1", _fmt(s1)))
-        d.append(("triangular-s2", _fmt(s2)))
-        d.append(("triangular-pressure-root", _fmt(closed_root)))
+    if roots is not None:
+        d.append(("triangular-s1", format_number(roots[0])))
+        d.append(("triangular-s2", format_number(roots[1])))
+        d.append(("triangular-pressure-root", format_number(pressure.s_upper)))
     if family_closed_form is not None:
         name, value = family_closed_form
-        d.append((name, _fmt(value)))
+        d.append((name, format_number(value)))
 
-    reports = []
-    for target in targets:
-        build = _measure_report if target == "measure" else _attractor_report
-        reports.append(
-            build(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)
-        )
-    return tuple(reports)
+    args = (hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)
+    return tuple(
+        ctx.measure_report(weights, *args) if target == "measure"
+        else _attractor_report(ctx, weights, *args)
+        for target in targets
+    )
 
 
 def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
@@ -588,14 +599,14 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
 
     t = ctx.exponents(weights, mc_n, mc_trials, rng_seed)
     dim_lyap = lyapunov_dimension(t)
-    details.append(("weights", " ".join(_fmt(float(p)) for p in weights.p)))
-    details.append(("entropy", _fmt(t.entropy)))
-    details.append(("chi-s", _fmt(t.chi_s)))
-    details.append(("chi-ss", _fmt(t.chi_ss)))
+    details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
+    details.append(("entropy", format_number(t.entropy)))
+    details.append(("chi-s", format_number(t.chi_s)))
+    details.append(("chi-ss", format_number(t.chi_ss)))
     if t.stderr_s:
-        details.append(("stderr-chi-s", _fmt(t.stderr_s)))
+        details.append(("stderr-chi-s", format_number(t.stderr_s)))
         assumptions.append("exponents estimated by Monte Carlo")
-    details.append(("lyapunov-dimension", _fmt(dim_lyap)))
+    details.append(("lyapunov-dimension", format_number(dim_lyap)))
 
     upper = min(2.0, dim_lyap, pressure.s_upper)
 
@@ -628,14 +639,14 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
         hochman_x = ctx.delta_report(merged_x, depth)
         details.append(("hochman-x-verdict", hochman_x.verdict))
         h_m = float(-sum(float(w) * math.log(float(w)) for w in merged_wx))
-        details.append(("transversal-entropy", _fmt(h_m)))
+        details.append(("transversal-entropy", format_number(h_m)))
         if hochman_x.verdict == "TrendBounded":
             hochman_status = TREND
             assumptions.append(
                 f"separation trend of the projected line system certified to depth {depth} only"
             )
             dim_t = min(1.0, h_m / t.chi_s)
-            details.append(("transversal-dimension", _fmt(dim_t)))
+            details.append(("transversal-dimension", format_number(dim_t)))
             value = ly_dimension_formula(t.entropy, t.chi_s, t.chi_ss, dim_t)
             hyps.append(("hochman-x", hochman_status))
             equal = min(1.0, dim_lyap) <= dim_t + 1e-12
@@ -662,7 +673,7 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
         h_dir = float(-sum(float(w) * math.log(float(w)) for w in merged_wdir))
     if t.chi_ss > t.chi_s:
         nu_dim_closed = h_dir / (t.chi_ss - t.chi_s)
-        details.append(("nu-ss-dimension", _fmt(nu_dim_closed)))
+        details.append(("nu-ss-dimension", format_number(nu_dim_closed)))
 
     # 5a: all four cone/bunching/separation hypotheses at once
     if bno_status == VERIFIED:
@@ -684,9 +695,9 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     # 5c: paired lower-bound condition
     if bno_status == VERIFIED and nu_dim_closed is not None:
         lower_iter = lower_bound_iteration(t.entropy, t.chi_s, t.chi_ss)
-        details.append(("lower-bound-iteration", _fmt(lower_iter)))
+        details.append(("lower-bound-iteration", format_number(lower_iter)))
         cond4 = nu_dim_closed + lower_iter
-        details.append(("condition4-lhs", _fmt(cond4)))
+        details.append(("condition4-lhs", format_number(cond4)))
         details.append(("condition4-threshold", "2"))
         if cond4 > 2.0:
             hyps.append(("condition4", VERIFIED))
@@ -715,7 +726,7 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
         radii = [2.0 ** -k for k in range(3, 11)]
         try:
             series = correlation_dimension_estimate(angles, radii)
-            details.append(("nu-ss-empirical-slope", _fmt(series.slope)))
+            details.append(("nu-ss-empirical-slope", format_number(series.slope)))
             lower_ly = t.entropy / t.chi_ss
             if series.slope + lower_ly > 2.0 and dim_lyap > 1.0:
                 hyps.append(("nu-ss-dimension-empirical", TREND))
@@ -736,13 +747,12 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
     return report(fired, None, (min(lower, upper), upper))
 
 
-def _prescribed_weight_candidates(sys: IfsSystem, split: SplitReport):
+def _prescribed_weight_candidates(ctx: _Ctx):
     """Theorem-prescribed Bernoulli vectors for the attractor lower bound."""
-    from .pressure import triangular_roots
-
+    sys, split = ctx.sys, ctx.split
     cands = []
-    if split.triangular in ("ADominant", "CDominant"):
-        s1, s2 = triangular_roots(sys)
+    if ctx.triangular_roots is not None:
+        s1, s2 = ctx.triangular_roots
         A = sys.linear_array
         a = np.abs(A[:, 0, 0])
         c = np.abs(A[:, 1, 1])
@@ -756,24 +766,15 @@ def _prescribed_weight_candidates(sys: IfsSystem, split: SplitReport):
     return cands
 
 
-def _attractor_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
-                      backward_cone=None):
-    from .pressure import triangular_pressure_root
+def _attractor_report(ctx, weights, *args):
+    upper = min(2.0, ctx.pressure.s_upper)
+    upper_exact = ctx.pressure.method == "closed-form"
 
-    sys, split, pressure = ctx.sys, ctx.split, ctx.pressure
-    if split.triangular in ("ADominant", "CDominant"):
-        upper = min(2.0, triangular_pressure_root(sys))
-        upper_exact = True
-    else:
-        upper = min(2.0, pressure.s_upper)
-        upper_exact = False
-
-    candidates = [weights] + _prescribed_weight_candidates(sys, split)
+    candidates = [weights] + _prescribed_weight_candidates(ctx)
     best = None
     best_lower = -math.inf
     for w in candidates:
-        rep = _measure_report(ctx, w, hochman_depth, mc_n, mc_trials, rng_seed, tol,
-                              backward_cone)
+        rep = ctx.measure_report(w, *args)
         lo = rep.certified_value if rep.certified_value is not None else rep.certified_interval[0]
         if lo > best_lower:
             best_lower = lo
@@ -781,9 +782,9 @@ def _attractor_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, to
     best_lower = max(best_lower, 0.0)
 
     details = list(best.details)
-    details.append(("attractor-upper-bound", _fmt(upper)))
+    details.append(("attractor-upper-bound", format_number(upper)))
     details.append(("attractor-upper-exact", "true" if upper_exact else "false"))
-    details.append(("attractor-lower-bound", _fmt(best_lower)))
+    details.append(("attractor-lower-bound", format_number(best_lower)))
     hyps = list(best.hypotheses)
     assumptions = list(best.assumptions)
 

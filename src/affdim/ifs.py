@@ -583,10 +583,14 @@ def parse_system(text: str) -> ParsedSystem:
     return ParsedSystem(system, weights, poly)
 
 
-def _format_number(x) -> str:
-    if isinstance(x, (Fraction, int)):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def format_number(x) -> str:
+    """Text of a number in every report, table and config: ints and
+    Fractions exactly ("n" or "n/d"), strings as they are, and any other
+    number as repr(float(x)), so a numpy scalar prints like a float."""
+    if type(x) is float:  # the common case, kept cheap for long tables
+        return repr(x)
+    if isinstance(x, (int, str, Fraction)):
+        return str(x)
     return repr(float(x))
 
 
@@ -601,10 +605,10 @@ def serialize_system(
     for f in sys.maps:
         a = f.linear
         nums = (a.a11, a.a12, a.a21, a.a22, f.translation[0], f.translation[1])
-        lines.append("map " + " ".join(_format_number(x) for x in nums))
+        lines.append("map " + " ".join(format_number(x) for x in nums))
     if weights is not None:
-        lines.append("weights " + " ".join(_format_number(x) for x in weights.p))
+        lines.append("weights " + " ".join(format_number(x) for x in weights.p))
     if polygon is not None:
         for v in polygon.vertices:
-            lines.append(f"polygon {_format_number(v[0])} {_format_number(v[1])}")
+            lines.append(f"polygon {format_number(v[0])} {format_number(v[1])}")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,12 @@ depth's root is found by Newton's method from the left end of the piece that
 holds it: the iterates climb to the root from below.  The reported depth
 root is the upper end of a final bracket of width at most ``tol`` whose upper
 end was evaluated with P_n <= 0.
+
+Dominated lower-triangular families have the exact closed form of Falconer
+and Miao (:func:`triangular_pressure_root`).  ``dimension.analyze`` uses it
+instead of :func:`pressure_root` for them, as a :meth:`RootEstimate.closed_form`
+whose reports print ``pressure-method: closed-form``; every other system, and
+the ``pressure`` command, runs the finite-depth roots.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ class RootEstimate:
     ``s_upper`` is certified (finite-depth roots bound the true root from
     above); ``s_extrapolated`` removes the leading 1/n bias from the last two
     depths and is a heuristic estimate, never a certified bound.  ``dropped``
-    lists the requested depths that the enumeration cap removed.
+    lists the requested depths that the enumeration cap removed.  ``method``
+    is "finite-depth", or "closed-form" for an exact root with no history
+    (see :meth:`closed_form`).
     """
 
     s_upper: float  # root at the largest depth: upper bound for the true root
@@ -54,6 +62,15 @@ class RootEstimate:
     converged: bool
     tol: float
     dropped: tuple = ()
+    method: str = "finite-depth"
+
+    @staticmethod
+    def closed_form(root: float) -> "RootEstimate":
+        """An exact root, bounded from above within ``ROOT_TOL`` like the
+        triangular closed forms: both ``s_upper`` and ``s_extrapolated``
+        read it."""
+        return RootEstimate(s_upper=root, history=(), converged=True, tol=ROOT_TOL,
+                            method="closed-form")
 
     @property
     def s_extrapolated(self) -> float:
@@ -323,13 +340,16 @@ def triangular_roots(sys: IfsSystem) -> Tuple[float, float]:
     return s1, s2
 
 
-def triangular_pressure_root(sys: IfsSystem) -> float:
+def triangular_pressure_root(
+    sys: IfsSystem, roots: Optional[Tuple[float, float]] = None
+) -> float:
     """Exact root of the triangular pressure closed form.
 
     min(s1, s2) while that lies in the first two branches; beyond 2 the root
-    solves sum (|a_i| |c_i|)^(s/2) = 1 instead.
+    solves sum (|a_i| |c_i|)^(s/2) = 1 instead.  ``roots`` passes (s1, s2)
+    from :func:`triangular_roots` when the caller already has them.
     """
-    s1, s2 = triangular_roots(sys)
+    s1, s2 = triangular_roots(sys) if roots is None else roots
     root = min(s1, s2)
     if root < 2.0:
         return root

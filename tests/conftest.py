@@ -32,14 +32,28 @@ def _draw_triangular(rng, n_maps, ratio, bscale, norm_cap, dominant, big_range):
     return IfsSystem(tuple(rows))
 
 
-def six_distinct_maps_system():
-    """Six lower-triangular maps whose linear parts all differ (the shears
-    do), so merging maps by linear part saves nothing: 6^12 words exceed the
-    default enumeration cap while 6^8 fit under it."""
+def six_distinct_maps_system(upper_right=F(0)):
+    """Six maps whose linear parts all differ (the shears do), so merging
+    maps by linear part saves nothing: 6^12 words exceed the default
+    enumeration cap while 6^8 fit under it.  Lower-triangular unless
+    ``upper_right`` is nonzero."""
     return IfsSystem(tuple(
-        AffineMap(Mat2.lower_triangular(F(1, 3), F(k, 10), F(1, 4)), (F(k, 6), F(0)))
+        AffineMap(Mat2(F(1, 3), upper_right, F(k, 10), F(1, 4)), (F(k, 6), F(0)))
         for k in range(6)
     ))
+
+
+# Lower-triangular with a tie |a_1| = |c_1|: no dominated triangular case,
+# so analyze takes the finite-depth pressure route.
+TIE_CONFIG = """label tie
+map 1/2 0 1/8 1/2 0 0
+map 1/3 0 1/5 1/4 1/2 0
+map 1/4 0 0 1/3 0 1/2
+polygon 0 0
+polygon 1 0
+polygon 1 1
+polygon 0 1
+"""
 
 
 def random_triangular_system(
@@ -120,3 +134,16 @@ def fill_convex_oracle(img, spec, vertices, color):
             c = int(math.floor((lo + hi) / 2))
             if 0 <= c < w:
                 img[r, c] = color
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

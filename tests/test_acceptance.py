@@ -300,6 +300,9 @@ def test_criterion_10_thread_count_determinism():
          "--mc-trials", "200"],
         ["boxdim", "--example", "sec44", "--count", "50000", "--seed", "7"],
         ["directions", "--example", "hl-demo", "--count", "5000", "--seed", "7"],
+        ["analyze", "--example", "phi-c", "--param", "c=2/5", "--seed", "7"],
+        ["analyze", "--example", "phi-c", "--param", "c=1/4", "--target", "measure",
+         "--subsystem-exclude", "4,6", "--seed", "7"],
     ]
     for args in jobs:
         one = _run_cli(args, env_threads=1)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import six_distinct_maps_system
+from conftest import TIE_CONFIG, count_calls, six_distinct_maps_system
 
 from affdim.cli import main
 from affdim.ifs import serialize_system
@@ -17,6 +17,9 @@ SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
 GOLDEN_SEC44_CYL_128 = "9b6a035dba7c6c17f2ff008f0fd7d0a8d6db090afe20b51aec273bb4773106d3"
 GOLDEN_PHIC_CHAOS_128 = "f2320b4946b19c81798f1941447d67561344a951c9291a0d24abdf6c436bb1bb"
 GOLDEN_PHIC_CYL_192 = "21103212c88ac1e06a85636b08d6f224307a4934c5fbe5ed338d30f4957430f3"
+# stdout of `analyze --seed 7` on systems that keep the finite-depth pressure
+HL_DEMO_SEED_7_SHA256 = "80611e32f26835145b2ab7ccdc040373afcb1f8f9fb6b278cc8642c2abe6ca52"
+TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
 
 
 def run_cli(argv, capsys):
@@ -85,6 +88,22 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "hochman-depth-clipped" not in out
 
+    @pytest.mark.parametrize("spec", ["x", "9", "1,2,3,4,5,6"])
+    def test_bad_subsystem_exclude_exit_1(self, spec, capsys):
+        argv = ["analyze", "--example", "phi-c", "--param", "c=1/4", "--subsystem-exclude"]
+        code, out, err = run_cli(argv + [spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("affdim: error: bad --subsystem-exclude")
+
+    def test_bad_subsystem_depth_exit_1(self, capsys):
+        argv = ["analyze", "--example", "phi-c", "--param", "c=1/4", "--subsystem-exclude",
+                "4,6", "--subsystem-depth", "0"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("affdim: error: bad --subsystem-depth")
+
     def test_config_round_trip(self, capsys, tmp_path):
         sysm, w, poly = sec44()
         cfg = tmp_path / "sec44.cfg"
@@ -149,6 +168,13 @@ class TestTableCommands:
         assert out == ""
         assert err.startswith("affdim: error: bad --n")
 
+    @pytest.mark.parametrize("spec", ["abc", "4,2", "0", "2,,4"])
+    def test_pressure_bad_schedule_exit_1(self, spec, capsys):
+        code, out, err = run_cli(["pressure", "--example", "sec44", "--n", spec], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("affdim: error: bad --n")
+
     def test_ssc_report(self, capsys):
         code, out, _ = run_cli(["ssc", "--example", "sec44"], capsys)
         assert code == 0
@@ -188,19 +214,6 @@ class TestTableCommands:
         assert any(l.startswith("# slope:") for l in out.splitlines())
 
 
-def _count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records each call."""
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestComputeOnce:
     """One analyze command computes each weight-independent stage once,
     whatever the number of targets and weight candidates."""
@@ -209,20 +222,61 @@ class TestComputeOnce:
         import affdim.dimension
         import affdim.pressure
 
-        roots = _count_calls(monkeypatch, affdim.pressure, "pressure_root")
-        rates = _count_calls(monkeypatch, affdim.dimension, "hochman_rate")
+        roots = [count_calls(monkeypatch, m, "pressure_root")
+                 for m in (affdim.dimension, affdim.pressure)]
+        solves = [count_calls(monkeypatch, m, "triangular_roots")
+                  for m in (affdim.dimension, affdim.pressure)]
+        rates = count_calls(monkeypatch, affdim.dimension, "hochman_rate")
         code, out, _ = run_cli(["analyze", "--example", "sec44"], capsys)
         assert code == 0
         assert [l for l in out.splitlines() if l.startswith("target:")] == [
             "target: measure", "target: attractor"]
         assert out.count("hochman-direction-verdict: TrendBounded") == 2
-        assert len(roots) == 1
+        assert out.count("pressure-method: closed-form") == 2
+        assert sum(map(len, roots)) == 0
+        assert sum(map(len, solves)) == 1
         assert len(rates) == 1
+
+    @pytest.mark.parametrize("source, digest", [
+        ("hl-demo", HL_DEMO_SEED_7_SHA256),
+        ("tie", TIE_SEED_7_SHA256),
+    ])
+    def test_finite_depth_route_once_and_unchanged(self, source, digest, monkeypatch,
+                                                    capsys, tmp_path):
+        # outside the dominated triangular case: one finite-depth pressure_root
+        # call and the bytes of the report from before the closed-form route
+        import affdim.dimension
+        import affdim.pressure
+
+        if source == "tie":
+            cfg = tmp_path / "tie.cfg"
+            cfg.write_text(TIE_CONFIG)
+            argv = ["analyze", "--config", str(cfg), "--seed", "7"]
+        else:
+            argv = ["analyze", "--example", source, "--seed", "7"]
+        roots = [count_calls(monkeypatch, m, "pressure_root")
+                 for m in (affdim.dimension, affdim.pressure)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 2
+        assert out.count("pressure-history: ") == 2
+        assert sum(map(len, roots)) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("example, builds", [("sec44", 2), ("hl-demo", 1)])
+    def test_measure_reports_built_once(self, example, builds, monkeypatch, capsys):
+        # sec44: the exact input weights plus its two prescribed candidates,
+        # which coincide (every map has the same diagonal); hl-demo has no
+        # prescribed candidates, so both targets share one report
+        import affdim.dimension
+
+        reports = count_calls(monkeypatch, affdim.dimension, "_measure_report")
+        run_cli(["analyze", "--example", example], capsys)
+        assert len(reports) == builds
 
     def test_hl_demo_monte_carlo_once(self, monkeypatch, capsys):
         import affdim.dimension
 
-        runs = _count_calls(monkeypatch, affdim.dimension, "lyapunov_monte_carlo")
+        runs = count_calls(monkeypatch, affdim.dimension, "lyapunov_monte_carlo")
         code, out, _ = run_cli(["analyze", "--example", "hl-demo"], capsys)
         assert code == 2
         assert out.count("stderr-chi-s: ") == 2  # both targets use MC exponents
@@ -232,7 +286,7 @@ class TestComputeOnce:
     def test_directions_samples_nu_ss_once(self, monkeypatch, capsys):
         import affdim.splitting
 
-        draws = _count_calls(monkeypatch, affdim.splitting, "sample_nu_ss_angles")
+        draws = count_calls(monkeypatch, affdim.splitting, "sample_nu_ss_angles")
         code, out, _ = run_cli(
             ["directions", "--example", "hl-demo", "--count", "50", "--seed", "2"], capsys
         )
@@ -250,6 +304,9 @@ class TestDeterminism:
              "--mc-n", "200", "--mc-trials", "50"],
             ["boxdim", "--example", "sec44", "--count", "20000", "--seed", "5"],
             ["directions", "--example", "hl-demo", "--count", "2000", "--seed", "5"],
+            ["analyze", "--example", "phi-c", "--param", "c=2/5", "--seed", "5"],
+            ["analyze", "--example", "phi-c", "--param", "c=1/4", "--target", "measure",
+             "--subsystem-exclude", "4,6", "--seed", "5"],
         ],
     )
     def test_byte_identical_reruns(self, argv, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_triangular_system, six_distinct_maps_system
+from conftest import count_calls, random_triangular_system, six_distinct_maps_system
 
 from affdim.dimension import (
     analyze,
@@ -22,6 +22,7 @@ from affdim.errors import BadExponents, TooFewPoints
 from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem, sample_measure
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2
+from affdim.pressure import pressure_root
 from affdim.splitting import certify
 
 SEC44_H = math.log(3.0)
@@ -248,10 +249,12 @@ class TestAnalyze:
                 assert rep.certified_value <= upper + 1e-9
 
     def test_dropped_depths_become_a_detail(self):
-        sysm = six_distinct_maps_system()
-        rep = analyze(sysm, pressure_schedule=(2, 12))
+        # not triangular, so analyze runs the finite-depth schedule
+        sysm = six_distinct_maps_system(upper_right=F(1, 100))
+        assert not sysm.is_triangular()
+        rep = analyze(sysm, pressure_schedule=(2, 12), mc_n=200, mc_trials=50)
         assert dict(rep.details)["pressure-depths-dropped"] == "12"
-        rep = analyze(sysm, pressure_schedule=(2,))
+        rep = analyze(sysm, pressure_schedule=(2,), mc_n=200, mc_trials=50)
         assert "pressure-depths-dropped" not in dict(rep.details)
 
     @pytest.mark.parametrize("example", [sec44, hl_demo])
@@ -279,6 +282,45 @@ class TestAnalyze:
                              seed_point=poly.centroid())
         series = box_dimension_estimate(pts, 3, 7)
         assert series.slope == pytest.approx(SEC44_DIM, abs=0.15)
+
+
+def _dominated_triangular_cases():
+    rng = np.random.default_rng(505)
+    randoms = [random_triangular_system(rng) for _ in range(8)]
+    return [
+        pytest.param(sec44, id="sec44"),
+        pytest.param(lambda: phi_c(F(2, 5)), id="phi-c 2/5"),
+        pytest.param(lambda: phi_c(F(1, 4)), id="phi-c 1/4"),
+        pytest.param(lambda: (build_subsystem(phi_c(F(1, 4))[0], (4, 6), 1), None, None),
+                     id="subsystem 4,6"),
+    ] + [pytest.param(lambda s=s: (s, None, None), id=f"random {k}")
+         for k, s in enumerate(randoms)]
+
+
+class TestClosedFormPressure:
+    """Dominated triangular systems take the pressure root from the closed
+    form: no word enumeration, and a bound no weaker than the finite-depth
+    root."""
+
+    @pytest.mark.parametrize("example", _dominated_triangular_cases())
+    def test_analyze_serves_the_closed_form(self, example, monkeypatch):
+        import affdim.pressure
+
+        sysm, w, poly = example()
+        words = count_calls(monkeypatch, affdim.pressure, "word_log_singulars")
+        reports = analyze_targets(sysm, ("measure", "attractor"), w, polygon=poly)
+        monkeypatch.undo()
+        assert words == []
+        for rep in reports:
+            d = dict(rep.details)
+            assert d["split-triangular"] in ("ADominant", "CDominant")
+            assert d["pressure-method"] == "closed-form"
+            assert "pressure-history" not in d
+            assert d["pressure-root-upper"] == d["triangular-pressure-root"]
+            assert d["pressure-root-estimate"] == d["triangular-pressure-root"]
+        d = dict(reports[1].details)
+        assert d["attractor-upper-bound"] == repr(min(2.0, float(d["pressure-root-upper"])))
+        assert float(d["pressure-root-upper"]) <= pressure_root(sysm).s_upper + 1e-12
 
 
 class TestSubsystem:

@@ -12,6 +12,7 @@ from affdim.ifs import (
     Polygon,
     check_ssc,
     compose_word,
+    format_number,
     natural_projection,
     parse_system,
     polygons_disjoint,
@@ -284,3 +285,27 @@ class TestParseSerialize:
     def test_unknown_directive(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_system("bogus 1 2 3\n")
+
+
+class TestFormatNumber:
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.1"),
+        (np.float64(0.1), "0.1"),
+        (np.float32(0.5), "0.5"),
+        (1e-17, "1e-17"),
+        (float("inf"), "inf"),
+        (7, "7"),
+        (Fraction(3, 1), "3"),
+        (Fraction(-1, 4), "-1/4"),
+        ("inf", "inf"),
+    ])
+    def test_text(self, value, text):
+        assert format_number(value) == text
+
+    def test_serialized_numpy_floats_read_as_floats(self):
+        m = Mat2(np.float64(0.5), 0, np.float64(0.25), 0.5)
+        sysm = IfsSystem((AffineMap(m, (0, 0)), AffineMap(m, (np.float64(0.5), 0))))
+        text = serialize_system(sysm)
+        assert "np." not in text
+        assert text.splitlines()[1] == "map 0.5 0 0.25 0.5 0.5 0"
+        assert parse_system(text).system.maps == sysm.maps
