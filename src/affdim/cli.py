@@ -288,9 +288,12 @@ def cmd_ssc(args) -> int:
 def cmd_render(args) -> int:
     parsed = _load(args)
     if args.viewport:
-        vp = tuple(float(x) for x in args.viewport.split(","))
+        try:
+            vp = tuple(float(x) for x in args.viewport.split(","))
+        except ValueError:
+            vp = ()
         if len(vp) != 4:
-            raise AffdimError("viewport must be x0,y0,x1,y1")
+            raise AffdimError(f"bad --viewport {args.viewport!r}; expected x0,y0,x1,y1")
     else:
         vp = render.default_viewport(parsed.polygon, parsed.system)
     spec = render.RenderSpec(
@@ -386,10 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AffdimError as e:
-        print(f"affdim: error: {e}", file=_sys.stderr)
-        return 1
-    except OSError as e:
+    except (AffdimError, OSError, ValueError) as e:  # bad input: a message, not a traceback
         print(f"affdim: error: {e}", file=_sys.stderr)
         return 1
 

@@ -42,10 +42,11 @@ from .ergodic import (
     lyapunov_triangular,
 )
 from .hochman import DeltaReport, LineIfs, hochman_rate
-from .ifs import BernoulliWeights, IfsSystem, Polygon, check_ssc, compose_word, format_number
+from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
+                  format_number)
 from .linalg2 import Mat2, ProjArc, angle_gap, arc_image, singular_values
 from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
-from .splitting import Multicone, SplitReport, certify, sample_nu_ss_angles
+from .splitting import Multicone, SplitReport, abs_diagonals, certify, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -253,27 +254,26 @@ def backward_non_overlapping(
 
 def _arc_overlap(a: ProjArc, b: ProjArc) -> float:
     """Length of the overlap of two arcs (0 when disjoint or just touching)."""
-    off = angle_gap(a.start.theta, b.start.theta)
     best = 0.0
-    if off <= a.length:
-        best = max(best, min(a.length - off, b.length))
-    off2 = angle_gap(b.start.theta, a.start.theta)
-    if off2 <= b.length:
-        best = max(best, min(b.length - off2, a.length))
+    for first, second in ((a, b), (b, a)):
+        off = angle_gap(first.start.theta, second.start.theta)
+        if off <= first.length:  # second starts inside first
+            best = max(best, min(first.length - off, second.length))
     return best
 
 
 def hueter_lalley_check(
     sys: IfsSystem,
-    weights: BernoulliWeights,
     cones: Optional[Multicone] = None,
-    polygon: Optional[Polygon] = None,
+    ssc: Optional[SscReport] = None,
     split: Optional[SplitReport] = None,
     tol: float = 1e-9,
 ):
     """Statuses of the four projection-theorem hypotheses: dominated
     splitting, backward non-overlapping, the bunching inequality
-    alpha1^2 <= alpha2 per generator, and strong separation."""
+    alpha1^2 <= alpha2 per generator, and strong separation (``ssc``, the
+    report of ``check_ssc``; Unknown without one).  The only place that
+    decides them: ``analyze`` reads its T4.1 statuses from here."""
     if split is None:
         split = certify(sys)
     statuses = {}
@@ -289,12 +289,9 @@ def hueter_lalley_check(
     statuses["one-bunched"] = (
         VERIFIED if all(one_bunched(f.linear) for f in sys.maps) else FAILED
     )
-    if polygon is None:
-        statuses["strong-separation"] = UNKNOWN
-    else:
-        statuses["strong-separation"] = (
-            VERIFIED if check_ssc(sys, polygon).holds else FAILED
-        )
+    statuses["strong-separation"] = (
+        UNKNOWN if ssc is None else (VERIFIED if ssc.holds else FAILED)
+    )
     return statuses
 
 
@@ -436,7 +433,7 @@ class _Ctx:
 
     sys: IfsSystem
     split: SplitReport
-    ssc: Optional[object]
+    ssc: Optional[SscReport]
     pressure: RootEstimate
     triangular_roots: Optional[Tuple[float, float]] = None  # (s1, s2) when dominated
     details: list = field(default_factory=list)
@@ -457,6 +454,12 @@ class _Ctx:
             return lyapunov_monte_carlo(self.sys, weights, mc_n, mc_trials, rng_seed)
 
         return self._once(("exponents", weights.p, mc_n, mc_trials, rng_seed), build)
+
+    def hypothesis_statuses(self, backward_cone, tol) -> dict:
+        """``hueter_lalley_check`` on this command's certificates."""
+        return self._once(("hypotheses", backward_cone, tol),
+                          lambda: hueter_lalley_check(self.sys, backward_cone, self.ssc,
+                                                      self.split, tol))
 
     def measure_report(self, weights, *args) -> DimensionReport:
         """``_measure_report`` for ``weights`` and the remaining arguments
@@ -592,7 +595,7 @@ def analyze_targets(
 def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
                     backward_cone=None):
     sys = ctx.sys
-    split, ssc, pressure = ctx.split, ctx.ssc, ctx.pressure
+    split, pressure = ctx.split, ctx.pressure
     details = list(ctx.details)
     hyps = []
     assumptions = []
@@ -610,10 +613,9 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
 
     upper = min(2.0, dim_lyap, pressure.s_upper)
 
-    split_status = (
-        VERIFIED if split.certified else (FAILED if split.verdict == "Refuted" else UNKNOWN)
-    )
-    ssc_status = UNKNOWN if ssc is None else (VERIFIED if ssc.holds else FAILED)
+    statuses = ctx.hypothesis_statuses(backward_cone, tol)
+    split_status = statuses["dominated-splitting"]
+    ssc_status = statuses["strong-separation"]
     hyps.append(("dominated-splitting", split_status))
     hyps.append(("strong-separation", ssc_status))
 
@@ -659,7 +661,7 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
         return report(T_LY, None, (lower, upper))
 
     # steps 4-5: strong-stable direction routes
-    bno_status = backward_non_overlapping(sys, split, backward_cone=backward_cone, tol=tol)
+    bno_status = statuses["backward-non-overlapping"]
     hyps.append(("backward-non-overlapping", bno_status))
 
     nu_dim_closed = None
@@ -677,23 +679,21 @@ def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
 
     # 5a: all four cone/bunching/separation hypotheses at once
     if bno_status == VERIFIED:
-        bunched = all(one_bunched(f.linear) for f in sys.maps)
-        hyps.append(("one-bunched", VERIFIED if bunched else FAILED))
-        if bunched:
+        hyps.append(("one-bunched", statuses["one-bunched"]))
+        if statuses["one-bunched"] == VERIFIED:
             value = min(t.entropy / t.chi_s, 1.0)
             if t.stderr_s:
                 assumptions.append("certified value evaluated with Monte-Carlo exponents")
             return report(T_HL, value, (value, value))
 
-    # 5b: closed-form direction dimension via separation of the inverse system
     if bno_status == VERIFIED and nu_dim_closed is not None:
+        # 5b: closed-form direction dimension via separation of the inverse system
         if min(1.0, nu_dim_closed) >= min(1.0, dim_lyap) - 1e-12:
             hyps.append(("nu-ss-saturates", VERIFIED))
             return report(T_PROJECTION, dim_lyap, (dim_lyap, dim_lyap))
         hyps.append(("nu-ss-saturates", FAILED))
 
-    # 5c: paired lower-bound condition
-    if bno_status == VERIFIED and nu_dim_closed is not None:
+        # 5c: paired lower-bound condition
         lower_iter = lower_bound_iteration(t.entropy, t.chi_s, t.chi_ss)
         details.append(("lower-bound-iteration", format_number(lower_iter)))
         cond4 = nu_dim_closed + lower_iter
@@ -753,9 +753,7 @@ def _prescribed_weight_candidates(ctx: _Ctx):
     cands = []
     if ctx.triangular_roots is not None:
         s1, s2 = ctx.triangular_roots
-        A = sys.linear_array
-        a = np.abs(A[:, 0, 0])
-        c = np.abs(A[:, 1, 1])
+        a, c = abs_diagonals(sys)
         if split.triangular == "CDominant":
             a, c = c, a
         w1 = a ** s1

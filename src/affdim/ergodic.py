@@ -17,9 +17,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BadExponents, NotTriangular
+from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .splitting import SplitReport, sample_e_s_angles
+from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4
+from .splitting import SplitReport, abs_diagonals, sample_e_s_angles
 
 RENORM_EVERY = 32
 MC_BLOCK_STEPS = 256  # product steps whose symbols are drawn at once
@@ -50,8 +51,7 @@ def entropy(weights: BernoulliWeights) -> float:
 
 
 def _log_dets(sys: IfsSystem) -> np.ndarray:
-    A = sys.linear_array
-    return np.log(np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]))
+    return np.log(np.abs(det4(entry_columns(sys.linear_array))))
 
 
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
@@ -61,13 +61,10 @@ def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
 
 def lyapunov_triangular(sys: IfsSystem, weights: BernoulliWeights) -> ExponentTriple:
     """Exact exponents for lower-triangular linear parts."""
-    for k, f in enumerate(sys.maps):
-        if not f.linear.is_lower_triangular():
-            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
-    A = sys.linear_array
+    a, c = abs_diagonals(sys)
     p = weights.as_array
-    la = float(-np.dot(p, np.log(np.abs(A[:, 0, 0]))))
-    lc = float(-np.dot(p, np.log(np.abs(A[:, 1, 1]))))
+    la = float(-np.dot(p, np.log(a)))
+    lc = float(-np.dot(p, np.log(c)))
     return ExponentTriple(entropy(weights), min(la, lc), max(la, lc))
 
 
@@ -90,33 +87,19 @@ def lyapunov_monte_carlo(
     if trials < 2:
         raise ValueError("trials must be >= 2")
     gen = rng(rng_seed)
-    A = sys.linear_array
-    a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    e11 = np.ones(trials)
-    e12 = np.zeros(trials)
-    e21 = np.zeros(trials)
-    e22 = np.ones(trials)
+    cols = entry_columns(sys.linear_array)
+    e = (np.ones(trials), np.zeros(trials), np.zeros(trials), np.ones(trials))
     logscale = np.zeros(trials)
     for start in range(0, n, MC_BLOCK_STEPS):
         syms = weights.draw(gen, (min(MC_BLOCK_STEPS, n - start), trials))
         for k, i in enumerate(syms, start):
-            b11, b12, b21, b22 = a11[i], a12[i], a21[i], a22[i]
             # right-multiply the running product by the step matrix
-            n11 = e11 * b11 + e12 * b21
-            n12 = e11 * b12 + e12 * b22
-            n21 = e21 * b11 + e22 * b21
-            n22 = e21 * b12 + e22 * b22
-            e11, e12, e21, e22 = n11, n12, n21, n22
+            e = mul4(e, tuple(c[i] for c in cols))
             if (k + 1) % RENORM_EVERY == 0 or k + 1 == n:
-                m = np.maximum(np.maximum(np.abs(e11), np.abs(e12)),
-                               np.maximum(np.abs(e21), np.abs(e22)))
-                e11, e12, e21, e22 = e11 / m, e12 / m, e21 / m, e22 / m
+                e, m = renormalise4(e)
                 logscale += np.log(m)
 
-    t = e11 * e11 + e12 * e12 + e21 * e21 + e22 * e22
-    dn = e11 * e22 - e12 * e21
-    disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
-    log_a1 = logscale + 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
+    log_a1 = logscale + log_alpha1(e)
     chi_trials = -log_a1 / n
     chi_s = float(np.mean(chi_trials))
     stderr = float(np.std(chi_trials, ddof=1) / math.sqrt(trials))

@@ -96,11 +96,6 @@ class IfsSystem:
     def n(self) -> int:
         return len(self.maps)
 
-    def map_for(self, symbol: int) -> AffineMap:
-        if not 1 <= symbol <= self.n:
-            raise BadSymbol(f"symbol {symbol} outside 1..{self.n}")
-        return self.maps[symbol - 1]
-
     def is_triangular(self) -> bool:
         return all(f.linear.is_lower_triangular() for f in self.maps)
 
@@ -380,10 +375,8 @@ def _point_segment_dist2(pt, a, b):
     abx, aby = b[0] - a[0], b[1] - a[1]
     apx, apy = pt[0] - a[0], pt[1] - a[1]
     denom = abx * abx + aby * aby
-    if denom == 0:
-        return apx * apx + apy * apy
     tnum = apx * abx + apy * aby
-    if tnum <= 0:
+    if tnum <= 0:  # includes a degenerate segment, where tnum = 0
         return apx * apx + apy * apy
     if tnum >= denom:
         dx, dy = pt[0] - b[0], pt[1] - b[1]

@@ -3,6 +3,11 @@
 Entries may be floats or ``fractions.Fraction``; products, determinants and
 triangular predicates stay exact on rational input.  Anything involving a
 square root (singular values, angles) is computed in float.
+
+The batched 2x2 kernel (:func:`mul4`, :func:`renormalise4`, :func:`log_alpha1`)
+forms every word product for the pressure, the Monte-Carlo exponents and the
+direction samplers.  Each caller keeps its own renormalisation cadence, and
+that cadence is part of the output bytes: it decides the last bits.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NegativeExponent, SingularMatrix
 
@@ -50,10 +57,6 @@ class Mat2:
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
 
-    @property
-    def trace(self):
-        return self.a11 + self.a22
-
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
@@ -80,9 +83,6 @@ class Mat2:
 
     def scaled(self, s) -> "Mat2":
         return Mat2(self.a11 * s, self.a12 * s, self.a21 * s, self.a22 * s)
-
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a11, self.a21, self.a12, self.a22)
 
     def inverse(self) -> "Mat2":
         d = self.det
@@ -116,16 +116,12 @@ def singular_values(m: Mat2) -> SingularPair:
     det = a * d - b * c
     if abs(det) < DET_FLOOR:
         raise SingularMatrix(f"|det| = {abs(det)} below floor {DET_FLOOR}")
-    t = a * a + b * b + c * c + d * d
-    disc = t * t - 4.0 * det * det
-    if disc < 0.0:
-        disc = 0.0
-    alpha1 = math.sqrt((t + math.sqrt(disc)) / 2.0)
-    alpha2 = abs(det) / alpha1
-    return SingularPair(alpha1, alpha2)
+    alpha1 = operator_norm(m)
+    return SingularPair(alpha1, abs(det) / alpha1)
 
 
 def operator_norm(m: Mat2) -> float:
+    """alpha1 of a 2x2 matrix, in the closed form of :func:`singular_values`."""
     a, b, c, d = (float(e) for e in m.entries())
     t = a * a + b * b + c * c + d * d
     det = a * d - b * c
@@ -147,6 +143,48 @@ def phi_s(m: Mat2, s: float) -> float:
     if s <= 2:
         return a1 * a2 ** (s - 1.0)
     return (a1 * a2) ** (s / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Batched 2x2 kernel: a batch of matrices is the 4-tuple (m11, m12, m21, m22)
+# of entry arrays, and operands broadcast against each other.
+# ---------------------------------------------------------------------------
+
+
+def entry_columns(A: np.ndarray) -> tuple:
+    """Entry 4-tuple of a (..., 2, 2) array."""
+    return A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+
+
+def det4(m) -> np.ndarray:
+    m11, m12, m21, m22 = m
+    return m11 * m22 - m12 * m21
+
+
+def mul4(p, q) -> tuple:
+    """Entry 4-tuple of the products P Q."""
+    p11, p12, p21, p22 = p
+    q11, q12, q21, q22 = q
+    return (p11 * q11 + p12 * q21, p11 * q12 + p12 * q22,
+            p21 * q11 + p22 * q21, p21 * q12 + p22 * q22)
+
+
+def renormalise4(m) -> tuple:
+    """(m / scale, scale) with scale the largest |entry| of each matrix."""
+    m11, m12, m21, m22 = m
+    scale = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
+                       np.maximum(np.abs(m21), np.abs(m22)))
+    return (m11 / scale, m12 / scale, m21 / scale, m22 / scale), scale
+
+
+def log_alpha1(m) -> np.ndarray:
+    """log alpha1 of each matrix, from T = tr(M M^T) and D = det M as in
+    :func:`singular_values`."""
+    m11, m12, m21, m22 = m
+    t = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+    dn = det4(m)
+    disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
+    return 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +224,12 @@ class ProjPoint:
     def to_vector(self):
         return (math.cos(self.theta), math.sin(self.theta))
 
-    def slope(self) -> float:
-        """y/x slope; +inf for the vertical direction."""
-        c = math.cos(self.theta)
-        if c == 0.0:
-            return math.inf
-        return math.tan(self.theta)
-
 
 def proj_act(m: Mat2, p: ProjPoint) -> ProjPoint:
     """Image of the direction p under the linear map m, as a direction."""
     if abs(float(m.det)) < DET_FLOOR:
         raise SingularMatrix("projective action needs a nonsingular matrix")
-    x, y = p.to_vector()
-    mf = m.to_float()
-    wx = mf.a11 * x + mf.a12 * y
-    wy = mf.a21 * x + mf.a22 * y
-    return ProjPoint.from_vector(wx, wy)
+    return ProjPoint.from_vector(*m.to_float().apply(p.to_vector()))
 
 
 def proj_metric(p1: ProjPoint, p2: ProjPoint) -> float:
@@ -251,14 +278,6 @@ class ProjArc:
         """True if p lies on the arc, at angular distance >= margin from both ends."""
         off = angle_gap(self.start.theta, p.theta)
         return margin <= off <= self.length - margin
-
-    def clearance(self, p: ProjPoint) -> float:
-        """Min angular distance from p to the arc endpoints; negative if outside."""
-        off = angle_gap(self.start.theta, p.theta)
-        if off <= self.length:
-            return min(off, self.length - off)
-        # outside: distance to the nearer endpoint, negated
-        return -min(off - self.length, math.pi - off)
 
     def intersects(self, other: "ProjArc") -> bool:
         return (

@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .splitting import check_triangular_split
+from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4
+from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
 DEFAULT_SCHEDULE = (2, 4, 8, 12)
@@ -112,44 +113,24 @@ def word_log_singulars(
     total = n_sym ** n
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
-    sym_logdet = np.log(np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]))
+    cols = entry_columns(A)
+    lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
+    sym_logdet = np.log(np.abs(det4(cols)))
     sym_logw = np.log(mult)
 
-    e11, e12 = A[:, 0, 0].copy(), A[:, 0, 1].copy()
-    e21, e22 = A[:, 1, 0].copy(), A[:, 1, 1].copy()
+    e = cols
     logscale = np.zeros(n_sym)
-    logdet = sym_logdet.copy()
+    logdet = sym_logdet
     logw = sym_logw
     for _ in range(n - 1):
-        k = e11.shape[0]
-        new11 = np.empty(n_sym * k)
-        new12 = np.empty(n_sym * k)
-        new21 = np.empty(n_sym * k)
-        new22 = np.empty(n_sym * k)
-        new_scale = np.empty(n_sym * k)
-        new_det = np.empty(n_sym * k)
-        for i in range(n_sym):  # leading symbol block: A_i times every word
-            a11, a12, a21, a22 = A[i, 0, 0], A[i, 0, 1], A[i, 1, 0], A[i, 1, 1]
-            sl = slice(i * k, (i + 1) * k)
-            new11[sl] = a11 * e11 + a12 * e21
-            new12[sl] = a11 * e12 + a12 * e22
-            new21[sl] = a21 * e11 + a22 * e21
-            new22[sl] = a21 * e12 + a22 * e22
-            new_scale[sl] = logscale
-            new_det[sl] = logdet + sym_logdet[i]
-        m = np.maximum(np.maximum(np.abs(new11), np.abs(new12)),
-                       np.maximum(np.abs(new21), np.abs(new22)))
-        e11, e12, e21, e22 = new11 / m, new12 / m, new21 / m, new22 / m
-        logscale = new_scale + np.log(m)
-        logdet = new_det
+        e, m = renormalise4(mul4(lead, e))  # A_i times every word, renormalised per word
+        e = tuple(x.ravel() for x in e)
+        logscale = (logscale + np.log(m)).ravel()
+        logdet = np.add.outer(sym_logdet, logdet).ravel()
         logw = np.add.outer(sym_logw, logw).ravel()
 
-    t = e11 * e11 + e12 * e12 + e21 * e21 + e22 * e22
-    dn = e11 * e22 - e12 * e21
-    disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
-    log_a1 = logscale + 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
-    log_a2 = logdet - log_a1
-    return log_a1, log_a2, logw
+    log_a1 = logscale + log_alpha1(e)
+    return log_a1, logdet - log_a1, logw
 
 
 def phi_log_values(log_a1: np.ndarray, log_a2: np.ndarray, s: float) -> np.ndarray:
@@ -281,17 +262,11 @@ def pressure_root(
 # ---------------------------------------------------------------------------
 
 
-def _abs_diagonals(sys: IfsSystem):
-    check_triangular_split(sys)  # raises NotTriangular when not applicable
-    A = sys.linear_array
-    return np.abs(A[:, 0, 0]), np.abs(A[:, 1, 1])
-
-
 def triangular_pressure(sys: IfsSystem, s: float) -> float:
     """Exact piecewise pressure for lower-triangular linear parts."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
-    a, c = _abs_diagonals(sys)
+    a, c = abs_diagonals(sys)
     if s < 1:
         return math.log(max(float(np.sum(a ** s)), float(np.sum(c ** s))))
     if s < 2:
@@ -329,7 +304,7 @@ def triangular_roots(sys: IfsSystem) -> Tuple[float, float]:
     c-dominant swaps the roles of a and c.  min(s1, s2) is the pressure root
     whenever it lies below 2 (see :func:`triangular_pressure_root`).
     """
-    a, c = _abs_diagonals(sys)
+    a, c = abs_diagonals(sys)
     case = check_triangular_split(sys)
     if case == "None":
         raise NoDomination("need |a_i|>|c_i| for all i or |a_i|<|c_i| for all i")
@@ -353,5 +328,5 @@ def triangular_pressure_root(
     root = min(s1, s2)
     if root < 2.0:
         return root
-    a, c = _abs_diagonals(sys)
+    a, c = abs_diagonals(sys)
     return _solve_sum_equals_one(lambda s: float(np.sum((a * c) ** (s / 2.0))))

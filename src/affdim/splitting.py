@@ -9,8 +9,12 @@ alpha1/alpha2 at one along its own powers).
 
 Direction fields: e_ss depends on the forward word and is computed either by
 iterating inverse matrices (generic) or by the explicit slope series for
-lower-triangular systems with dominant second diagonal; e_s mirrors this with
-forward products over the past word.
+lower-triangular systems with dominant second diagonal.  e_s is the mirror,
+and one routine serves both fields: e_ss takes the future word, the inverse
+maps, the backward cone and the series (-b/c, a/c), and is pinned vertical
+for a-dominant systems; e_s takes the past word from its most recent symbol,
+the forward maps, the forward cone and the series (b/a, c/a), and is pinned
+vertical for c-dominant systems.
 """
 
 from __future__ import annotations
@@ -29,13 +33,20 @@ from .linalg2 import (
     ProjPoint,
     angle_gap,
     arc_image,
+    det4,
+    entry_columns,
+    mul4,
     proj_act,
     proj_metric,
+    renormalise4,
     singular_values,
 )
 
 ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-12
+# per field, the triangular case that pins it vertical and the one that sums its slope series
+_PINNED = {"ss": "ADominant", "s": "CDominant"}
+_SERIES = {"ss": "CDominant", "s": "ADominant"}
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,19 @@ def check_triangular_split(sys: IfsSystem) -> str:
     return "None"
 
 
+def _triangular_entries(sys: IfsSystem):
+    """Per-symbol arrays a, b, c of the linear parts [[a, 0], [b, c]]."""
+    A = sys.linear_array
+    return A[:, 0, 0], A[:, 1, 0], A[:, 1, 1]
+
+
+def abs_diagonals(sys: IfsSystem):
+    """|a_i| and |c_i| of a lower-triangular system; NotTriangular otherwise."""
+    check_triangular_split(sys)
+    a, _, c = _triangular_entries(sys)
+    return np.abs(a), np.abs(c)
+
+
 def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
     """Explicit forward-invariant arc for a dominated triangular family.
 
@@ -124,22 +148,14 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
     """
+    a, b, c = (np.abs(x) for x in _triangular_entries(sys))
     if case == "ADominant":
-        k0 = 0.0
-        r = 0.0
-        for f in sys.maps:
-            a, b, c = (abs(float(x)) for x in (f.linear.a11, f.linear.a21, f.linear.a22))
-            k0 = max(k0, b / a)
-            r = max(r, c / a)
-        bound = k0 / (1.0 - r)
+        bound = float(np.max(b / a)) / (1.0 - float(np.max(c / a)))
         k = max(bound * 1.001 + 1e-9, 0.01)
         half = math.atan(k)
         return Multicone.single(ProjArc.from_angles(-half, half))
     if case == "CDominant":
-        t0 = 0.0
-        for f in sys.maps:
-            a, b, c = (abs(float(x)) for x in (f.linear.a11, f.linear.a21, f.linear.a22))
-            t0 = max(t0, b / (c - a))
+        t0 = float(np.max(b / (c - a)))
         t = max(t0 * 1.001 + 1e-9, 1.0)
         cut = math.atan(t)
         return Multicone.single(ProjArc.from_angles(cut, math.pi - cut))
@@ -249,18 +265,13 @@ def _merge_arcs(arcs):
 def _union_two(a: ProjArc, b: ProjArc):
     """Union arc if a and b touch or overlap; NotImplemented when disjoint;
     None when the union would cover the whole circle."""
-    off_b = angle_gap(a.start.theta, b.start.theta)
-    off_a = angle_gap(b.start.theta, a.start.theta)
-    if off_b <= a.length:  # b starts inside a
-        end = max(a.length, off_b + b.length)
-        if end >= math.pi:
-            return None
-        return ProjArc.from_angles(a.start.theta, a.start.theta + end)
-    if off_a <= b.length:  # a starts inside b
-        end = max(b.length, off_a + a.length)
-        if end >= math.pi:
-            return None
-        return ProjArc.from_angles(b.start.theta, b.start.theta + end)
+    for first, second in ((a, b), (b, a)):
+        off = angle_gap(first.start.theta, second.start.theta)
+        if off <= first.length:  # second starts inside first
+            end = max(first.length, off + second.length)
+            if end >= math.pi:
+                return None
+            return ProjArc.from_angles(first.start.theta, first.start.theta + end)
     return NotImplemented
 
 
@@ -307,13 +318,31 @@ def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitRep
     return split
 
 
-def _triangular_ratios(sys: IfsSystem):
-    A = sys.linear_array
-    return A[:, 0, 0], A[:, 1, 0], A[:, 1, 1]  # a, b, c
+def _slope_series(sys: IfsSystem, field: str):
+    """(num, ratio) per symbol of the triangular slope series
+    slope = sum_k num[w_k] * ratio[w_1] ... ratio[w_{k-1}]:
+    (-b/c, a/c) for e_ss over the future word, (b/a, c/a) for e_s over the
+    past word read from its most recent symbol."""
+    a, b, c = _triangular_entries(sys)
+    return (-b / c, a / c) if field == "ss" else (b / a, c / a)
 
 
-def _series_tail_bound(prefactor: float, bc_max: float, r: float) -> float:
-    return bc_max * abs(prefactor) / (1.0 - r)
+def _series_direction(sys: IfsSystem, field: str, word, tol: float) -> ProjPoint:
+    """The slope series summed along ``word`` until its geometric tail bound
+    max|num| |prefactor| / (1 - max|ratio|) drops below ``tol``."""
+    num, ratio = _slope_series(sys, field)
+    num_max = float(np.max(np.abs(num)))
+    r = float(np.max(np.abs(ratio)))
+    slope = 0.0
+    pref = 1.0
+    bound = num_max / (1.0 - r)
+    for s in word:
+        slope += num[s - 1] * pref
+        pref *= ratio[s - 1]
+        bound = num_max * abs(pref) / (1.0 - r)
+        if bound < tol:
+            return ProjPoint.from_slope(slope)
+    raise PrefixTooShort(f"series tail bound {bound:.3g} above tol {tol}")
 
 
 def strong_stable_direction(
@@ -333,29 +362,7 @@ def strong_stable_direction(
     """
     split = _require_certified(sys, split)
     validate_word(sys, prefix)
-    case = split.triangular
-    if method == "auto" and case == "ADominant":
-        return ProjPoint(math.pi / 2)
-    if method in ("auto", "series") and case == "CDominant":
-        a, b, c = _triangular_ratios(sys)
-        r = float(np.max(np.abs(a / c)))
-        bc_max = float(np.max(np.abs(b / c)))
-        slope = 0.0
-        pref = 1.0
-        for s in prefix:
-            i = s - 1
-            slope -= (b[i] / c[i]) * pref
-            pref *= a[i] / c[i]
-            if _series_tail_bound(pref, bc_max, r) < tol:
-                return ProjPoint.from_slope(slope)
-        raise PrefixTooShort(
-            f"series tail bound {_series_tail_bound(pref, bc_max, r):.3g} above tol {tol}"
-        )
-    if method == "series":
-        raise NotTriangular("slope series needs a lower-triangular c-dominant system")
-    return _iterate_direction(
-        sys, prefix, tol, cone=backward_cone or _backward_cone(split), inverse=True
-    )
+    return _direction(sys, "ss", prefix, tol, backward_cone, split, method)
 
 
 def stable_direction(
@@ -373,30 +380,24 @@ def stable_direction(
     """
     split = _require_certified(sys, split)
     validate_word(sys, suffix)
-    case = split.triangular
-    if method == "auto" and case == "CDominant":
+    return _direction(sys, "s", tuple(reversed(suffix)), tol, forward_cone, split, method)
+
+
+def _direction(sys, field, word, tol, cone, split, method) -> ProjPoint:
+    """e_ss (``field`` "ss", future word) or e_s ("s", past word from its
+    most recent symbol): pinned vertical, the slope series, or nested images
+    of ``cone`` (default: the backward cone for "ss", the forward one for
+    "s") under inverse or forward maps."""
+    if method == "auto" and split.triangular == _PINNED[field]:
         return ProjPoint(math.pi / 2)
-    if method in ("auto", "series") and case == "ADominant":
-        a, b, c = _triangular_ratios(sys)
-        r = float(np.max(np.abs(c / a)))
-        ba_max = float(np.max(np.abs(b / a)))
-        slope = 0.0
-        pref = 1.0
-        for s in reversed(suffix):  # most recent past symbol first
-            i = s - 1
-            slope += (b[i] / a[i]) * pref
-            pref *= c[i] / a[i]
-            if _series_tail_bound(pref, ba_max, r) < tol:
-                return ProjPoint.from_slope(slope)
-        raise PrefixTooShort(
-            f"series tail bound {_series_tail_bound(pref, ba_max, r):.3g} above tol {tol}"
-        )
+    if method in ("auto", "series") and split.triangular == _SERIES[field]:
+        return _series_direction(sys, field, word, tol)
     if method == "series":
-        raise NotTriangular("slope series needs a lower-triangular a-dominant system")
-    return _iterate_direction(
-        sys, tuple(reversed(suffix)), tol, cone=forward_cone or split.multicone,
-        inverse=False,
-    )
+        case = _SERIES[field][0].lower()
+        raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
+    if field == "ss":
+        return _iterate_direction(sys, word, tol, cone or _backward_cone(split), inverse=True)
+    return _iterate_direction(sys, word, tol, cone or split.multicone, inverse=False)
 
 
 def _backward_cone(split: SplitReport) -> Optional[Multicone]:
@@ -450,11 +451,9 @@ def default_direction_depth(
     is constant and needs depth one.
     """
     if split.triangular is not None:
-        constant_case = "ADominant" if field == "ss" else "CDominant"
-        if split.triangular == constant_case:
+        if split.triangular == _PINNED[field]:
             return 1
-        a, b, c = _triangular_ratios(sys)
-        r = float(np.max(np.abs(a / c))) if field == "ss" else float(np.max(np.abs(c / a)))
+        r = float(np.max(np.abs(_slope_series(sys, field)[1])))
     else:
         r = max(
             singular_values(f.linear).alpha2 / singular_values(f.linear).alpha1
@@ -485,43 +484,7 @@ def sample_nu_ss_angles(
     split: Optional[SplitReport] = None,
 ) -> np.ndarray:
     """Vectorized angle samples of the strong-stable direction distribution."""
-    split = _require_certified(sys, split)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if depth is None:
-        depth = default_direction_depth(sys, split)
-    if split.triangular == "ADominant":
-        return np.full(count, math.pi / 2)
-    if split.triangular == "CDominant":
-        a, b, c = _triangular_ratios(sys)
-        bc = b / c
-        ac = a / c
-
-        def angles(syms):
-            slopes = np.zeros(len(syms))
-            pref = np.ones(len(syms))
-            for k in range(depth):
-                i = syms[:, k]
-                slopes -= bc[i] * pref
-                pref = pref * ac[i]
-            return np.mod(np.arctan(slopes), math.pi)
-
-    else:
-        # generic route: batched inverse products applied to the backward seed
-        cone = _backward_cone(split)
-        seed_theta = cone.seed_point().theta if cone is not None else 0.4
-        A = sys.linear_array
-        dets = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        inv = np.empty_like(A)
-        inv[:, 0, 0] = A[:, 1, 1] / dets
-        inv[:, 0, 1] = -A[:, 0, 1] / dets
-        inv[:, 1, 0] = -A[:, 1, 0] / dets
-        inv[:, 1, 1] = A[:, 0, 0] / dets
-
-        def angles(syms):
-            return _product_angles(inv, syms, seed_theta)
-
-    return draw_blockwise(weights, rng(rng_seed), count, depth, angles)
+    return _direction_angles(sys, weights, depth, count, rng_seed, split, "ss")
 
 
 def sample_e_s_angles(
@@ -534,57 +497,63 @@ def sample_e_s_angles(
 ) -> np.ndarray:
     """Vectorized angle samples of the stable-direction distribution over
     random past words."""
+    return _direction_angles(sys, weights, depth, count, rng_seed, split, "s")
+
+
+def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.ndarray:
+    """``count`` angles of e_ss (``field`` "ss", random future words, symbol
+    stream 0) or e_s ("s", random past words, column k the k-th symbol into
+    the past, stream 1); see the module docstring for the mirror."""
     split = _require_certified(sys, split)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     if depth is None:
-        depth = default_direction_depth(sys, split, field="s")
-    if split.triangular == "CDominant":
+        depth = default_direction_depth(sys, split, field=field)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if split.triangular == _PINNED[field]:
         return np.full(count, math.pi / 2)
-    if split.triangular == "ADominant":
-        a, b, c = _triangular_ratios(sys)
-        ba = b / a
-        ca = c / a
+    if split.triangular == _SERIES[field]:
+        num, ratio = _slope_series(sys, field)
 
         def angles(syms):
             slopes = np.zeros(len(syms))
             pref = np.ones(len(syms))
-            for k in range(depth):  # column k is the k-th symbol into the past
+            for k in range(depth):
                 i = syms[:, k]
-                slopes += ba[i] * pref
-                pref = pref * ca[i]
+                slopes += num[i] * pref
+                pref = pref * ratio[i]
             return np.mod(np.arctan(slopes), math.pi)
 
     else:
-        cone = split.multicone
-        seed_theta = cone.seed_point().theta if cone is not None else 1.1
-        A = sys.linear_array
+        cols = entry_columns(sys.linear_array)
+        if field == "ss":  # inverse maps applied to the backward cone's seed
+            cone, fallback = _backward_cone(split), 0.4
+            det = det4(cols)
+            cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
+        else:
+            cone, fallback = split.multicone, 1.1
+        seed_theta = cone.seed_point().theta if cone is not None else fallback
 
         def angles(syms):
-            return _product_angles(A, syms, seed_theta)
+            return _product_angles(cols, syms, seed_theta)
 
-    return draw_blockwise(weights, rng(rng_seed, stream=1), count, depth, angles)
+    stream = 0 if field == "ss" else 1
+    return draw_blockwise(weights, rng(rng_seed, stream=stream), count, depth, angles)
 
 
-def _product_angles(mats, syms, seed_theta: float) -> np.ndarray:
+def _product_angles(cols, syms, seed_theta: float) -> np.ndarray:
     """Angles in [0, pi) of M_{s_1} ... M_{s_depth} applied to the seed
-    direction, one product per row of ``syms``, renormalised every step."""
-    count, depth = syms.shape
-    p11 = np.ones(count)
-    p12 = np.zeros(count)
-    p21 = np.zeros(count)
-    p22 = np.ones(count)
-    for k in range(depth):
+    direction, one product per row of ``syms``, renormalised every step;
+    ``cols`` holds the per-symbol entries of the M_i."""
+    count = len(syms)
+    p = (np.ones(count), np.zeros(count), np.zeros(count), np.ones(count))
+    for k in range(syms.shape[1]):
         i = syms[:, k]
-        b11, b12, b21, b22 = mats[i, 0, 0], mats[i, 0, 1], mats[i, 1, 0], mats[i, 1, 1]
-        n11 = p11 * b11 + p12 * b21
-        n12 = p11 * b12 + p12 * b22
-        n21 = p21 * b11 + p22 * b21
-        n22 = p21 * b12 + p22 * b22
-        scale = np.maximum(np.maximum(np.abs(n11), np.abs(n12)),
-                           np.maximum(np.abs(n21), np.abs(n22)))
-        p11, p12, p21, p22 = n11 / scale, n12 / scale, n21 / scale, n22 / scale
+        p, _ = renormalise4(mul4(p, tuple(c[i] for c in cols)))
     vx, vy = math.cos(seed_theta), math.sin(seed_theta)
-    wx = p11 * vx + p12 * vy
-    wy = p21 * vx + p22 * vy
+    wx = p[0] * vx + p[1] * vy
+    wy = p[2] * vx + p[3] * vy
     return np.mod(np.arctan2(wy, wx), math.pi)
 
 

@@ -20,6 +20,22 @@ GOLDEN_PHIC_CYL_192 = "21103212c88ac1e06a85636b08d6f224307a4934c5fbe5ed338d30f49
 # stdout of `analyze --seed 7` on systems that keep the finite-depth pressure
 HL_DEMO_SEED_7_SHA256 = "80611e32f26835145b2ab7ccdc040373afcb1f8f9fb6b278cc8642c2abe6ca52"
 TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
+# stdout of the commands that run the batched 2x2 product kernel, recorded
+# before the kernel replaced the per-module product loops
+KERNEL_STDOUT_SHA256 = [
+    (["directions", "--example", "hl-demo", "--count", "5000", "--seed", "7"],
+     "4cb490efd039b5923b05a4784600de40b5b929eb47aab3e2d380380ec5faa29a"),
+    (["directions", "--example", "sec44", "--count", "5000", "--seed", "7"],
+     "c81b1c5518276931ef87f8c02b5835fcc4834012338fd9bc07833143725cafd8"),
+    (["directions", "--example", "phi-c", "--param", "c=2/5", "--count", "5000",
+      "--seed", "7"],
+     "003cb6b5b972cfde64e2ec37ef5d512eb93b1ad186bdfd84503b0f6e4410d4f0"),
+    (["lyapunov", "--example", "hl-demo", "--mc-n", "400", "--mc-trials", "200",
+      "--seed", "7"],
+     "50f40b36fcb4f247351b8095079f4bd23a1e41dde29ba2e0974f40f84b66efb5"),
+    (["pressure", "--example", "phi-c", "--param", "c=2/5"],
+     "3587ff8f6c6cd6c692b8b92c4a81cfc377c87f467242248112a3e21e2ec8b5ec"),
+]
 
 
 def run_cli(argv, capsys):
@@ -273,6 +289,18 @@ class TestComputeOnce:
         run_cli(["analyze", "--example", example], capsys)
         assert len(reports) == builds
 
+    @pytest.mark.parametrize("example", ["sec44", "hl-demo"])
+    def test_hypothesis_statuses_decided_once(self, example, monkeypatch, capsys):
+        # every measure report reads the T4.1 statuses of one hueter_lalley_check
+        import affdim.dimension
+
+        checks = count_calls(monkeypatch, affdim.dimension, "hueter_lalley_check")
+        bno = count_calls(monkeypatch, affdim.dimension, "backward_non_overlapping")
+        _, out, _ = run_cli(["analyze", "--example", example], capsys)
+        assert out.count("hypothesis backward-non-overlapping: Verified") == 2
+        assert len(checks) == 1
+        assert len(bno) == 1
+
     def test_hl_demo_monte_carlo_once(self, monkeypatch, capsys):
         import affdim.dimension
 
@@ -313,6 +341,13 @@ class TestDeterminism:
         _, out1, _ = run_cli(argv, capsys)
         _, out2, _ = run_cli(argv, capsys)
         assert out1.encode() == out2.encode()
+
+    @pytest.mark.parametrize("argv, digest", KERNEL_STDOUT_SHA256,
+                             ids=[f"{a[0]}-{a[2]}" for a, _ in KERNEL_STDOUT_SHA256])
+    def test_kernel_stdout_pinned(self, argv, digest, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "argv",
@@ -439,6 +474,30 @@ class TestRender:
         )
         assert code == 1
         assert "cap" in err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["render", "--example", "sec44", "--viewport", "a,b,c,d"],
+        ["render", "--example", "sec44", "--viewport", "0,0,0,0"],
+        ["render", "--example", "sec44", "--width", "0"],
+        ["render", "--example", "sec44", "--depth", "0"],
+        ["directions", "--example", "hl-demo", "--count", "0"],
+        ["directions", "--example", "hl-demo", "--depth", "0"],
+        ["directions", "--example", "sec44", "--depth", "0"],
+        ["lyapunov", "--example", "hl-demo", "--mc-n", "0"],
+        ["lyapunov", "--example", "hl-demo", "--mc-trials", "1"],
+        ["boxdim", "--example", "sec44", "--depth", "0"],
+        ["hochman", "--example", "hl-demo"],  # its direction system has |beta| >= 1
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+    def test_library_value_errors_exit_1_without_traceback(self, argv, capsys, tmp_path):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "img.ppm")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("affdim: error: ") and "Traceback" not in err
+        assert not (tmp_path / "img.ppm").exists()
 
 
 class TestSubprocessEntry:

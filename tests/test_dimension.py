@@ -19,7 +19,7 @@ from affdim.dimension import (
     one_bunched,
 )
 from affdim.errors import BadExponents, TooFewPoints
-from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem, sample_measure
+from affdim.ifs import AffineMap, IfsSystem, check_ssc, sample_measure
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2
 from affdim.pressure import pressure_root
@@ -126,13 +126,13 @@ class TestOneBunched:
 
 class TestHueterLalleyCheck:
     def test_hl_demo_all_verified(self):
-        sysm, w, poly = hl_demo()
-        st = hueter_lalley_check(sysm, w, polygon=poly)
+        sysm, _, poly = hl_demo()
+        st = hueter_lalley_check(sysm, ssc=check_ssc(sysm, poly))
         assert all(v == "Verified" for v in st.values())
 
     def test_bunching_violation_detected(self):
-        sysm, w, poly = sec44()
-        st = hueter_lalley_check(sysm, w, polygon=poly)
+        sysm, _, poly = sec44()
+        st = hueter_lalley_check(sysm, ssc=check_ssc(sysm, poly))
         assert st["one-bunched"] == "Failed"
         assert st["dominated-splitting"] == "Verified"
         assert st["backward-non-overlapping"] == "Verified"
@@ -144,7 +144,7 @@ class TestHueterLalleyCheck:
             AffineMap(Mat2.lower_triangular(0.5, -0.1, 0.6), (1.0, 0.0)),
         )
         sysm = IfsSystem(maps)
-        st = hueter_lalley_check(sysm, BernoulliWeights.uniform(2))
+        st = hueter_lalley_check(sysm)
         assert st["backward-non-overlapping"] == "Failed"
 
     def test_a_dominant_never_backward_separates(self):

@@ -10,9 +10,14 @@ from affdim.linalg2 import (
     ProjArc,
     ProjPoint,
     arc_image,
+    entry_columns,
+    log_alpha1,
+    mul4,
+    operator_norm,
     phi_s,
     proj_act,
     proj_metric,
+    renormalise4,
     singular_values,
 )
 
@@ -198,3 +203,63 @@ class TestArc:
         assert arc.length == pytest.approx(0.5, abs=1e-12)
         assert arc.contains(ProjPoint(0.05))
         assert not arc.contains(ProjPoint(1.0))
+
+
+def _kernel_fold(mats, word):
+    """log alpha1 of mats[w_1] ... mats[w_n] through the batched kernel,
+    renormalised every step, for a batch of one."""
+    cols = entry_columns(np.array([[[m.a11, m.a12], [m.a21, m.a22]] for m in mats]))
+    e = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
+    logscale = np.zeros(1)
+    for s in word:
+        e, scale = renormalise4(mul4(e, tuple(c[[s]] for c in cols)))
+        logscale += np.log(scale)
+    return float((logscale + log_alpha1(e))[0])
+
+
+def _near_rank_one(rng, ratio):
+    """A contraction with alpha2 / alpha1 = ratio, in random singular directions."""
+    s = rng.uniform(0.3, 0.9)
+    return (Mat2.rotation(rng.uniform(0, math.pi)) @ Mat2.diagonal(s, s * ratio)
+            @ Mat2.rotation(rng.uniform(0, math.pi)))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", ["generic", "near-rank-one"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_alpha1_matches_the_mat2_fold(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        for depth in (1, 2, 5, 17, 40):
+            # near rank one: every product keeps alpha2 / alpha1 >= 1e-12, so
+            # the determinant that singular_values checks stays nonzero
+            if kind == "near-rank-one":
+                mats = [_near_rank_one(rng, 10.0 ** (-12 / depth)) for _ in range(3)]
+            else:
+                mats = [random_mat(rng, 0.6) for _ in range(3)]
+            word = rng.integers(0, 3, size=depth).tolist()
+            fold = Mat2.identity()
+            for s in word:
+                fold = fold @ mats[s]
+            want = math.log(singular_values(fold).alpha1)
+            assert _kernel_fold(mats, word) == pytest.approx(want, rel=1e-12)
+
+    def test_broadcast_left_product_equals_a_per_symbol_loop(self):
+        rng = np.random.default_rng(11)
+        A = rng.uniform(-1.0, 1.0, size=(5, 2, 2))
+        words = tuple(rng.uniform(-1.0, 1.0, size=(4, 97)))
+        cols = entry_columns(A)
+        batched = [x.ravel() for x in mul4(tuple(c[:, None] for c in cols), words)]
+        looped = [np.concatenate(parts) for parts in zip(
+            *(mul4(tuple(c[i] for c in cols), words) for i in range(len(A))))]
+        for got, want in zip(batched, looped):
+            assert np.array_equal(got, want)  # bit for bit, symbol i slowest
+
+    def test_renormalise_and_operator_norm(self):
+        rng = np.random.default_rng(5)
+        mats = [random_mat(rng) for _ in range(20)]
+        e = tuple(np.array(x) for x in zip(*(m.entries() for m in mats)))
+        unit, scale = renormalise4(e)
+        assert np.array_equal(scale, [max(abs(x) for x in m.entries()) for m in mats])
+        assert np.array_equal(np.max(np.abs(np.array(unit)), axis=0), np.ones(len(mats)))
+        for m, got in zip(mats, np.log(scale) + log_alpha1(unit)):
+            assert got == pytest.approx(math.log(operator_norm(m)), rel=1e-12, abs=1e-15)

@@ -172,6 +172,38 @@ class TestPressureRoot:
             pressure_root(sysm, (1, 2))
 
 
+def per_symbol_loop(sysm, n):
+    """word_log_singulars written out: every level fills one block per
+    leading symbol i with A_i times every word, then renormalises."""
+    A, mult = pressure_mod._merged_linear_parts(sysm)
+    n_sym = A.shape[0]
+    sym_logdet = np.log(np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]))
+    e11, e12, e21, e22 = (A[:, r, c].copy() for r in (0, 1) for c in (0, 1))
+    logscale, logdet, logw = np.zeros(n_sym), sym_logdet.copy(), np.log(mult)
+    for _ in range(n - 1):
+        k = e11.shape[0]
+        new = [np.empty(n_sym * k) for _ in range(6)]
+        for i in range(n_sym):
+            a11, a12, a21, a22 = A[i, 0, 0], A[i, 0, 1], A[i, 1, 0], A[i, 1, 1]
+            sl = slice(i * k, (i + 1) * k)
+            new[0][sl] = a11 * e11 + a12 * e21
+            new[1][sl] = a11 * e12 + a12 * e22
+            new[2][sl] = a21 * e11 + a22 * e21
+            new[3][sl] = a21 * e12 + a22 * e22
+            new[4][sl] = logscale
+            new[5][sl] = logdet + sym_logdet[i]
+        m = np.maximum(np.maximum(np.abs(new[0]), np.abs(new[1])),
+                       np.maximum(np.abs(new[2]), np.abs(new[3])))
+        e11, e12, e21, e22 = (x / m for x in new[:4])
+        logscale, logdet = new[4] + np.log(m), new[5]
+        logw = np.add.outer(np.log(mult), logw).ravel()
+    t = e11 * e11 + e12 * e12 + e21 * e21 + e22 * e22
+    dn = e11 * e22 - e12 * e21
+    disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
+    log_a1 = logscale + 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
+    return log_a1, logdet - log_a1, logw
+
+
 class TestMergedSymbols:
     @pytest.mark.parametrize("make", [
         lambda: phi_c(F(1, 4))[0], phi_c_subsystem, shared_linear_part_system,
@@ -183,6 +215,16 @@ class TestMergedSymbols:
                 want = brute_force_phi_sum(sysm, s, n)
                 got = math.exp(n * pressure_n(sysm, s, n))
                 assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: phi_c(F(2, 5))[0], phi_c_subsystem, lambda: hl_demo()[0],
+        lambda: sec44()[0], lambda: random_triangular_system(np.random.default_rng(3)),
+    ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random"])
+    def test_bit_identical_to_a_per_symbol_loop(self, make):
+        sysm = make()
+        for n in (1, 2, 3, 5):
+            for got, want in zip(word_log_singulars(sysm, n), per_symbol_loop(sysm, n)):
+                assert np.array_equal(got, want)
 
     def test_enumerates_distinct_linear_parts(self):
         log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)

@@ -360,6 +360,18 @@ class TestSampleBlocks:
         assert np.array_equal(fn(sysm, w, 12, 257, 8), whole)
 
 
+class TestSamplerArguments:
+    @pytest.mark.parametrize("example", ["hl-demo", "sec44", "phi-c"])
+    @pytest.mark.parametrize("sampler", [sample_nu_ss_angles, sample_e_s_angles],
+                             ids=["nu_ss", "e_s"])
+    @pytest.mark.parametrize("depth, count", [(None, 0), (5, -3), (0, 10), (-2, 10)])
+    def test_count_and_depth_below_one_rejected(self, example, sampler, depth, count):
+        # every route, the pinned vertical one included, checks both
+        sysm, w, _ = {"hl-demo": hl_demo, "sec44": sec44}.get(example, lambda: phi_c(F(2, 5)))()
+        with pytest.raises(ValueError, match="count|depth"):
+            sampler(sysm, w, depth, count, 0)
+
+
 class TestDominationProperties:
     def test_ratio_growth(self):
         sysm, _, _ = sec44()
