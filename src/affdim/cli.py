@@ -64,16 +64,27 @@ def _weights_for(parsed: ParsedSystem) -> BernoulliWeights:
     return parsed.weights or BernoulliWeights.uniform(parsed.system.n)
 
 
+def _emit(text, out):
+    """Write ``text`` to the ``--out`` file, if any, and to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _sys.stdout.write(text)
+
+
 def _emit_table(header, rows, comments=(), out=None):
     lines = ["\t".join(header)]
     for row in rows:
         lines.append("\t".join(format_number(c) for c in row))
     lines.extend(f"# {c}" for c in comments)
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", out)
+
+
+def _check_monte_carlo_flags(args):
+    if args.mc_n < 1:
+        raise AffdimError(f"bad --mc-n {args.mc_n}; need >= 1")
+    if args.mc_trials < 2:
+        raise AffdimError(f"bad --mc-trials {args.mc_trials}; need >= 2")
 
 
 def _family_closed_form(args):
@@ -84,6 +95,7 @@ def _family_closed_form(args):
 
 
 def cmd_analyze(args) -> int:
+    _check_monte_carlo_flags(args)
     parsed = _load(args)
     weights = _weights_for(parsed)
     system = parsed.system
@@ -108,11 +120,6 @@ def cmd_analyze(args) -> int:
         rng_seed=args.seed,
         family_closed_form=_family_closed_form(args),
     )
-    certified = all(rep.certified_value is not None for rep in reports)
-    text = "\n\n".join(rep.render() for rep in reports) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     if args.json:
         import json
 
@@ -131,8 +138,8 @@ def cmd_analyze(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    _sys.stdout.write(text)
-    return 0 if certified else 2
+    _emit("\n\n".join(rep.render() for rep in reports) + "\n", args.out)
+    return 0 if all(rep.certified_value is not None for rep in reports) else 2
 
 
 def _parse_int_list(text: str, flag: str, form: str) -> tuple:
@@ -162,6 +169,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
+    _check_monte_carlo_flags(args)
     parsed = _load(args)
     weights = _weights_for(parsed)
     t = ergodic.lyapunov_exponents(
@@ -277,11 +285,7 @@ def cmd_ssc(args) -> int:
     ]
     if rep.witness:
         lines.append(f"witness: {rep.witness}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

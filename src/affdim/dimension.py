@@ -1,25 +1,30 @@
 """The theorem engine: evaluates the entropy/exponent dimension formulas,
 checks each theorem's hypotheses, and combines them into a certified report.
 
-Decision procedure (measure target), in precedence order:
+Every measure report starts from the exponents, the Lyapunov dimension and
+the pressure root: the root of a dominated triangular system comes from the
+exact closed form (``pressure-method: closed-form``), that of any other
+system from finite-depth roots along the schedule (``pressure-history``).
+The report is then that of the first rule of ``_RULES`` that fires, tried in
+this order, with the theorem labels each rule can fire:
 
-1. exponents, Lyapunov dimension and the pressure root are always computed;
-   the root of a dominated triangular system comes from the exact closed
-   form (``pressure-method: closed-form``), that of any other system from
-   finite-depth roots along the schedule (``pressure-history``);
-2. without certified dominated splitting and strong separation only the
-   pressure/Lyapunov upper bounds are reported;
-3. triangular a-dominant systems go through the projected x-axis system
-   (exact-overlap aware) -- the transversal measure is self-similar there;
-4. triangular c-dominant systems go through the strong-stable direction
-   system: first the projection inequality with the closed-form direction
-   dimension (exact when the direction system separates), then the
-   separation-trend route, then the paired lower-bound condition;
-5. general matrices run the invariant-cone checks (bunching for dimensions
-   below one, otherwise the direction-dimension conditions), with the
-   empirical direction estimate as a last trend-gated resort;
-6. otherwise an interval is emitted, never silently: every downgrade is a
-   hypothesis status in the report.
+- bounds-only (PressureUpperBound): without certified dominated splitting
+  and strong separation only the pressure/Lyapunov upper bounds are reported;
+- a-dominant (T4.2-ADominant, T2.6-LY-formula): triangular a-dominant systems
+  go through the projected x-axis system (exact-overlap aware), whose
+  transversal measure is self-similar;
+- direction data (none): states backward non-overlapping, and for triangular
+  c-dominant systems the separation of the strong-stable direction system;
+- Hueter-Lalley (T4.1-HueterLalley): backward non-overlapping and bunching,
+  tried first for c-dominant systems too;
+- projection (T2.8-projection): the closed-form direction dimension
+  saturates (exact when the direction system separates);
+- condition4 (T4.5-app): the paired lower-bound condition;
+- direction trend (T4.2-CDominant): the separation-trend route;
+- empirical direction (T2.9-Falconer-Kempton): the empirical direction
+  estimate as a last trend-gated resort;
+- interval (T2.6-LY-formula, Lemma4.9-LowerBound): never silently: every
+  downgrade is a hypothesis status in the report.
 
 Certified values never exceed the pressure-root upper bound; trend-gated
 hypotheses are listed under assumptions, exact ones as Verified.
@@ -85,17 +90,11 @@ class DimensionReport:
         for name, status in self.hypotheses:
             lines.append(f"hypothesis {name}: {status}")
         lines.append(f"fired-theorem: {self.fired_theorem}")
-        if self.certified_value is not None:
-            lines.append(f"certified-value: {self.certified_value!r}")
-        else:
-            lines.append("certified-value: none")
+        value = self.certified_value
+        lines.append(f"certified-value: {'none' if value is None else repr(value)}")
         lo, hi = self.certified_interval
         lines.append(f"certified-interval: [{lo!r}, {hi!r}]")
-        if self.assumptions:
-            for a in self.assumptions:
-                lines.append(f"assumption: {a}")
-        else:
-            lines.append("assumption: none")
+        lines.extend(f"assumption: {a}" for a in self.assumptions or ("none",))
         return "\n".join(lines)
 
 
@@ -173,7 +172,7 @@ def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     return LineIfs(tuple(maps)).merged_duplicates(weights.p)
 
 
-def _interval_images_disjoint(ifs: LineIfs, tol: float):
+def _interval_images_disjoint(ifs: LineIfs, tol: float) -> bool:
     """Backward non-overlapping certificate for a 1-D system: an invariant
     interval with pairwise disjoint open images.
 
@@ -195,13 +194,11 @@ def _interval_images_disjoint(ifs: LineIfs, tol: float):
         e1, e2 = b * lo + g, b * hi + g
         img = (min(e1, e2), max(e1, e2))
         if img[0] < lo or img[1] > hi:  # not nested: certificate fails
-            return False, float(lo), float(hi)
+            return False
         images.append(img)
     images.sort()
-    for (_a1, b1), (a2, _b2) in zip(images, images[1:]):
-        if b1 - a2 > zero:  # open overlap; touching endpoints pass
-            return False, float(lo), float(hi)
-    return True, float(lo), float(hi)
+    # an open overlap fails; touching endpoints pass
+    return not any(b1 - a2 > zero for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
 
 
 def backward_non_overlapping(
@@ -223,8 +220,7 @@ def backward_non_overlapping(
         merged, _ = direction_line_ifs(sys, BernoulliWeights.uniform(sys.n))
         if merged.n == 1:
             return FAILED  # single direction map: all inverse images coincide
-        ok, _, _ = _interval_images_disjoint(merged, tol)
-        return VERIFIED if ok else FAILED
+        return VERIFIED if _interval_images_disjoint(merged, tol) else FAILED
     if backward_cone is None:
         if split.multicone is None:
             return UNKNOWN
@@ -365,20 +361,19 @@ def correlation_dimension_estimate(values, radii: Sequence[float]) -> EstimateSe
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
     vals = np.asarray(values, dtype=float)
+    if not (vals.ndim == 1 or (vals.ndim == 2 and vals.shape[1] == 2)):
+        raise ValueError("values must be 1-D or an (n, 2) array")
+    n = vals.shape[0]
+    if n < 1000:
+        raise TooFewPoints(f"need >= 1000 samples, got {n}")
     if vals.ndim == 1:
-        n = vals.size
-        if n < 1000:
-            raise TooFewPoints(f"need >= 1000 samples, got {n}")
         s = np.sort(vals)
         total = n * (n - 1)
         cs = []
         for r in radii:
             within = np.searchsorted(s, s + r, side="right") - np.arange(1, n + 1)
             cs.append(2.0 * float(np.sum(within)) / total)
-    elif vals.ndim == 2 and vals.shape[1] == 2:
-        n = vals.shape[0]
-        if n < 1000:
-            raise TooFewPoints(f"need >= 1000 samples, got {n}")
+    else:
         sub = vals[: min(n, 4096)]
         m = sub.shape[0]
         dx = sub[:, 0][:, None] - sub[:, 0][None, :]
@@ -388,8 +383,6 @@ def correlation_dimension_estimate(values, radii: Sequence[float]) -> EstimateSe
         pair_d2 = d2[iu]
         total = pair_d2.size
         cs = [float(np.count_nonzero(pair_d2 <= r * r)) / total for r in radii]
-    else:
-        raise ValueError("values must be 1-D or an (n, 2) array")
 
     xs, ys = [], []
     for r, c in zip(radii, cs):
@@ -426,16 +419,22 @@ def build_subsystem(
 
 @dataclass
 class _Ctx:
-    """What one analyze command computes once: the weight-independent
-    certificates, pressure data and detail lines, and every Delta_n table,
-    exponent triple and measure report its targets ask for, each keyed by
-    all inputs of the call that builds it."""
+    """What one analyze command fixes and computes once: its options, the
+    weight-independent certificates, hypothesis statuses, pressure data and
+    detail lines, and every Delta_n table, exponent triple and measure report
+    its targets ask for, each keyed by what varies (the line system and
+    depth, or the weights)."""
 
     sys: IfsSystem
     split: SplitReport
     ssc: Optional[SscReport]
     pressure: RootEstimate
-    triangular_roots: Optional[Tuple[float, float]] = None  # (s1, s2) when dominated
+    triangular_roots: Optional[Tuple[float, float]]  # (s1, s2) when dominated
+    statuses: dict  # the T4.1 statuses of ``hueter_lalley_check``
+    hochman_depth: Optional[int]
+    mc_n: int
+    mc_trials: int
+    rng_seed: int
     details: list = field(default_factory=list)
     memo: dict = field(default_factory=dict)  # (stage, *inputs) -> result
 
@@ -447,66 +446,29 @@ class _Ctx:
     def delta_report(self, ifs: LineIfs, depth: int) -> DeltaReport:
         return self._once(("delta", ifs.maps, depth), lambda: hochman_rate(ifs, depth))
 
-    def exponents(self, weights, mc_n, mc_trials, rng_seed) -> ExponentTriple:
+    def exponents(self, weights) -> ExponentTriple:
         def build():
             if self.sys.is_triangular():
                 return lyapunov_triangular(self.sys, weights)
-            return lyapunov_monte_carlo(self.sys, weights, mc_n, mc_trials, rng_seed)
+            return lyapunov_monte_carlo(self.sys, weights, self.mc_n, self.mc_trials,
+                                        self.rng_seed)
 
-        return self._once(("exponents", weights.p, mc_n, mc_trials, rng_seed), build)
+        return self._once(("exponents", weights.p), build)
 
-    def hypothesis_statuses(self, backward_cone, tol) -> dict:
-        """``hueter_lalley_check`` on this command's certificates."""
-        return self._once(("hypotheses", backward_cone, tol),
-                          lambda: hueter_lalley_check(self.sys, backward_cone, self.ssc,
-                                                      self.split, tol))
-
-    def measure_report(self, weights, *args) -> DimensionReport:
-        """``_measure_report`` for ``weights`` and the remaining arguments
-        (hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)."""
-        return self._once(("measure", weights.p) + args,
-                          lambda: _measure_report(self, weights, *args))
+    def measure_report(self, weights) -> DimensionReport:
+        return self._once(("measure", weights.p), lambda: _measure_report(self, weights))
 
 
-def _hochman_depth_for(n_maps: int, requested: Optional[int], details: list) -> int:
-    """Delta_n depth whose N^n stays near 1e5 words; a clipped explicit
-    request is named in ``details``."""
-    cap_depth = max(2, int(math.log(1e5) / math.log(max(n_maps, 2))))
-    if requested is None:
-        return min(8, cap_depth)
-    depth = max(2, min(requested, cap_depth))
-    if depth != requested:
-        details.append(("hochman-depth-clipped", f"{requested} -> {depth}"))
-    return depth
-
-
-def analyze(
-    sys: IfsSystem,
-    weights: Optional[BernoulliWeights] = None,
-    polygon: Optional[Polygon] = None,
-    forward_cone: Optional[Multicone] = None,
-    backward_cone: Optional[Multicone] = None,
-    hochman_depth: Optional[int] = None,
-    mc_n: int = 1000,
-    mc_trials: int = 1000,
-    rng_seed: int = 0,
-    pressure_schedule: Optional[Sequence[int]] = None,
-    target: str = "measure",
-    tol: float = 1e-9,
-    family_closed_form: Optional[Tuple[str, float]] = None,
-) -> DimensionReport:
+def analyze(sys: IfsSystem, weights: Optional[BernoulliWeights] = None, *,
+            target: str = "measure", **options) -> DimensionReport:
     """Run the full decision procedure and assemble a DimensionReport.
 
     ``target`` "measure" certifies the self-affine measure for the given
     weights (uniform by default); "attractor" additionally tries the
     theorem-prescribed weight vectors and closes the pressure sandwich.
+    ``options`` are the keywords of ``analyze_targets``.
     """
-    (report,) = analyze_targets(
-        sys, (target,), weights, polygon=polygon, forward_cone=forward_cone,
-        backward_cone=backward_cone, hochman_depth=hochman_depth, mc_n=mc_n,
-        mc_trials=mc_trials, rng_seed=rng_seed, pressure_schedule=pressure_schedule,
-        tol=tol, family_closed_form=family_closed_form,
-    )
+    (report,) = analyze_targets(sys, (target,), weights, **options)
     return report
 
 
@@ -550,7 +512,10 @@ def analyze_targets(
     else:
         pressure = pressure_root(sys, pressure_schedule)
 
-    ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots)
+    ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots,
+               statuses=hueter_lalley_check(sys, backward_cone, ssc, split, tol),
+               hochman_depth=hochman_depth, mc_n=mc_n, mc_trials=mc_trials,
+               rng_seed=rng_seed)
     d = ctx.details
     if sys.label:
         d.append(("label", sys.label))
@@ -584,167 +549,208 @@ def analyze_targets(
         name, value = family_closed_form
         d.append((name, format_number(value)))
 
-    args = (hochman_depth, mc_n, mc_trials, rng_seed, tol, backward_cone)
     return tuple(
-        ctx.measure_report(weights, *args) if target == "measure"
-        else _attractor_report(ctx, weights, *args)
+        ctx.measure_report(weights) if target == "measure"
+        else _attractor_report(ctx, weights)
         for target in targets
     )
 
 
-def _measure_report(ctx, weights, hochman_depth, mc_n, mc_trials, rng_seed, tol,
-                    backward_cone=None):
-    sys = ctx.sys
-    split, pressure = ctx.split, ctx.pressure
-    details = list(ctx.details)
-    hyps = []
-    assumptions = []
+@dataclass
+class _ReportState:
+    """One measure report in the making: every rule reads it and appends its
+    detail lines, hypotheses and assumptions to it, and the rule that fires
+    builds the report from it."""
 
-    t = ctx.exponents(weights, mc_n, mc_trials, rng_seed)
-    dim_lyap = lyapunov_dimension(t)
-    details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
-    details.append(("entropy", format_number(t.entropy)))
-    details.append(("chi-s", format_number(t.chi_s)))
-    details.append(("chi-ss", format_number(t.chi_ss)))
-    if t.stderr_s:
-        details.append(("stderr-chi-s", format_number(t.stderr_s)))
-        assumptions.append("exponents estimated by Monte Carlo")
-    details.append(("lyapunov-dimension", format_number(dim_lyap)))
+    ctx: _Ctx
+    weights: BernoulliWeights
+    t: ExponentTriple
+    dim_lyap: float
+    details: list
+    hyps: list = field(default_factory=list)
+    assumptions: list = field(default_factory=list)
+    nu_dim: Optional[float] = None  # closed-form direction dimension
+    hochman_dir: Optional[DeltaReport] = None  # c-dominant direction system separation
 
-    upper = min(2.0, dim_lyap, pressure.s_upper)
+    @property
+    def upper(self) -> float:
+        return min(2.0, self.dim_lyap, self.ctx.pressure.s_upper)
 
-    statuses = ctx.hypothesis_statuses(backward_cone, tol)
-    split_status = statuses["dominated-splitting"]
-    ssc_status = statuses["strong-separation"]
-    hyps.append(("dominated-splitting", split_status))
-    hyps.append(("strong-separation", ssc_status))
+    @property
+    def h_over_chi_ss(self) -> float:
+        return self.t.entropy / self.t.chi_ss
 
-    def report(fired, value, interval, extra_hyps=()):
+    @property
+    def paired_value(self) -> float:
+        """min{2, 1 + (h - chi_s)/chi_ss}, the value of the paired theorems."""
+        return min(2.0, 1.0 + (self.t.entropy - self.t.chi_s) / self.t.chi_ss)
+
+    @property
+    def separated(self) -> bool:
+        return self.ctx.statuses["backward-non-overlapping"] == VERIFIED
+
+    def saturates(self, dim: float) -> bool:
+        """Does a transversal or direction dimension reach min(1, dim_Lyap)?"""
+        return min(1.0, dim) >= min(1.0, self.dim_lyap) - 1e-12
+
+    def status(self, name: str) -> str:
+        """Append the T4.1 status ``name`` as a hypothesis and return it."""
+        status = self.ctx.statuses[name]
+        self.hyps.append((name, status))
+        return status
+
+    def check(self, name: str, ok: bool) -> bool:
+        self.hyps.append((name, VERIFIED if ok else FAILED))
+        return ok
+
+    def line_separation(self, line_ifs, verdict_key: str):
+        """(depth, Delta_n report, merged entropy) of the line system that
+        ``line_ifs`` derives, duplicates merged, at a depth whose N^n stays
+        near 1e5 words; the verdict becomes the detail ``verdict_key`` and a
+        clipped explicit depth request is named."""
+        merged, merged_w = line_ifs(self.ctx.sys, self.weights)
+        requested = self.ctx.hochman_depth
+        cap_depth = max(2, int(math.log(1e5) / math.log(max(merged.n, 2))))
+        depth = min(8, cap_depth) if requested is None else max(2, min(requested, cap_depth))
+        if requested is not None and depth != requested:
+            self.details.append(("hochman-depth-clipped", f"{requested} -> {depth}"))
+        report = self.ctx.delta_report(merged, depth)
+        self.details.append((verdict_key, report.verdict))
+        return depth, report, float(-sum(float(w) * math.log(float(w)) for w in merged_w))
+
+    def fire(self, theorem: str, value: Optional[float], interval=None) -> DimensionReport:
         return DimensionReport(
             target="measure",
             certified_value=value,
-            certified_interval=interval,
-            fired_theorem=fired,
-            hypotheses=tuple(hyps) + tuple(extra_hyps),
-            assumptions=tuple(assumptions),
-            details=tuple(details),
+            certified_interval=(value, value) if interval is None else interval,
+            fired_theorem=theorem,
+            hypotheses=tuple(self.hyps),
+            assumptions=tuple(self.assumptions),
+            details=tuple(self.details),
         )
 
-    # step 2: both structural hypotheses needed for everything beyond bounds
-    if split_status != VERIFIED or ssc_status != VERIFIED:
-        return report(T_PRESSURE, None, (0.0, upper))
 
-    # step 3: triangular a-dominant -- transversal measure is self-similar
-    if split.triangular == "ADominant":
-        merged_x, merged_wx = x_axis_line_ifs(sys, weights)
-        depth = _hochman_depth_for(merged_x.n, hochman_depth, details)
-        hochman_x = ctx.delta_report(merged_x, depth)
-        details.append(("hochman-x-verdict", hochman_x.verdict))
-        h_m = float(-sum(float(w) * math.log(float(w)) for w in merged_wx))
-        details.append(("transversal-entropy", format_number(h_m)))
-        if hochman_x.verdict == "TrendBounded":
-            hochman_status = TREND
-            assumptions.append(
-                f"separation trend of the projected line system certified to depth {depth} only"
-            )
-            dim_t = min(1.0, h_m / t.chi_s)
-            details.append(("transversal-dimension", format_number(dim_t)))
-            value = ly_dimension_formula(t.entropy, t.chi_s, t.chi_ss, dim_t)
-            hyps.append(("hochman-x", hochman_status))
-            equal = min(1.0, dim_lyap) <= dim_t + 1e-12
-            hyps.append(("transversal-saturates", VERIFIED if equal else FAILED))
-            return report(T_ADOM, value, (value, value))
-        hyps.append(
-            ("hochman-x", FAILED if hochman_x.verdict == "ExactOverlap" else UNKNOWN)
+def _measure_report(ctx: _Ctx, weights: BernoulliWeights) -> DimensionReport:
+    """The report of the first rule of ``_RULES`` that fires."""
+    t = ctx.exponents(weights)
+    st = _ReportState(ctx, weights, t, lyapunov_dimension(t), list(ctx.details))
+    st.details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
+    st.details.append(("entropy", format_number(t.entropy)))
+    st.details.append(("chi-s", format_number(t.chi_s)))
+    st.details.append(("chi-ss", format_number(t.chi_ss)))
+    if t.stderr_s:
+        st.details.append(("stderr-chi-s", format_number(t.stderr_s)))
+        st.assumptions.append("exponents estimated by Monte Carlo")
+    st.details.append(("lyapunov-dimension", format_number(st.dim_lyap)))
+    for rule in _RULES:
+        report = rule(st)
+        if report is not None:
+            return report
+
+
+def _bounds_only(st: _ReportState):
+    split = st.status("dominated-splitting")
+    ssc = st.status("strong-separation")
+    if split != VERIFIED or ssc != VERIFIED:
+        return st.fire(T_PRESSURE, None, (0.0, st.upper))
+
+
+def _a_dominant(st: _ReportState):
+    if st.ctx.split.triangular != "ADominant":
+        return None
+    depth, hochman_x, h_x = st.line_separation(x_axis_line_ifs, "hochman-x-verdict")
+    st.details.append(("transversal-entropy", format_number(h_x)))
+    if hochman_x.verdict != "TrendBounded":
+        st.hyps.append(("hochman-x", FAILED if hochman_x.verdict == "ExactOverlap" else UNKNOWN))
+        return st.fire(T_LY, None, (st.h_over_chi_ss, st.upper))
+    st.assumptions.append(
+        f"separation trend of the projected line system certified to depth {depth} only"
+    )
+    t = st.t
+    dim_t = min(1.0, h_x / t.chi_s)
+    st.details.append(("transversal-dimension", format_number(dim_t)))
+    st.hyps.append(("hochman-x", TREND))
+    st.check("transversal-saturates", st.saturates(dim_t))
+    return st.fire(T_ADOM, ly_dimension_formula(t.entropy, t.chi_s, t.chi_ss, dim_t))
+
+
+def _direction_data(st: _ReportState):
+    """Decides nothing: states the backward non-overlapping status and sets
+    the direction data that the rules after it read."""
+    st.status("backward-non-overlapping")
+    h_dir = st.t.entropy
+    if st.ctx.split.triangular == "CDominant":
+        _, st.hochman_dir, h_dir = st.line_separation(direction_line_ifs,
+                                                      "hochman-direction-verdict")
+    if st.t.chi_ss > st.t.chi_s:
+        st.nu_dim = h_dir / (st.t.chi_ss - st.t.chi_s)
+        st.details.append(("nu-ss-dimension", format_number(st.nu_dim)))
+
+
+def _hueter_lalley(st: _ReportState):
+    if st.separated and st.status("one-bunched") == VERIFIED:
+        if st.t.stderr_s:
+            st.assumptions.append("certified value evaluated with Monte-Carlo exponents")
+        return st.fire(T_HL, min(st.t.entropy / st.t.chi_s, 1.0))
+
+
+def _projection(st: _ReportState):
+    if st.separated and st.nu_dim is not None:
+        if st.check("nu-ss-saturates", st.saturates(st.nu_dim)):
+            return st.fire(T_PROJECTION, st.dim_lyap)
+
+
+def _condition4(st: _ReportState):
+    if st.separated and st.nu_dim is not None:
+        lower_iter = lower_bound_iteration(st.t.entropy, st.t.chi_s, st.t.chi_ss)
+        cond4 = st.nu_dim + lower_iter
+        st.details.append(("lower-bound-iteration", format_number(lower_iter)))
+        st.details.append(("condition4-lhs", format_number(cond4)))
+        st.details.append(("condition4-threshold", "2"))
+        if st.check("condition4", cond4 > 2.0):
+            return st.fire(T_APP, st.paired_value)
+
+
+def _direction_trend(st: _ReportState):
+    """Backward non-overlapping needs no check: with it, the projection rule
+    has already fired on a saturating direction dimension."""
+    trend = st.hochman_dir is not None and st.hochman_dir.verdict == "TrendBounded"
+    if trend and st.nu_dim is not None and st.saturates(st.nu_dim):
+        st.hyps.append(("hochman-direction", TREND))
+        st.assumptions.append(
+            "separation trend of the direction system certified to finite depth only"
         )
-        lower = t.entropy / t.chi_ss
-        return report(T_LY, None, (lower, upper))
+        return st.fire(T_CDOM, st.dim_lyap)
 
-    # steps 4-5: strong-stable direction routes
-    bno_status = statuses["backward-non-overlapping"]
-    hyps.append(("backward-non-overlapping", bno_status))
 
-    nu_dim_closed = None
-    hochman_dir = None
-    h_dir = t.entropy
-    if split.triangular == "CDominant":
-        merged_dir, merged_wdir = direction_line_ifs(sys, weights)
-        depth = _hochman_depth_for(merged_dir.n, hochman_depth, details)
-        hochman_dir = ctx.delta_report(merged_dir, depth)
-        details.append(("hochman-direction-verdict", hochman_dir.verdict))
-        h_dir = float(-sum(float(w) * math.log(float(w)) for w in merged_wdir))
-    if t.chi_ss > t.chi_s:
-        nu_dim_closed = h_dir / (t.chi_ss - t.chi_s)
-        details.append(("nu-ss-dimension", format_number(nu_dim_closed)))
+def _empirical_direction(st: _ReportState):
+    if st.separated:
+        return None
+    ctx = st.ctx
+    angles = sample_nu_ss_angles(ctx.sys, st.weights, None, 4000, ctx.rng_seed, ctx.split)
+    try:
+        series = correlation_dimension_estimate(angles, [2.0 ** -k for k in range(3, 11)])
+    except TooFewPoints:
+        return None
+    st.details.append(("nu-ss-empirical-slope", format_number(series.slope)))
+    if series.slope + st.h_over_chi_ss > 2.0 and st.dim_lyap > 1.0:
+        st.hyps.append(("nu-ss-dimension-empirical", TREND))
+        st.assumptions.append("direction dimension estimated empirically")
+        return st.fire(T_FK, st.paired_value)
 
-    # 5a: all four cone/bunching/separation hypotheses at once
-    if bno_status == VERIFIED:
-        hyps.append(("one-bunched", statuses["one-bunched"]))
-        if statuses["one-bunched"] == VERIFIED:
-            value = min(t.entropy / t.chi_s, 1.0)
-            if t.stderr_s:
-                assumptions.append("certified value evaluated with Monte-Carlo exponents")
-            return report(T_HL, value, (value, value))
 
-    if bno_status == VERIFIED and nu_dim_closed is not None:
-        # 5b: closed-form direction dimension via separation of the inverse system
-        if min(1.0, nu_dim_closed) >= min(1.0, dim_lyap) - 1e-12:
-            hyps.append(("nu-ss-saturates", VERIFIED))
-            return report(T_PROJECTION, dim_lyap, (dim_lyap, dim_lyap))
-        hyps.append(("nu-ss-saturates", FAILED))
-
-        # 5c: paired lower-bound condition
-        lower_iter = lower_bound_iteration(t.entropy, t.chi_s, t.chi_ss)
-        details.append(("lower-bound-iteration", format_number(lower_iter)))
-        cond4 = nu_dim_closed + lower_iter
-        details.append(("condition4-lhs", format_number(cond4)))
-        details.append(("condition4-threshold", "2"))
-        if cond4 > 2.0:
-            hyps.append(("condition4", VERIFIED))
-            value = min(2.0, 1.0 + (t.entropy - t.chi_s) / t.chi_ss)
-            return report(T_APP, value, (value, value))
-        hyps.append(("condition4", FAILED))
-
-    # 5d: trend-gated direction dimension (triangular c-dominant)
-    if (
-        split.triangular == "CDominant"
-        and hochman_dir is not None
-        and hochman_dir.verdict == "TrendBounded"
-        and nu_dim_closed is not None
-        and bno_status != VERIFIED
-    ):
-        if min(1.0, nu_dim_closed) >= min(1.0, dim_lyap) - 1e-12:
-            hyps.append(("hochman-direction", TREND))
-            assumptions.append(
-                "separation trend of the direction system certified to finite depth only"
-            )
-            return report(T_CDOM, dim_lyap, (dim_lyap, dim_lyap))
-
-    # 5e: empirical direction dimension, trend-gated
-    if bno_status != VERIFIED and split.certified:
-        angles = sample_nu_ss_angles(sys, weights, None, 4000, rng_seed, split)
-        radii = [2.0 ** -k for k in range(3, 11)]
-        try:
-            series = correlation_dimension_estimate(angles, radii)
-            details.append(("nu-ss-empirical-slope", format_number(series.slope)))
-            lower_ly = t.entropy / t.chi_ss
-            if series.slope + lower_ly > 2.0 and dim_lyap > 1.0:
-                hyps.append(("nu-ss-dimension-empirical", TREND))
-                assumptions.append("direction dimension estimated empirically")
-                value = min(2.0, 1.0 + (t.entropy - t.chi_s) / t.chi_ss)
-                return report(T_FK, value, (value, value))
-        except TooFewPoints:
-            pass
-
-    # step 6: interval fallback
-    lower = t.entropy / t.chi_ss
-    fired = T_LY
-    if bno_status == VERIFIED:
-        lower_iter = lower_bound_iteration(t.entropy, t.chi_s, t.chi_ss)
+def _interval(st: _ReportState):
+    lower, fired = st.h_over_chi_ss, T_LY
+    if st.separated:
+        lower_iter = lower_bound_iteration(st.t.entropy, st.t.chi_s, st.t.chi_ss)
         if lower_iter > lower:
-            lower = lower_iter
-            fired = T_LOWER
-    return report(fired, None, (min(lower, upper), upper))
+            lower, fired = lower_iter, T_LOWER
+    return st.fire(fired, None, (min(lower, st.upper), st.upper))
+
+
+# the precedence list of the module docstring
+_RULES = (_bounds_only, _a_dominant, _direction_data, _hueter_lalley, _projection,
+          _condition4, _direction_trend, _empirical_direction, _interval)
 
 
 def _prescribed_weight_candidates(ctx: _Ctx):
@@ -764,20 +770,15 @@ def _prescribed_weight_candidates(ctx: _Ctx):
     return cands
 
 
-def _attractor_report(ctx, weights, *args):
+def _attractor_report(ctx, weights):
     upper = min(2.0, ctx.pressure.s_upper)
     upper_exact = ctx.pressure.method == "closed-form"
 
-    candidates = [weights] + _prescribed_weight_candidates(ctx)
-    best = None
-    best_lower = -math.inf
-    for w in candidates:
-        rep = ctx.measure_report(w, *args)
-        lo = rep.certified_value if rep.certified_value is not None else rep.certified_interval[0]
-        if lo > best_lower:
-            best_lower = lo
-            best = rep
-    best_lower = max(best_lower, 0.0)
+    # the first measure report with the largest lower end (a certified value
+    # is both ends of its interval)
+    reports = [ctx.measure_report(w) for w in [weights] + _prescribed_weight_candidates(ctx)]
+    best = max(reports, key=lambda rep: rep.certified_interval[0])
+    best_lower = max(best.certified_interval[0], 0.0)
 
     details = list(best.details)
     details.append(("attractor-upper-bound", format_number(upper)))

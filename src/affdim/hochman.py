@@ -100,11 +100,6 @@ class DeltaReport:
     rows: tuple  # ((n, delta_n, rate), ...); delta_n exact Fraction, inf, or float
     verdict: str  # TrendBounded | ExactOverlap | Inconclusive
 
-    def __str__(self):
-        lines = [f"n={n} delta={d} rate={r}" for n, d, r in self.rows]
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
-
 
 def _check_cap(ifs: LineIfs, n: int, cap: int) -> None:
     total = ifs.n ** n

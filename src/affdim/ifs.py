@@ -409,13 +409,6 @@ class SscReport:
     margin: float  # min distance from image polygons to the boundary of O
     witness: Optional[str] = None
 
-    def __str__(self):
-        head = "holds" if self.holds else "fails"
-        s = f"SSC {head}: kappa={self.kappa:.6g} margin={self.margin:.6g}"
-        if self.witness:
-            s += f" ({self.witness})"
-        return s
-
 
 def check_ssc(
     sys: IfsSystem,

@@ -80,10 +80,6 @@ class RootEstimate:
         (n1, r1), (n2, r2) = self.history[-2], self.history[-1]
         return (n2 * r2 - n1 * r1) / (n2 - n1)
 
-    def __str__(self):
-        rows = " ".join(f"{n}:{r:.10g}" for n, r in self.history)
-        return f"root<= {self.s_upper:.12g} (converged={self.converged}; {rows})"
-
 
 def _merged_linear_parts(sys: IfsSystem) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct linear parts in order of first appearance, as an

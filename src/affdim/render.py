@@ -57,6 +57,8 @@ class RenderSpec:
             raise ValueError("viewport must be non-degenerate")
         if self.mode not in ("cylinders", "chaos"):
             raise ValueError("mode must be 'cylinders' or 'chaos'")
+        if self.mode == "chaos" and self.count < 1:
+            raise ValueError("chaos mode needs count >= 1")
 
 
 def default_viewport(polygon: Optional[Polygon], sys: IfsSystem, pad: float = 0.05):

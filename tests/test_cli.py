@@ -489,6 +489,8 @@ class TestBadInput:
         ["lyapunov", "--example", "hl-demo", "--mc-trials", "1"],
         ["boxdim", "--example", "sec44", "--depth", "0"],
         ["hochman", "--example", "hl-demo"],  # its direction system has |beta| >= 1
+        ["render", "--example", "sec44", "--mode", "chaos", "--count", "0"],
+        ["render", "--example", "sec44", "--mode", "chaos", "--count", "-5"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_library_value_errors_exit_1_without_traceback(self, argv, capsys, tmp_path):
         if argv[0] == "render":
@@ -498,6 +500,26 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("affdim: error: ") and "Traceback" not in err
         assert not (tmp_path / "img.ppm").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "lyapunov"])
+    @pytest.mark.parametrize("flag, value, need", [
+        ("--mc-n", "0", 1), ("--mc-n", "-3", 1), ("--mc-trials", "1", 2),
+    ])
+    def test_monte_carlo_flags_named(self, command, flag, value, need, capsys):
+        # sec44 is triangular and never runs the Monte Carlo: the flag is
+        # checked anyway
+        for example in ("hl-demo", "sec44"):
+            code, out, err = run_cli([command, "--example", example, flag, value], capsys)
+            assert code == 1
+            assert out == ""
+            assert err == f"affdim: error: bad {flag} {value}; need >= {need}\n"
+
+    def test_cylinders_mode_ignores_count(self, capsys, tmp_path):
+        out = tmp_path / "img.ppm"
+        code, _, _ = run_cli(["render", "--example", "sec44", "--count", "0", "--depth", "2",
+                              "--width", "16", "--height", "16", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
 
 
 class TestSubprocessEntry:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import count_calls, random_triangular_system, six_distinct_maps_system
 
+from affdim.cli import main
 from affdim.dimension import (
     analyze,
     analyze_targets,
@@ -336,3 +338,74 @@ class TestSubsystem:
         sub = build_subsystem(sysm, (4, 6), 1)
         assert sub.n == 4
         assert sub.maps == tuple(compose_word(sysm, (i,)) for i in (1, 2, 3, 5))
+
+
+UNIT_SQUARE = ("0 0", "1 0", "1 1", "0 1")
+_BASE_HYPS = ("dominated-splitting", "strong-separation")
+_DIRECTION_HYPS = _BASE_HYPS + ("backward-non-overlapping",)
+_CONDITION4_HYPS = _DIRECTION_HYPS + ("one-bunched", "nu-ss-saturates", "condition4")
+# One case per rule that can fire: the source (an example name or the map rows
+# of a config on the unit square), the fired theorem, the hypothesis names in
+# order, and the sha256 of the stdout of `analyze --target measure --seed 7`,
+# recorded before the decision procedure became a list of rules.
+RULE_CASES = [
+    ("sec44", "T4.5-app", _CONDITION4_HYPS,
+     "d20a204ae378ad910fb4061a84d69a15064406abcca9f8222ce2ca160055dee9"),
+    ("hl-demo", "T4.1-HueterLalley", _DIRECTION_HYPS + ("one-bunched",),
+     "b20ec211ba1be17084bfe21b35ce4d175adeb8ee3ff3d0843b74027f18e9c9fa"),
+    ("phi-c", "PressureUpperBound", _BASE_HYPS,
+     "5de29bfa6473ba92bf930534180f0bc869f542f20ba843d6e5a9ec551ca5cc27"),
+    (("-2/25 0 1/20 4/125 17/200 3/10", "-1/25 0 -1/40 4/125 71/200 2/5",
+      "1/25 0 1/20 1/250 121/200 1/5", "3/25 0 1/20 3/125 163/200 1/2"),
+     "T4.2-ADominant", _BASE_HYPS + ("hochman-x", "transversal-saturates"),
+     "cc58651a65ba277c09bc84036c824c2e330c2870baf797669689776a161747d1"),
+    (("3/20 0 1/40 1/6 1/6 1/10", "1/30 0 3/40 1/6 2/3 1/2"),
+     "T4.2-CDominant", _DIRECTION_HYPS + ("hochman-direction",),
+     "78b7df74487f481642b229690ba558b92979ab99c83d90b1ad053b600e2e0d70"),
+    (("7/75 0 -1/20 2/15 11/60 3/10", "-2/75 0 -1/40 4/15 37/60 2/5"),
+     "T2.8-projection", _DIRECTION_HYPS + ("one-bunched", "nu-ss-saturates"),
+     "2fa54d9cfaa9eb118f968332765ec7c5ac6c0334a50d812a4c1276a0aea6a1d9"),
+    (("16/75 0 -1/20 4/15 7/60 1/2", "9/50 0 -1/20 1/5 13/20 2/5"),
+     "T2.6-LY-formula", _DIRECTION_HYPS,
+     "54407456bd5b0de143431ecb2a9106ff616433f77da80c64ee197f7e49d55751"),
+    (("1/8 3/40 3/20 1/10 3/20 1/2", "1/48 1/48 1/30 1/40 13/20 7/10"),
+     "Lemma4.9-LowerBound", _CONDITION4_HYPS,
+     "bf6b1b0fdcc800ba5b3d73e8ee12581148767684c1699971a309631527093b2c"),
+    # nine positive near-conformal maps on a 3x3 grid: dominated, strongly
+    # separated, not backward non-overlapping, and an empirical direction
+    # dimension large enough for the paired lower bound
+    (("31/100 3/100 1/50 7/25 1/100 1/100", "29/100 3/100 1/25 13/50 1/100 103/300",
+      "7/25 1/100 1/25 7/25 1/100 203/300", "29/100 1/25 1/50 29/100 103/300 1/100",
+      "29/100 1/100 1/100 27/100 103/300 103/300", "29/100 1/25 1/100 13/50 103/300 203/300",
+      "3/10 1/50 1/25 27/100 203/300 1/100", "7/25 1/50 1/25 7/25 203/300 103/300",
+      "3/10 1/100 1/50 7/25 203/300 203/300"),
+     "T2.9-Falconer-Kempton", _DIRECTION_HYPS + ("nu-ss-dimension-empirical",),
+     "7ca707a5dd9f8db178393e625a936bb1065fa9801394d94b2421166d1b8f043a"),
+]
+
+
+class TestRulePrecedence:
+    """Each rule of the decision procedure fires on its case with the same
+    hypotheses, in the same order, and the same report bytes."""
+
+    @pytest.mark.parametrize("source, fired, hyps, digest", RULE_CASES,
+                             ids=[fired for _, fired, _, _ in RULE_CASES])
+    def test_rule_fires_with_pinned_report(self, source, fired, hyps, digest, capsys,
+                                           tmp_path):
+        if source == "phi-c":
+            argv = ["--example", "phi-c", "--param", "c=2/5"]
+        elif isinstance(source, str):
+            argv = ["--example", source]
+        else:
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text("".join(f"map {row}\n" for row in source)
+                           + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+            argv = ["--config", str(cfg)]
+        code = main(["analyze", *argv, "--target", "measure", "--seed", "7"])
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert code == (2 if fired in ("PressureUpperBound", "T2.6-LY-formula",
+                                       "Lemma4.9-LowerBound") else 0)
+        assert f"fired-theorem: {fired}" in lines
+        assert tuple(l.split()[1][:-1] for l in lines if l.startswith("hypothesis ")) == hyps
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
