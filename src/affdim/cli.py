@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Grammar: affdim <command> [--example NAME | --config PATH] [--param k=v]*
-[--seed N] [--out PATH] [--exact] plus command-specific flags.  Tables are
+[--seed N] [--out PATH] plus command-specific flags.  Tables are
 tab-delimited with a header row, reports are key/value blocks, images are
 binary P6.  Exit codes: 0 certified/success, 2 interval-only analysis,
 1 input or processing error.
@@ -32,8 +32,6 @@ def _add_source_flags(p):
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="example parameter, e.g. c=0.4 for phi-c")
     p.add_argument("--seed", type=int, default=0, help="RNG seed threaded everywhere")
-    p.add_argument("--exact", action="store_true",
-                   help="force exact rational geometry predicates")
 
 
 def _params_dict(args):
@@ -276,8 +274,7 @@ def cmd_ssc(args) -> int:
     parsed = _load(args)
     if parsed.polygon is None:
         raise AffdimError("ssc needs a polygon (in the config or the example)")
-    exact = True if args.exact else None
-    rep = check_ssc(parsed.system, parsed.polygon, exact=exact)
+    rep = check_ssc(parsed.system, parsed.polygon)
     lines = [
         f"holds: {'true' if rep.holds else 'false'}",
         f"kappa: {rep.kappa!r}",

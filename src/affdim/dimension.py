@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,9 +50,9 @@ from .ergodic import (
 from .hochman import DeltaReport, LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
                   format_number)
-from .linalg2 import Mat2, ProjArc, angle_gap, arc_image, singular_values
+from .linalg2 import Mat2, arc_image, singular_values
 from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
-from .splitting import Multicone, SplitReport, abs_diagonals, certify, sample_nu_ss_angles
+from .splitting import SplitReport, abs_diagonals, certify, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -70,6 +71,8 @@ FAILED = "Failed"
 UNKNOWN = "Unknown"
 
 SANDWICH_TOL = 1e-9
+# slack of the float backward non-overlapping tests: nesting and overlap
+OVERLAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,13 +175,13 @@ def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     return LineIfs(tuple(maps)).merged_duplicates(weights.p)
 
 
-def _interval_images_disjoint(ifs: LineIfs, tol: float) -> bool:
+def _interval_images_disjoint(ifs: LineIfs) -> bool:
     """Backward non-overlapping certificate for a 1-D system: an invariant
     interval with pairwise disjoint open images.
 
     Exact on rational input (the float hull is padded and rationalized, then
     every inclusion is re-verified in exact arithmetic); float systems get
-    the same test with tolerance.
+    the same test with slack ``OVERLAP_TOL``.
     """
     lo_f, hi_f = ifs.hull()
     pad = max((hi_f - lo_f), 1.0) * 1e-6
@@ -188,7 +191,7 @@ def _interval_images_disjoint(ifs: LineIfs, tol: float) -> bool:
         zero = Fraction(0)
     else:
         lo, hi = lo_f - pad, hi_f + pad
-        zero = tol
+        zero = OVERLAP_TOL
     images = []
     for b, g in ifs.maps:
         e1, e2 = b * lo + g, b * hi + g
@@ -201,18 +204,14 @@ def _interval_images_disjoint(ifs: LineIfs, tol: float) -> bool:
     return not any(b1 - a2 > zero for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
 
 
-def backward_non_overlapping(
-    sys: IfsSystem,
-    split: SplitReport,
-    backward_cone: Optional[Multicone] = None,
-    tol: float = 1e-9,
-) -> str:
+def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     """Status of the backward non-overlapping condition.
 
     Triangular c-dominant systems use the exact 1-D slope-system certificate;
     a-dominant systems always fail (every inverse image contains the vertical
-    direction).  Otherwise inverse-image arcs of the backward multicone are
-    checked for nesting and pairwise disjointness with tolerance.
+    direction).  Otherwise inverse-image arcs of the certificate's backward
+    cone are checked for nesting and pairwise disjointness with slack
+    ``OVERLAP_TOL``; without a cone the status is Unknown.
     """
     if split.triangular == "ADominant":
         return FAILED
@@ -220,50 +219,34 @@ def backward_non_overlapping(
         merged, _ = direction_line_ifs(sys, BernoulliWeights.uniform(sys.n))
         if merged.n == 1:
             return FAILED  # single direction map: all inverse images coincide
-        return VERIFIED if _interval_images_disjoint(merged, tol) else FAILED
-    if backward_cone is None:
-        if split.multicone is None:
-            return UNKNOWN
-        backward_cone = split.multicone.complement()
+        return VERIFIED if _interval_images_disjoint(merged) else FAILED
+    cone = split.backward_cone
+    if cone is None:
+        return UNKNOWN
     images = []
     for f in sys.maps:
         inv = f.linear.to_float().inverse()
         arcs = []
-        for arc in backward_cone.arcs:
+        for arc in cone.arcs:
             img = arc_image(inv, arc)
-            host = backward_cone.containing_arc(img.start)
-            if host is None:
+            placed = cone.place(img)
+            if placed is None:
                 return FAILED
-            off = angle_gap(host.start.theta, img.start.theta)
-            if off + img.length > host.length + tol:
+            host, off = placed
+            if off + img.length > host.length + OVERLAP_TOL:
                 return FAILED
             arcs.append(img)
         images.append(arcs)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            for a in images[i]:
-                for b in images[j]:
-                    if _arc_overlap(a, b) > tol:
-                        return FAILED
+    for arcs_i, arcs_j in combinations(images, 2):
+        if any(a.overlap(b) > OVERLAP_TOL for a in arcs_i for b in arcs_j):
+            return FAILED
     return VERIFIED
-
-
-def _arc_overlap(a: ProjArc, b: ProjArc) -> float:
-    """Length of the overlap of two arcs (0 when disjoint or just touching)."""
-    best = 0.0
-    for first, second in ((a, b), (b, a)):
-        off = angle_gap(first.start.theta, second.start.theta)
-        if off <= first.length:  # second starts inside first
-            best = max(best, min(first.length - off, second.length))
-    return best
 
 
 def hueter_lalley_check(
     sys: IfsSystem,
-    cones: Optional[Multicone] = None,
     ssc: Optional[SscReport] = None,
     split: Optional[SplitReport] = None,
-    tol: float = 1e-9,
 ):
     """Statuses of the four projection-theorem hypotheses: dominated
     splitting, backward non-overlapping, the bunching inequality
@@ -277,9 +260,7 @@ def hueter_lalley_check(
         VERIFIED if split.certified else (FAILED if split.verdict == "Refuted" else UNKNOWN)
     )
     if split.certified:
-        statuses["backward-non-overlapping"] = backward_non_overlapping(
-            sys, split, backward_cone=cones, tol=tol
-        )
+        statuses["backward-non-overlapping"] = backward_non_overlapping(sys, split)
     else:
         statuses["backward-non-overlapping"] = UNKNOWN
     statuses["one-bunched"] = (
@@ -351,38 +332,24 @@ def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> Estima
 
 
 def correlation_dimension_estimate(values, radii: Sequence[float]) -> EstimateSeries:
-    """Correlation integrals C(r) = fraction of pairs within r and the
-    least-squares slope of log C against log r.
-
-    1-D input uses exact sorted pair counting; planar input is capped at 4096
-    points (deterministic prefix) with a dense distance matrix.
-    """
+    """Correlation integrals C(r) = fraction of pairs within r of 1-D
+    samples (angles), by exact sorted pair counting, and the least-squares
+    slope of log C against log r."""
     radii = sorted(float(r) for r in radii)
     if len(radii) < 4:
         raise ValueError("need at least 4 radii")
     vals = np.asarray(values, dtype=float)
-    if not (vals.ndim == 1 or (vals.ndim == 2 and vals.shape[1] == 2)):
-        raise ValueError("values must be 1-D or an (n, 2) array")
+    if vals.ndim != 1:
+        raise ValueError("values must be a 1-D array")
     n = vals.shape[0]
     if n < 1000:
         raise TooFewPoints(f"need >= 1000 samples, got {n}")
-    if vals.ndim == 1:
-        s = np.sort(vals)
-        total = n * (n - 1)
-        cs = []
-        for r in radii:
-            within = np.searchsorted(s, s + r, side="right") - np.arange(1, n + 1)
-            cs.append(2.0 * float(np.sum(within)) / total)
-    else:
-        sub = vals[: min(n, 4096)]
-        m = sub.shape[0]
-        dx = sub[:, 0][:, None] - sub[:, 0][None, :]
-        dy = sub[:, 1][:, None] - sub[:, 1][None, :]
-        d2 = dx * dx + dy * dy
-        iu = np.triu_indices(m, k=1)
-        pair_d2 = d2[iu]
-        total = pair_d2.size
-        cs = [float(np.count_nonzero(pair_d2 <= r * r)) / total for r in radii]
+    s = np.sort(vals)
+    total = n * (n - 1)
+    cs = []
+    for r in radii:
+        within = np.searchsorted(s, s + r, side="right") - np.arange(1, n + 1)
+        cs.append(2.0 * float(np.sum(within)) / total)
 
     xs, ys = [], []
     for r, c in zip(radii, cs):
@@ -477,14 +444,11 @@ def analyze_targets(
     targets: Sequence[str],
     weights: Optional[BernoulliWeights] = None,
     polygon: Optional[Polygon] = None,
-    forward_cone: Optional[Multicone] = None,
-    backward_cone: Optional[Multicone] = None,
     hochman_depth: Optional[int] = None,
     mc_n: int = 1000,
     mc_trials: int = 1000,
     rng_seed: int = 0,
     pressure_schedule: Optional[Sequence[int]] = None,
-    tol: float = 1e-9,
     family_closed_form: Optional[Tuple[str, float]] = None,
 ) -> tuple:
     """One report per target, in order, as ``analyze`` would give each.
@@ -503,7 +467,7 @@ def analyze_targets(
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
 
-    split = certify(sys, multicone=forward_cone)
+    split = certify(sys)
     ssc = check_ssc(sys, polygon) if polygon is not None else None
     roots = None
     if split.triangular in ("ADominant", "CDominant"):
@@ -513,7 +477,7 @@ def analyze_targets(
         pressure = pressure_root(sys, pressure_schedule)
 
     ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots,
-               statuses=hueter_lalley_check(sys, backward_cone, ssc, split, tol),
+               statuses=hueter_lalley_check(sys, ssc, split),
                hochman_depth=hochman_depth, mc_n=mc_n, mc_trials=mc_trials,
                rng_seed=rng_seed)
     d = ctx.details

@@ -241,15 +241,29 @@ def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0
     if len(word) < 1:
         raise ValueError("natural_projection needs a non-empty word")
     validate_word(sys, word)
-    x, y = float(seed[0]), float(seed[1])
-    for s in reversed(word):
-        f = sys.maps[s - 1]
-        a = f.linear
-        nx = float(a.a11) * x + float(a.a12) * y + float(f.translation[0])
-        ny = float(a.a21) * x + float(a.a22) * y + float(f.translation[1])
-        x, y = nx, ny
+    x, y = _point_kernel(sys, seed)(np.array([word]) - 1)[0]
     bound = math.exp(word_log_norm(sys, word)) * 2.0 * sys.bounding_radius
-    return ProjectedPoint((x, y), bound)
+    return ProjectedPoint((float(x), float(y)), bound)
+
+
+def _point_kernel(sys: IfsSystem, seed_point: Vec2):
+    """Function of a (count, depth) array of 0-based symbols giving the
+    (count, 2) points f_w(seed_point), one word w per row; the per-symbol
+    entry columns are taken once, outside the step loop."""
+    A = sys.linear_array
+    t = sys.translation_array
+    a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    tx, ty = t[:, 0], t[:, 1]
+
+    def points(syms):
+        x = np.full(len(syms), float(seed_point[0]))
+        y = np.full(len(syms), float(seed_point[1]))
+        for k in range(syms.shape[1] - 1, -1, -1):
+            i = syms[:, k]
+            x, y = a11[i] * x + a12[i] * y + tx[i], a21[i] * x + a22[i] * y + ty[i]
+        return np.column_stack([x, y])
+
+    return points
 
 
 def sample_measure(
@@ -272,20 +286,7 @@ def sample_measure(
         raise ValueError("count must be >= 1")
     if len(weights) != sys.n:
         raise ValueError("weights length does not match the system")
-    A = sys.linear_array
-    t = sys.translation_array
-    a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    tx, ty = t[:, 0], t[:, 1]
-
-    def points(syms):
-        x = np.full(len(syms), float(seed_point[0]))
-        y = np.full(len(syms), float(seed_point[1]))
-        for k in range(depth - 1, -1, -1):
-            i = syms[:, k]
-            x, y = a11[i] * x + a12[i] * y + tx[i], a21[i] * x + a22[i] * y + ty[i]
-        return np.column_stack([x, y])
-
-    return draw_blockwise(weights, rng(rng_seed), count, depth, points)
+    return draw_blockwise(weights, rng(rng_seed), count, depth, _point_kernel(sys, seed_point))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +411,7 @@ class SscReport:
     witness: Optional[str] = None
 
 
-def check_ssc(
-    sys: IfsSystem,
-    polygon: Polygon,
-    tolerance=1e-9,
-    exact: Optional[bool] = None,
-) -> SscReport:
+def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
     """Check f_i(closure(O)) inside O with pairwise disjoint images.
 
     ``holds`` requires every image polygon strictly inside ``polygon`` with
@@ -423,8 +419,7 @@ def check_ssc(
     more than tolerance.  With rational input (the default for parsed
     configs) all comparisons are exact, so touching images fail cleanly.
     """
-    if exact is None:
-        exact = sys.is_rational() and polygon.is_rational()
+    exact = sys.is_rational() and polygon.is_rational()
     if not exact:
         polygon = polygon.to_float()
         sys_maps = [f.to_float() for f in sys.maps]

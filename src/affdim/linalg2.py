@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -279,13 +279,24 @@ class ProjArc:
         off = angle_gap(self.start.theta, p.theta)
         return margin <= off <= self.length - margin
 
+    def start_offset(self, other: "ProjArc") -> Optional[float]:
+        """The ccw gap from this arc's start to the start of ``other`` when
+        ``other`` starts on this arc, else None."""
+        off = angle_gap(self.start.theta, other.start.theta)
+        return off if off <= self.length else None
+
     def intersects(self, other: "ProjArc") -> bool:
-        return (
-            self.contains(other.start)
-            or self.contains(other.end)
-            or other.contains(self.start)
-            or other.contains(self.end)
-        )
+        """Closed arcs meet iff one of them starts on the other."""
+        return self.start_offset(other) is not None or other.start_offset(self) is not None
+
+    def overlap(self, other: "ProjArc") -> float:
+        """Length of the overlap of two arcs (0 when disjoint or just touching)."""
+        best = 0.0
+        for first, second in ((self, other), (other, self)):
+            off = first.start_offset(second)
+            if off is not None:
+                best = max(best, min(first.length - off, second.length))
+        return best
 
 
 def arc_image(m: Mat2, arc: ProjArc) -> ProjArc:

@@ -61,7 +61,6 @@ class RootEstimate:
     s_upper: float  # root at the largest depth: upper bound for the true root
     history: tuple  # ((n, root_n), ...)
     converged: bool
-    tol: float
     dropped: tuple = ()
     method: str = "finite-depth"
 
@@ -70,8 +69,7 @@ class RootEstimate:
         """An exact root, bounded from above within ``ROOT_TOL`` like the
         triangular closed forms: both ``s_upper`` and ``s_extrapolated``
         read it."""
-        return RootEstimate(s_upper=root, history=(), converged=True, tol=ROOT_TOL,
-                            method="closed-form")
+        return RootEstimate(s_upper=root, history=(), converged=True, method="closed-form")
 
     @property
     def s_extrapolated(self) -> float:
@@ -140,15 +138,9 @@ def phi_log_values(log_a1: np.ndarray, log_a2: np.ndarray, s: float) -> np.ndarr
     return (s / 2.0) * (log_a1 + log_a2)
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
-
-
 def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> float:
     """Finite-depth pressure (1/n) log sum over |w| = n of phi^s(A_w)."""
-    log_a1, log_a2, log_w = word_log_singulars(sys, n, cap=cap)
-    return _logsumexp(phi_log_values(log_a1, log_a2, s) + log_w) / n
+    return _pressure_with_slope(word_log_singulars(sys, n, cap=cap), n, s)[0]
 
 
 def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
@@ -248,7 +240,6 @@ def pressure_root(
         s_upper=history[-1][1],
         history=tuple(history),
         converged=converged,
-        tol=tol,
         dropped=tuple(n for n in requested if n not in n_schedule),
     )
 

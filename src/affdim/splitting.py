@@ -2,10 +2,15 @@
 
 Certification runs three routes in precedence order: the exact triangular
 criterion, the exact positivity criterion, then a numeric multicone
-invariance check (user-supplied cone or a best-effort proposal).  A failed
-numeric route yields Unknown, never Refuted; the only refutations are exact
-obstructions (a generator with equal singular values keeps the ratio
-alpha1/alpha2 at one along its own powers).
+invariance check of a best-effort proposal.  A failed numeric route yields
+Unknown, never Refuted; the only refutations are exact obstructions (a
+generator with equal singular values keeps the ratio alpha1/alpha2 at one
+along its own powers).
+
+The certificate's forward multicone (``SplitReport.multicone``) and its
+complement (``SplitReport.backward_cone``) are the only cones that the
+backward check and the direction routines read, and :meth:`Multicone.place`
+is the one nesting test of an image arc, forward and backward.
 
 Direction fields: e_ss depends on the forward word and is computed either by
 iterating inverse matrices (generic) or by the explicit slope series for
@@ -14,7 +19,8 @@ and one routine serves both fields: e_ss takes the future word, the inverse
 maps, the backward cone and the series (-b/c, a/c), and is pinned vertical
 for a-dominant systems; e_s takes the past word from its most recent symbol,
 the forward maps, the forward cone and the series (b/a, c/a), and is pinned
-vertical for c-dominant systems.
+vertical for c-dominant systems.  Words are read to their end: a word too
+short for ``tol`` raises PrefixTooShort, however long it is.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .linalg2 import (
     Mat2,
     ProjArc,
     ProjPoint,
-    angle_gap,
     arc_image,
     det4,
     entry_columns,
@@ -42,7 +47,6 @@ from .linalg2 import (
     singular_values,
 )
 
-ITERATION_CAP = 10_000
 DEFAULT_TOL = 1e-12
 # per field, the triangular case that pins it vertical and the one that sums its slope series
 _PINNED = {"ss": "ADominant", "s": "CDominant"}
@@ -72,13 +76,14 @@ class Multicone:
     def single(arc: ProjArc) -> "Multicone":
         return Multicone((arc,))
 
-    def contains(self, p: ProjPoint) -> bool:
-        return any(a.contains(p) for a in self.arcs)
-
-    def containing_arc(self, p: ProjPoint) -> Optional[ProjArc]:
-        for a in self.arcs:
-            if a.contains(p):
-                return a
+    def place(self, img: ProjArc) -> Optional[tuple]:
+        """(host, offset) of an image arc: the component that holds its
+        start and the ccw gap from the host's start to it; None when it
+        starts outside the multicone."""
+        for host in self.arcs:
+            off = host.start_offset(img)
+            if off is not None:
+                return host, off
         return None
 
     def complement(self) -> "Multicone":
@@ -108,6 +113,12 @@ class SplitReport:
     @property
     def certified(self) -> bool:
         return self.verdict == "Certified"
+
+    @property
+    def backward_cone(self) -> Optional[Multicone]:
+        """Closure of the complement of the forward multicone: the cone of
+        the backward non-overlapping check and of e_ss."""
+        return None if self.multicone is None else self.multicone.complement()
 
 
 def check_triangular_split(sys: IfsSystem) -> str:
@@ -180,11 +191,11 @@ def check_multicone_invariance(sys: IfsSystem, m: Multicone, margin: float = 0.0
     for f in sys.maps:
         for arc in m.arcs:
             img = arc_image(f.linear, arc)
-            host = m.containing_arc(img.start)
-            if host is None:
+            placed = m.place(img)
+            if placed is None:
                 return SplitReport("Refuted", method="MulticoneCheck", multicone=m,
                                    margin=-math.inf)
-            off = angle_gap(host.start.theta, img.start.theta)
+            host, off = placed
             tail = host.length - (off + img.length)
             if tail < 0:
                 return SplitReport("Refuted", method="MulticoneCheck", multicone=m,
@@ -266,8 +277,8 @@ def _union_two(a: ProjArc, b: ProjArc):
     """Union arc if a and b touch or overlap; NotImplemented when disjoint;
     None when the union would cover the whole circle."""
     for first, second in ((a, b), (b, a)):
-        off = angle_gap(first.start.theta, second.start.theta)
-        if off <= first.length:  # second starts inside first
+        off = first.start_offset(second)
+        if off is not None:
             end = max(first.length, off + second.length)
             if end >= math.pi:
                 return None
@@ -275,9 +286,9 @@ def _union_two(a: ProjArc, b: ProjArc):
     return NotImplemented
 
 
-def certify(sys: IfsSystem, multicone: Optional[Multicone] = None, margin: float = 0.0) -> SplitReport:
+def certify(sys: IfsSystem) -> SplitReport:
     """Dominated-splitting certification with route precedence
-    triangular > positivity > multicone (user, then auto proposal)."""
+    triangular > positivity > proposed multicone."""
     for f in sys.maps:
         if _is_similarity(f.linear):
             return SplitReport("Refuted", method=None, margin=-math.inf)
@@ -287,24 +298,18 @@ def certify(sys: IfsSystem, multicone: Optional[Multicone] = None, margin: float
         case = None
     if case in ("ADominant", "CDominant"):
         cone = triangular_forward_cone(sys, case)
-        checked = check_multicone_invariance(sys, cone, margin=0.0)
+        checked = check_multicone_invariance(sys, cone)
         return SplitReport("Certified", method="Triangular", multicone=cone,
                            margin=checked.margin, triangular=case)
     if all(_sign_consistent(f.linear) for f in sys.maps):
         cone = Multicone.single(ProjArc.from_angles(0.0, math.pi / 2))
-        checked = check_multicone_invariance(sys, cone, margin=0.0)
+        checked = check_multicone_invariance(sys, cone)
         if checked.certified:
             return SplitReport("Certified", method="Positivity", multicone=cone,
                                margin=checked.margin)
-    if multicone is not None:
-        checked = check_multicone_invariance(sys, multicone, margin=margin)
-        if checked.certified:
-            return checked
-        return SplitReport("Unknown", method="MulticoneCheck", multicone=multicone,
-                           margin=checked.margin)
     cone = propose_multicone(sys)
     if cone is not None:
-        checked = check_multicone_invariance(sys, cone, margin=0.0)
+        checked = check_multicone_invariance(sys, cone)
         if checked.certified:
             return checked
     return SplitReport("Unknown")
@@ -349,7 +354,6 @@ def strong_stable_direction(
     sys: IfsSystem,
     prefix: Sequence[int],
     tol: float = DEFAULT_TOL,
-    backward_cone: Optional[Multicone] = None,
     split: Optional[SplitReport] = None,
     method: str = "auto",
 ) -> ProjPoint:
@@ -362,14 +366,13 @@ def strong_stable_direction(
     """
     split = _require_certified(sys, split)
     validate_word(sys, prefix)
-    return _direction(sys, "ss", prefix, tol, backward_cone, split, method)
+    return _direction(sys, "ss", prefix, tol, split, method)
 
 
 def stable_direction(
     sys: IfsSystem,
     suffix: Sequence[int],
     tol: float = DEFAULT_TOL,
-    forward_cone: Optional[Multicone] = None,
     split: Optional[SplitReport] = None,
     method: str = "auto",
 ) -> ProjPoint:
@@ -380,14 +383,14 @@ def stable_direction(
     """
     split = _require_certified(sys, split)
     validate_word(sys, suffix)
-    return _direction(sys, "s", tuple(reversed(suffix)), tol, forward_cone, split, method)
+    return _direction(sys, "s", tuple(reversed(suffix)), tol, split, method)
 
 
-def _direction(sys, field, word, tol, cone, split, method) -> ProjPoint:
+def _direction(sys, field, word, tol, split, method) -> ProjPoint:
     """e_ss (``field`` "ss", future word) or e_s ("s", past word from its
     most recent symbol): pinned vertical, the slope series, or nested images
-    of ``cone`` (default: the backward cone for "ss", the forward one for
-    "s") under inverse or forward maps."""
+    of the certificate's backward cone under inverse maps ("ss") or of its
+    forward cone under forward maps ("s")."""
     if method == "auto" and split.triangular == _PINNED[field]:
         return ProjPoint(math.pi / 2)
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
@@ -396,14 +399,8 @@ def _direction(sys, field, word, tol, cone, split, method) -> ProjPoint:
         case = _SERIES[field][0].lower()
         raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
     if field == "ss":
-        return _iterate_direction(sys, word, tol, cone or _backward_cone(split), inverse=True)
-    return _iterate_direction(sys, word, tol, cone or split.multicone, inverse=False)
-
-
-def _backward_cone(split: SplitReport) -> Optional[Multicone]:
-    if split.multicone is None:
-        return None
-    return split.multicone.complement()
+        return _iterate_direction(sys, word, tol, split.backward_cone, inverse=True)
+    return _iterate_direction(sys, word, tol, split.multicone, inverse=False)
 
 
 def _iterate_direction(sys, word, tol, cone, inverse):
@@ -418,8 +415,6 @@ def _iterate_direction(sys, word, tol, cone, inverse):
         seeds = (ProjPoint(0.4), ProjPoint(0.4 + math.pi / 2))
     prod = Mat2.identity()
     prev = None
-    if len(word) > ITERATION_CAP:
-        word = word[:ITERATION_CAP]
     for s in word:
         m = sys.maps[s - 1].linear.to_float()
         prod = prod @ (m.inverse() if inverse else m)
@@ -528,7 +523,7 @@ def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.
     else:
         cols = entry_columns(sys.linear_array)
         if field == "ss":  # inverse maps applied to the backward cone's seed
-            cone, fallback = _backward_cone(split), 0.4
+            cone, fallback = split.backward_cone, 0.4
             det = det4(cols)
             cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
         else:

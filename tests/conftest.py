@@ -9,13 +9,20 @@ depth-extrapolation tolerances only hold away from the kinks.
 """
 
 import math
+import os
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 from affdim.ifs import AffineMap, IfsSystem
 from affdim.linalg2 import Mat2, operator_norm
 
 BREAKPOINT_GAP = 0.07
+
+# pytest's ``pythonpath`` setting puts src/ on this process's path only; the
+# tests that run ``python -m affdim.cli`` in a child need it in the environment
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def _draw_triangular(rng, n_maps, ratio, bscale, norm_cap, dominant, big_range):

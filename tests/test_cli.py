@@ -9,8 +9,9 @@ import pytest
 from conftest import TIE_CONFIG, count_calls, six_distinct_maps_system
 
 from affdim.cli import main
-from affdim.ifs import serialize_system
+from affdim.ifs import parse_system, serialize_system
 from affdim.library import sec44
+from affdim.splitting import certify
 
 SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
 
@@ -35,6 +36,37 @@ KERNEL_STDOUT_SHA256 = [
      "50f40b36fcb4f247351b8095079f4bd23a1e41dde29ba2e0974f40f84b66efb5"),
     (["pressure", "--example", "phi-c", "--param", "c=2/5"],
      "3587ff8f6c6cd6c692b8b92c4a81cfc377c87f467242248112a3e21e2ec8b5ec"),
+]
+
+# non-triangular, non-positive rational systems that only the multicone
+# proposal certifies: the rotated diagonal pair of
+# test_splitting.TestCertify.test_multi_arc_cone_for_interleaved_attractors
+# with the rotation (-5/13, 12/13), and a strongly dominated pair on the
+# unit square whose proposed cone certifies backward non-overlapping
+PROPOSED_CONE_CONFIGS = {
+    "rotated-diagonal": """label rotated-diagonal
+map 3/5 0 0 1/20 0 0
+map 111/845 -33/169 -33/169 1753/3380 2 0
+""",
+    "thin-rotated": """label thin-rotated
+map 1/5 0 0 1/1000 3/20 499/2000
+map 643/21125 -597/8450 -597/8450 1153/6760 32537/42250 47323/67600
+polygon 0 0
+polygon 1 0
+polygon 1 1
+polygon 0 1
+""",
+}
+# stdout of `analyze --seed 7` and `directions --count 500 --seed 3` on them
+PROPOSED_CONE_STDOUT_SHA256 = [
+    ("rotated-diagonal", ["analyze", "--seed", "7"],
+     "9c54349b54e28fdc5f18561c088cb390734423df46cd779c34ef250c351b51dd"),
+    ("rotated-diagonal", ["directions", "--count", "500", "--seed", "3"],
+     "7ee350d3df3d765bf99ee28812b223f947696c710611c08d09e29ba55f09ecf9"),
+    ("thin-rotated", ["analyze", "--seed", "7"],
+     "fd641095b24ffa49a35a913208c4d6d34911fb4c0e73afb390754c2a4f21851b"),
+    ("thin-rotated", ["directions", "--count", "500", "--seed", "3"],
+     "cf52d0f4a0df2522d3515287d1c1f9a9d378d591855637843143a8e019f8b45e"),
 ]
 
 
@@ -347,6 +379,18 @@ class TestDeterminism:
     def test_kernel_stdout_pinned(self, argv, digest, capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, argv, digest", PROPOSED_CONE_STDOUT_SHA256,
+                             ids=[f"{n}-{a[0]}" for n, a, _ in PROPOSED_CONE_STDOUT_SHA256])
+    def test_proposed_cone_stdout_pinned(self, name, argv, digest, capsys, tmp_path):
+        text = PROPOSED_CONE_CONFIGS[name]
+        split = certify(parse_system(text).system)
+        assert split.method == "MulticoneCheck" and len(split.multicone.arcs) >= 2
+        cfg = tmp_path / "system.cfg"
+        cfg.write_text(text)
+        code, out, _ = run_cli([argv[0], "--config", str(cfg), *argv[1:]], capsys)
+        assert code == (2 if argv[0] == "analyze" else 0)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(

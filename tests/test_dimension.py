@@ -23,9 +23,9 @@ from affdim.dimension import (
 from affdim.errors import BadExponents, TooFewPoints
 from affdim.ifs import AffineMap, IfsSystem, check_ssc, sample_measure
 from affdim.library import hl_demo, phi_c, sec44
-from affdim.linalg2 import Mat2
+from affdim.linalg2 import Mat2, ProjArc
 from affdim.pressure import pressure_root
-from affdim.splitting import certify
+from affdim.splitting import Multicone, SplitReport, certify
 
 SEC44_H = math.log(3.0)
 SEC44_CHI_S = math.log(1.5)
@@ -155,6 +155,44 @@ class TestHueterLalleyCheck:
         assert backward_non_overlapping(sysm, split) == "Failed"
 
 
+class TestBackwardNonOverlapping:
+    """The multicone route on hand-made certificates: the backward cone is
+    the complement of the forward multicone, and the inverse images of its
+    arcs must nest in it and be pairwise disjoint."""
+
+    QUADRANT = Multicone.single(ProjArc.from_angles(0.0, math.pi / 2))
+
+    def split(self, multicone=QUADRANT):
+        return SplitReport("Certified", method="MulticoneCheck", multicone=multicone)
+
+    def test_unknown_without_multicone(self):
+        sysm, _, _ = hl_demo()
+        assert backward_non_overlapping(sysm, self.split(None)) == "Unknown"
+
+    def test_image_starting_outside_the_backward_cone_fails(self):
+        # the inverse turns [pi/2, pi] clockwise by 0.3: its start leaves the cone
+        sysm = IfsSystem((AffineMap(Mat2.rotation(0.3).scaled(0.5), (0, 0)),))
+        assert backward_non_overlapping(sysm, self.split()) == "Failed"
+
+    def test_image_overflowing_its_host_fails(self):
+        # the inverse turns [pi/2, pi] counterclockwise by 0.3: it starts
+        # inside the cone and runs past its end
+        sysm = IfsSystem((AffineMap(Mat2.rotation(-0.3).scaled(0.5), (0, 0)),))
+        assert backward_non_overlapping(sysm, self.split()) == "Failed"
+
+    def test_overlapping_images_fail(self):
+        # two maps with one positive linear part: each inverse image nests in
+        # the backward quadrant, and the two coincide
+        m = Mat2(F(2, 25), F(1, 25), F(1, 25), F(1, 25))
+        sysm = IfsSystem((AffineMap(m, (F(1, 10), F(1, 10))), AffineMap(m, (F(7, 10), F(7, 10)))))
+        split = certify(sysm)
+        assert split.method == "Positivity"
+        assert backward_non_overlapping(sysm, split) == "Failed"
+        # one of them alone is backward non-overlapping
+        single = IfsSystem(sysm.maps[:1])
+        assert backward_non_overlapping(single, certify(single)) == "Verified"
+
+
 class TestEstimators:
     def test_box_dimension_segment(self):
         rng = np.random.default_rng(103)
@@ -183,6 +221,13 @@ class TestEstimators:
         vals = np.zeros(2000)
         series = correlation_dimension_estimate(vals, [0.1, 0.05, 0.025, 0.0125])
         assert series.slope == pytest.approx(0.0, abs=1e-12)
+
+    def test_correlation_takes_angles_only(self):
+        # planar samples are refused rather than cut to a prefix
+        rng = np.random.default_rng(113)
+        with pytest.raises(ValueError, match="1-D"):
+            correlation_dimension_estimate(rng.uniform(0, 1, size=(5000, 2)),
+                                           [0.1, 0.05, 0.025, 0.0125])
 
     def test_correlation_matches_direction_dimension(self):
         from affdim.splitting import sample_nu_ss_angles

@@ -185,6 +185,15 @@ class TestStrongStableDirection:
             series = strong_stable_direction(sysm, w, tol=1e-11, method="series")
             assert proj_metric(it, series) < 1e-9
 
+    def test_iterate_reads_words_of_any_length(self):
+        # |a/c| = 0.999 contracts so slowly that convergence to 1e-10 takes
+        # more than 10,000 symbols; the whole word is read, not a prefix
+        sysm = triangular_system([(0.4995, 0.1, 0.5), (0.4995, -0.05, 0.5)])
+        w = (1, 2, 2) * 15000
+        it = strong_stable_direction(sysm, w, tol=1e-10, method="iterate")
+        series = strong_stable_direction(sysm, w, tol=1e-10, method="series")
+        assert proj_metric(it, series) < 1e-12
+
     def test_prefix_too_short(self):
         sysm = triangular_system([(0.125, 0.5, 0.25), (0.125, -0.25, 0.25)])
         with pytest.raises(PrefixTooShort):
