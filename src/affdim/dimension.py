@@ -44,8 +44,7 @@ from .errors import BadExponents, TooFewPoints
 from .ergodic import (
     ExponentTriple,
     lyapunov_dimension,
-    lyapunov_monte_carlo,
-    lyapunov_triangular,
+    lyapunov_exponents,
 )
 from .hochman import DeltaReport, LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
@@ -211,7 +210,7 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     a-dominant systems always fail (every inverse image contains the vertical
     direction).  Otherwise inverse-image arcs of the certificate's backward
     cone are checked for nesting and pairwise disjointness with slack
-    ``OVERLAP_TOL``; without a cone the status is Unknown.
+    ``OVERLAP_TOL``.
     """
     if split.triangular == "ADominant":
         return FAILED
@@ -221,8 +220,6 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
             return FAILED  # single direction map: all inverse images coincide
         return VERIFIED if _interval_images_disjoint(merged) else FAILED
     cone = split.backward_cone
-    if cone is None:
-        return UNKNOWN
     images = []
     for f in sys.maps:
         inv = f.linear.to_float().inverse()
@@ -414,13 +411,8 @@ class _Ctx:
         return self._once(("delta", ifs.maps, depth), lambda: hochman_rate(ifs, depth))
 
     def exponents(self, weights) -> ExponentTriple:
-        def build():
-            if self.sys.is_triangular():
-                return lyapunov_triangular(self.sys, weights)
-            return lyapunov_monte_carlo(self.sys, weights, self.mc_n, self.mc_trials,
-                                        self.rng_seed)
-
-        return self._once(("exponents", weights.p), build)
+        return self._once(("exponents", weights.p), lambda: lyapunov_exponents(
+            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed))
 
     def measure_report(self, weights) -> DimensionReport:
         return self._once(("measure", weights.p), lambda: _measure_report(self, weights))

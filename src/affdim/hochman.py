@@ -79,8 +79,9 @@ class LineIfs:
         """Interval hull of the attractor (smallest invariant interval)."""
         fixed = [float(g) / (1.0 - float(b)) for b, g in self.maps]
         lo, hi = min(fixed), max(fixed)
-        # grow until invariant: affine images of [lo,hi] stay inside
-        for _ in range(256):
+        # grow until invariant: affine images of [lo,hi] stay inside.  The
+        # ends only move outward and stay bounded floats, so this ends.
+        while True:
             new_lo, new_hi = lo, hi
             for b, g in self.maps:
                 bf, gf = float(b), float(g)
@@ -88,9 +89,8 @@ class LineIfs:
                 new_lo = min(new_lo, a1, a2)
                 new_hi = max(new_hi, a1, a2)
             if new_lo == lo and new_hi == hi:
-                break
+                return lo, hi
             lo, hi = new_lo, new_hi
-        return lo, hi
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BadSymbol, NonConvexPolygon, ParseError
-from .linalg2 import Mat2, operator_norm
+from .linalg2 import Mat2, entry_columns, log_alpha1, mul4, operator_norm, renormalise4
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
 
@@ -214,35 +214,24 @@ class ProjectedPoint(NamedTuple):
     error_bound: float  # distance to the true infinite-word limit
 
 
-def word_log_norm(sys: IfsSystem, word: Sequence[int]) -> float:
-    """log alpha1 of the composed product A_{w_1} ... A_{w_n}.
-
-    Accumulated in float with periodic rescaling so arbitrarily deep words
-    never underflow.
-    """
-    validate_word(sys, word)
-    prod = Mat2.identity()
-    logscale = 0.0
-    for k, s in enumerate(word):
-        prod = prod @ sys.maps[s - 1].linear.to_float()
-        if (k + 1) % 32 == 0:
-            m = max(abs(e) for e in prod.entries())
-            prod = prod.scaled(1.0 / m)
-            logscale += math.log(m)
-    return logscale + math.log(operator_norm(prod))
-
-
 def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0.0)) -> ProjectedPoint:
     """Finite truncation f_w(seed) of the natural projection.
 
     The reported bound is alpha1(A_w) * diam of the invariant disk, which
     dominates the distance to the limit point of any extension of ``word``.
+    alpha1(A_w) comes from the batched kernel, the product renormalised
+    every step, so arbitrarily deep words never underflow.
     """
     if len(word) < 1:
         raise ValueError("natural_projection needs a non-empty word")
     validate_word(sys, word)
     x, y = _point_kernel(sys, seed)(np.array([word]) - 1)[0]
-    bound = math.exp(word_log_norm(sys, word)) * 2.0 * sys.bounding_radius
+    cols = entry_columns(sys.linear_array)
+    prod, log_scale = (1.0, 0.0, 0.0, 1.0), 0.0
+    for s in word:
+        prod, scale = renormalise4(mul4(prod, tuple(c[s - 1] for c in cols)))
+        log_scale += math.log(scale)
+    bound = math.exp(log_scale + float(log_alpha1(prod))) * 2.0 * sys.bounding_radius
     return ProjectedPoint((float(x), float(y)), bound)
 
 

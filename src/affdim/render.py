@@ -17,10 +17,13 @@ import numpy as np
 
 from .errors import UnsupportedDepth
 from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
+from .linalg2 import entry_columns, mul4
 
 CYLINDER_WORD_CAP = 200_000
 PAIR_BLOCK = 1 << 16  # (polygon, pixel row) pairs scanned at once
 PIXEL_BLOCK = 1 << 20  # pixel writes expanded at once
+VIEWPORT_PAD = 0.05  # share of the box width added on each side by default
+CHAOS_BURN_IN = 100  # chaos-game steps drawn before the first plotted point
 
 # per-first-symbol fill colors, cycled when the alphabet is larger
 PALETTE = (
@@ -61,13 +64,13 @@ class RenderSpec:
             raise ValueError("chaos mode needs count >= 1")
 
 
-def default_viewport(polygon: Optional[Polygon], sys: IfsSystem, pad: float = 0.05):
+def default_viewport(polygon: Optional[Polygon], sys: IfsSystem):
     if polygon is not None:
         x0, y0, x1, y1 = polygon.bounding_box()
     else:
         r = sys.bounding_radius
         x0, y0, x1, y1 = -r, -r, r, r
-    dx, dy = (x1 - x0) * pad, (y1 - y0) * pad
+    dx, dy = (x1 - x0) * VIEWPORT_PAD, (y1 - y0) * VIEWPORT_PAD
     return (x0 - dx, y0 - dy, x1 + dx, y1 + dy)
 
 
@@ -113,16 +116,22 @@ def _expand_blocks(length, first, budget):
 
 
 def _cylinder_maps(sys: IfsSystem, depth: int):
-    """Float maps f_w for every depth-n word, in lexicographic word order.
+    """Entry columns (a11, a12, a21, a22, tx, ty) of the float maps f_w for
+    every depth-n word, in lexicographic word order.
 
-    Level k+1 is [f.compose(g) for f in maps for g in level k]: the same
-    right-to-left fold as compose_word, so each map is bit-identical to
-    compose_word(float system, w), at about N/(N-1) compositions per word.
+    Level k+1 composes each f_i, the slowest digit, after every level-k map
+    g: the linear parts with mul4 and the translation as A_i t_g + t_i, in
+    the operation order of AffineMap.compose.  This is the right-to-left fold
+    of compose_word, so each map is bit-identical to compose_word(float
+    system, w), at about N/(N-1) compositions per word.
     """
-    maps = [f.to_float() for f in sys.maps]
+    maps = entry_columns(sys.linear_array) + tuple(sys.translation_array.T)
     level = maps
     for _ in range(depth - 1):
-        level = [f.compose(g) for f in maps for g in level]
+        a11, a12, a21, a22, tx, ty = (c[:, None] for c in maps)
+        gx, gy = level[4], level[5]
+        level = tuple(np.ravel(c) for c in mul4((a11, a12, a21, a22), level[:4])
+                      + (a11 * gx + a12 * gy + tx, a21 * gx + a22 * gy + ty))
     return level
 
 
@@ -131,11 +140,7 @@ def _cylinder_vertices(sys: IfsSystem, polygon: Polygon, depth: int):
     float images f_w(polygon), ordered as Polygon orders them: reversed where
     the shoelace sum, taken left to right, is negative."""
     vx, vy = np.array(polygon.to_float().vertices).T
-    coef = np.array(
-        [(f.linear.a11, f.linear.a12, f.linear.a21, f.linear.a22) + f.translation
-         for f in _cylinder_maps(sys, depth)]
-    )
-    a11, a12, a21, a22, tx, ty = (c[:, None] for c in coef.T)
+    a11, a12, a21, a22, tx, ty = (c[:, None] for c in _cylinder_maps(sys, depth))
     xs = a11 * vx + a12 * vy + tx
     ys = a21 * vx + a22 * vy + ty
     xs_b, ys_b = np.roll(xs, -1, axis=1), np.roll(ys, -1, axis=1)
@@ -226,7 +231,6 @@ def render_chaos(
     sys: IfsSystem,
     spec: RenderSpec,
     weights: Optional[BernoulliWeights] = None,
-    burn_in: int = 100,
 ) -> np.ndarray:
     """Chaos game: iterate randomly chosen maps and plot the orbit.
 
@@ -236,7 +240,7 @@ def render_chaos(
     """
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
-    syms = weights.draw(rng(spec.seed), spec.count + burn_in)
+    syms = weights.draw(rng(spec.seed), spec.count + CHAOS_BURN_IN)
     steps = [
         (a[0][0], a[0][1], a[1][0], a[1][1], t[0], t[1])
         for a, t in zip(sys.linear_array.tolist(), sys.translation_array.tolist())
@@ -250,13 +254,14 @@ def render_chaos(
         ys.append(py)
     x0, y0, x1, y1 = spec.viewport
     w, h = spec.width, spec.height
-    col = (np.array(xs[burn_in:]) - x0) / (x1 - x0) * w
-    row = (y1 - np.array(ys[burn_in:])) / (y1 - y0) * h
+    col = (np.array(xs[CHAOS_BURN_IN:]) - x0) / (x1 - x0) * w
+    row = (y1 - np.array(ys[CHAOS_BURN_IN:])) / (y1 - y0) * h
     # int() truncates toward zero, so 0 <= int(v) < n exactly when -1 < v < n
     inside = (col > -1) & (col < w) & (row > -1) & (row < h)
     col = col[inside].astype(np.int64)
     img = _pixel_grid(spec)
-    _paint_runs(img, row[inside].astype(np.int64), col, col, syms[burn_in:][inside] % len(PALETTE))
+    _paint_runs(img, row[inside].astype(np.int64), col, col,
+                syms[CHAOS_BURN_IN:][inside] % len(PALETTE))
     return img
 
 

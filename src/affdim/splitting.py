@@ -12,15 +12,27 @@ complement (``SplitReport.backward_cone``) are the only cones that the
 backward check and the direction routines read, and :meth:`Multicone.place`
 is the one nesting test of an image arc, forward and backward.
 
-Direction fields: e_ss depends on the forward word and is computed either by
-iterating inverse matrices (generic) or by the explicit slope series for
-lower-triangular systems with dominant second diagonal.  e_s is the mirror,
-and one routine serves both fields: e_ss takes the future word, the inverse
-maps, the backward cone and the series (-b/c, a/c), and is pinned vertical
-for a-dominant systems; e_s takes the past word from its most recent symbol,
-the forward maps, the forward cone and the series (b/a, c/a), and is pinned
-vertical for c-dominant systems.  Words are read to their end: a word too
-short for ``tol`` raises PrefixTooShort, however long it is.
+Direction fields: e_ss depends on the forward word and is computed either from
+products of inverse matrices on the certificate's cone (generic) or by the
+explicit slope series for lower-triangular systems with dominant second
+diagonal.  e_s is the mirror, and one routine serves both fields: e_ss takes
+the future word, the inverse maps, the backward cone and the series
+(-b/c, a/c), and is pinned vertical for a-dominant systems; e_s takes the past
+word from its most recent symbol, the forward maps, the forward cone and the
+series (b/a, c/a), and is pinned vertical for c-dominant systems.
+
+One route choice (:func:`_route`) and its folds serve the samplers and the
+single-word functions alike: a single word is a one-row symbol array, so
+``strong_stable_direction`` gives exactly the sampler's angle for the row that
+holds its word.  A single word is read to its end, and PrefixTooShort is
+raised unless the error bound after the whole word is below ``tol``.  Both
+bounds hold for the limit of every extension of the word:
+
+- series: the geometric tail max|num| |prefactor| / (1 - max|ratio|) of the
+  slope, with the prefactor the product of the word's ratios;
+- products: the largest |sin| gap between the product's images of the start,
+  midpoint and end of every arc of the cone, since the limit and the returned
+  image of the first arc's midpoint both lie in the image of the cone.
 """
 
 from __future__ import annotations
@@ -42,12 +54,14 @@ from .linalg2 import (
     entry_columns,
     mul4,
     proj_act,
-    proj_metric,
     renormalise4,
     singular_values,
 )
 
 DEFAULT_TOL = 1e-12
+SAMPLE_TOL = 1e-9  # direction accuracy that sets the samplers' default depth
+PROPOSAL_INFLATE = 0.01  # half-width that fattens proposed directions into arcs
+PROPOSAL_ROUNDS = 60  # image-absorbing rounds before a proposal gives up
 # per field, the triangular case that pins it vertical and the one that sums its slope series
 _PINNED = {"ss": "ADominant", "s": "CDominant"}
 _SERIES = {"ss": "CDominant", "s": "ADominant"}
@@ -109,6 +123,10 @@ class SplitReport:
     multicone: Optional[Multicone] = None  # certifying forward multicone
     margin: float = 0.0  # min angular clearance of the invariance check
     triangular: Optional[str] = None  # ADominant | CDominant when applicable
+
+    def __post_init__(self):
+        if self.verdict == "Certified" and self.multicone is None:
+            raise ValueError("a certified split carries its forward multicone")
 
     @property
     def certified(self) -> bool:
@@ -205,7 +223,7 @@ def check_multicone_invariance(sys: IfsSystem, m: Multicone, margin: float = 0.0
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
 
 
-def propose_multicone(sys: IfsSystem, inflate: float = 0.01, rounds: int = 60) -> Optional[Multicone]:
+def propose_multicone(sys: IfsSystem) -> Optional[Multicone]:
     """Best-effort forward multicone: fatten sampled attracting directions and
     absorb their images until invariant or hopeless."""
     gen = rng(1234567)
@@ -227,23 +245,24 @@ def propose_multicone(sys: IfsSystem, inflate: float = 0.01, rounds: int = 60) -
         if x != 0.0 or y != 0.0:
             angles.append(ProjPoint.from_vector(x, y).theta)
 
-    arcs = [ProjArc.around(t, inflate) for t in sorted(set(angles))]
+    arcs = [ProjArc.around(t, PROPOSAL_INFLATE) for t in sorted(set(angles))]
     arcs = _merge_arcs(arcs)
     if arcs is None:
         return None
-    for _ in range(rounds):
+    for _ in range(PROPOSAL_ROUNDS):
         try:
             cone = Multicone(tuple(arcs))
         except ValueError:
             return None
-        report = check_multicone_invariance(sys, cone, margin=inflate / 4)
+        report = check_multicone_invariance(sys, cone, margin=PROPOSAL_INFLATE / 4)
         if report.certified:
             return cone
         new_arcs = list(arcs)
         for f in sys.maps:
             for arc in arcs:
                 img = arc_image(f.linear, arc)
-                new_arcs.append(ProjArc.around(img.midpoint.theta, img.length / 2 + inflate))
+                new_arcs.append(ProjArc.around(img.midpoint.theta,
+                                               img.length / 2 + PROPOSAL_INFLATE))
         arcs = _merge_arcs(new_arcs)
         if arcs is None or sum(a.length for a in arcs) >= math.pi - 0.05:
             return None
@@ -332,24 +351,6 @@ def _slope_series(sys: IfsSystem, field: str):
     return (-b / c, a / c) if field == "ss" else (b / a, c / a)
 
 
-def _series_direction(sys: IfsSystem, field: str, word, tol: float) -> ProjPoint:
-    """The slope series summed along ``word`` until its geometric tail bound
-    max|num| |prefactor| / (1 - max|ratio|) drops below ``tol``."""
-    num, ratio = _slope_series(sys, field)
-    num_max = float(np.max(np.abs(num)))
-    r = float(np.max(np.abs(ratio)))
-    slope = 0.0
-    pref = 1.0
-    bound = num_max / (1.0 - r)
-    for s in word:
-        slope += num[s - 1] * pref
-        pref *= ratio[s - 1]
-        bound = num_max * abs(pref) / (1.0 - r)
-        if bound < tol:
-            return ProjPoint.from_slope(slope)
-    raise PrefixTooShort(f"series tail bound {bound:.3g} above tol {tol}")
-
-
 def strong_stable_direction(
     sys: IfsSystem,
     prefix: Sequence[int],
@@ -359,10 +360,12 @@ def strong_stable_direction(
 ) -> ProjPoint:
     """Strong-stable direction e_ss for a one-sided forward word.
 
-    ``method``: "auto" picks the exact triangular shortcuts when available,
+    ``method``: "auto" takes the samplers' route (pinned, series or products),
     "series" forces the slope series (triangular c-dominant only), "iterate"
-    forces inverse-matrix iteration.  Raises PrefixTooShort when the word is
-    consumed before the tail bound drops below ``tol``.
+    forces the inverse-matrix products on the certificate's backward cone.
+    The whole word is read; PrefixTooShort is raised when the error bound
+    after it, which bounds the distance to the limit of every extension of
+    the word, is not below ``tol``.
     """
     split = _require_certified(sys, split)
     validate_word(sys, prefix)
@@ -388,58 +391,57 @@ def stable_direction(
 
 def _direction(sys, field, word, tol, split, method) -> ProjPoint:
     """e_ss (``field`` "ss", future word) or e_s ("s", past word from its
-    most recent symbol): pinned vertical, the slope series, or nested images
-    of the certificate's backward cone under inverse maps ("ss") or of its
-    forward cone under forward maps ("s")."""
-    if method == "auto" and split.triangular == _PINNED[field]:
+    most recent symbol): the route's folds on the one-row symbol array of
+    ``word``, checked against ``tol`` with the route's error bound."""
+    route = _route(sys, split, field, method)
+    if route is None:
         return ProjPoint(math.pi / 2)
+    fold, angles, error = route
+    folded = fold(np.array([word], dtype=np.intp) - 1)
+    bound = error(folded)
+    if not bound < tol:
+        raise PrefixTooShort(f"error bound {bound:.3g} after {len(word)} symbols above tol {tol}")
+    return ProjPoint(float(angles(folded)[0]))
+
+
+def _route(sys, split, field, method="auto"):
+    """The route to e_ss (``field`` "ss") or e_s ("s"): None when the field is
+    pinned vertical, else (fold, angles, error).  ``fold`` reads a
+    (count, depth) array of 0-based symbols, one word per row, ``angles``
+    turns what it returns into angles in [0, pi), and ``error`` gives the
+    error bound of a one-row fold (see the module docstring)."""
+    if method == "auto" and split.triangular == _PINNED[field]:
+        return None
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
-        return _series_direction(sys, field, word, tol)
+        num, ratio = _slope_series(sys, field)
+        return (lambda syms: _series_fold(num, ratio, syms),
+                lambda folded: np.mod(np.arctan(folded[0]), math.pi),
+                lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0]))
+                / (1.0 - float(np.max(np.abs(ratio)))))
     if method == "series":
         case = _SERIES[field][0].lower()
         raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
-    if field == "ss":
-        return _iterate_direction(sys, word, tol, split.backward_cone, inverse=True)
-    return _iterate_direction(sys, word, tol, split.multicone, inverse=False)
-
-
-def _iterate_direction(sys, word, tol, cone, inverse):
-    """Nested-image iteration: right-multiply the running product by the next
-    (inverse) matrix and stop when the image of the reference arc has
-    projective diameter below tol."""
-    if cone is not None:
-        ref_arc = cone.arcs[0]
-        seeds = None
+    cols = entry_columns(sys.linear_array)
+    if field == "ss":  # inverse maps applied to the backward cone
+        cone = split.backward_cone
+        det = det4(cols)
+        cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
     else:
-        ref_arc = None
-        seeds = (ProjPoint(0.4), ProjPoint(0.4 + math.pi / 2))
-    prod = Mat2.identity()
-    prev = None
-    for s in word:
-        m = sys.maps[s - 1].linear.to_float()
-        prod = prod @ (m.inverse() if inverse else m)
-        mx = max(abs(e) for e in prod.entries())
-        prod = prod.scaled(1.0 / mx)
-        if ref_arc is not None:
-            img = arc_image(prod, ref_arc)
-            if math.sin(img.length) < tol and img.length < 0.1:
-                return img.midpoint
-        else:
-            pts = [proj_act(prod, p) for p in seeds]
-            if prev is not None:
-                incs = [proj_metric(a, b) for a, b in zip(pts, prev)]
-                agree = proj_metric(pts[0], pts[1])
-                if max(incs) < tol and agree < 10 * tol:
-                    return pts[0]
-            prev = pts
-    raise PrefixTooShort(f"no convergence to tol {tol} within {len(word)} symbols")
+        cone = split.multicone
+    seed = cone.seed_point().to_vector()
+
+    def error(prod):
+        ends = [p.to_vector() for a in cone.arcs for p in (a.start, a.midpoint, a.end)]
+        t = _image_angles(prod, np.array(ends).T)
+        return float(np.max(np.abs(np.sin(t[:, None] - t))))
+
+    return (lambda syms: _product_fold(cols, syms),
+            lambda prod: _image_angles(prod, seed), error)
 
 
-def default_direction_depth(
-    sys: IfsSystem, split: SplitReport, tol: float = 1e-9, field: str = "ss"
-) -> int:
+def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss") -> int:
     """Word depth whose geometric tail bound for the direction iteration is
-    below tol; heuristic contraction rate outside the triangular cases.
+    below SAMPLE_TOL; heuristic contraction rate outside the triangular cases.
 
     ``field`` picks the target: "ss" needs depth along the future word,
     "s" along the past word; in the triangular cases one of the two fields
@@ -455,7 +457,7 @@ def default_direction_depth(
             for f in sys.maps
         )
         r = min(max(r, 1e-6), 0.97)
-    return int(min(max(math.ceil(math.log(tol) / math.log(r)), 8), 400))
+    return int(min(max(math.ceil(math.log(SAMPLE_TOL) / math.log(r)), 8), 400))
 
 
 def sample_nu_ss(
@@ -506,47 +508,42 @@ def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.
         depth = default_direction_depth(sys, split, field=field)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if split.triangular == _PINNED[field]:
+    route = _route(sys, split, field)
+    if route is None:
         return np.full(count, math.pi / 2)
-    if split.triangular == _SERIES[field]:
-        num, ratio = _slope_series(sys, field)
-
-        def angles(syms):
-            slopes = np.zeros(len(syms))
-            pref = np.ones(len(syms))
-            for k in range(depth):
-                i = syms[:, k]
-                slopes += num[i] * pref
-                pref = pref * ratio[i]
-            return np.mod(np.arctan(slopes), math.pi)
-
-    else:
-        cols = entry_columns(sys.linear_array)
-        if field == "ss":  # inverse maps applied to the backward cone's seed
-            cone, fallback = split.backward_cone, 0.4
-            det = det4(cols)
-            cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
-        else:
-            cone, fallback = split.multicone, 1.1
-        seed_theta = cone.seed_point().theta if cone is not None else fallback
-
-        def angles(syms):
-            return _product_angles(cols, syms, seed_theta)
-
+    fold, angles, _ = route
     stream = 0 if field == "ss" else 1
-    return draw_blockwise(weights, rng(rng_seed, stream=stream), count, depth, angles)
+    return draw_blockwise(weights, rng(rng_seed, stream=stream), count, depth,
+                          lambda syms: angles(fold(syms)))
 
 
-def _product_angles(cols, syms, seed_theta: float) -> np.ndarray:
-    """Angles in [0, pi) of M_{s_1} ... M_{s_depth} applied to the seed
-    direction, one product per row of ``syms``, renormalised every step;
-    ``cols`` holds the per-symbol entries of the M_i."""
+def _series_fold(num, ratio, syms) -> tuple:
+    """(slopes, prefactors), one per row of ``syms``: the slope series summed
+    over the row's word and the product of its ratios."""
+    slopes = np.zeros(len(syms))
+    pref = np.ones(len(syms))
+    for k in range(syms.shape[1]):
+        i = syms[:, k]
+        slopes += num[i] * pref
+        pref = pref * ratio[i]
+    return slopes, pref
+
+
+def _product_fold(cols, syms) -> tuple:
+    """M_{s_1} ... M_{s_depth}, one product per row of ``syms``, renormalised
+    every step; ``cols`` holds the per-symbol entries of the M_i."""
     count = len(syms)
     p = (np.ones(count), np.zeros(count), np.zeros(count), np.ones(count))
     for k in range(syms.shape[1]):
         i = syms[:, k]
         p, _ = renormalise4(mul4(p, tuple(c[i] for c in cols)))
-    vx, vy = math.cos(seed_theta), math.sin(seed_theta)
+    return p
+
+
+def _image_angles(p, v) -> np.ndarray:
+    """Angles in [0, pi) of the images P v of the vectors v = (vx, vy), the
+    products and the vectors broadcast against each other."""
+    vx, vy = v
     wx = p[0] * vx + p[1] * vy
     wy = p[2] * vx + p[3] * vy
     return np.mod(np.arctan2(wy, wx), math.pi)

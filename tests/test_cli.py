@@ -18,6 +18,14 @@ SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
 GOLDEN_SEC44_CYL_128 = "9b6a035dba7c6c17f2ff008f0fd7d0a8d6db090afe20b51aec273bb4773106d3"
 GOLDEN_PHIC_CHAOS_128 = "f2320b4946b19c81798f1941447d67561344a951c9291a0d24abdf6c436bb1bb"
 GOLDEN_PHIC_CYL_192 = "21103212c88ac1e06a85636b08d6f224307a4934c5fbe5ed338d30f4957430f3"
+# sha256 of whole P6 files at the default 512x512 raster, recorded while the
+# cylinder maps were still composed one AffineMap at a time
+DEEP_CYLINDER_P6_SHA256 = [
+    (["--example", "sec44", "--depth", "8"],
+     "8a59811edd6d189a159c4f322c9163d0e3ae73dd3949994fb29abe1c5266837f"),
+    (["--example", "phi-c", "--param", "c=1/4", "--depth", "5"],
+     "1d30a8553d36379a8510add923fbd85e1b5e04a0cccc42ea6f900e4f93a5ebbb"),
+]
 # stdout of `analyze --seed 7` on systems that keep the finite-depth pressure
 HL_DEMO_SEED_7_SHA256 = "80611e32f26835145b2ab7ccdc040373afcb1f8f9fb6b278cc8642c2abe6ca52"
 TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
@@ -334,9 +342,9 @@ class TestComputeOnce:
         assert len(bno) == 1
 
     def test_hl_demo_monte_carlo_once(self, monkeypatch, capsys):
-        import affdim.dimension
+        import affdim.ergodic
 
-        runs = count_calls(monkeypatch, affdim.dimension, "lyapunov_monte_carlo")
+        runs = count_calls(monkeypatch, affdim.ergodic, "lyapunov_monte_carlo")
         code, out, _ = run_cli(["analyze", "--example", "hl-demo"], capsys)
         assert code == 2
         assert out.count("stderr-chi-s: ") == 2  # both targets use MC exponents
@@ -453,6 +461,14 @@ class TestRender:
         # the depth-6 parallelogram union covers a visible share of the square
         arr = np.frombuffer(pixels, dtype=np.uint8).reshape(192, 192, 3)
         assert int((arr != 255).any(axis=2).sum()) > 3000
+
+    @pytest.mark.parametrize("args, digest", DEEP_CYLINDER_P6_SHA256,
+                             ids=["sec44-depth-8", "phi-c-depth-5"])
+    def test_deep_cylinders_pinned(self, args, digest, capsys, tmp_path):
+        out = tmp_path / "cyl.ppm"
+        code, _, _ = run_cli(["render", *args, "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_example_library_names(self):
         from affdim.library import example_names

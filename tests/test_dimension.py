@@ -165,10 +165,6 @@ class TestBackwardNonOverlapping:
     def split(self, multicone=QUADRANT):
         return SplitReport("Certified", method="MulticoneCheck", multicone=multicone)
 
-    def test_unknown_without_multicone(self):
-        sysm, _, _ = hl_demo()
-        assert backward_non_overlapping(sysm, self.split(None)) == "Unknown"
-
     def test_image_starting_outside_the_backward_cone_fails(self):
         # the inverse turns [pi/2, pi] clockwise by 0.3: its start leaves the cone
         sysm = IfsSystem((AffineMap(Mat2.rotation(0.3).scaled(0.5), (0, 0)),))

@@ -171,3 +171,14 @@ class TestMergedDuplicates:
         lo, hi = ifs.hull()
         assert lo == pytest.approx(-27 / 19, abs=1e-12)
         assert hi == pytest.approx(27 / 19, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [-0.95, -0.99])
+    def test_hull_is_invariant_for_slow_reflections(self, beta):
+        # the ends grow by a factor |beta| per round, so these need far more
+        # rounds than the symmetric family to settle
+        ifs = LineIfs(((beta, 0.0), (beta, 1.0)))
+        lo, hi = ifs.hull()
+        for b, g in ifs.maps:
+            assert lo <= b * lo + g <= hi and lo <= b * hi + g <= hi
+        # the true hull of x -> beta x + {0, 1} is [beta, 1] / (1 - beta^2)
+        assert (lo, hi) == pytest.approx((beta / (1 - beta * beta), 1 / (1 - beta * beta)))

@@ -110,13 +110,15 @@ def _words(n, depth):
 
 
 @pytest.mark.parametrize("name, params, depth", [
-    ("sec44", {}, 4), ("hl-demo", {}, 5), ("phi-c", {"c": "1/4"}, 3),
+    ("sec44", {}, 4), ("hl-demo", {}, 5), ("phi-c", {"c": "1/4"}, 3), ("sec44", {}, 8),
 ])
 def test_cylinder_maps_equal_compose_word(name, params, depth):
     sysm = get_example(name, params).system
     float_sys = IfsSystem(tuple(f.to_float() for f in sysm.maps))
-    want = [compose_word(float_sys, w) for w in _words(sysm.n, depth)]
-    assert render._cylinder_maps(sysm, depth) == want
+    want = [f.linear.entries() + f.translation
+            for f in (compose_word(float_sys, w) for w in _words(sysm.n, depth))]
+    columns = render._cylinder_maps(sysm, depth)
+    assert list(zip(*(c.tolist() for c in columns))) == want
 
 
 def _reflecting_system():

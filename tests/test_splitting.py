@@ -171,20 +171,6 @@ class TestStrongStableDirection:
             it = strong_stable_direction(sysm, w, tol=tol, method="iterate")
             assert proj_metric(s, it) < 10 * tol
 
-    def test_iterate_without_cone_uses_paired_seeds(self):
-        # a certificate without an attached multicone forces the two-seed
-        # convergence path; it must still land on the series value
-        from affdim.splitting import SplitReport
-
-        sysm = triangular_system([(0.125, 0.5, 0.25), (0.125, -0.25, 0.25)])
-        bare = SplitReport("Certified")
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            w = tuple(int(x) for x in rng.integers(1, 3, size=200))
-            it = strong_stable_direction(sysm, w, tol=1e-11, split=bare, method="iterate")
-            series = strong_stable_direction(sysm, w, tol=1e-11, method="series")
-            assert proj_metric(it, series) < 1e-9
-
     def test_iterate_reads_words_of_any_length(self):
         # |a/c| = 0.999 contracts so slowly that convergence to 1e-10 takes
         # more than 10,000 symbols; the whole word is read, not a prefix
@@ -420,3 +406,98 @@ class TestDominationProperties:
         slope = (max_gap[ns[-1]] - max_gap[ns[0]]) / (ns[-1] - ns[0])
         assert slope < 0.02
         assert max(max_gap.values()) < 2.0
+
+
+def _rotated_diagonal():
+    from test_cli import PROPOSED_CONE_CONFIGS
+
+    from affdim.ifs import parse_system
+
+    return parse_system(PROPOSED_CONE_CONFIGS["rotated-diagonal"]).system
+
+
+def _thin_rotated_pair():
+    """diag(1/5, 1/100) and its conjugate by the rotation (3/5, 4/5): the
+    proposal certifies it with a multi-arc cone."""
+    d = Mat2.diagonal(F(1, 5), F(1, 100))
+    r = Mat2(F(3, 5), F(-4, 5), F(4, 5), F(3, 5))
+    rt = Mat2(F(3, 5), F(4, 5), F(-4, 5), F(3, 5))
+    return IfsSystem((AffineMap(d, (F(0), F(0))), AffineMap(r @ (d @ rt), (F(1, 2), F(1, 2)))))
+
+
+class TestSingleWordAgreesWithSampler:
+    """strong_stable_direction and stable_direction on one word give the
+    angle that the sampler gives for the row that holds that word."""
+
+    @pytest.mark.parametrize("case", ["hl-demo", "sec44", "phi-c", "rotated-diagonal"])
+    def test_rows_match(self, case):
+        from affdim.ifs import rng
+
+        if case == "rotated-diagonal":
+            sysm = _rotated_diagonal()
+            w = BernoulliWeights.uniform(sysm.n)
+        else:
+            sysm, w, _ = {"hl-demo": hl_demo, "sec44": sec44,
+                          "phi-c": lambda: phi_c(F(1, 4))}[case]()
+        depth, count, split = 80, 12, certify(sysm)
+        for stream, sampler, single in ((0, sample_nu_ss_angles, strong_stable_direction),
+                                        (1, sample_e_s_angles, stable_direction)):
+            angles = sampler(sysm, w, depth, count, 5, split)
+            rows = w.draw(rng(5, stream), (count, depth)) + 1
+            for row, angle in zip(rows, angles):
+                # the sampler's e_s rows run into the past; stable_direction
+                # takes its word oldest symbol first
+                word = tuple(int(s) for s in (row if stream == 0 else row[::-1]))
+                got = single(sysm, word, tol=1e-6, split=split).theta
+                gap = abs(got - angle)
+                assert min(gap, math.pi - gap) <= 1e-14
+
+
+class TestWholeConeBound:
+    """``tol`` bounds the distance to the limit of every extension of the
+    word, on a multi-arc cone where the first arc alone says too little."""
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    def test_within_tol_of_every_extension(self, tol):
+        sysm = _thin_rotated_pair()
+        split = certify(sysm)
+        assert len(split.multicone.arcs) > 1
+        rng = np.random.default_rng(43)
+        returned = 0
+        for _ in range(30):
+            w = tuple(int(x) for x in rng.integers(1, 3, size=int(rng.integers(2, 12))))
+            # e_ss extends the future word and folds inverse maps on the
+            # backward cone; e_s extends the past and folds forward maps on
+            # the forward cone, most recent symbol first
+            for single, extended, cone, inverse in (
+                (strong_stable_direction, lambda e: w + e, split.backward_cone, True),
+                (stable_direction, lambda e: (e + w)[::-1], split.multicone, False),
+            ):
+                try:
+                    got = single(sysm, w, tol=tol, split=split)
+                except PrefixTooShort:
+                    continue
+                returned += 1
+                for _ in range(5):
+                    ext = tuple(int(x) for x in rng.integers(1, 3, size=80))
+                    limit = self.product_limit(sysm, extended(ext), cone, inverse)
+                    assert proj_metric(got, limit) < tol
+        assert returned > 20
+
+    @staticmethod
+    def product_limit(sysm, word, cone, inverse):
+        """The cone's seed under M_{w_1} ... M_{w_n}, folded on Mat2: an
+        independent reference for the limit of a long word."""
+        prod = Mat2.identity()
+        for s in word:
+            m = sysm.maps[s - 1].linear.to_float()
+            prod = prod @ (m.inverse() if inverse else m)
+            prod = prod.scaled(1.0 / max(abs(e) for e in prod.entries()))
+        return ProjPoint.from_vector(*prod.apply(cone.seed_point().to_vector()))
+
+
+def test_certified_split_needs_its_cone():
+    from affdim.splitting import SplitReport
+
+    with pytest.raises(ValueError, match="multicone"):
+        SplitReport("Certified")
