@@ -310,84 +310,101 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _analyze_flags(p):
+    p.add_argument("--target", choices=("measure", "attractor", "both"), default="both")
+    p.add_argument("--out", help="also write the report to a file")
+    p.add_argument("--json", metavar="PATH", help="also write a JSON document")
+    p.add_argument("--hochman-depth", type=int, default=None)
+    p.add_argument("--mc-n", type=int, default=1000)
+    p.add_argument("--mc-trials", type=int, default=1000)
+    p.add_argument("--subsystem-exclude", metavar="SYMS",
+                   help="analyze the depth-n subsystem dropping this word "
+                        "class, e.g. 4,6 (lower bound for the full system)")
+    p.add_argument("--subsystem-depth", type=int, default=1)
+
+
+def _pressure_flags(p):
+    p.add_argument("--n", help="comma-separated depth schedule, e.g. 2,4,8")
+    p.add_argument("--out")
+
+
+def _lyapunov_flags(p):
+    p.add_argument("--mc-n", type=int, default=1000)
+    p.add_argument("--mc-trials", type=int, default=1000)
+    p.add_argument("--bits", action="store_true", help="display in bits instead of nats")
+    p.add_argument("--out")
+
+
+def _directions_flags(p):
+    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--out")
+
+
+def _hochman_flags(p):
+    p.add_argument("--maps", help='line maps "beta,gamma;beta,gamma;..." (rationals)')
+    p.add_argument("--derive", choices=("x", "direction"), default="direction",
+                   help="derive the line system from a planar config")
+    p.add_argument("--n", default="6", help="max depth or depth range, e.g. 6 or 3..6")
+    p.add_argument("--out")
+
+
+def _boxdim_flags(p):
+    p.add_argument("--count", type=int, default=200_000)
+    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--k-min", type=int, default=3)
+    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--out")
+
+
+def _ssc_flags(p):
+    p.add_argument("--out")
+
+
+def _render_flags(p):
+    p.add_argument("--out", required=False)
+    p.add_argument("--width", type=int, default=512)
+    p.add_argument("--height", type=int, default=512)
+    p.add_argument("--mode", choices=("cylinders", "chaos"), default="cylinders")
+    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--count", type=int, default=100_000)
+    p.add_argument("--viewport", help="x0,y0,x1,y1 in plane coordinates")
+
+
+# name -> (help, handler, flags after the source flags)
+COMMANDS = {
+    "analyze": ("certified dimension report", cmd_analyze, _analyze_flags),
+    "pressure": ("finite-depth pressure roots", cmd_pressure, _pressure_flags),
+    "lyapunov": ("entropy, exponents and Lyapunov dimension", cmd_lyapunov, _lyapunov_flags),
+    "directions": ("sample the strong-stable direction field", cmd_directions,
+                   _directions_flags),
+    "hochman": ("separation quantities of a line system", cmd_hochman, _hochman_flags),
+    "boxdim": ("box-counting estimate on sampled points", cmd_boxdim, _boxdim_flags),
+    "ssc": ("strong separation check against the polygon", cmd_ssc, _ssc_flags),
+    "render": ("write a P6 image of the attractor", cmd_render, _render_flags),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command is registered, but only the
+    first one named in ``argv`` gets its flags, since argparse parses no
+    other.  The top-level help and errors list the commands alone either way.
+    """
     p = _Parser(prog="affdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="certified dimension report")
-    _add_source_flags(pa)
-    pa.add_argument("--target", choices=("measure", "attractor", "both"), default="both")
-    pa.add_argument("--out", help="also write the report to a file")
-    pa.add_argument("--json", metavar="PATH", help="also write a JSON document")
-    pa.add_argument("--hochman-depth", type=int, default=None)
-    pa.add_argument("--mc-n", type=int, default=1000)
-    pa.add_argument("--mc-trials", type=int, default=1000)
-    pa.add_argument("--subsystem-exclude", metavar="SYMS",
-                    help="analyze the depth-n subsystem dropping this word "
-                         "class, e.g. 4,6 (lower bound for the full system)")
-    pa.add_argument("--subsystem-depth", type=int, default=1)
-    pa.set_defaults(fn=cmd_analyze)
-
-    pp = sub.add_parser("pressure", help="finite-depth pressure roots")
-    _add_source_flags(pp)
-    pp.add_argument("--n", help="comma-separated depth schedule, e.g. 2,4,8")
-    pp.add_argument("--out")
-    pp.set_defaults(fn=cmd_pressure)
-
-    pl = sub.add_parser("lyapunov", help="entropy, exponents and Lyapunov dimension")
-    _add_source_flags(pl)
-    pl.add_argument("--mc-n", type=int, default=1000)
-    pl.add_argument("--mc-trials", type=int, default=1000)
-    pl.add_argument("--bits", action="store_true", help="display in bits instead of nats")
-    pl.add_argument("--out")
-    pl.set_defaults(fn=cmd_lyapunov)
-
-    pd = sub.add_parser("directions", help="sample the strong-stable direction field")
-    _add_source_flags(pd)
-    pd.add_argument("--count", type=int, default=1000)
-    pd.add_argument("--depth", type=int, default=None)
-    pd.add_argument("--out")
-    pd.set_defaults(fn=cmd_directions)
-
-    ph = sub.add_parser("hochman", help="separation quantities of a line system")
-    _add_source_flags(ph)
-    ph.add_argument("--maps", help='line maps "beta,gamma;beta,gamma;..." (rationals)')
-    ph.add_argument("--derive", choices=("x", "direction"), default="direction",
-                    help="derive the line system from a planar config")
-    ph.add_argument("--n", default="6", help="max depth or depth range, e.g. 6 or 3..6")
-    ph.add_argument("--out")
-    ph.set_defaults(fn=cmd_hochman)
-
-    pb = sub.add_parser("boxdim", help="box-counting estimate on sampled points")
-    _add_source_flags(pb)
-    pb.add_argument("--count", type=int, default=200_000)
-    pb.add_argument("--depth", type=int, default=40)
-    pb.add_argument("--k-min", type=int, default=3)
-    pb.add_argument("--k-max", type=int, default=8)
-    pb.add_argument("--out")
-    pb.set_defaults(fn=cmd_boxdim)
-
-    ps = sub.add_parser("ssc", help="strong separation check against the polygon")
-    _add_source_flags(ps)
-    ps.add_argument("--out")
-    ps.set_defaults(fn=cmd_ssc)
-
-    pr = sub.add_parser("render", help="write a P6 image of the attractor")
-    _add_source_flags(pr)
-    pr.add_argument("--out", required=False)
-    pr.add_argument("--width", type=int, default=512)
-    pr.add_argument("--height", type=int, default=512)
-    pr.add_argument("--mode", choices=("cylinders", "chaos"), default="cylinders")
-    pr.add_argument("--depth", type=int, default=5)
-    pr.add_argument("--count", type=int, default=100_000)
-    pr.add_argument("--viewport", help="x0,y0,x1,y1 in plane coordinates")
-    pr.set_defaults(fn=cmd_render)
+    chosen = next((a for a in argv if a in COMMANDS), None)
+    for name, (help_text, fn, add_flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            _add_source_flags(sp)
+            add_flags(sp)
+            sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (AffdimError, OSError, ValueError) as e:  # bad input: a message, not a traceback

@@ -122,6 +122,15 @@ class IfsSystem:
         return max(operator_norm(f.linear) for f in self.maps)
 
     @cached_property
+    def certificate(self):
+        """The dominated-splitting certificate of :func:`splitting.certify`,
+        computed once per system for the direction routines called without
+        one."""
+        from .splitting import certify  # splitting imports this module
+
+        return certify(self)
+
+    @cached_property
     def bounding_radius(self) -> float:
         """Radius R with |f_i(x)| <= R whenever |x| <= R; covers the attractor."""
         tmax = max(math.hypot(*map(float, f.translation)) for f in self.maps)

@@ -8,11 +8,17 @@ of the product of its symbols' multiplicities as an s-independent weight
 inside the log-sum-exp.  The merge is exact, and the enumeration cap counts
 the distinct^n words that are actually allocated.
 
-Word enumeration is level-by-level in lexicographic (leading-symbol-block)
-order with per-word renormalization, so results are deterministic and no
-product ever under- or overflows.  Finite-n roots certify the true root from
-above: submultiplicativity of the singular value function makes the
-approximants decrease along doubling depths.
+Words are enumerated in lexicographic (leading-symbol-block) order with
+per-word renormalization, so results are deterministic and no product ever
+under- or overflows.  The words' last symbols are built level by level while
+a level holds at most ``WORD_BLOCK`` words; the leading symbols are then
+prepended depth first, one block of words per node, and each leaf writes its
+slice of the three output arrays.  Every word sees the same floating-point
+operations as in a level-by-level build.  Root evaluations run in place, so
+the peak is about five float64 per word: the three outputs and two arrays of
+one evaluation.  Finite-n roots certify the true root from above:
+submultiplicativity of the singular value function makes the approximants
+decrease along doubling depths.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -44,6 +50,7 @@ from .splitting import abs_diagonals, check_triangular_split
 DEFAULT_CAP = 20_000_000
 DEFAULT_SCHEDULE = (2, 4, 8, 12)
 ROOT_TOL = 1e-12
+WORD_BLOCK = 1 << 15  # words held per level of the depth-first enumeration
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,16 @@ def _merged_linear_parts(sys: IfsSystem) -> Tuple[np.ndarray, np.ndarray]:
     return sys.linear_array[list(first.values())], np.array(list(counts.values()), dtype=float)
 
 
+def _prepend(words, a, a_logdet, a_logw):
+    """``words`` (entries, log scale, log |det|, log weight per word) with
+    one symbol prepended: ``a`` holds that symbol's entries as scalars, or
+    every symbol's as columns, which gives one block of words per symbol."""
+    e, logscale, logdet, logw = words
+    e, m = renormalise4(mul4(a, e))
+    return (tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel(),
+            np.add.outer(a_logdet, logdet).ravel(), np.add.outer(a_logw, logw).ravel())
+
+
 def word_log_singulars(
     sys: IfsSystem, n: int, cap: int = DEFAULT_CAP
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,7 +115,8 @@ def word_log_singulars(
 
     Products are renormalized per word (log scale carried separately) and
     log alpha2 is recovered from the exact per-symbol log-determinant sum,
-    so deep strongly-dominated products lose no precision.
+    so deep strongly-dominated products lose no precision.  Only the three
+    outputs are allocated at full length (see the module docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -108,23 +126,31 @@ def word_log_singulars(
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
     cols = entry_columns(A)
-    lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
     sym_logdet = np.log(np.abs(det4(cols)))
     sym_logw = np.log(mult)
 
-    e = cols
-    logscale = np.zeros(n_sym)
-    logdet = sym_logdet
-    logw = sym_logw
-    for _ in range(n - 1):
-        e, m = renormalise4(mul4(lead, e))  # A_i times every word, renormalised per word
-        e = tuple(x.ravel() for x in e)
-        logscale = (logscale + np.log(m)).ravel()
-        logdet = np.add.outer(sym_logdet, logdet).ravel()
-        logw = np.add.outer(sym_logw, logw).ravel()
+    lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
+    words = (cols, np.zeros(n_sym), sym_logdet, sym_logw)
+    depth = 1
+    while depth < n and n_sym ** (depth + 1) <= WORD_BLOCK:
+        words = _prepend(words, lead, sym_logdet, sym_logw)
+        depth += 1
+    out = tuple(np.empty(total) for _ in range(3))
 
-    log_a1 = logscale + log_alpha1(e)
-    return log_a1, logdet - log_a1, logw
+    def walk(words, depth, start):
+        if depth == n:
+            e, logscale, logdet, logw = words
+            log_a1, log_a2, log_w = (x[start:start + len(logw)] for x in out)
+            np.add(logscale, log_alpha1(e), out=log_a1)
+            np.subtract(logdet, log_a1, out=log_a2)
+            log_w[...] = logw
+            return
+        for i in range(n_sym):
+            child = _prepend(words, tuple(c[i] for c in cols), sym_logdet[i], sym_logw[i])
+            walk(child, depth + 1, start + i * n_sym ** depth)
+
+    walk(words, depth, 0)
+    return out
 
 
 def phi_log_values(log_a1: np.ndarray, log_a2: np.ndarray, s: float) -> np.ndarray:
@@ -150,12 +176,19 @@ def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     affine piece that starts at s.
     """
     log_a1, log_a2, log_w = words
-    v = phi_log_values(log_a1, log_a2, s) + log_w
-    m = float(np.max(v))
-    e = np.exp(v - m)
+    e = phi_log_values(log_a1, log_a2, s)  # a fresh array: the rest runs in place
+    e += log_w
+    m = float(np.max(e))
+    e -= m
+    np.exp(e, out=e)
     total = float(np.sum(e))
-    slope = log_a1 if s < 1.0 else log_a2 if s < 2.0 else 0.5 * (log_a1 + log_a2)
-    return (m + math.log(total)) / n, float(np.sum(e * slope)) / (total * n)
+    if s < 2.0:
+        e *= log_a1 if s < 1.0 else log_a2
+    else:
+        slope = np.add(log_a1, log_a2)
+        slope *= 0.5
+        e *= slope
+    return (m + math.log(total)) / n, float(np.sum(e)) / (total * n)
 
 
 def _depth_root(evaluate: Callable[[float], Tuple[float, float]], tol: float) -> float:

@@ -10,6 +10,7 @@ orbit points in time order) in which the last write to a pixel wins.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -246,7 +247,7 @@ def render_chaos(
         for a, t in zip(sys.linear_array.tolist(), sys.translation_array.tolist())
     ]
     px, py = (float(c) for c in sys.maps[0].fixed_point())
-    xs, ys = [], []
+    xs, ys = array("d"), array("d")  # 8 bytes per coordinate, not a boxed float
     for s in syms.tolist():
         a11, a12, a21, a22, tx, ty = steps[s]
         px, py = a11 * px + a12 * py + tx, a21 * px + a22 * py + ty
@@ -254,8 +255,8 @@ def render_chaos(
         ys.append(py)
     x0, y0, x1, y1 = spec.viewport
     w, h = spec.width, spec.height
-    col = (np.array(xs[CHAOS_BURN_IN:]) - x0) / (x1 - x0) * w
-    row = (y1 - np.array(ys[CHAOS_BURN_IN:])) / (y1 - y0) * h
+    col = (np.frombuffer(xs)[CHAOS_BURN_IN:] - x0) / (x1 - x0) * w
+    row = (y1 - np.frombuffer(ys)[CHAOS_BURN_IN:]) / (y1 - y0) * h
     # int() truncates toward zero, so 0 <= int(v) < n exactly when -1 < v < n
     inside = (col > -1) & (col < w) & (row > -1) & (row < h)
     col = col[inside].astype(np.int64)

@@ -336,7 +336,7 @@ def certify(sys: IfsSystem) -> SplitReport:
 
 def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitReport:
     if split is None:
-        split = certify(sys)
+        split = sys.certificate
     if not split.certified:
         raise NotCertified(f"dominated splitting not certified (verdict {split.verdict})")
     return split

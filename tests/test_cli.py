@@ -582,6 +582,35 @@ class TestBadInput:
         assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
 
 
+# sha256 of (stdout, stderr) at 80 columns, recorded while build_parser still
+# gave every command its flags
+HELP_SHA256 = {
+    "--help": ("612e5d48b94161dac23151e017bb343da150115cf8f3504770253f74e4f46f65", ""),
+    "analyze --help": ("c0fdb2bc057a9282cd6017ac6fab07c3c515a6da888204b0d548bfa344ee1d54", ""),
+    "pressure --help": ("634728af86efc8b180e05da0d99e9d554d32898e84e0e7f4926c6b85322dc0ed", ""),
+    "lyapunov --help": ("5a35f6edcaa8033dd050fdcd15fbbf80773fb7a2229b0d324c17ea48108e21f9", ""),
+    "directions --help": ("085c6dd3bbfe3ab3d32c907821bf235663fd91a2fd08d6305d1170934341aa71",
+                          ""),
+    "hochman --help": ("bdf9d98254528b0af6c647be9b9f805209884fb335a6e7a0f2abf09c6568928d", ""),
+    "boxdim --help": ("d8efaf70cd5b72fd4b5117668b6506a3562089191f4922b1967f8176269a796b", ""),
+    "ssc --help": ("4f7cbd1aabb74f43adffe309d59e29a9bbcbf10d990e30c2b301e266724f089e", ""),
+    "render --help": ("6f8f318510653d9be484bf761d2c1dde3780abff20a6d64c7d642f5c4bc6f6e1", ""),
+    "bogus": ("", "2c8c540ecb3a5bbb342d3e74daffe4a9a5cb86f4036b040bf4bb0cf321ac8457"),
+}
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", sorted(HELP_SHA256))
+    def test_help_and_errors_pinned(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(argv.split())
+        out, err = capsys.readouterr()
+        assert stop.value.code == (1 if argv == "bogus" else 0)
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest() if text else ""
+        assert (digest(out), digest(err)) == HELP_SHA256[argv]
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -216,15 +216,47 @@ class TestMergedSymbols:
                 got = math.exp(n * pressure_n(sysm, s, n))
                 assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("make", [
+    BIT_SYSTEMS = pytest.mark.parametrize("make", [
         lambda: phi_c(F(2, 5))[0], phi_c_subsystem, lambda: hl_demo()[0],
         lambda: sec44()[0], lambda: random_triangular_system(np.random.default_rng(3)),
     ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random"])
+
+    @BIT_SYSTEMS
     def test_bit_identical_to_a_per_symbol_loop(self, make):
         sysm = make()
         for n in (1, 2, 3, 5):
             for got, want in zip(word_log_singulars(sysm, n), per_symbol_loop(sysm, n)):
                 assert np.array_equal(got, want)
+
+    @BIT_SYSTEMS
+    def test_depth_first_blocks_bit_identical(self, make, monkeypatch):
+        # a 4-word block builds one or two levels breadth-first and walks
+        # the rest depth first
+        monkeypatch.setattr(pressure_mod, "WORD_BLOCK", 4)
+        sysm = make()
+        for n in (1, 2, 3, 5, 6, 7):
+            for got, want in zip(word_log_singulars(sysm, n), per_symbol_loop(sysm, n)):
+                assert np.array_equal(got, want)
+
+    def test_peak_memory_is_five_floats_per_word(self):
+        """The enumeration allocates only its three outputs at full length,
+        and a root evaluation at most two more arrays, whatever branch s is
+        on; tracemalloc sees numpy's buffers."""
+        import tracemalloc
+
+        sysm, n = phi_c(F(2, 5))[0], 12
+        bound = 5 * 8 * 3 ** n + 16 * 8 * pressure_mod.WORD_BLOCK
+        tracemalloc.start()
+        try:
+            words = word_log_singulars(sysm, n)
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            for s in (0.5, 1.5, 2.5):
+                tracemalloc.reset_peak()
+                pressure_mod._pressure_with_slope(words, n, s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= bound
 
     def test_enumerates_distinct_linear_parts(self):
         log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)

@@ -496,6 +496,20 @@ class TestWholeConeBound:
         return ProjPoint.from_vector(*prod.apply(cone.seed_point().to_vector()))
 
 
+def test_certificate_is_computed_once_per_system(monkeypatch):
+    import affdim.splitting as splitting_mod
+
+    from conftest import count_calls
+
+    sysm = _thin_rotated_pair()
+    proposals = count_calls(monkeypatch, splitting_mod, "propose_multicone")
+    first = strong_stable_direction(sysm, (1, 2) * 8, tol=1e-3)
+    again = stable_direction(sysm, (2, 1) * 8, tol=1e-3)
+    assert len(proposals) == 1
+    assert first == strong_stable_direction(sysm, (1, 2) * 8, tol=1e-3, split=certify(sysm))
+    assert again == stable_direction(sysm, (2, 1) * 8, tol=1e-3, split=certify(sysm))
+
+
 def test_certified_split_needs_its_cone():
     from affdim.splitting import SplitReport
 
