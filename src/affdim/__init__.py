@@ -17,6 +17,7 @@ from .ergodic import (
     ExponentTriple,
     entropy,
     lyapunov_dimension,
+    lyapunov_enclosure,
     lyapunov_monte_carlo,
     lyapunov_triangular,
 )

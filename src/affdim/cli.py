@@ -71,11 +71,12 @@ def _emit(text, out):
 
 
 def _emit_table(header, rows, comments=(), out=None):
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(format_number(c) for c in row))
-    lines.extend(f"# {c}" for c in comments)
-    _emit("\n".join(lines) + "\n", out)
+    _emit_lines(header, ("\t".join(map(format_number, row)) for row in rows), comments, out)
+
+
+def _emit_lines(header, lines, comments, out):
+    """A table whose rows are already formatted lines."""
+    _emit("\n".join(["\t".join(header), *lines, *(f"# {c}" for c in comments)]) + "\n", out)
 
 
 def _check_monte_carlo_flags(args):
@@ -196,8 +197,9 @@ def cmd_directions(args) -> int:
     sep = splitting.min_angle_separation(
         parsed.system, weights, args.depth, args.count, args.seed, split, ss_angles=angles
     )
-    rows = list(enumerate(angles.tolist()))
-    _emit_table(("i", "theta"), rows, (f"min-separation: {sep!r}",), args.out)
+    # format_number of an int is str and of a float repr: one C-level pass
+    rows = map("\t".join, zip(map(str, range(len(angles))), map(repr, angles.tolist())))
+    _emit_lines(("i", "theta"), rows, (f"min-separation: {sep!r}",), args.out)
     return 0
 
 

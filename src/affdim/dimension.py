@@ -2,9 +2,13 @@
 checks each theorem's hypotheses, and combines them into a certified report.
 
 Every measure report starts from the exponents, the Lyapunov dimension and
-the pressure root: the root of a dominated triangular system comes from the
-exact closed form (``pressure-method: closed-form``), that of any other
-system from finite-depth roots along the schedule (``pressure-history``).
+the pressure root.  The exponents of a triangular system are exact, those of
+any other certified system come from the Furstenberg enclosure over the
+certificate's multicone (``chi-s-enclosure``), and the rest from Monte Carlo
+(``ergodic.lyapunov_exponents``).  The root of a dominated triangular system
+comes from the exact closed form (``pressure-method: closed-form``), that of
+any other system from finite-depth roots along the schedule
+(``pressure-history``).
 The report is then that of the first rule of ``_RULES`` that fires, tried in
 this order, with the theorem labels each rule can fire:
 
@@ -16,7 +20,9 @@ this order, with the theorem labels each rule can fire:
 - direction data (none): states backward non-overlapping, and for triangular
   c-dominant systems the separation of the strong-stable direction system;
 - Hueter-Lalley (T4.1-HueterLalley): backward non-overlapping and bunching,
-  tried first for c-dominant systems too;
+  tried first for c-dominant systems too; with enclosed exponents the value
+  h/chi_s is certified only when the enclosure pins it within
+  ``SANDWICH_TOL``, else the report gives its interval;
 - projection (T2.8-projection): the closed-form direction dimension
   saturates (exact when the direction system separates);
 - condition4 (T4.5-app): the paired lower-bound condition;
@@ -412,7 +418,7 @@ class _Ctx:
 
     def exponents(self, weights) -> ExponentTriple:
         return self._once(("exponents", weights.p), lambda: lyapunov_exponents(
-            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed))
+            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed, self.split))
 
     def measure_report(self, weights) -> DimensionReport:
         return self._once(("measure", weights.p), lambda: _measure_report(self, weights))
@@ -597,6 +603,9 @@ def _measure_report(ctx: _Ctx, weights: BernoulliWeights) -> DimensionReport:
     if t.stderr_s:
         st.details.append(("stderr-chi-s", format_number(t.stderr_s)))
         st.assumptions.append("exponents estimated by Monte Carlo")
+    if t.enclosure is not None:
+        st.details.append(("chi-s-enclosure", f"[{t.enclosure.lo!r}, {t.enclosure.hi!r}]"))
+        st.details.append(("chi-s-enclosure-depth", str(t.enclosure.depth)))
     st.details.append(("lyapunov-dimension", format_number(st.dim_lyap)))
     for rule in _RULES:
         report = rule(st)
@@ -645,9 +654,14 @@ def _direction_data(st: _ReportState):
 
 def _hueter_lalley(st: _ReportState):
     if st.separated and st.status("one-bunched") == VERIFIED:
-        if st.t.stderr_s:
+        t = st.t
+        if t.enclosure is not None:  # a value only when the enclosure pins h/chi_s
+            lo, hi = (min(t.entropy / c, 1.0) for c in (t.enclosure.hi, t.enclosure.lo))
+            if not hi - lo < SANDWICH_TOL:
+                return st.fire(T_HL, None, (lo, hi))
+        elif t.stderr_s:
             st.assumptions.append("certified value evaluated with Monte-Carlo exponents")
-        return st.fire(T_HL, min(st.t.entropy / st.t.chi_s, 1.0))
+        return st.fire(T_HL, min(t.entropy / t.chi_s, 1.0))
 
 
 def _projection(st: _ReportState):

@@ -1,12 +1,67 @@
 """Entropy, Lyapunov exponents and the Lyapunov dimension.
 
-Exponents come in two flavors: exact closed forms for lower-triangular
-linear parts (Birkhoff averages of the log diagonal entries) and a batched
-Monte-Carlo estimator for general matrices.  The Monte-Carlo top exponent
-tracks alpha1 of renormalized random products; the second exponent is
-recovered through the exact determinant identity
+Exponents come by one of three routes, tried in this order by
+:func:`lyapunov_exponents`:
+
+- lower-triangular linear parts: exact closed forms (Birkhoff averages of
+  the log diagonal entries);
+- a certified dominated splitting: a two-sided enclosure of chi_s from
+  Furstenberg's formula over the certified forward multicone
+  (:func:`lyapunov_enclosure`).  Its midpoint is chi_s once it is
+  ``ENCLOSURE_TOL`` wide, with no random numbers; a wider enclosure clamps
+  the Monte-Carlo estimate instead;
+- anything else: a batched Monte-Carlo estimate.  The top exponent tracks
+  alpha1 of renormalized random products, drawn in blocks of about
+  ``ifs.SYMBOL_BLOCK`` symbols.
+
+The second exponent always follows from the exact determinant identity
 chi_s + chi_ss = -sum p_i log |det A_i|, which loses no precision where
 direct alpha2 tracking of long products would lose everything.
+
+The enclosure (Furstenberg & Kesten 1960; Jurga & Morris, Nonlinearity
+2019).  Write f(w) = sum_i p_i log|A_i w| for unit w.  The forward multicone
+C with A_i C inside C carries a stationary measure mu = sum_i p_i (A_i)_* mu
+of the direction walk, and chi_s = -integral of f d mu: on C every |A_u w| is
+comparable to alpha1(A_u).  Iterating the stationarity, mu gives mass p_u to
+the image A_u C of each length-n word, so -chi_s lies between sum_u p_u min f
+and sum_u p_u max f, taken over the arcs A_u(C_j) of every arc C_j of C.  The
+image of an arc is the positive cone spanned by the images of its two ends,
+so its midpoint is their bisector and its half-width h half their angle.
+The angle derivative of log|A w| is at most (alpha1^2 - alpha2^2) /
+(2 alpha1 alpha2) in modulus, so on an arc f is its midpoint value
++- h * L with L = sum_i p_i (alpha1_i^2 - alpha2_i^2) / (2 alpha1_i alpha2_i),
+which is sqrt(T^2 - 4 D^2) / (2 D) with T = tr(A^T A) and D = |det A|,
+rounded up as sqrt(T^2 - 4 D^2 + 64 u T^2) (1 + 16 u) / (2 D).  The arcs
+shrink like exp(-n (chi_ss - chi_s)), and n is raised until the bracket is
+``ENCLOSURE_TOL`` wide, stops narrowing, or ``ENCLOSURE_WORDS`` words are
+spent.  Words run over the distinct linear parts, each weighted by the sum of
+its maps' weights, in the blocks of :func:`linalg2.word_blocks`.
+
+Rounding.  With u = 2^-53, K = 2 max_i ||A_i||_F / min |A_i x| over unit x
+in C (doubled for the points' own distance from C), F = max_i
+max |log alpha_{1,2}(A_i)| (which bounds |f|), N distinct linear parts, m the
+certificate's clearance and l_j the lengths of the arcs of C, every
+half-width is padded by
+
+    eta = max_j tan(l_j / 2) / 2 * rho * (2 K + n (5 K + 1)) u + 8 u,
+    rho = max_j sin l_j / (sin(m / 2) sin(l_j - m / 2)),
+
+and each of the two sums by ((2 n + 8 + B)(F + pi L) + 4 K + 4 + (N + 4) F) u,
+B the number of word blocks.  The argument: one step x -> A_i x, the float
+entries of A_i and the renormalisation of the kernel (:func:`mul4`,
+:func:`renormalise4`) turn a direction by at most (5 K + 1) u, and the
+rounded arc ends turn by 2 u before the first step magnifies them by at most
+K.  Every exact point after the first step sits at clearance at least m in
+its host arc of C, and its float twin within eta < m / 2 of it, where rho
+bounds the density of the Hilbert metric of the arc; and no
+A_i increases Hilbert distances between arcs of C (Birkhoff).  The Hilbert
+error is thus at most rho (2 K + n (5 K + 1)) u, and an arc's Hilbert
+metric is at least 2 cot(l / 2) times its angle; 8 u covers the bisector and
+the half-angle.  The sums pad p_u (2 n roundings of rational weights), the
+products and differences of each term (8), the per-block and final
+``math.fsum`` (B + 1, each exactly rounded), and the value of f at a float
+midpoint (the last three terms).  The argument needs eta < m / 2; when that
+fails the enclosure gives up and Monte Carlo runs instead.
 """
 
 from __future__ import annotations
@@ -17,25 +72,39 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4
-from .splitting import SplitReport, abs_diagonals, sample_e_s_angles
+from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4, word_blocks
+from .pressure import WORD_BLOCK, _merged_linear_parts
+from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
-MC_BLOCK_STEPS = 256  # product steps whose symbols are drawn at once
+ENCLOSURE_TOL = 1e-10  # chi_s bracket width at which the enclosure stops
+ENCLOSURE_WORDS = 1 << 20  # words the enclosure may enumerate, all depths together
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+@dataclass(frozen=True)
+class Enclosure:
+    """chi_s lies in [lo, hi], by the depth-``depth`` words."""
+
+    lo: float
+    hi: float
+    depth: int
 
 
 @dataclass(frozen=True)
 class ExponentTriple:
-    """Entropy and Lyapunov exponents in nats, with standard errors
-    (zero for exact computations)."""
+    """Entropy and Lyapunov exponents in nats, with standard errors (zero for
+    exact and enclosed exponents) and, for enclosed ones, the enclosure."""
 
     entropy: float
     chi_s: float
     chi_ss: float
     stderr_s: float = 0.0
     stderr_ss: float = 0.0
+    enclosure: Optional[Enclosure] = None
 
     def __post_init__(self):
         if not self.chi_s > 0:
@@ -79,23 +148,23 @@ def lyapunov_monte_carlo(
 
     chi_s averages -(1/n) log alpha1 of renormalized products; chi_ss comes
     from the determinant identity, so the identity holds exactly by
-    construction and stderr_ss mirrors stderr_s.  The symbols are drawn
-    MC_BLOCK_STEPS steps at a time; the stream equals one (n, trials) draw.
+    construction and stderr_ss mirrors stderr_s.  The (n, trials) symbol
+    draw comes in :func:`ifs.symbol_blocks` of whole steps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    gen = rng(rng_seed)
     cols = entry_columns(sys.linear_array)
     e = (np.ones(trials), np.zeros(trials), np.zeros(trials), np.ones(trials))
     logscale = np.zeros(trials)
-    for start in range(0, n, MC_BLOCK_STEPS):
-        syms = weights.draw(gen, (min(MC_BLOCK_STEPS, n - start), trials))
-        for k, i in enumerate(syms, start):
+    k = 0
+    for syms in ifs.symbol_blocks(weights, rng(rng_seed), n, trials):
+        for i in syms:
             # right-multiply the running product by the step matrix
             e = mul4(e, tuple(c[i] for c in cols))
-            if (k + 1) % RENORM_EVERY == 0 or k + 1 == n:
+            k += 1
+            if k % RENORM_EVERY == 0 or k == n:
                 e, m = renormalise4(e)
                 logscale += np.log(m)
 
@@ -109,17 +178,152 @@ def lyapunov_monte_carlo(
     return ExponentTriple(entropy(weights), chi_s, d - chi_s, stderr, stderr)
 
 
+def _min_gain(cols, alpha2, cone, starts, lengths) -> np.ndarray:
+    """min |A_i x| over unit x on each arc, one row per symbol: at an end of
+    the arc, or alpha2 when the arc holds the most contracted direction."""
+    a11, a12, a21, a22 = a = tuple(c[:, None] for c in cols)
+    e11, e12, e21, e22 = mul4(a, cone)
+    # the eigenvector of A^T A for alpha2^2, a quarter turn from that for alpha1^2
+    low = 0.5 * np.arctan2(2 * (a11 * a12 + a21 * a22),
+                           a11 * a11 + a21 * a21 - a12 * a12 - a22 * a22) + 0.5 * math.pi
+    return np.where(np.mod(low - starts, math.pi) <= lengths, alpha2[:, None],
+                    np.minimum(np.hypot(e11, e21), np.hypot(e12, e22)))
+
+
+def exponent_bracket(
+    sys: IfsSystem, weights: BernoulliWeights, split: SplitReport, n: int
+) -> Optional[Tuple[float, float]]:
+    """The depth-n bracket [lo, hi] of chi_s over the certified forward
+    multicone of ``split``, padded for rounding (see the module docstring);
+    None when the rounding argument does not apply (eta >= m / 2).
+
+    Maps that share a linear part are one symbol with the summed weight.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    A, p = _merged_linear_parts(sys, weights.p)
+    n_sym = len(p)
+    cols = entry_columns(A)
+    t = sum(c * c for c in cols)  # alpha1^2 + alpha2^2
+    dt = np.abs(det4(cols))  # alpha1 alpha2
+    disc = np.maximum(t * t - 4.0 * dt * dt, 0.0)  # (alpha1^2 - alpha2^2)^2
+    alpha1 = np.sqrt((t + np.sqrt(disc)) / 2.0)
+    lip = float(np.dot(p, np.sqrt(disc + 64 * _U * t * t) / (2.0 * dt))) * (1 + 16 * _U)
+    big_f = float(np.max(np.abs(np.log([alpha1, dt / alpha1]))))
+
+    arcs = split.multicone.arcs
+    lengths = np.array([a.length for a in arcs])
+    m2 = split.margin / 2.0
+    if not m2 > 0.0:  # a triangular cone whose float check failed
+        return None
+    # each arc as the matrix [start | end] of unit vectors, ccw from start
+    starts = np.array([a.start.theta for a in arcs])
+    ends = starts + lengths
+    cone = (np.cos(starts), np.cos(ends), np.sin(starts), np.sin(ends))
+    gain = _min_gain(cols, dt / alpha1, cone, starts, lengths)
+    k = 2.0 * float(np.max(np.sqrt(t)[:, None] / gain))
+    rho = float(np.max(np.sin(lengths) / (math.sin(m2) * np.sin(lengths - m2))))
+    eta = float(np.max(np.tan(lengths / 2.0))) / 2.0 * rho * (2 * k + n * (5 * k + 1)) * _U
+    if not eta < m2:
+        return None
+    eta += 8 * _U
+    n_arcs = len(arcs)
+    lead = tuple(c[:, None, None] for c in cols)  # A_i down the rows: i is the slowest digit
+
+    def prepend(words, i):
+        e, pu = words
+        a, pa = (lead, p) if i is None else (tuple(c[i] for c in cols), p[i])
+        e, _ = renormalise4(mul4(a, e))
+        return tuple(x.reshape(-1, n_arcs) for x in e), np.multiply.outer(pa, pu).ravel()
+
+    level_one = prepend((tuple(x[None, :] for x in cone), np.ones(1)), None)
+    sums_lo, sums_hi = [], []
+    for _, (e, pu) in word_blocks(level_one, prepend, n_sym, n, WORD_BLOCK):
+        e11, e12, e21, e22 = e  # columns: the images of each arc's start and end
+        ns, ne = np.hypot(e11, e21), np.hypot(e12, e22)
+        cx, cy = e11 / ns + e12 / ne, e21 / ns + e22 / ne  # bisector: the image's midpoint
+        half = 0.5 * np.arctan2(np.abs(e11 * e22 - e12 * e21), e11 * e12 + e21 * e22)
+        cc = cx * cx + cy * cy
+        f = np.zeros_like(cx)
+        for i in range(n_sym):
+            wx = cols[0][i] * cx + cols[1][i] * cy
+            wy = cols[2][i] * cx + cols[3][i] * cy
+            f += p[i] * np.log((wx * wx + wy * wy) / cc)
+        f *= 0.5
+        spread = lip * (half + eta)
+        sums_lo.append(math.fsum(pu * np.min(f - spread, axis=1)))
+        sums_hi.append(math.fsum(pu * np.max(f + spread, axis=1)))
+    pad = ((2 * n + 8 + len(sums_lo)) * (big_f + math.pi * lip)
+           + 4 * k + 4 + (n_sym + 4) * big_f) * _U
+    return -(math.fsum(sums_hi) + pad), -(math.fsum(sums_lo) - pad)
+
+
+def lyapunov_enclosure(
+    sys: IfsSystem, weights: BernoulliWeights, split: SplitReport
+) -> Optional[Enclosure]:
+    """The narrowest :func:`exponent_bracket` found by raising the depth
+    until the bracket is ``ENCLOSURE_TOL`` wide, it stops narrowing, or the
+    next depth would exceed ``ENCLOSURE_WORDS`` words in all; None when the
+    rounding argument fails at the first depth.
+
+    The depths run 4, 8, then as far as the bracket's geometric decay between
+    the last two depths predicts the tolerance is met.
+    """
+    n_sym = len(set(f.linear for f in sys.maps))
+    runs = []  # Enclosure per depth run
+    want, left = 4, ENCLOSURE_WORDS
+    while True:
+        depth = want
+        while depth > 1 and n_sym ** depth > left:
+            depth -= 1
+        if runs and depth <= runs[-1].depth or n_sym ** depth > left:
+            break
+        bracket = exponent_bracket(sys, weights, split, depth)
+        if bracket is None:
+            break
+        left -= n_sym ** depth
+        runs.append(Enclosure(*bracket, depth))
+        width = bracket[1] - bracket[0]
+        if width <= ENCLOSURE_TOL:
+            break
+        if len(runs) == 1:
+            want = 2 * depth
+            continue
+        rate = (width / (runs[-2].hi - runs[-2].lo)) ** (1.0 / (depth - runs[-2].depth))
+        if not rate < 1.0:
+            break
+        want = depth + max(1, math.ceil(math.log(ENCLOSURE_TOL / width) / math.log(rate)))
+    return min(runs, key=lambda r: r.hi - r.lo, default=None)
+
+
 def lyapunov_exponents(
     sys: IfsSystem,
     weights: BernoulliWeights,
     mc_n: int = 1000,
     mc_trials: int = 1000,
     rng_seed: int = 0,
+    split: Optional[SplitReport] = None,
 ) -> ExponentTriple:
-    """Exact exponents when the system is triangular, Monte Carlo otherwise."""
+    """Exact exponents when the system is triangular.  When ``split``
+    certifies a dominated splitting, chi_s is enclosed: its value is the
+    enclosure's midpoint once the enclosure is ``ENCLOSURE_TOL`` wide, and
+    otherwise the Monte-Carlo estimate clamped into the enclosure.  Monte
+    Carlo alone serves every other system."""
     if sys.is_triangular():
         return lyapunov_triangular(sys, weights)
-    return lyapunov_monte_carlo(sys, weights, mc_n, mc_trials, rng_seed)
+    enc = None
+    if split is not None and split.certified:
+        enc = lyapunov_enclosure(sys, weights, split)
+    if enc is not None and enc.hi - enc.lo <= ENCLOSURE_TOL:
+        chi_s, stderr = 0.5 * (enc.lo + enc.hi), 0.0
+    else:
+        mc = lyapunov_monte_carlo(sys, weights, mc_n, mc_trials, rng_seed)
+        if enc is None:
+            return mc
+        chi_s, stderr = min(max(mc.chi_s, enc.lo), enc.hi), mc.stderr_s
+    d = det_identity_value(sys, weights)
+    chi_s = min(chi_s, d / 2.0)
+    return ExponentTriple(entropy(weights), chi_s, d - chi_s, stderr, stderr, enc)
 
 
 def lyapunov_dimension(t: ExponentTriple) -> float:
@@ -127,26 +331,3 @@ def lyapunov_dimension(t: ExponentTriple) -> float:
     if not t.chi_s > 0:
         raise BadExponents("chi_s must be positive")
     return min(2.0, t.entropy / t.chi_s, 1.0 + (t.entropy - t.chi_s) / t.chi_ss)
-
-
-def lyapunov_via_directions(
-    sys: IfsSystem,
-    weights: BernoulliWeights,
-    count: int,
-    rng_seed: int,
-    split: Optional[SplitReport] = None,
-) -> Tuple[float, float]:
-    """Cross-check of chi_s through the stable direction field:
-    -E[ log ||A_{i_0} v|| ], v unit in e_s(past), i_0 ~ weights independent.
-
-    Returns (estimate, stderr).  Needs certified dominated splitting.
-    """
-    angles = sample_e_s_angles(sys, weights, None, count, rng_seed, split)
-    i0 = weights.draw(rng(rng_seed, stream=3), count)
-    A = sys.linear_array
-    vx, vy = np.cos(angles), np.sin(angles)
-    wx = A[i0, 0, 0] * vx + A[i0, 0, 1] * vy
-    wy = A[i0, 1, 0] * vx + A[i0, 1, 1] * vy
-    vals = -0.5 * np.log(wx * wx + wy * wy)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(count))
-

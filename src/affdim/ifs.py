@@ -182,19 +182,23 @@ class BernoulliWeights:
         return out
 
 
-def draw_blockwise(weights: BernoulliWeights, gen, count: int, depth: int, kernel) -> np.ndarray:
-    """``kernel`` applied to consecutive row blocks of a (count, depth) symbol
-    draw, results concatenated along the first axis.
+def symbol_blocks(weights: BernoulliWeights, gen, count: int, depth: int):
+    """Consecutive row blocks of one (count, depth) symbol draw, each of
+    about SYMBOL_BLOCK symbols (at least one row).
 
-    The rows equal those of one ``weights.draw(gen, (count, depth))``, so a
-    kernel that treats rows independently returns the same values, while
-    the symbol and uniform arrays stay at about SYMBOL_BLOCK entries.
+    Stacked, the blocks equal ``weights.draw(gen, (count, depth))``, since
+    Philox hands out its doubles in C order.
     """
     rows = max(1, SYMBOL_BLOCK // depth)
-    starts = range(0, count, rows) if count > 0 else (0,)
-    return np.concatenate(
-        [kernel(weights.draw(gen, (min(rows, count - lo), depth))) for lo in starts]
-    )
+    for lo in range(0, count, rows):
+        yield weights.draw(gen, (min(rows, count - lo), depth))
+
+
+def draw_blockwise(weights: BernoulliWeights, gen, count: int, depth: int, kernel) -> np.ndarray:
+    """``kernel`` applied to the :func:`symbol_blocks` of a (count, depth)
+    draw, count >= 1, results concatenated along the first axis: a kernel
+    that treats rows independently returns the values of one whole draw."""
+    return np.concatenate([kernel(syms) for syms in symbol_blocks(weights, gen, count, depth)])
 
 
 def validate_word(sys: IfsSystem, word: Sequence[int]) -> None:

@@ -5,9 +5,11 @@ triangular predicates stay exact on rational input.  Anything involving a
 square root (singular values, angles) is computed in float.
 
 The batched 2x2 kernel (:func:`mul4`, :func:`renormalise4`, :func:`log_alpha1`)
-forms every word product for the pressure, the Monte-Carlo exponents and the
-direction samplers.  Each caller keeps its own renormalisation cadence, and
-that cadence is part of the output bytes: it decides the last bits.
+forms every word product for the pressure, the exponents and the direction
+samplers, and :func:`word_blocks` enumerates the words of the pressure and
+the exponent enclosure in bounded blocks.  Each caller keeps its own
+renormalisation cadence, and that cadence is part of the output bytes: it
+decides the last bits.
 """
 
 from __future__ import annotations
@@ -185,6 +187,34 @@ def log_alpha1(m) -> np.ndarray:
     dn = det4(m)
     disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
     return 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
+
+
+def word_blocks(level_one, prepend, n_sym: int, n: int, block: int):
+    """Every length-n word over ``n_sym`` symbols, in lexicographic order with
+    the leading symbol as the slowest digit, as (start, words) blocks:
+    ``start`` is the index of the block's first word.
+
+    ``level_one`` holds the one-symbol words, and ``prepend(words, i)``
+    returns ``words`` with symbol ``i`` prepended, or with every symbol
+    prepended (one block of words per symbol) when ``i`` is None.  The last
+    symbols are built level by level, at the call, while a level holds at
+    most ``block`` words; the returned generator then prepends the leading
+    symbols depth first, so each level keeps one block alive at a time.
+    """
+    words, depth = level_one, 1
+    while depth < n and n_sym ** (depth + 1) <= block:
+        words = prepend(words, None)
+        depth += 1
+    return _walk(words, depth, 0, prepend, n_sym, n)
+
+
+def _walk(words, depth, start, prepend, n_sym, n):
+    if depth == n:
+        yield start, words
+        return
+    for i in range(n_sym):
+        yield from _walk(prepend(words, i), depth + 1, start + i * n_sym ** depth,
+                         prepend, n_sym, n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ Words are enumerated in lexicographic (leading-symbol-block) order with
 per-word renormalization, so results are deterministic and no product ever
 under- or overflows.  The words' last symbols are built level by level while
 a level holds at most ``WORD_BLOCK`` words; the leading symbols are then
-prepended depth first, one block of words per node, and each leaf writes its
-slice of the three output arrays.  Every word sees the same floating-point
-operations as in a level-by-level build.  Root evaluations run in place, so
-the peak is about five float64 per word: the three outputs and two arrays of
-one evaluation.  Finite-n roots certify the true root from above:
+prepended depth first, one block of words per node
+(:func:`linalg2.word_blocks`), and each leaf writes its slice of the three
+output arrays.  Every word sees the same floating-point operations as in a
+level-by-level build.  Root evaluations run in place, so the peak is about
+five float64 per word: the three outputs and two arrays of one evaluation.  Finite-n roots certify the true root from above:
 submultiplicativity of the singular value function makes the approximants
 decrease along doubling depths.
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4
+from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4, word_blocks
 from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
@@ -86,14 +86,16 @@ class RootEstimate:
         return (n2 * r2 - n1 * r1) / (n2 - n1)
 
 
-def _merged_linear_parts(sys: IfsSystem) -> Tuple[np.ndarray, np.ndarray]:
+def _merged_linear_parts(sys: IfsSystem, per_map=None) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct linear parts in order of first appearance, as an
-    (n_sym, 2, 2) float array, and the number of maps sharing each one."""
-    first, counts = {}, {}
+    (n_sym, 2, 2) float array, and the sum of ``per_map`` (one value per map,
+    exact until the sum is rounded) over the maps sharing each one; without
+    ``per_map``, the number of those maps."""
+    first, sums = {}, {}
     for i, f in enumerate(sys.maps):
         first.setdefault(f.linear, i)
-        counts[f.linear] = counts.get(f.linear, 0) + 1
-    return sys.linear_array[list(first.values())], np.array(list(counts.values()), dtype=float)
+        sums[f.linear] = sums.get(f.linear, 0) + (1 if per_map is None else per_map[i])
+    return sys.linear_array[list(first.values())], np.array([float(v) for v in sums.values()])
 
 
 def _prepend(words, a, a_logdet, a_logw):
@@ -130,26 +132,20 @@ def word_log_singulars(
     sym_logw = np.log(mult)
 
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
-    words = (cols, np.zeros(n_sym), sym_logdet, sym_logw)
-    depth = 1
-    while depth < n and n_sym ** (depth + 1) <= WORD_BLOCK:
-        words = _prepend(words, lead, sym_logdet, sym_logw)
-        depth += 1
+
+    def prepend(words, i):
+        if i is None:
+            return _prepend(words, lead, sym_logdet, sym_logw)
+        return _prepend(words, tuple(c[i] for c in cols), sym_logdet[i], sym_logw[i])
+
+    level_one = (cols, np.zeros(n_sym), sym_logdet, sym_logw)
+    blocks = word_blocks(level_one, prepend, n_sym, n, WORD_BLOCK)
     out = tuple(np.empty(total) for _ in range(3))
-
-    def walk(words, depth, start):
-        if depth == n:
-            e, logscale, logdet, logw = words
-            log_a1, log_a2, log_w = (x[start:start + len(logw)] for x in out)
-            np.add(logscale, log_alpha1(e), out=log_a1)
-            np.subtract(logdet, log_a1, out=log_a2)
-            log_w[...] = logw
-            return
-        for i in range(n_sym):
-            child = _prepend(words, tuple(c[i] for c in cols), sym_logdet[i], sym_logw[i])
-            walk(child, depth + 1, start + i * n_sym ** depth)
-
-    walk(words, depth, 0)
+    for start, (e, logscale, logdet, logw) in blocks:
+        log_a1, log_a2, log_w = (x[start:start + len(logw)] for x in out)
+        np.add(logscale, log_alpha1(e), out=log_a1)
+        np.subtract(logdet, log_a1, out=log_a2)
+        log_w[...] = logw
     return out
 
 

@@ -27,7 +27,8 @@ DEEP_CYLINDER_P6_SHA256 = [
      "1d30a8553d36379a8510add923fbd85e1b5e04a0cccc42ea6f900e4f93a5ebbb"),
 ]
 # stdout of `analyze --seed 7` on systems that keep the finite-depth pressure
-HL_DEMO_SEED_7_SHA256 = "80611e32f26835145b2ab7ccdc040373afcb1f8f9fb6b278cc8642c2abe6ca52"
+# (hl-demo's recorded once its exponents came from the Furstenberg enclosure)
+HL_DEMO_SEED_7_SHA256 = "4effb79b9b3f4fc38f5ec87dddc5118fb3b76466ceebfdd679ae9b4e9caa67cf"
 TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
 # stdout of the commands that run the batched 2x2 product kernel, recorded
 # before the kernel replaced the per-module product loops
@@ -65,14 +66,15 @@ polygon 1 1
 polygon 0 1
 """,
 }
-# stdout of `analyze --seed 7` and `directions --count 500 --seed 3` on them
+# stdout of `analyze --seed 7` (recorded once their exponents came from the
+# Furstenberg enclosure) and `directions --count 500 --seed 3` on them
 PROPOSED_CONE_STDOUT_SHA256 = [
     ("rotated-diagonal", ["analyze", "--seed", "7"],
-     "9c54349b54e28fdc5f18561c088cb390734423df46cd779c34ef250c351b51dd"),
+     "626c857ea9a193243b6ff0d585ec9e8cc5943feee9f80e34e6afe0da66b6a44f"),
     ("rotated-diagonal", ["directions", "--count", "500", "--seed", "3"],
      "7ee350d3df3d765bf99ee28812b223f947696c710611c08d09e29ba55f09ecf9"),
     ("thin-rotated", ["analyze", "--seed", "7"],
-     "fd641095b24ffa49a35a913208c4d6d34911fb4c0e73afb390754c2a4f21851b"),
+     "9d3b6081a9dce1ebce11d2c08ef5b4121b5d09c152097f192269340af11023a5"),
     ("thin-rotated", ["directions", "--count", "500", "--seed", "3"],
      "cf52d0f4a0df2522d3515287d1c1f9a9d378d591855637843143a8e019f8b45e"),
 ]
@@ -341,14 +343,28 @@ class TestComputeOnce:
         assert len(checks) == 1
         assert len(bno) == 1
 
-    def test_hl_demo_monte_carlo_once(self, monkeypatch, capsys):
+    def test_hl_demo_enclosure_once_monte_carlo_never(self, monkeypatch, capsys):
         import affdim.ergodic
 
+        enclosures = count_calls(monkeypatch, affdim.ergodic, "lyapunov_enclosure")
         runs = count_calls(monkeypatch, affdim.ergodic, "lyapunov_monte_carlo")
         code, out, _ = run_cli(["analyze", "--example", "hl-demo"], capsys)
         assert code == 2
-        assert out.count("stderr-chi-s: ") == 2  # both targets use MC exponents
-        assert len(runs) == 1
+        assert out.count("chi-s-enclosure: ") == 2  # both targets use the enclosure
+        assert "stderr-chi-s: " not in out and "Monte" not in out
+        assert len(enclosures) == 1
+        assert len(runs) == 0
+
+    def test_hl_demo_analyze_draws_no_random_numbers(self):
+        # importing numpy.random costs ~6 MB of peak memory; a certified
+        # system's analyze never needs it
+        code = ("import sys; from affdim.cli import main; "
+                "code = main(['analyze', '--example', 'hl-demo']); "
+                "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "False\n"
 
 
     def test_directions_samples_nu_ss_once(self, monkeypatch, capsys):

@@ -258,6 +258,27 @@ class TestAnalyze:
         rep = analyze(sysm, w, polygon=poly, target="measure", rng_seed=3)
         assert rep.fired_theorem == "T4.1-HueterLalley"
         assert rep.certified_value is not None and rep.certified_value <= 1.0
+        # h / chi_s lies in [0.3009239815138, 0.3009239815143]
+        assert 0.3009239815138 <= rep.certified_value <= 0.3009239815143
+        assert rep.assumptions == ()
+
+    def test_hl_demo_wide_enclosure_gives_the_interval(self, monkeypatch):
+        # 300 words reach depth 8 only, a 3e-6 wide enclosure: no certified
+        # value, the interval, and Monte Carlo clamped into the enclosure
+        import affdim.ergodic
+
+        monkeypatch.setattr(affdim.ergodic, "ENCLOSURE_WORDS", 300)
+        sysm, w, poly = hl_demo()
+        rep = analyze(sysm, w, polygon=poly, target="measure", rng_seed=3,
+                      mc_n=200, mc_trials=50)
+        assert rep.fired_theorem == "T4.1-HueterLalley"
+        assert rep.certified_value is None
+        lo, hi = rep.certified_interval
+        assert lo <= 0.3009239815138 <= 0.3009239815143 <= hi < lo + 1e-5
+        details = dict(rep.details)
+        assert details["chi-s-enclosure-depth"] == "8"
+        assert "stderr-chi-s" in details
+        assert rep.assumptions == ("exponents estimated by Monte Carlo",)
 
     def test_phi_c_exits_at_pressure_bound(self):
         sysm, w, poly = phi_c(F(1, 4))
@@ -388,12 +409,14 @@ _CONDITION4_HYPS = _DIRECTION_HYPS + ("one-bunched", "nu-ss-saturates", "conditi
 # One case per rule that can fire: the source (an example name or the map rows
 # of a config on the unit square), the fired theorem, the hypothesis names in
 # order, and the sha256 of the stdout of `analyze --target measure --seed 7`,
-# recorded before the decision procedure became a list of rules.
+# recorded before the decision procedure became a list of rules (those of the
+# three positive systems, hl-demo, Lemma4.9 and T2.9, once their exponents came
+# from the Furstenberg enclosure).
 RULE_CASES = [
     ("sec44", "T4.5-app", _CONDITION4_HYPS,
      "d20a204ae378ad910fb4061a84d69a15064406abcca9f8222ce2ca160055dee9"),
     ("hl-demo", "T4.1-HueterLalley", _DIRECTION_HYPS + ("one-bunched",),
-     "b20ec211ba1be17084bfe21b35ce4d175adeb8ee3ff3d0843b74027f18e9c9fa"),
+     "b3b4efd79d6f3f7b9dd8550840fc21d849a148af27f196e935b337256640eb82"),
     ("phi-c", "PressureUpperBound", _BASE_HYPS,
      "5de29bfa6473ba92bf930534180f0bc869f542f20ba843d6e5a9ec551ca5cc27"),
     (("-2/25 0 1/20 4/125 17/200 3/10", "-1/25 0 -1/40 4/125 71/200 2/5",
@@ -411,7 +434,7 @@ RULE_CASES = [
      "54407456bd5b0de143431ecb2a9106ff616433f77da80c64ee197f7e49d55751"),
     (("1/8 3/40 3/20 1/10 3/20 1/2", "1/48 1/48 1/30 1/40 13/20 7/10"),
      "Lemma4.9-LowerBound", _CONDITION4_HYPS,
-     "bf6b1b0fdcc800ba5b3d73e8ee12581148767684c1699971a309631527093b2c"),
+     "ceee4a541286d879f9d253f60ae13222005cd87c7aedc993fa480f7eb178bd76"),
     # nine positive near-conformal maps on a 3x3 grid: dominated, strongly
     # separated, not backward non-overlapping, and an empirical direction
     # dimension large enough for the paired lower bound
@@ -421,7 +444,7 @@ RULE_CASES = [
       "3/10 1/50 1/25 27/100 203/300 1/100", "7/25 1/50 1/25 7/25 203/300 103/300",
       "3/10 1/100 1/50 7/25 203/300 203/300"),
      "T2.9-Falconer-Kempton", _DIRECTION_HYPS + ("nu-ss-dimension-empirical",),
-     "7ca707a5dd9f8db178393e625a936bb1065fa9801394d94b2421166d1b8f043a"),
+     "1e2123adab38cba170dc45bda517087a0bd16e1c3feb2ffa660924013b25d826"),
 ]
 
 

@@ -6,19 +6,25 @@ import pytest
 
 from conftest import random_triangular_system
 
+from test_cli import PROPOSED_CONE_CONFIGS
+
 from affdim.errors import BadExponents, NotTriangular
 from affdim.ergodic import (
+    ENCLOSURE_TOL,
     ExponentTriple,
     det_identity_value,
     entropy,
+    exponent_bracket,
     lyapunov_dimension,
+    lyapunov_enclosure,
+    lyapunov_exponents,
     lyapunov_monte_carlo,
     lyapunov_triangular,
-    lyapunov_via_directions,
 )
-from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem
+from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem, parse_system
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, singular_values
+from affdim.splitting import SplitReport, certify
 
 
 class TestEntropy:
@@ -130,14 +136,14 @@ class TestMonteCarlo:
         assert a == b
 
     def test_step_blocks_do_not_change_the_stream(self, monkeypatch):
-        """Blocks of steps reproduce one (n, trials) draw, so the block size
-        (1 step, 7, or all n at once) leaves every bit of the result."""
-        import affdim.ergodic
+        """Blocks of whole steps reproduce one (n, trials) draw, so the block
+        size (1 step, 7, or all n at once) leaves every bit of the result."""
+        import affdim.ifs
 
         sysm, w, _ = hl_demo()
         runs = []
-        for block in (1, 7, 100):
-            monkeypatch.setattr(affdim.ergodic, "MC_BLOCK_STEPS", block)
+        for symbols in (30, 7 * 30, 100 * 30):  # 1, 7 and 100 steps of 30 trials
+            monkeypatch.setattr(affdim.ifs, "SYMBOL_BLOCK", symbols)
             runs.append(lyapunov_monte_carlo(sysm, w, n=100, trials=30, rng_seed=23))
         assert runs[0] == runs[1] == runs[2]
 
@@ -175,15 +181,100 @@ class TestLyapunovDimension:
             ExponentTriple(entropy=1.0, chi_s=1.0, chi_ss=0.5)
 
 
-class TestDirectionEstimator:
-    def test_matches_chi_s_sec44(self):
-        sysm, w, _ = sec44()
-        exact = lyapunov_triangular(sysm, w)
-        est, se = lyapunov_via_directions(sysm, w, count=20_000, rng_seed=19)
-        assert abs(est - exact.chi_s) <= 3 * se + 1e-9
+def random_positive_system(rng, n_maps):
+    """Maps with entries in [0.02, 0.45]: positive, contracting, and
+    certified by the positivity route."""
+    return IfsSystem(tuple(
+        AffineMap(Mat2(*(float(x) for x in rng.uniform(0.02, 0.45, 4))), (float(k), 0.0))
+        for k in range(n_maps)
+    ))
 
-    def test_matches_chi_s_a_dominant(self):
-        sysm, w, _ = phi_c(F(1, 4))
+
+def _positive_and_proposed_cases():
+    """(system, weights): random positive systems with random weights, and
+    the multi-arc proposed-cone configs with uniform ones."""
+    rng = np.random.default_rng(67)
+    cases = []
+    for k in range(6):
+        sysm = random_positive_system(rng, int(rng.integers(2, 4)))
+        w = rng.uniform(0.2, 1.0, sysm.n)
+        cases.append(pytest.param(sysm, BernoulliWeights(tuple(w / w.sum())), id=f"positive-{k}"))
+    for name, text in PROPOSED_CONE_CONFIGS.items():
+        sysm = parse_system(text).system
+        cases.append(pytest.param(sysm, BernoulliWeights.uniform(sysm.n), id=name))
+    return cases
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("make", [sec44, lambda: phi_c(F(1, 4))], ids=["sec44", "phi-c-1/4"])
+    def test_contains_the_exact_triangular_chi_s(self, make):
+        sysm, w, _ = make()
         exact = lyapunov_triangular(sysm, w)
-        est, se = lyapunov_via_directions(sysm, w, count=20_000, rng_seed=23)
-        assert abs(est - exact.chi_s) <= 3 * se + 1e-9
+        enc = lyapunov_enclosure(sysm, w, certify(sysm))
+        assert enc.lo <= exact.chi_s <= enc.hi
+        assert enc.hi - enc.lo < 0.1 * exact.chi_s
+
+    @pytest.mark.parametrize("sysm, w", _positive_and_proposed_cases())
+    def test_nests_and_contains_monte_carlo(self, sysm, w):
+        split = certify(sysm)
+        assert split.certified and split.method in ("Positivity", "MulticoneCheck")
+        brackets = [exponent_bracket(sysm, w, split, n) for n in range(1, 9)]
+        for (lo0, hi0), (lo1, hi1) in zip(brackets, brackets[1:]):
+            # the rounding pad grows by about 1e-12 per level
+            assert lo0 - 1e-11 <= lo1 <= hi1 <= hi0 + 1e-11
+        mc = lyapunov_monte_carlo(sysm, w, n=1000, trials=200, rng_seed=29)
+        lo, hi = brackets[-1]
+        assert lo - 5 * mc.stderr_s <= mc.chi_s <= hi + 5 * mc.stderr_s
+
+    def test_hl_demo_bracket_is_narrow(self):
+        sysm, w, _ = hl_demo()
+        enc = lyapunov_enclosure(sysm, w, certify(sysm))
+        assert enc.hi - enc.lo <= ENCLOSURE_TOL
+        # h / chi_s lies in [0.3009239815138, 0.3009239815143]
+        h = entropy(w)
+        assert h / enc.hi <= 0.3009239815138 <= 0.3009239815143 <= h / enc.lo
+        t = lyapunov_exponents(sysm, w, split=certify(sysm))
+        assert 0.3009239815138 <= h / t.chi_s <= 0.3009239815143
+
+    def test_word_blocks_give_the_same_bracket(self, monkeypatch):
+        # the block size moves only the block count in the rounding pad
+        import affdim.ergodic
+
+        sysm, w, _ = hl_demo()
+        split = certify(sysm)
+        whole = exponent_bracket(sysm, w, split, 10)
+        monkeypatch.setattr(affdim.ergodic, "WORD_BLOCK", 4)
+        blocked = exponent_bracket(sysm, w, split, 10)
+        assert blocked == pytest.approx(whole, abs=1e-12)
+        assert blocked[0] <= whole[0] and whole[1] <= blocked[1]
+
+    def test_routes(self, monkeypatch):
+        sysm, w, _ = hl_demo()
+        split = certify(sysm)
+        enclosed = lyapunov_exponents(sysm, w, split=split)
+        assert enclosed.stderr_s == 0.0
+        assert enclosed.enclosure.lo <= enclosed.chi_s <= enclosed.enclosure.hi
+        assert enclosed.chi_s + enclosed.chi_ss == pytest.approx(det_identity_value(sysm, w),
+                                                                 abs=1e-14)
+        assert lyapunov_exponents(sysm, w, split=split) == enclosed  # deterministic
+        # no certificate: Monte Carlo alone
+        assert lyapunov_exponents(sysm, w, mc_n=50, mc_trials=20, rng_seed=3) == \
+            lyapunov_monte_carlo(sysm, w, 50, 20, 3)
+        # 300 words end at depth 8, wider than the tolerance: Monte Carlo
+        # clamped into the enclosure
+        import affdim.ergodic
+
+        monkeypatch.setattr(affdim.ergodic, "ENCLOSURE_WORDS", 300)
+        wide = lyapunov_exponents(sysm, w, mc_n=50, mc_trials=20, rng_seed=3, split=split)
+        assert wide.stderr_s > 0.0 and wide.enclosure.depth == 8
+        assert wide.enclosure.lo <= wide.chi_s <= wide.enclosure.hi
+
+    def test_gives_up_when_the_rounding_argument_fails(self):
+        # a clearance far below the rounding error leaves no enclosure
+        sysm, w, _ = hl_demo()
+        split = certify(sysm)
+        thin = SplitReport("Certified", split.method, split.multicone, margin=1e-18)
+        assert exponent_bracket(sysm, w, thin, 4) is None
+        assert lyapunov_enclosure(sysm, w, thin) is None
+        t = lyapunov_exponents(sysm, w, mc_n=50, mc_trials=20, rng_seed=3, split=thin)
+        assert t == lyapunov_monte_carlo(sysm, w, 50, 20, 3)
