@@ -79,11 +79,12 @@ def _emit_lines(header, lines, comments, out):
     _emit("\n".join(["\t".join(header), *lines, *(f"# {c}" for c in comments)]) + "\n", out)
 
 
-def _check_monte_carlo_flags(args):
-    if args.mc_n < 1:
-        raise AffdimError(f"bad --mc-n {args.mc_n}; need >= 1")
-    if args.mc_trials < 2:
-        raise AffdimError(f"bad --mc-trials {args.mc_trials}; need >= 2")
+def _check_flags(args, **least):
+    """Name the first flag below its least value (an unset flag passes)."""
+    for name, lo in least.items():
+        value = getattr(args, name)
+        if value is not None and value < lo:
+            raise AffdimError(f"bad --{name.replace('_', '-')} {value}; need >= {lo}")
 
 
 def _family_closed_form(args):
@@ -94,7 +95,7 @@ def _family_closed_form(args):
 
 
 def cmd_analyze(args) -> int:
-    _check_monte_carlo_flags(args)
+    _check_flags(args, mc_n=1, mc_trials=2)
     parsed = _load(args)
     weights = _weights_for(parsed)
     system = parsed.system
@@ -168,7 +169,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    _check_monte_carlo_flags(args)
+    _check_flags(args, mc_n=1, mc_trials=2)
     parsed = _load(args)
     weights = _weights_for(parsed)
     t = ergodic.lyapunov_exponents(
@@ -188,6 +189,7 @@ def cmd_lyapunov(args) -> int:
 
 
 def cmd_directions(args) -> int:
+    _check_flags(args, count=1, depth=1)
     parsed = _load(args)
     weights = _weights_for(parsed)
     split = splitting.certify(parsed.system)
@@ -258,6 +260,7 @@ def cmd_hochman(args) -> int:
 
 
 def cmd_boxdim(args) -> int:
+    _check_flags(args, count=1000, depth=1, k_min=1, k_max=args.k_min + 3)  # four scales
     parsed = _load(args)
     weights = _weights_for(parsed)
     seed_point = parsed.polygon.centroid() if parsed.polygon else (0.0, 0.0)
@@ -265,7 +268,10 @@ def cmd_boxdim(args) -> int:
         parsed.system, weights, depth=args.depth, count=args.count,
         rng_seed=args.seed, seed_point=seed_point,
     )
-    series = dimension.box_dimension_estimate(pts, args.k_min, args.k_max)
+    try:
+        series = dimension.box_dimension_estimate(pts, args.k_min, args.k_max)
+    except ValueError as e:  # the flags are checked: only k_max can be too fine
+        raise AffdimError(f"bad --k-max {args.k_max}; {e}") from None
     rows = list(zip(range(args.k_min, args.k_max + 1), series.scales, series.counts))
     comments = (f"slope: {series.slope!r}", f"r2: {series.r2!r}")
     _emit_table(("k", "scale", "count"), rows, comments, args.out)
@@ -289,6 +295,10 @@ def cmd_ssc(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.mode == "chaos":
+        _check_flags(args, count=1)  # chaos mode draws no cylinders: --depth is unused
+    else:
+        _check_flags(args, depth=1)  # and cylinders mode no orbit: --count is unused
     parsed = _load(args)
     if args.viewport:
         try:

@@ -312,19 +312,28 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
 
 def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> EstimateSeries:
     """Occupied-box counts on the dyadic grids 2^-k, k = k_min..k_max, and the
-    least-squares slope of log count against k log 2."""
+    least-squares slope of log count against k log 2.
+
+    Counts are exact at every k: the cells are exact floats, packed into one
+    exact key x 2^26 + y while |x|, |y| < 2^25, and otherwise compared as
+    complex numbers, which sort by x, then y."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     if pts.shape[0] < 1000:
         raise TooFewPoints(f"need >= 1000 points, got {pts.shape[0]}")
-    if not 1 <= k_min < k_max:
-        raise ValueError("need k_max > k_min >= 1")
+    if not 1 <= k_min <= k_max - 3:
+        raise ValueError("need k_max >= k_min + 3 >= 4 (four scales)")
+    if not np.abs(pts).max() < 2.0 ** (1024 - k_max):
+        raise ValueError("points * 2^k_max overflow float64")
     ks = list(range(k_min, k_max + 1))
     counts = []
     for k in ks:
-        cell = np.floor(pts * float(2 ** k)).astype(np.int64)
-        key = cell[:, 0] * (2 ** 32) + cell[:, 1]
+        cell = np.floor(np.ldexp(pts, k))  # exact: scaling by 2^k rounds nothing
+        if np.abs(cell).max() < 2.0 ** 25:
+            key = cell[:, 0] * 2.0 ** 26 + cell[:, 1]
+        else:
+            key = cell.view(np.complex128)
         counts.append(int(np.unique(key).size))
     x = np.array([k * math.log(2.0) for k in ks])
     y = np.log(np.array(counts, dtype=float))

@@ -13,12 +13,17 @@ per-word renormalization, so results are deterministic and no product ever
 under- or overflows.  The words' last symbols are built level by level while
 a level holds at most ``WORD_BLOCK`` words; the leading symbols are then
 prepended depth first, one block of words per node
-(:func:`linalg2.word_blocks`), and each leaf writes its slice of the three
-output arrays.  Every word sees the same floating-point operations as in a
-level-by-level build.  Root evaluations run in place, so the peak is about
-five float64 per word: the three outputs and two arrays of one evaluation.  Finite-n roots certify the true root from above:
-submultiplicativity of the singular value function makes the approximants
-decrease along doubling depths.
+(:func:`linalg2.word_blocks`), and each leaf writes its slice of the outputs.
+Every word sees the same floating-point operations as in a level-by-level
+build.  Only log alpha1 is stored for every word.  log |det| and the log
+multiplicity are per-word arrays only when the symbols' values differ;
+otherwise each is the one float that every word carries.  A root evaluation
+derives log alpha2 = log |det| - log alpha1 inside its one fresh array, and
+multiplies in the slopes one block at a time.  So the peak is two float64
+per word when the symbols share |det| and multiplicity (phi-c, sec44,
+hl-demo), and at most four otherwise.  Finite-n roots certify the true root
+from above: submultiplicativity of the singular value function makes the
+approximants decrease along doubling depths.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -98,27 +103,31 @@ def _merged_linear_parts(sys: IfsSystem, per_map=None) -> Tuple[np.ndarray, np.n
     return sys.linear_array[list(first.values())], np.array([float(v) for v in sums.values()])
 
 
-def _prepend(words, a, a_logdet, a_logw):
-    """``words`` (entries, log scale, log |det|, log weight per word) with
-    one symbol prepended: ``a`` holds that symbol's entries as scalars, or
-    every symbol's as columns, which gives one block of words per symbol."""
-    e, logscale, logdet, logw = words
-    e, m = renormalise4(mul4(a, e))
-    return (tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel(),
-            np.add.outer(a_logdet, logdet).ravel(), np.add.outer(a_logw, logw).ravel())
+def _shared_word_sum(values: np.ndarray, n: int) -> Optional[float]:
+    """The value every length-n word carries when all symbols carry the same
+    one: n copies summed as the enumeration sums them, the new symbol's on
+    the left, so it equals each word's entry bit for bit.  None when the
+    symbols' values differ."""
+    if np.any(values != values[0]):
+        return None
+    x = total = float(values[0])
+    for _ in range(n - 1):
+        total = x + total
+    return total
 
 
-def word_log_singulars(
-    sys: IfsSystem, n: int, cap: int = DEFAULT_CAP
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log alpha1, log alpha2 and log multiplicity for every length-n word over
+def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
+    """log alpha1, log |det| and log multiplicity of every length-n word over
     the distinct linear parts, in lexicographic order with the leading symbol
     as the slowest digit.
 
+    log |det| and the log multiplicity are arrays only when the symbols'
+    values differ; otherwise each is one float that equals every word's
+    entry.  log alpha2 is log |det| - log alpha1 (see :func:`phi_log_values`).
     Products are renormalized per word (log scale carried separately) and
-    log alpha2 is recovered from the exact per-symbol log-determinant sum,
-    so deep strongly-dominated products lose no precision.  Only the three
-    outputs are allocated at full length (see the module docstring).
+    log |det| is the exact per-symbol sum, so deep strongly-dominated
+    products lose no precision.  Only the outputs are allocated at full
+    length (see the module docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -128,36 +137,48 @@ def word_log_singulars(
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
     cols = entry_columns(A)
-    sym_logdet = np.log(np.abs(det4(cols)))
-    sym_logw = np.log(mult)
+    sym_sums = (np.log(np.abs(det4(cols))), np.log(mult))  # summed along each word
+    shared = [_shared_word_sum(v, n) for v in sym_sums]
+    carried = [v for v, w in zip(sym_sums, shared) if w is None]
 
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
     def prepend(words, i):
-        if i is None:
-            return _prepend(words, lead, sym_logdet, sym_logw)
-        return _prepend(words, tuple(c[i] for c in cols), sym_logdet[i], sym_logw[i])
+        e, logscale, sums = words
+        a, add = lead, carried
+        if i is not None:
+            a, add = tuple(c[i] for c in cols), [v[i] for v in carried]
+        e, m = renormalise4(mul4(a, e))
+        return (tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel(),
+                [np.add.outer(x, y).ravel() for x, y in zip(add, sums)])
 
-    level_one = (cols, np.zeros(n_sym), sym_logdet, sym_logw)
-    blocks = word_blocks(level_one, prepend, n_sym, n, WORD_BLOCK)
-    out = tuple(np.empty(total) for _ in range(3))
-    for start, (e, logscale, logdet, logw) in blocks:
-        log_a1, log_a2, log_w = (x[start:start + len(logw)] for x in out)
-        np.add(logscale, log_alpha1(e), out=log_a1)
-        np.subtract(logdet, log_a1, out=log_a2)
-        log_w[...] = logw
-    return out
+    blocks = word_blocks((cols, np.zeros(n_sym), carried), prepend, n_sym, n, WORD_BLOCK)
+    log_a1 = np.empty(total)
+    out = [np.empty(total) if w is None else w for w in shared]
+    per_word = [x for x, w in zip(out, shared) if w is None]
+    for start, (e, logscale, sums) in blocks:
+        stop = start + len(logscale)
+        np.add(logscale, log_alpha1(e), out=log_a1[start:stop])
+        for x, y in zip(per_word, sums):
+            x[start:stop] = y
+    return (log_a1, *out)
 
 
-def phi_log_values(log_a1: np.ndarray, log_a2: np.ndarray, s: float) -> np.ndarray:
-    """log phi^s per word from the stored log singular values."""
+def phi_log_values(log_a1: np.ndarray, log_det, s: float) -> np.ndarray:
+    """log phi^s per word, in one fresh array, from the stored log alpha1 and
+    log |det| (an array or one shared float)."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
     if s <= 1:
         return s * log_a1
+    e = np.subtract(log_det, log_a1)  # log alpha2
     if s <= 2:
-        return log_a1 + (s - 1.0) * log_a2
-    return (s / 2.0) * (log_a1 + log_a2)
+        e *= s - 1.0
+        e += log_a1
+    else:
+        e += log_a1
+        e *= s / 2.0
+    return e
 
 
 def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> float:
@@ -171,19 +192,24 @@ def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     The derivative is the softmax-weighted mean of the per-word slopes of the
     affine piece that starts at s.
     """
-    log_a1, log_a2, log_w = words
-    e = phi_log_values(log_a1, log_a2, s)  # a fresh array: the rest runs in place
+    log_a1, log_det, log_w = words
+    e = phi_log_values(log_a1, log_det, s)  # a fresh array: the rest runs in place
     e += log_w
     m = float(np.max(e))
     e -= m
     np.exp(e, out=e)
     total = float(np.sum(e))
-    if s < 2.0:
-        e *= log_a1 if s < 1.0 else log_a2
-    else:
-        slope = np.add(log_a1, log_a2)
-        slope *= 0.5
-        e *= slope
+    if s < 1.0:
+        e *= log_a1
+    else:  # slope log alpha2, or its mean with log alpha1, one block at a time
+        log_det = np.broadcast_to(log_det, e.shape)
+        for start in range(0, e.size, WORD_BLOCK):
+            block = slice(start, start + WORD_BLOCK)
+            slope = np.subtract(log_det[block], log_a1[block])
+            if s >= 2.0:
+                slope += log_a1[block]
+                slope *= 0.5
+            e[block] *= slope
     return (m + math.log(total)) / n, float(np.sum(e)) / (total * n)
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import TIE_CONFIG, count_calls, six_distinct_maps_system
 
 from affdim.cli import main
-from affdim.ifs import parse_system, serialize_system
+from affdim.ifs import BernoulliWeights, parse_system, sample_measure, serialize_system
 from affdim.library import sec44
 from affdim.splitting import certify
 
@@ -45,6 +45,26 @@ KERNEL_STDOUT_SHA256 = [
      "50f40b36fcb4f247351b8095079f4bd23a1e41dde29ba2e0974f40f84b66efb5"),
     (["pressure", "--example", "phi-c", "--param", "c=2/5"],
      "3587ff8f6c6cd6c692b8b92c4a81cfc377c87f467242248112a3e21e2ec8b5ec"),
+]
+
+# a config whose symbols differ in |det| and in multiplicity: maps 1 and 3
+# share a linear part
+MIXED_CONFIG = """label mixed
+map 1/2 0 1/8 1/2 0 0
+map 1/3 0 1/5 1/4 1/2 0
+map 1/2 0 1/8 1/2 0 1/2
+"""
+# stdout of `pressure`, recorded while every word still stored log alpha2
+# (phi-c c=2/5 at the default schedule is pinned in KERNEL_STDOUT_SHA256)
+PRESSURE_STDOUT_SHA256 = [
+    (["--example", "hl-demo"],
+     "523158436e78fe3a097cdd65128a2ee765d826d9a98e8ef9700e247f7d888620"),
+    (["--example", "sec44", "--n", "8"],
+     "6d72e568dc43876069507a6d21af9d04bf447278b74e87fadd6a026e5505c269"),
+    (["--config", TIE_CONFIG],  # unequal |det|, one map per linear part
+     "48ce2898c3169f249d228174ace0a4934e7b979631e4cbd0be3d56e3d6843540"),
+    (["--config", MIXED_CONFIG],
+     "7a537bb11c94ee338fa4c6917b5d81fbe280f344c67d575faecc8bd03376fdb6"),
 ]
 
 # non-triangular, non-positive rational systems that only the multicone
@@ -271,6 +291,41 @@ class TestTableCommands:
         assert code == 0
         assert any(l.startswith("# slope:") for l in out.splitlines())
 
+    @staticmethod
+    def sec44_boxdim(argv, capsys):
+        """(exit code, k column, count column, stderr) of a 2000-point sec44
+        boxdim."""
+        code, out, err = run_cli(["boxdim", "--example", "sec44", "--count", "2000", *argv],
+                                 capsys)
+        rows = [line.split("\t") for line in out.splitlines()[1:] if line[:1] != "#"]
+        return code, [int(r[0]) for r in rows], [int(r[2]) for r in rows], err
+
+    @staticmethod
+    def sec44_boxdim_points():
+        """The points that sec44_boxdim samples, drawn as cmd_boxdim draws them."""
+        parsed = sec44()
+        return sample_measure(parsed.system, BernoulliWeights.uniform(3), depth=40, count=2000,
+                              rng_seed=0, seed_point=parsed.polygon.centroid())
+
+    def test_boxdim_counts_exact_at_k_max_70(self, capsys):
+        # int64 cells made these counts fall from 2000 to 21 from k = 64 on
+        code, ks, counts, _ = self.sec44_boxdim(["--k-max", "70"], capsys)
+        assert code == 0 and ks == list(range(3, 71))
+        assert counts == sorted(counts)
+        assert counts[-1] == len(np.unique(self.sec44_boxdim_points(), axis=0))
+
+    def test_boxdim_at_the_largest_accepted_k(self, capsys):
+        pts = self.sec44_boxdim_points()
+        k = 1024 - math.frexp(float(np.abs(pts).max()))[1]  # |pts| * 2^k < 2^1024
+        code, ks, counts, _ = self.sec44_boxdim(["--k-min", str(k - 3), "--k-max", str(k)],
+                                                capsys)
+        assert code == 0 and ks == list(range(k - 3, k + 1))
+        assert counts == [len(np.unique(pts, axis=0))] * 4
+        code, ks, _, err = self.sec44_boxdim(["--k-min", str(k - 3), "--k-max", str(k + 1)],
+                                             capsys)
+        assert (code, ks) == (1, [])
+        assert err == f"affdim: error: bad --k-max {k + 1}; points * 2^k_max overflow float64\n"
+
 
 class TestComputeOnce:
     """One analyze command computes each weight-independent stage once,
@@ -402,6 +457,17 @@ class TestDeterminism:
                              ids=[f"{a[0]}-{a[2]}" for a, _ in KERNEL_STDOUT_SHA256])
     def test_kernel_stdout_pinned(self, argv, digest, capsys):
         code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("source, digest", PRESSURE_STDOUT_SHA256,
+                             ids=["hl-demo", "sec44-n8", "tie", "mixed"])
+    def test_pressure_stdout_pinned(self, source, digest, capsys, tmp_path):
+        if source[0] == "--config":
+            cfg = tmp_path / "system.cfg"
+            cfg.write_text(source[1])
+            source = ["--config", str(cfg)]
+        code, out, _ = run_cli(["pressure", *source], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -589,6 +655,35 @@ class TestBadInput:
             assert code == 1
             assert out == ""
             assert err == f"affdim: error: bad {flag} {value}; need >= {need}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["directions", "--example", "hl-demo", "--count", "0"], "bad --count 0; need >= 1"),
+        (["directions", "--example", "hl-demo", "--depth", "0"], "bad --depth 0; need >= 1"),
+        (["boxdim", "--example", "sec44", "--count", "999"], "bad --count 999; need >= 1000"),
+        (["boxdim", "--example", "sec44", "--depth", "0"], "bad --depth 0; need >= 1"),
+        (["boxdim", "--example", "sec44", "--k-min", "0"], "bad --k-min 0; need >= 1"),
+        (["boxdim", "--example", "sec44", "--k-min", "5", "--k-max", "7"],
+         "bad --k-max 7; need >= 8"),
+        (["boxdim", "--example", "sec44", "--count", "1000", "--k-max", "2000"],
+         "bad --k-max 2000; points * 2^k_max overflow float64"),
+        (["render", "--example", "sec44", "--mode", "chaos", "--count", "0"],
+         "bad --count 0; need >= 1"),
+        (["render", "--example", "sec44", "--depth", "0"], "bad --depth 0; need >= 1"),
+    ], ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else "")
+    def test_flags_named(self, argv, message, capsys, tmp_path):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "img.ppm")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"affdim: error: {message}\n")
+        assert not (tmp_path / "img.ppm").exists()
+
+    def test_chaos_mode_ignores_depth(self, capsys, tmp_path):
+        out = tmp_path / "img.ppm"
+        code, _, _ = run_cli(["render", "--example", "sec44", "--mode", "chaos", "--depth", "0",
+                              "--count", "100", "--width", "16", "--height", "16",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
 
     def test_cylinders_mode_ignores_count(self, capsys, tmp_path):
         out = tmp_path / "img.ppm"

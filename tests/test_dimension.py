@@ -203,6 +203,31 @@ class TestEstimators:
         series = box_dimension_estimate(pts, 2, 7)
         assert series.slope == pytest.approx(2.0, abs=0.05)
 
+    @staticmethod
+    def exact_counts(pts, ks):
+        return [len({(math.floor(math.ldexp(x, k)), math.floor(math.ldexp(y, k)))
+                     for x, y in pts.tolist()}) for k in ks]
+
+    def test_box_counts_exact_on_every_grid(self):
+        # packed keys on the coarse grids, complex keys on the fine ones
+        pts = np.random.default_rng(113).uniform(-1.0, 1.0, size=(2000, 2))
+        series = box_dimension_estimate(pts, 1, 70)
+        assert list(series.counts) == self.exact_counts(pts, range(1, 71))
+        assert series.counts[-1] == len(np.unique(pts, axis=0))
+
+    def test_box_counts_up_to_the_largest_finite_grid(self):
+        pts = np.random.default_rng(127).uniform(-3.0, 3.0, size=(1000, 2))
+        k = 1024 - math.frexp(float(np.abs(pts).max()))[1]  # |pts| * 2^k < 2^1024
+        series = box_dimension_estimate(pts, k - 3, k)
+        assert list(series.counts) == self.exact_counts(pts, range(k - 3, k + 1))
+        with pytest.raises(ValueError, match="overflow"):
+            box_dimension_estimate(pts, k - 3, k + 1)
+
+    def test_box_dimension_needs_four_scales(self):
+        pts = np.random.default_rng(131).uniform(0.0, 1.0, size=(1000, 2))
+        with pytest.raises(ValueError, match="four scales"):
+            box_dimension_estimate(pts, 3, 5)
+
     def test_box_dimension_too_few(self):
         with pytest.raises(TooFewPoints):
             box_dimension_estimate(np.zeros((100, 2)), 2, 5)

@@ -48,6 +48,13 @@ def shared_linear_part_system():
                       AffineMap(a, (0.0, 0.6))))
 
 
+def three_unequal_symbols_system():
+    """shared_linear_part_system and a map with a third linear part: three
+    symbols whose |det| and multiplicities both differ."""
+    c = AffineMap(Mat2.lower_triangular(0.3, 0.1, 0.2), (0.2, 0.3))
+    return IfsSystem(shared_linear_part_system().maps + (c,))
+
+
 def brute_force_phi_sum(sysm, s, n):
     """sum over all N^n words of phi^s(A_w), one product per word, no merging."""
     products = [Mat2.identity()]
@@ -58,10 +65,10 @@ def brute_force_phi_sum(sysm, s, n):
 
 def bisection_root(sysm, n, tol=ROOT_TOL):
     """Reference depth-n root: midpoint of a plain bisection bracket on [0, 4]."""
-    log_a1, log_a2, log_w = word_log_singulars(sysm, n)
+    log_a1, log_det, log_w = word_log_singulars(sysm, n)
 
     def p(s):
-        v = phi_log_values(log_a1, log_a2, s) + log_w
+        v = phi_log_values(log_a1, log_det, s) + log_w
         m = float(np.max(v))
         return m + math.log(float(np.sum(np.exp(v - m))))
 
@@ -173,8 +180,11 @@ class TestPressureRoot:
 
 
 def per_symbol_loop(sysm, n):
-    """word_log_singulars written out: every level fills one block per
-    leading symbol i with A_i times every word, then renormalises."""
+    """word_log_singulars written out, with every output per word: every
+    level fills one block per leading symbol i with A_i times every word,
+    then renormalises.  Returns log alpha1, log alpha2 = log |det| - log
+    alpha1 as the enumeration computed it before it kept log alpha1 alone,
+    log |det| and log multiplicity."""
     A, mult = pressure_mod._merged_linear_parts(sysm)
     n_sym = A.shape[0]
     sym_logdet = np.log(np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]))
@@ -201,7 +211,18 @@ def per_symbol_loop(sysm, n):
     dn = e11 * e22 - e12 * e21
     disc = np.maximum(t * t - 4.0 * dn * dn, 0.0)
     log_a1 = logscale + 0.5 * np.log((t + np.sqrt(disc)) / 2.0)
-    return log_a1, logdet - log_a1, logw
+    return log_a1, logdet - log_a1, logdet, logw
+
+
+def assert_bit_identical(words, reference):
+    """log alpha1, log |det| - log alpha1 and the broadcast log |det| and log
+    multiplicity equal the per-word reference bit for bit."""
+    log_a1, log_det, log_w = words
+    ref_a1, ref_a2, ref_det, ref_w = reference
+    assert np.array_equal(log_a1, ref_a1)
+    assert np.array_equal(log_det - log_a1, ref_a2)
+    assert np.array_equal(np.broadcast_to(log_det, ref_det.shape), ref_det)
+    assert np.array_equal(np.broadcast_to(log_w, ref_w.shape), ref_w)
 
 
 class TestMergedSymbols:
@@ -219,14 +240,14 @@ class TestMergedSymbols:
     BIT_SYSTEMS = pytest.mark.parametrize("make", [
         lambda: phi_c(F(2, 5))[0], phi_c_subsystem, lambda: hl_demo()[0],
         lambda: sec44()[0], lambda: random_triangular_system(np.random.default_rng(3)),
-    ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random"])
+        three_unequal_symbols_system,
+    ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random", "three-unequal"])
 
     @BIT_SYSTEMS
     def test_bit_identical_to_a_per_symbol_loop(self, make):
         sysm = make()
         for n in (1, 2, 3, 5):
-            for got, want in zip(word_log_singulars(sysm, n), per_symbol_loop(sysm, n)):
-                assert np.array_equal(got, want)
+            assert_bit_identical(word_log_singulars(sysm, n), per_symbol_loop(sysm, n))
 
     @BIT_SYSTEMS
     def test_depth_first_blocks_bit_identical(self, make, monkeypatch):
@@ -235,28 +256,53 @@ class TestMergedSymbols:
         monkeypatch.setattr(pressure_mod, "WORD_BLOCK", 4)
         sysm = make()
         for n in (1, 2, 3, 5, 6, 7):
-            for got, want in zip(word_log_singulars(sysm, n), per_symbol_loop(sysm, n)):
-                assert np.array_equal(got, want)
+            assert_bit_identical(word_log_singulars(sysm, n), per_symbol_loop(sysm, n))
 
-    def test_peak_memory_is_five_floats_per_word(self):
-        """The enumeration allocates only its three outputs at full length,
-        and a root evaluation at most two more arrays, whatever branch s is
-        on; tracemalloc sees numpy's buffers."""
+    @pytest.mark.parametrize("make, n_shared", [
+        (lambda: phi_c(F(2, 5))[0], 2), (lambda: hl_demo()[0], 2), (lambda: sec44()[0], 2),
+        (phi_c_subsystem, 1), (shared_linear_part_system, 0), (three_unequal_symbols_system, 0),
+    ], ids=["phi-c", "hl-demo", "sec44", "phi-c-without-4-6", "shared-linear-part",
+            "three-unequal"])
+    def test_shared_det_and_multiplicity_are_one_float(self, make, n_shared):
+        # phi-c without maps 4 and 6 keeps one |det| but multiplicities 2, 2, 1
+        log_a1, *rest = word_log_singulars(make(), 4)
+        assert isinstance(log_a1, np.ndarray)
+        assert sum(isinstance(x, float) for x in rest) == n_shared
+        assert sum(isinstance(x, np.ndarray) and x.shape == log_a1.shape
+                   for x in rest) == 2 - n_shared
+
+    @staticmethod
+    def peak_bytes(sysm, n):
+        """tracemalloc's peak (it sees numpy's buffers) over the enumeration
+        and one root evaluation on each branch, both kinks and the s >= 2
+        slope included."""
         import tracemalloc
 
-        sysm, n = phi_c(F(2, 5))[0], 12
-        bound = 5 * 8 * 3 ** n + 16 * 8 * pressure_mod.WORD_BLOCK
         tracemalloc.start()
         try:
             words = word_log_singulars(sysm, n)
             peaks = [tracemalloc.get_traced_memory()[1]]
-            for s in (0.5, 1.5, 2.5):
+            for s in (0.5, 1.0, 1.5, 2.0, 2.5):
                 tracemalloc.reset_peak()
                 pressure_mod._pressure_with_slope(words, n, s)
                 peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert max(peaks) <= bound
+        return max(peaks)
+
+    SLACK = 16 * 8 * pressure_mod.WORD_BLOCK  # the blocks of the depth-first walk
+
+    def test_peak_memory_is_two_floats_per_word_when_shared(self):
+        """Only log alpha1 and a root evaluation's one array are full length
+        when every symbol has the same |det| and multiplicity."""
+        n = 12
+        assert self.peak_bytes(phi_c(F(2, 5))[0], n) <= 2 * 8 * 3 ** n + self.SLACK
+
+    def test_peak_memory_is_four_floats_per_word_otherwise(self):
+        """log alpha1, log |det|, log multiplicity and one evaluation array
+        when the symbols' |det| and multiplicities differ."""
+        sysm, n = three_unequal_symbols_system(), 12
+        assert self.peak_bytes(sysm, n) <= 4 * 8 * 3 ** n + self.SLACK
 
     def test_enumerates_distinct_linear_parts(self):
         log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)
@@ -276,9 +322,9 @@ class TestDepthRootFinder:
     def test_bounds_from_above_in_few_evaluations(self, sysm, monkeypatch):
         evals = []
 
-        def counted(log_a1, log_a2, s):
+        def counted(log_a1, log_det, s):
             evals.append(s)
-            return phi_log_values(log_a1, log_a2, s)
+            return phi_log_values(log_a1, log_det, s)
 
         monkeypatch.setattr(pressure_mod, "phi_log_values", counted)
         for n in (2, 4, 8):
