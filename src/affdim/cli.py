@@ -79,12 +79,15 @@ def _emit_lines(header, lines, comments, out):
     _emit("\n".join(["\t".join(header), *lines, *(f"# {c}" for c in comments)]) + "\n", out)
 
 
-def _check_flags(args, **least):
-    """Name the first flag below its least value (an unset flag passes)."""
-    for name, lo in least.items():
+def _check_flags(args, **bounds):
+    """Name the first flag outside its bounds: a least value, or an inclusive
+    (lo, hi) range (an unset flag passes)."""
+    for name, bound in bounds.items():
         value = getattr(args, name)
-        if value is not None and value < lo:
-            raise AffdimError(f"bad --{name.replace('_', '-')} {value}; need >= {lo}")
+        lo, hi = bound if isinstance(bound, tuple) else (bound, None)
+        if value is not None and (value < lo or hi is not None and value > hi):
+            need = f">= {lo}" if hi is None else f"{lo}..{hi}"
+            raise AffdimError(f"bad --{name.replace('_', '-')} {value}; need {need}")
 
 
 def _family_closed_form(args):
@@ -295,10 +298,11 @@ def cmd_ssc(args) -> int:
 
 
 def cmd_render(args) -> int:
+    sizes = dict(width=render.SIZES, height=render.SIZES)
     if args.mode == "chaos":
-        _check_flags(args, count=1)  # chaos mode draws no cylinders: --depth is unused
+        _check_flags(args, count=1, **sizes)  # chaos mode draws no cylinders: --depth is unused
     else:
-        _check_flags(args, depth=1)  # and cylinders mode no orbit: --count is unused
+        _check_flags(args, depth=1, **sizes)  # and cylinders mode no orbit: --count is unused
     parsed = _load(args)
     if args.viewport:
         try:

@@ -9,8 +9,10 @@ cannot.  Float input still yields rate diagnostics, verdict Inconclusive.
 The arithmetic is exact and in Python integers.  With q the least common
 denominator of all betas and gammas, every depth-n word is one integer pair
 (P, T) standing for the ratio P/q^n and the translation T/q^n; appending a
-symbol multiplies and adds integers, and ratio classes are grouped by P.
-Only the final minimum gap becomes a Fraction, gap/q^n.  One level-by-level
+symbol multiplies and adds integers.  A level is kept as its ratio classes,
+a dict from P to the translations of the words with that ratio, so no
+per-word ratio is stored and Delta_n reads each class as it is.  Only the
+final minimum gap becomes a Fraction, gap/q^n.  One level-by-level
 enumeration yields every depth, so ``hochman_rate`` builds Delta_1..Delta_n
 in a single pass instead of re-enumerating each depth from level one.
 """
@@ -108,15 +110,19 @@ def _check_cap(ifs: LineIfs, n: int, cap: int) -> None:
 
 
 def _levels(ifs: LineIfs, n_max: int, cap: int):
-    """Yield (q**n, ratios, translations) for every depth n = 1..n_max.
+    """Yield (q**n, classes) for every depth n = 1..n_max, where ``classes``
+    maps each ratio P to the list of translations T of the depth-n words
+    with that ratio.
 
     On rational input q is the least common denominator of all betas and
     gammas, so beta_i = p_i/q and gamma_i = r_i/q with integers p_i, r_i.
-    A depth-n word w is then carried as one integer pair (P, T) with
-    beta_w = P/q^n and gamma_w = T/q^n: appending symbol i on the right gives
-    g_(wi)(x) = g_w(g_i(x)), i.e. (P p_i, T q + P r_i).  Float input runs the
-    same recursion with q = 1.  Words are listed in lexicographic order.
-    EnumerationTooLarge is raised before the first depth with N^n > cap.
+    A depth-n word w is then the integer pair (P, T) with beta_w = P/q^n and
+    gamma_w = T/q^n: appending symbol i on the right gives
+    g_(wi)(x) = g_w(g_i(x)), i.e. (P p_i, T q + P r_i), so class (P, ts)
+    sends its translations to class P p_i.  Float input runs the same
+    recursion with q = 1.  The order of the translations within a class is
+    unspecified.  EnumerationTooLarge is raised before the first depth with
+    N^n > cap.
     """
     if ifs.is_rational():
         q = math.lcm(*(Fraction(x).denominator for m in ifs.maps for x in m))
@@ -124,23 +130,31 @@ def _levels(ifs: LineIfs, n_max: int, cap: int):
     else:
         q = 1
         gens = [(float(b), float(g)) for b, g in ifs.maps]
-    ratios, translations = [1], [0]
+    classes = {1: [0]}
     for n in range(1, n_max + 1):
         _check_cap(ifs, n, cap)
-        translations = [t * q + r * P for P, t in zip(ratios, translations) for _, r in gens]
-        ratios = [P * p for P in ratios for p, _ in gens]
-        yield q ** n, ratios, translations
+        level = {}
+        for P, ts in classes.items():
+            for p, r in gens:
+                shift = P * r
+                level.setdefault(P * p, []).extend([t * q + shift for t in ts])
+        classes = level
+        yield q ** n, classes
 
 
-def _delta(scale, ratios, translations, exact: bool):
+def _delta(scale, classes, exact: bool):
     """Delta_n of one enumerated level: the smallest distance between the
-    translations of words with equal ratio, rescaled by 1/q^n."""
-    groups = {}
-    for P, t in zip(ratios, translations):
-        key = P if exact else (P > 0, round(math.log(abs(P)) / _QUANT))
-        groups.setdefault(key, []).append(t)
+    translations of words with equal ratio, rescaled by 1/q^n.  Float ratios
+    are regrouped by sign and quantised log first.  Sorts the classes in
+    place."""
+    groups = classes.values()
+    if not exact:
+        merged = {}
+        for P, ts in classes.items():
+            merged.setdefault((P > 0, round(math.log(abs(P)) / _QUANT)), []).extend(ts)
+        groups = merged.values()
     best = None
-    for vals in groups.values():
+    for vals in groups:
         if len(vals) < 2:
             continue
         vals.sort()

@@ -11,19 +11,21 @@ the distinct^n words that are actually allocated.
 Words are enumerated in lexicographic (leading-symbol-block) order with
 per-word renormalization, so results are deterministic and no product ever
 under- or overflows.  The words' last symbols are built level by level while
-a level holds at most ``WORD_BLOCK`` words; the leading symbols are then
+a level holds at most ``WALK_BLOCK`` words; the leading symbols are then
 prepended depth first, one block of words per node
 (:func:`linalg2.word_blocks`), and each leaf writes its slice of the outputs.
 Every word sees the same floating-point operations as in a level-by-level
 build.  Only log alpha1 is stored for every word.  log |det| and the log
 multiplicity are per-word arrays only when the symbols' values differ;
 otherwise each is the one float that every word carries.  A root evaluation
-derives log alpha2 = log |det| - log alpha1 inside its one fresh array, and
-multiplies in the slopes one block at a time.  So the peak is two float64
-per word when the symbols share |det| and multiplicity (phi-c, sec44,
-hl-demo), and at most four otherwise.  Finite-n roots certify the true root
-from above: submultiplicativity of the singular value function makes the
-approximants decrease along doubling depths.
+runs over blocks of at most ``WORD_BLOCK`` words: one pass takes the largest
+log term, a second sums the softmax weights and their slopes along numpy's
+pairwise-sum tree (:func:`_pairwise_sums`), so both sums equal ``np.sum`` of
+the full-length arrays bit for bit.  So the peak is one float64 per word
+when the symbols share |det| and multiplicity (phi-c, sec44, hl-demo), and
+three otherwise, beside blocks of fixed size.  Finite-n roots certify the
+true root from above: submultiplicativity of the singular value function
+makes the approximants decrease along doubling depths.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -55,7 +57,8 @@ from .splitting import abs_diagonals, check_triangular_split
 DEFAULT_CAP = 20_000_000
 DEFAULT_SCHEDULE = (2, 4, 8, 12)
 ROOT_TOL = 1e-12
-WORD_BLOCK = 1 << 15  # words held per level of the depth-first enumeration
+WALK_BLOCK = 1 << 13  # words held per level of the depth-first enumeration
+WORD_BLOCK = 1 << 15  # words per block of a root evaluation
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,9 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     Products are renormalized per word (log scale carried separately) and
     log |det| is the exact per-symbol sum, so deep strongly-dominated
     products lose no precision.  Only the outputs are allocated at full
-    length (see the module docstring).
+    length: one float per word when the symbols share |det| and multiplicity,
+    three otherwise.  Beside them the depth-first walk holds one block of at
+    most ``WALK_BLOCK`` words per level (see the module docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -152,7 +157,7 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
         return (tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel(),
                 [np.add.outer(x, y).ravel() for x, y in zip(add, sums)])
 
-    blocks = word_blocks((cols, np.zeros(n_sym), carried), prepend, n_sym, n, WORD_BLOCK)
+    blocks = word_blocks((cols, np.zeros(n_sym), carried), prepend, n_sym, n, WALK_BLOCK)
     log_a1 = np.empty(total)
     out = [np.empty(total) if w is None else w for w in shared]
     per_word = [x for x, w in zip(out, shared) if w is None]
@@ -164,21 +169,27 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     return (log_a1, *out)
 
 
-def phi_log_values(log_a1: np.ndarray, log_det, s: float) -> np.ndarray:
-    """log phi^s per word, in one fresh array, from the stored log alpha1 and
-    log |det| (an array or one shared float)."""
+def phi_log_values(log_a1: np.ndarray, log_det, s: float) -> Callable[[slice], np.ndarray]:
+    """log phi^s of the words in a slice, in one fresh array per call, from
+    the stored log alpha1 and log |det| (an array or one shared float)."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
-    if s <= 1:
-        return s * log_a1
-    e = np.subtract(log_det, log_a1)  # log alpha2
-    if s <= 2:
-        e *= s - 1.0
-        e += log_a1
-    else:
-        e += log_a1
-        e *= s / 2.0
-    return e
+    log_det = np.broadcast_to(log_det, log_a1.shape)
+
+    def block(words: slice) -> np.ndarray:
+        a1 = log_a1[words]
+        if s <= 1:
+            return s * a1
+        e = np.subtract(log_det[words], a1)  # log alpha2
+        if s <= 2:
+            e *= s - 1.0
+            e += a1
+        else:
+            e += a1
+            e *= s / 2.0
+        return e
+
+    return block
 
 
 def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> float:
@@ -186,31 +197,60 @@ def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> floa
     return _pressure_with_slope(word_log_singulars(sys, n, cap=cap), n, s)[0]
 
 
+def _pairwise_sums(leaf: Callable[[slice], tuple], start: int, stop: int, block: int) -> tuple:
+    """Componentwise sums of ``leaf(words)`` over the words [start, stop),
+    split as ``np.sum`` splits a contiguous float64 array: a node of n > 128
+    at n//2 rounded down to a multiple of 8, while one of n <= 128 is one
+    loop.  A node of at most max(block, 128) words is one leaf, so leaves
+    that sum their slice with ``np.sum`` give the full-length ``np.sum`` bit
+    for bit.
+    """
+    n = stop - start
+    if n <= max(block, 128):
+        return leaf(slice(start, stop))
+    half = n // 2 - n // 2 % 8
+    left = _pairwise_sums(leaf, start, start + half, block)
+    right = _pairwise_sums(leaf, start + half, stop, block)
+    return tuple(a + b for a, b in zip(left, right))
+
+
 def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     """P_n(s) and its right derivative in s, from one phi_log_values call.
 
     The derivative is the softmax-weighted mean of the per-word slopes of the
-    affine piece that starts at s.
+    affine piece that starts at s.  The words are read in blocks of at most
+    ``WORD_BLOCK`` twice: for the largest log term, and for the two sums.
     """
     log_a1, log_det, log_w = words
-    e = phi_log_values(log_a1, log_det, s)  # a fresh array: the rest runs in place
-    e += log_w
-    m = float(np.max(e))
-    e -= m
-    np.exp(e, out=e)
-    total = float(np.sum(e))
-    if s < 1.0:
-        e *= log_a1
-    else:  # slope log alpha2, or its mean with log alpha1, one block at a time
-        log_det = np.broadcast_to(log_det, e.shape)
-        for start in range(0, e.size, WORD_BLOCK):
-            block = slice(start, start + WORD_BLOCK)
-            slope = np.subtract(log_det[block], log_a1[block])
+    phi = phi_log_values(log_a1, log_det, s)
+    log_det, log_w = (np.broadcast_to(x, log_a1.shape) for x in (log_det, log_w))
+    block = WORD_BLOCK
+
+    def log_terms(words):
+        e = phi(words)
+        e += log_w[words]
+        return e
+
+    m = float(np.max([np.max(log_terms(slice(a, a + block)))
+                      for a in range(0, log_a1.size, block)]))
+
+    def sums(words):  # the softmax weights, and the weights times the slopes
+        e = log_terms(words)
+        e -= m
+        np.exp(e, out=e)
+        total = float(np.sum(e))
+        if s < 1.0:
+            e *= log_a1[words]
+        else:  # slope log alpha2, or its mean with log alpha1
+            slope = np.subtract(log_det[words], log_a1[words])
             if s >= 2.0:
-                slope += log_a1[block]
+                slope += log_a1[words]
                 slope *= 0.5
-            e[block] *= slope
-    return (m + math.log(total)) / n, float(np.sum(e)) / (total * n)
+            e *= slope
+        return total, float(np.sum(e))
+
+    total, dot = _pairwise_sums(sums, 0, log_a1.size, block)
+    return (m + math.log(total)) / n, dot / (total * n)
 
 
 def _depth_root(evaluate: Callable[[float], Tuple[float, float]], tol: float) -> float:

@@ -39,6 +39,7 @@ PALETTE = (
 )
 _PALETTE_ARRAY = np.array(PALETTE, dtype=np.uint8)
 BACKGROUND = (255, 255, 255)
+SIZES = (16, 8192)  # least and greatest raster width and height
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ class RenderSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (16 <= self.width <= 8192 and 16 <= self.height <= 8192):
-            raise ValueError("width and height must lie in [16, 8192]")
+        lo, hi = SIZES
+        if not (lo <= self.width <= hi and lo <= self.height <= hi):
+            raise ValueError(f"width and height must lie in [{lo}, {hi}]")
         x0, y0, x1, y1 = self.viewport
         if not (x1 > x0 and y1 > y0):
             raise ValueError("viewport must be non-degenerate")

@@ -65,6 +65,19 @@ PRESSURE_STDOUT_SHA256 = [
      "48ce2898c3169f249d228174ace0a4934e7b979631e4cbd0be3d56e3d6843540"),
     (["--config", MIXED_CONFIG],
      "7a537bb11c94ee338fa4c6917b5d81fbe280f344c67d575faecc8bd03376fdb6"),
+    # per-word log |det| and log multiplicity over several evaluation blocks
+    # (2^16 words), recorded while a root evaluation held full-length arrays
+    (["--config", MIXED_CONFIG, "--n", "2,4,8,16"],
+     "3425cf3cdb0de810245291d3d26881f5f5439d22764722aa6fc33b97d1f26036"),
+]
+# stdout of `hochman`, recorded while every level listed a ratio per word
+HOCHMAN_STDOUT_SHA256 = [
+    (["--example", "phi-c", "--param", "c=2/5", "--n", "10"],  # one ratio class
+     "1625a61266daae6867d59b5d8142de402c5da1ca35ad4b7d81ac2de7d4171069"),
+    (["--example", "sec44", "--derive", "x"],
+     "901919d5d4bf78d0c14d5c55ed1279d479340c3bade79c2d8959fcc582cb448a"),
+    (["--maps", "1/2,0;1/4,1/16;1/8,3/4", "--n", "8"],  # Delta_1 = inf, overlap at 6
+     "1d861a76ba9b089a89e70ba36ef410fde82402c061c354d1e482d66aa4aaac6e"),
 ]
 
 # non-triangular, non-positive rational systems that only the multicone
@@ -461,13 +474,20 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("source, digest", PRESSURE_STDOUT_SHA256,
-                             ids=["hl-demo", "sec44-n8", "tie", "mixed"])
+                             ids=["hl-demo", "sec44-n8", "tie", "mixed", "mixed-n16"])
     def test_pressure_stdout_pinned(self, source, digest, capsys, tmp_path):
         if source[0] == "--config":
             cfg = tmp_path / "system.cfg"
             cfg.write_text(source[1])
-            source = ["--config", str(cfg)]
+            source = ["--config", str(cfg), *source[2:]]
         code, out, _ = run_cli(["pressure", *source], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", HOCHMAN_STDOUT_SHA256,
+                             ids=["phi-c-n10", "sec44-x", "overlap-maps"])
+    def test_hochman_stdout_pinned(self, argv, digest, capsys):
+        code, out, _ = run_cli(["hochman", *argv], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -676,6 +696,16 @@ class TestBadInput:
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"affdim: error: {message}\n")
         assert not (tmp_path / "img.ppm").exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    @pytest.mark.parametrize("value", ["15", "8193"])
+    def test_raster_size_named(self, flag, value, capsys, tmp_path):
+        out = tmp_path / "img.ppm"
+        code, stdout, err = run_cli(["render", "--example", "sec44", flag, value,
+                                     "--out", str(out)], capsys)
+        message = f"affdim: error: bad {flag} {value}; need 16..8192\n"
+        assert (code, stdout, err) == (1, "", message)
+        assert not out.exists()
 
     def test_chaos_mode_ignores_depth(self, capsys, tmp_path):
         out = tmp_path / "img.ppm"

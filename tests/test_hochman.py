@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from conftest import brute_force_delta, compose_line_word
 
+from affdim.dimension import direction_line_ifs
 from affdim.errors import EnumerationTooLarge
 from affdim.hochman import LineIfs, _levels, delta_n, hochman_rate
+from affdim.ifs import BernoulliWeights
+from affdim.library import phi_c
 
 
 class TestDeltaN:
@@ -41,21 +45,26 @@ class TestDeltaN:
             for n in range(1, 6):
                 assert delta_n(ifs, n) == brute_force_delta(ifs, n)
 
+    @staticmethod
+    def level_pairs(classes):
+        """The multiset of (P, T) pairs that a level's ratio classes hold."""
+        return Counter((P, t) for P, ts in classes.items() for t in ts)
+
     def test_composition_translation_identity(self):
-        # level n of the enumeration holds, in lexicographic word order, the
-        # integer pairs (P, T) with beta_w = P/q^n and gamma_w = T/q^n; and
-        # g_(uv)(0) = g_u(g_v(0)) exactly in rational arithmetic
+        # level n of the enumeration holds, as ratio classes {P: [T, ...]},
+        # the integer pairs (P, T) with beta_w = P/q^n and gamma_w = T/q^n of
+        # every depth-n word; and g_(uv)(0) = g_u(g_v(0)) exactly in
+        # rational arithmetic
         ifs = LineIfs(((F(2, 5), F(1, 3)), (F(-1, 4), F(2, 7))))
         levels = list(_levels(ifs, 4, 10 ** 6))
         assert len(levels) == 4
         for n in (2, 3, 4):
-            scale, ratios, translations = levels[n - 1]
+            scale, classes = levels[n - 1]
             assert scale == 420 ** n  # q = lcm(5, 3, 4, 7)
-            words = list(product(range(ifs.n), repeat=n))
-            assert len(ratios) == len(translations) == len(words)
-            for w, p, t in zip(words, ratios, translations):
-                assert type(p) is int and type(t) is int
-                assert (F(p, scale), F(t, scale)) == compose_line_word(ifs, w)
+            pairs = self.level_pairs(classes)
+            assert all(type(p) is int and type(t) is int for p, t in pairs)
+            words = Counter(compose_line_word(ifs, w) for w in product(range(ifs.n), repeat=n))
+            assert Counter({(F(p, scale), F(t, scale)): k for (p, t), k in pairs.items()}) == words
         rng = np.random.default_rng(73)
         for _ in range(20):
             u = [int(x) for x in rng.integers(0, 2, size=3)]
@@ -66,17 +75,51 @@ class TestDeltaN:
             assert guv == gu + bu * gv
             assert buv == bu * bv
 
+    def test_equal_ratios_share_one_class(self):
+        # every map of this system contracts by 1/3 = 5/15: one class per
+        # level, holding every word
+        ifs = LineIfs(((F(1, 3), F(0)), (F(1, 3), F(1, 5)), (F(1, 3), F(2, 3))))
+        for n, (scale, classes) in enumerate(_levels(ifs, 5, 10 ** 6), 1):
+            assert scale == 15 ** n
+            assert list(classes) == [5 ** n]
+            assert len(classes[5 ** n]) == 3 ** n
+
     def test_float_input_matches_float_composition(self):
         # float input runs the same recursion with q = 1 and groups ratios by
         # a quantised log
         maps = ((0.5, 0.0), (-0.5, 0.75), (0.5, 0.125))
         ifs = LineIfs(maps)
         for n in (1, 2, 3):
-            *_, (scale, ratios, translations) = _levels(ifs, n, 10 ** 6)
+            *_, (scale, classes) = _levels(ifs, n, 10 ** 6)
             assert scale == 1
-            for w, p, t in zip(product(range(3), repeat=n), ratios, translations):
-                assert (p, t) == compose_line_word(ifs, w, one=1.0, zero=0.0)
+            words = product(range(3), repeat=n)
+            assert self.level_pairs(classes) == Counter(
+                compose_line_word(ifs, w, one=1.0, zero=0.0) for w in words)
         assert delta_n(ifs, 1) == 0.125
+
+    def test_phi_c_memory_is_the_translations(self):
+        """Depth 10 of phi-c's direction system (c = 2/5) is one ratio class
+        of 3^10 words.  tracemalloc's peak stays within the translations of
+        the last two levels, one int and one list slot per word, with half
+        again for list over-allocation, a comprehension's temporary list and
+        the sort's merge buffer: no per-word ratio is kept."""
+        import sys
+        import tracemalloc
+
+        sysm, w, _ = phi_c(F(2, 5))
+        ifs, _ = direction_line_ifs(sysm, w or BernoulliWeights.uniform(sysm.n))
+        n = 10
+        *_, (_, classes) = _levels(ifs, n, 10 ** 6)
+        int_bytes = max(sys.getsizeof(t) for ts in classes.values() for t in ts)
+        del classes
+        tracemalloc.start()
+        try:
+            rows = hochman_rate(ifs, n).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == n
+        assert peak <= 1.5 * (ifs.n ** n + ifs.n ** (n - 1)) * (int_bytes + 8)
 
     def test_single_map_always_infinite(self):
         # every ratio class is a singleton only when there is a single word

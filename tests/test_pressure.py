@@ -68,7 +68,7 @@ def bisection_root(sysm, n, tol=ROOT_TOL):
     log_a1, log_det, log_w = word_log_singulars(sysm, n)
 
     def p(s):
-        v = phi_log_values(log_a1, log_det, s) + log_w
+        v = phi_log_values(log_a1, log_det, s)(slice(None)) + log_w
         m = float(np.max(v))
         return m + math.log(float(np.sum(np.exp(v - m))))
 
@@ -225,6 +225,36 @@ def assert_bit_identical(words, reference):
     assert np.array_equal(np.broadcast_to(log_w, ref_w.shape), ref_w)
 
 
+def full_array_pressure_with_slope(words, n, s):
+    """The root evaluation as it ran on full-length arrays, before the words
+    were read in blocks: the oracle for its bits."""
+    log_a1, log_det, log_w = words
+    if s <= 1:
+        e = s * log_a1
+    else:
+        e = np.subtract(log_det, log_a1)  # log alpha2
+        if s <= 2:
+            e *= s - 1.0
+            e += log_a1
+        else:
+            e += log_a1
+            e *= s / 2.0
+    e += log_w
+    m = float(np.max(e))
+    e -= m
+    np.exp(e, out=e)
+    total = float(np.sum(e))
+    if s < 1.0:
+        e *= log_a1
+    else:
+        slope = np.subtract(log_det, log_a1)
+        if s >= 2.0:
+            slope += log_a1
+            slope *= 0.5
+        e *= slope
+    return (m + math.log(total)) / n, float(np.sum(e)) / (total * n)
+
+
 class TestMergedSymbols:
     @pytest.mark.parametrize("make", [
         lambda: phi_c(F(1, 4))[0], phi_c_subsystem, shared_linear_part_system,
@@ -253,10 +283,40 @@ class TestMergedSymbols:
     def test_depth_first_blocks_bit_identical(self, make, monkeypatch):
         # a 4-word block builds one or two levels breadth-first and walks
         # the rest depth first
-        monkeypatch.setattr(pressure_mod, "WORD_BLOCK", 4)
+        monkeypatch.setattr(pressure_mod, "WALK_BLOCK", 4)
         sysm = make()
         for n in (1, 2, 3, 5, 6, 7):
             assert_bit_identical(word_log_singulars(sysm, n), per_symbol_loop(sysm, n))
+
+    @BIT_SYSTEMS
+    @pytest.mark.parametrize("block", [None, 4, 100, 129, 1000])
+    def test_evaluation_bit_identical_to_full_arrays(self, make, block, monkeypatch):
+        # the default block splits 2^16 words or more into several leaves of
+        # the pairwise tree; blocks under 128 leave the leaves at 128 words
+        if block is None:
+            least = 2 * pressure_mod.WORD_BLOCK
+        else:
+            monkeypatch.setattr(pressure_mod, "WORD_BLOCK", block)
+            least = 2000
+        sysm = make()
+        n_sym = len({f.linear for f in sysm.maps})
+        n = next(k for k in range(1, 40) if n_sym ** k >= least)
+        words = word_log_singulars(sysm, n)
+        for s in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0):
+            got = pressure_mod._pressure_with_slope(words, n, s)
+            assert got == full_array_pressure_with_slope(words, n, s)
+            assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 3 ** 8, 3 ** 12,
+                                      2 ** 15 - 1, 2 ** 15 + 1])
+    @pytest.mark.parametrize("block", [4, 1000, pressure_mod.WORD_BLOCK])
+    def test_pairwise_sums_match_np_sum(self, size, block):
+        # numpy's pairwise summation is an implementation detail: if an
+        # upgrade changes where it splits, this fails before any root moves
+        x = np.exp(np.random.default_rng(size).normal(0.0, 8.0, size))
+        leaf = lambda words: (float(np.sum(x[words])), float(np.sum(x[words] * x[words])))
+        got = pressure_mod._pairwise_sums(leaf, 0, size, block)
+        assert got == (float(np.sum(x)), float(np.sum(x * x)))
 
     @pytest.mark.parametrize("make, n_shared", [
         (lambda: phi_c(F(2, 5))[0], 2), (lambda: hl_demo()[0], 2), (lambda: sec44()[0], 2),
@@ -290,19 +350,33 @@ class TestMergedSymbols:
             tracemalloc.stop()
         return max(peaks)
 
-    SLACK = 16 * 8 * pressure_mod.WORD_BLOCK  # the blocks of the depth-first walk
+    @staticmethod
+    def slack(sysm, n):
+        """Bytes held beside the full-length outputs.  The depth-first walk
+        builds the levels whose words fit in WALK_BLOCK breadth first, then
+        holds one block of at most WALK_BLOCK words per level from there to
+        the leaf, each word 7 floats (4 matrix entries, its log scale and up
+        to two carried sums), plus two blocks for a prepend's and the leaf's
+        temporaries.  A root evaluation holds two blocks of WORD_BLOCK words;
+        the slack is the larger of the two."""
+        n_sym = len({f.linear for f in sysm.maps})
+        block = pressure_mod.WALK_BLOCK
+        first = max(k for k in range(1, n + 1) if k == 1 or n_sym ** k <= block)
+        levels = n - first + 1
+        walk = 8 * 7 * block * (levels + 2)
+        return max(walk, 2 * 8 * pressure_mod.WORD_BLOCK)
 
-    def test_peak_memory_is_two_floats_per_word_when_shared(self):
-        """Only log alpha1 and a root evaluation's one array are full length
-        when every symbol has the same |det| and multiplicity."""
-        n = 12
-        assert self.peak_bytes(phi_c(F(2, 5))[0], n) <= 2 * 8 * 3 ** n + self.SLACK
+    def test_peak_memory_is_one_float_per_word_when_shared(self):
+        """Only log alpha1 is full length when every symbol has the same
+        |det| and multiplicity."""
+        sysm, n = phi_c(F(2, 5))[0], 12
+        assert self.peak_bytes(sysm, n) <= 8 * 3 ** n + self.slack(sysm, n)
 
-    def test_peak_memory_is_four_floats_per_word_otherwise(self):
-        """log alpha1, log |det|, log multiplicity and one evaluation array
-        when the symbols' |det| and multiplicities differ."""
+    def test_peak_memory_is_three_floats_per_word_otherwise(self):
+        """log alpha1, log |det| and log multiplicity when the symbols'
+        |det| and multiplicities differ."""
         sysm, n = three_unequal_symbols_system(), 12
-        assert self.peak_bytes(sysm, n) <= 4 * 8 * 3 ** n + self.SLACK
+        assert self.peak_bytes(sysm, n) <= 3 * 8 * 3 ** n + self.slack(sysm, n)
 
     def test_enumerates_distinct_linear_parts(self):
         log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)
