@@ -10,6 +10,7 @@ binary P6.  Exit codes: 0 certified/success, 2 interval-only analysis,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 from fractions import Fraction
 
@@ -24,14 +25,6 @@ from .library import example_names, get_example, phi_c_closed_form
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors are exit code 1, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_source_flags(p):
-    p.add_argument("--example", choices=example_names(), help="built-in example system")
-    p.add_argument("--config", help="path to an IFS config file")
-    p.add_argument("--param", action="append", default=[], metavar="K=V",
-                   help="example parameter, e.g. c=0.4 for phi-c")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed threaded everywhere")
 
 
 def _params_dict(args):
@@ -79,15 +72,20 @@ def _emit_lines(header, lines, comments, out):
     _emit("\n".join(["\t".join(header), *lines, *(f"# {c}" for c in comments)]) + "\n", out)
 
 
-def _check_flags(args, **bounds):
-    """Name the first flag outside its bounds: a least value, or an inclusive
-    (lo, hi) range (an unset flag passes)."""
-    for name, bound in bounds.items():
-        value = getattr(args, name)
+def _check_flags(args, flags):
+    """Name the first flag, in help order, outside its bound: a least value,
+    an inclusive (lo, hi) range, or a function of ``args`` giving one of
+    these or None (unchecked).  An unset flag passes."""
+    for flag, _, bound in flags:
+        if callable(bound):
+            bound = bound(args)
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if bound is None or value is None:
+            continue
         lo, hi = bound if isinstance(bound, tuple) else (bound, None)
-        if value is not None and (value < lo or hi is not None and value > hi):
+        if value < lo or hi is not None and value > hi:
             need = f">= {lo}" if hi is None else f"{lo}..{hi}"
-            raise AffdimError(f"bad --{name.replace('_', '-')} {value}; need {need}")
+            raise AffdimError(f"bad {flag} {value}; need {need}")
 
 
 def _family_closed_form(args):
@@ -98,7 +96,6 @@ def _family_closed_form(args):
 
 
 def cmd_analyze(args) -> int:
-    _check_flags(args, mc_n=1, mc_trials=2)
     parsed = _load(args)
     weights = _weights_for(parsed)
     system = parsed.system
@@ -107,8 +104,6 @@ def cmd_analyze(args) -> int:
         if not all(1 <= k <= system.n for k in exclude) or len(set(exclude)) == system.n:
             raise AffdimError(f"bad --subsystem-exclude {args.subsystem_exclude!r}; "
                               f"need symbols in 1..{system.n}, not all of them")
-        if args.subsystem_depth < 1:
-            raise AffdimError(f"bad --subsystem-depth {args.subsystem_depth}; need >= 1")
         system = dimension.build_subsystem(system, exclude, args.subsystem_depth)
         weights = BernoulliWeights.uniform(system.n)
     targets = ("measure", "attractor") if args.target == "both" else (args.target,)
@@ -126,18 +121,8 @@ def cmd_analyze(args) -> int:
     if args.json:
         import json
 
-        doc = [
-            {
-                "target": r.target,
-                "certified_value": r.certified_value,
-                "certified_interval": list(r.certified_interval),
-                "fired_theorem": r.fired_theorem,
-                "hypotheses": {k: v for k, v in r.hypotheses},
-                "assumptions": list(r.assumptions),
-                "details": {k: v for k, v in r.details},
-            }
-            for r in reports
-        ]
+        doc = [dict(dataclasses.asdict(r), hypotheses=dict(r.hypotheses), details=dict(r.details))
+               for r in reports]
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -172,7 +157,6 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    _check_flags(args, mc_n=1, mc_trials=2)
     parsed = _load(args)
     weights = _weights_for(parsed)
     t = ergodic.lyapunov_exponents(
@@ -192,7 +176,6 @@ def cmd_lyapunov(args) -> int:
 
 
 def cmd_directions(args) -> int:
-    _check_flags(args, count=1, depth=1)
     parsed = _load(args)
     weights = _weights_for(parsed)
     split = splitting.certify(parsed.system)
@@ -221,10 +204,7 @@ def _parse_line_maps(text: str) -> LineIfs:
             maps.append((Fraction(bits[0]), Fraction(bits[1])))
         except (ValueError, ZeroDivisionError) as e:
             raise AffdimError(f"bad map {part!r}: {e}") from None
-    try:
-        return LineIfs(tuple(maps))
-    except ValueError as e:
-        raise AffdimError(str(e)) from None
+    return LineIfs(tuple(maps))  # main reports its ValueError like an AffdimError
 
 
 def _parse_depth_range(text: str):
@@ -253,17 +233,12 @@ def cmd_hochman(args) -> int:
             ifs, _ = dimension.direction_line_ifs(parsed.system, weights)
     lo, hi = _parse_depth_range(args.n)
     rep = hochman_rate(ifs, hi)
-    rows = [
-        (n, "inf" if d == float("inf") else format_number(d), rate)
-        for n, d, rate in rep.rows
-        if n >= lo
-    ]
+    rows = [row for row in rep.rows if row[0] >= lo]
     _emit_table(("n", "delta_n", "rate"), rows, (f"verdict: {rep.verdict}",), args.out)
     return 0
 
 
 def cmd_boxdim(args) -> int:
-    _check_flags(args, count=1000, depth=1, k_min=1, k_max=args.k_min + 3)  # four scales
     parsed = _load(args)
     weights = _weights_for(parsed)
     seed_point = parsed.polygon.centroid() if parsed.polygon else (0.0, 0.0)
@@ -298,11 +273,6 @@ def cmd_ssc(args) -> int:
 
 
 def cmd_render(args) -> int:
-    sizes = dict(width=render.SIZES, height=render.SIZES)
-    if args.mode == "chaos":
-        _check_flags(args, count=1, **sizes)  # chaos mode draws no cylinders: --depth is unused
-    else:
-        _check_flags(args, depth=1, **sizes)  # and cylinders mode no orbit: --count is unused
     parsed = _load(args)
     if args.viewport:
         try:
@@ -326,78 +296,75 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _analyze_flags(p):
-    p.add_argument("--target", choices=("measure", "attractor", "both"), default="both")
-    p.add_argument("--out", help="also write the report to a file")
-    p.add_argument("--json", metavar="PATH", help="also write a JSON document")
-    p.add_argument("--hochman-depth", type=int, default=None)
-    p.add_argument("--mc-n", type=int, default=1000)
-    p.add_argument("--mc-trials", type=int, default=1000)
-    p.add_argument("--subsystem-exclude", metavar="SYMS",
-                   help="analyze the depth-n subsystem dropping this word "
-                        "class, e.g. 4,6 (lower bound for the full system)")
-    p.add_argument("--subsystem-depth", type=int, default=1)
+_SOURCE_FLAGS = (
+    ("--example", dict(choices=example_names(), help="built-in example system"), None),
+    ("--config", dict(help="path to an IFS config file"), None),
+    ("--param", dict(action="append", default=[], metavar="K=V",
+                     help="example parameter, e.g. c=0.4 for phi-c"), None),
+    ("--seed", dict(type=int, default=0, help="RNG seed threaded everywhere"), None),
+)
+_OUT = ("--out", {}, None)
+_MONTE_CARLO = (("--mc-n", dict(type=int, default=1000), 1),
+                ("--mc-trials", dict(type=int, default=1000), 2))
 
 
-def _pressure_flags(p):
-    p.add_argument("--n", help="comma-separated depth schedule, e.g. 2,4,8")
-    p.add_argument("--out")
-
-
-def _lyapunov_flags(p):
-    p.add_argument("--mc-n", type=int, default=1000)
-    p.add_argument("--mc-trials", type=int, default=1000)
-    p.add_argument("--bits", action="store_true", help="display in bits instead of nats")
-    p.add_argument("--out")
-
-
-def _directions_flags(p):
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--out")
-
-
-def _hochman_flags(p):
-    p.add_argument("--maps", help='line maps "beta,gamma;beta,gamma;..." (rationals)')
-    p.add_argument("--derive", choices=("x", "direction"), default="direction",
-                   help="derive the line system from a planar config")
-    p.add_argument("--n", default="6", help="max depth or depth range, e.g. 6 or 3..6")
-    p.add_argument("--out")
-
-
-def _boxdim_flags(p):
-    p.add_argument("--count", type=int, default=200_000)
-    p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--k-min", type=int, default=3)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--out")
-
-
-def _ssc_flags(p):
-    p.add_argument("--out")
-
-
-def _render_flags(p):
-    p.add_argument("--out", required=False)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--mode", choices=("cylinders", "chaos"), default="cylinders")
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--count", type=int, default=100_000)
-    p.add_argument("--viewport", help="x0,y0,x1,y1 in plane coordinates")
-
-
-# name -> (help, handler, flags after the source flags)
+# name -> (help, handler, flags after the source flags).  Each flag is one
+# row (flag, add_argument keywords, bound), in --help order; main checks every
+# bound before the handler runs (see _check_flags).  The module docstring is
+# the top-level --help text, so the table is described here.
 COMMANDS = {
-    "analyze": ("certified dimension report", cmd_analyze, _analyze_flags),
-    "pressure": ("finite-depth pressure roots", cmd_pressure, _pressure_flags),
-    "lyapunov": ("entropy, exponents and Lyapunov dimension", cmd_lyapunov, _lyapunov_flags),
-    "directions": ("sample the strong-stable direction field", cmd_directions,
-                   _directions_flags),
-    "hochman": ("separation quantities of a line system", cmd_hochman, _hochman_flags),
-    "boxdim": ("box-counting estimate on sampled points", cmd_boxdim, _boxdim_flags),
-    "ssc": ("strong separation check against the polygon", cmd_ssc, _ssc_flags),
-    "render": ("write a P6 image of the attractor", cmd_render, _render_flags),
+    "analyze": ("certified dimension report", cmd_analyze, (
+        ("--target", dict(choices=("measure", "attractor", "both"), default="both"), None),
+        ("--out", dict(help="also write the report to a file"), None),
+        ("--json", dict(metavar="PATH", help="also write a JSON document"), None),
+        ("--hochman-depth", dict(type=int, default=None), None),
+        *_MONTE_CARLO,
+        ("--subsystem-exclude", dict(metavar="SYMS",
+                                     help="analyze the depth-n subsystem dropping this word "
+                                          "class, e.g. 4,6 (lower bound for the full system)"),
+         None),
+        ("--subsystem-depth", dict(type=int, default=1),
+         lambda args: 1 if args.subsystem_exclude else None),
+    )),
+    "pressure": ("finite-depth pressure roots", cmd_pressure, (
+        ("--n", dict(help="comma-separated depth schedule, e.g. 2,4,8"), None),
+        _OUT,
+    )),
+    "lyapunov": ("entropy, exponents and Lyapunov dimension", cmd_lyapunov, (
+        *_MONTE_CARLO,
+        ("--bits", dict(action="store_true", help="display in bits instead of nats"), None),
+        _OUT,
+    )),
+    "directions": ("sample the strong-stable direction field", cmd_directions, (
+        ("--count", dict(type=int, default=1000), 1),
+        ("--depth", dict(type=int, default=None), 1),
+        _OUT,
+    )),
+    "hochman": ("separation quantities of a line system", cmd_hochman, (
+        ("--maps", dict(help='line maps "beta,gamma;beta,gamma;..." (rationals)'), None),
+        ("--derive", dict(choices=("x", "direction"), default="direction",
+                          help="derive the line system from a planar config"), None),
+        ("--n", dict(default="6", help="max depth or depth range, e.g. 6 or 3..6"), None),
+        _OUT,
+    )),
+    "boxdim": ("box-counting estimate on sampled points", cmd_boxdim, (
+        ("--count", dict(type=int, default=200_000), 1000),
+        ("--depth", dict(type=int, default=40), 1),
+        ("--k-min", dict(type=int, default=3), 1),
+        ("--k-max", dict(type=int, default=8), lambda args: args.k_min + 3),  # four scales
+        _OUT,
+    )),
+    "ssc": ("strong separation check against the polygon", cmd_ssc, (_OUT,)),
+    "render": ("write a P6 image of the attractor", cmd_render, (
+        _OUT,
+        ("--width", dict(type=int, default=512), render.SIZES),
+        ("--height", dict(type=int, default=512), render.SIZES),
+        ("--mode", dict(choices=("cylinders", "chaos"), default="cylinders"), None),
+        # chaos mode draws no cylinders, and cylinders mode no orbit
+        ("--depth", dict(type=int, default=5), lambda a: 1 if a.mode == "cylinders" else None),
+        ("--count", dict(type=int, default=100_000), lambda a: 1 if a.mode == "chaos" else None),
+        ("--viewport", dict(help="x0,y0,x1,y1 in plane coordinates"), None),
+    )),
 }
 
 
@@ -409,20 +376,21 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     p = _Parser(prog="affdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     chosen = next((a for a in argv if a in COMMANDS), None)
-    for name, (help_text, fn, add_flags) in COMMANDS.items():
+    for name, (help_text, _, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == chosen:
-            _add_source_flags(sp)
-            add_flags(sp)
-            sp.set_defaults(fn=fn)
+            for flag, keywords, _ in _SOURCE_FLAGS + flags:
+                sp.add_argument(flag, **keywords)
     return p
 
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
+    _, handler, flags = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        _check_flags(args, flags)
+        return handler(args)
     except (AffdimError, OSError, ValueError) as e:  # bad input: a message, not a traceback
         print(f"affdim: error: {e}", file=_sys.stderr)
         return 1

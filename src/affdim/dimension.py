@@ -214,9 +214,10 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
 
     Triangular c-dominant systems use the exact 1-D slope-system certificate;
     a-dominant systems always fail (every inverse image contains the vertical
-    direction).  Otherwise inverse-image arcs of the certificate's backward
-    cone are checked for nesting and pairwise disjointness with slack
-    ``OVERLAP_TOL``.
+    direction).  Otherwise two maps that share a linear part fail under every
+    cone; else the inverse-image arcs of the certificate's backward cone must
+    nest in it and be pairwise disjoint with slack ``OVERLAP_TOL``, or the
+    status is Unknown, since another cone may pass.
     """
     if split.triangular == "ADominant":
         return FAILED
@@ -225,6 +226,8 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
         if merged.n == 1:
             return FAILED  # single direction map: all inverse images coincide
         return VERIFIED if _interval_images_disjoint(merged) else FAILED
+    if len({f.linear for f in sys.maps}) < sys.n:
+        return FAILED
     cone = split.backward_cone
     images = []
     for f in sys.maps:
@@ -234,15 +237,15 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
             img = arc_image(inv, arc)
             placed = cone.place(img)
             if placed is None:
-                return FAILED
+                return UNKNOWN
             host, off = placed
             if off + img.length > host.length + OVERLAP_TOL:
-                return FAILED
+                return UNKNOWN
             arcs.append(img)
         images.append(arcs)
     for arcs_i, arcs_j in combinations(images, 2):
         if any(a.overlap(b) > OVERLAP_TOL for a in arcs_i for b in arcs_j):
-            return FAILED
+            return UNKNOWN
     return VERIFIED
 
 

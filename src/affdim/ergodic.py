@@ -119,13 +119,17 @@ def entropy(weights: BernoulliWeights) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _log_dets(sys: IfsSystem) -> np.ndarray:
-    return np.log(np.abs(det4(entry_columns(sys.linear_array))))
-
-
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
     """-sum p_i log |det A_i| = chi_s + chi_ss, exactly."""
-    return float(-np.dot(weights.as_array, _log_dets(sys)))
+    return float(-np.dot(weights.as_array, np.log(np.abs(det4(entry_columns(sys.linear_array))))))
+
+
+def _with_det_identity(sys, weights, chi_s, stderr, enc=None) -> ExponentTriple:
+    """The triple with chi_ss = d - chi_s (:func:`det_identity_value`) and
+    chi_s capped at d/2: the top exponent never exceeds half the drift d."""
+    d = det_identity_value(sys, weights)
+    chi_s = min(chi_s, d / 2.0)
+    return ExponentTriple(entropy(weights), chi_s, d - chi_s, stderr, stderr, enc)
 
 
 def lyapunov_triangular(sys: IfsSystem, weights: BernoulliWeights) -> ExponentTriple:
@@ -172,10 +176,7 @@ def lyapunov_monte_carlo(
     chi_trials = -log_a1 / n
     chi_s = float(np.mean(chi_trials))
     stderr = float(np.std(chi_trials, ddof=1) / math.sqrt(trials))
-    d = det_identity_value(sys, weights)
-    # the top exponent can never exceed half the determinant drift
-    chi_s = min(chi_s, d / 2.0)
-    return ExponentTriple(entropy(weights), chi_s, d - chi_s, stderr, stderr)
+    return _with_det_identity(sys, weights, chi_s, stderr)
 
 
 def _min_gain(cols, alpha2, cone, starts, lengths) -> np.ndarray:
@@ -321,9 +322,7 @@ def lyapunov_exponents(
         if enc is None:
             return mc
         chi_s, stderr = min(max(mc.chi_s, enc.lo), enc.hi), mc.stderr_s
-    d = det_identity_value(sys, weights)
-    chi_s = min(chi_s, d / 2.0)
-    return ExponentTriple(entropy(weights), chi_s, d - chi_s, stderr, stderr, enc)
+    return _with_det_identity(sys, weights, chi_s, stderr, enc)
 
 
 def lyapunov_dimension(t: ExponentTriple) -> float:

@@ -13,19 +13,21 @@ per-word renormalization, so results are deterministic and no product ever
 under- or overflows.  The words' last symbols are built level by level while
 a level holds at most ``WALK_BLOCK`` words; the leading symbols are then
 prepended depth first, one block of words per node
-(:func:`linalg2.word_blocks`), and each leaf writes its slice of the outputs.
-Every word sees the same floating-point operations as in a level-by-level
-build.  Only log alpha1 is stored for every word.  log |det| and the log
-multiplicity are per-word arrays only when the symbols' values differ;
-otherwise each is the one float that every word carries.  A root evaluation
-runs over blocks of at most ``WORD_BLOCK`` words: one pass takes the largest
-log term, a second sums the softmax weights and their slopes along numpy's
-pairwise-sum tree (:func:`_pairwise_sums`), so both sums equal ``np.sum`` of
-the full-length arrays bit for bit.  So the peak is one float64 per word
-when the symbols share |det| and multiplicity (phi-c, sec44, hl-demo), and
-three otherwise, beside blocks of fixed size.  Finite-n roots certify the
-true root from above: submultiplicativity of the singular value function
-makes the approximants decrease along doubling depths.
+(:func:`linalg2.word_blocks`).  The walk carries only the products and their
+log scales, and each leaf writes its slice of log alpha1, the one output
+stored for every word.  Every word sees the same floating-point operations as
+in a level-by-level build.  log |det| and the log multiplicity are summed
+along the words apart, in the walk's order (:func:`_word_sums`): per-word
+arrays only when the symbols' values differ, otherwise the one float that
+every word carries.  A root evaluation runs over blocks of at most
+``WORD_BLOCK`` words: one pass takes the largest log term, a second sums the
+softmax weights and their slopes along numpy's pairwise-sum tree
+(:func:`_pairwise_sums`), so both sums equal ``np.sum`` of the full-length
+arrays bit for bit.  So the peak is one float64 per word when the symbols
+share |det| and multiplicity (phi-c, sec44, hl-demo), and three otherwise,
+beside blocks of fixed size.  Finite-n roots certify the true root from
+above: submultiplicativity of the singular value function makes the
+approximants decrease along doubling depths.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -106,17 +108,16 @@ def _merged_linear_parts(sys: IfsSystem, per_map=None) -> Tuple[np.ndarray, np.n
     return sys.linear_array[list(first.values())], np.array([float(v) for v in sums.values()])
 
 
-def _shared_word_sum(values: np.ndarray, n: int) -> Optional[float]:
-    """The value every length-n word carries when all symbols carry the same
-    one: n copies summed as the enumeration sums them, the new symbol's on
-    the left, so it equals each word's entry bit for bit.  None when the
-    symbols' values differ."""
-    if np.any(values != values[0]):
-        return None
-    x = total = float(values[0])
+def _word_sums(values: np.ndarray, n: int):
+    """The sum of the symbols' ``values`` along every length-n word, the new
+    symbol's added on the left at each level: one float when every symbol
+    carries the same value, otherwise one entry per word in lexicographic
+    order with the leading symbol as the slowest digit."""
+    shared = bool(np.all(values == values[0]))
+    symbols = total = values[:1] if shared else values
     for _ in range(n - 1):
-        total = x + total
-    return total
+        total = np.add.outer(symbols, total).ravel()
+    return float(total[0]) if shared else total
 
 
 def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
@@ -124,15 +125,16 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     the distinct linear parts, in lexicographic order with the leading symbol
     as the slowest digit.
 
-    log |det| and the log multiplicity are arrays only when the symbols'
-    values differ; otherwise each is one float that equals every word's
-    entry.  log alpha2 is log |det| - log alpha1 (see :func:`phi_log_values`).
-    Products are renormalized per word (log scale carried separately) and
-    log |det| is the exact per-symbol sum, so deep strongly-dominated
-    products lose no precision.  Only the outputs are allocated at full
-    length: one float per word when the symbols share |det| and multiplicity,
-    three otherwise.  Beside them the depth-first walk holds one block of at
-    most ``WALK_BLOCK`` words per level (see the module docstring).
+    log |det| and the log multiplicity come from :func:`_word_sums`: arrays
+    only when the symbols' values differ, otherwise one float that equals
+    every word's entry.  log alpha2 is log |det| - log alpha1 (see
+    :func:`phi_log_values`).  Products are renormalized per word (log scale
+    carried separately) and log |det| is the exact per-symbol sum, so deep
+    strongly-dominated products lose no precision.  Only the outputs are
+    allocated at full length: one float per word when the symbols share |det|
+    and multiplicity, three otherwise.  Beside them the depth-first walk holds
+    one block of at most ``WALK_BLOCK`` products per level (see the module
+    docstring).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,31 +144,19 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
     cols = entry_columns(A)
-    sym_sums = (np.log(np.abs(det4(cols))), np.log(mult))  # summed along each word
-    shared = [_shared_word_sum(v, n) for v in sym_sums]
-    carried = [v for v, w in zip(sym_sums, shared) if w is None]
-
+    log_det, log_w = (_word_sums(v, n) for v in (np.log(np.abs(det4(cols))), np.log(mult)))
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
     def prepend(words, i):
-        e, logscale, sums = words
-        a, add = lead, carried
-        if i is not None:
-            a, add = tuple(c[i] for c in cols), [v[i] for v in carried]
-        e, m = renormalise4(mul4(a, e))
-        return (tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel(),
-                [np.add.outer(x, y).ravel() for x, y in zip(add, sums)])
+        e, logscale = words
+        e, m = renormalise4(mul4(lead if i is None else tuple(c[i] for c in cols), e))
+        return tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel()
 
-    blocks = word_blocks((cols, np.zeros(n_sym), carried), prepend, n_sym, n, WALK_BLOCK)
+    blocks = word_blocks((cols, np.zeros(n_sym)), prepend, n_sym, n, WALK_BLOCK)
     log_a1 = np.empty(total)
-    out = [np.empty(total) if w is None else w for w in shared]
-    per_word = [x for x, w in zip(out, shared) if w is None]
-    for start, (e, logscale, sums) in blocks:
-        stop = start + len(logscale)
-        np.add(logscale, log_alpha1(e), out=log_a1[start:stop])
-        for x, y in zip(per_word, sums):
-            x[start:stop] = y
-    return (log_a1, *out)
+    for start, (e, logscale) in blocks:
+        np.add(logscale, log_alpha1(e), out=log_a1[start:start + len(logscale)])
+    return log_a1, log_det, log_w
 
 
 def phi_log_values(log_a1: np.ndarray, log_det, s: float) -> Callable[[slice], np.ndarray]:

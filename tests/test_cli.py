@@ -707,6 +707,21 @@ class TestBadInput:
         assert (code, stdout, err) == (1, "", message)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["render", "--example", "sec44", "--depth", "0", "--width", "0"],
+         "bad --width 0; need 16..8192"),
+        (["render", "--example", "sec44", "--mode", "chaos", "--count", "0", "--height", "1"],
+         "bad --height 1; need 16..8192"),
+        (["directions", "--example", "hl-demo", "--depth", "0", "--count", "0"],
+         "bad --count 0; need >= 1"),
+        (["boxdim", "--example", "sec44", "--k-min", "0", "--depth", "0"],
+         "bad --depth 0; need >= 1"),
+    ], ids=lambda v: " ".join(v[:1] + v[3:]) if isinstance(v, list) else "")
+    def test_first_bad_flag_in_help_order_is_named(self, argv, message, capsys, tmp_path):
+        if argv[0] == "render":
+            argv = argv + ["--out", str(tmp_path / "img.ppm")]
+        assert run_cli(argv, capsys) == (1, "", f"affdim: error: {message}\n")
+
     def test_chaos_mode_ignores_depth(self, capsys, tmp_path):
         out = tmp_path / "img.ppm"
         code, _, _ = run_cli(["render", "--example", "sec44", "--mode", "chaos", "--depth", "0",
@@ -721,6 +736,83 @@ class TestBadInput:
                               "--width", "16", "--height", "16", "--out", str(out)], capsys)
         assert code == 0
         assert out.read_bytes().startswith(b"P6\n16 16\n255\n")
+
+
+TWO_MAPS = "map 1/2 0 0 1/2 0 0\nmap 1/2 0 0 1/2 1/2 0\n"
+NO_POLYGON_CONFIG = "map 1/2 0 0 1/3 0 0\nmap 1/2 0 0 1/3 1/2 1/2\n"
+# every ParseError branch of parse_system, as `analyze --config` reports it
+BAD_CONFIGS = [
+    ("label\n" + TWO_MAPS, "line 1: label needs a value"),
+    ("map 1/2 0 0 1/2 0\n", "line 1: map row needs 6 numbers (a11 a12 a21 a22 t1 t2), got 5"),
+    (TWO_MAPS + "weights 1/2 1/2\nweights 1/2 1/2\n", "line 4: duplicate weights row"),
+    (TWO_MAPS + "polygon 0 0 1\n", "line 3: polygon row needs 2 numbers (x y)"),
+    ("label x\n", "config has no map rows"),
+    (TWO_MAPS + "weights 1/2 1/3\n", "line 3: weights must sum to 1"),
+    (TWO_MAPS + "weights 1\n", "line 3: weights row has 1 entries for 2 maps"),
+    (TWO_MAPS + "".join(f"polygon {v}\n" for v in ("0 0", "2 0", "1 1", "2 2", "0 2")),
+     "bad polygon: reflex corner at vertex 2"),
+]
+
+
+class TestRarePaths:
+    """Exact (exit code, stdout, stderr) of CLI paths no other test runs,
+    recorded before the flags and their bounds became one command table."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--example", "sec44", "--config", "unused.cfg"],
+         "give either --example or --config, not both"),
+        (["analyze", "--example", "phi-c", "--param", "c"], "bad --param 'c'; expected K=V"),
+        (["analyze", "--example", "phi-c"], "phi-c needs --param c=<value in (0, 1/2)>"),
+        (["analyze", "--example", "phi-c", "--param", "c=2"], "phi-c needs 0 < c < 1/2"),
+        (["render", "--example", "sec44"], "render needs --out PATH for the P6 image"),
+        (["hochman", "--maps", "1/2,0,1"], "bad map '1/2,0,1'; expected beta,gamma"),
+        (["hochman", "--maps", "1/2,x"], "bad map '1/2,x': Invalid literal for Fraction: 'x'"),
+        (["hochman", "--maps", "2,0"], "map 1: contraction must satisfy 0 < |beta| < 1"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_input_errors(self, argv, message, capsys):
+        assert run_cli(argv, capsys) == (1, "", f"affdim: error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", BAD_CONFIGS,
+                             ids=[m.split(": ", 1)[-1] for _, m in BAD_CONFIGS])
+    def test_config_errors(self, text, message, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run_cli(["analyze", "--config", str(cfg)], capsys) == \
+            (1, "", f"affdim: error: {message}\n")
+
+    def test_ssc_without_polygon(self, capsys, tmp_path):
+        cfg = tmp_path / "np.cfg"
+        cfg.write_text(NO_POLYGON_CONFIG)
+        assert run_cli(["ssc", "--config", str(cfg)], capsys) == \
+            (1, "", "affdim: error: ssc needs a polygon (in the config or the example)\n")
+
+    def test_failing_ssc_prints_witness(self, capsys):
+        out = ("holds: false\nkappa: 0.0\nmargin: 0.0\n"
+               "witness: image 1 vertex (Fraction(1, 3), Fraction(0, 1)) not interior to O\n")
+        assert run_cli(["ssc", "--example", "phi-c", "--param", "c=2/5"], capsys) == (0, out, "")
+
+    def test_empty_line_map_is_skipped(self, capsys):
+        out = ("n\tdelta_n\trate\n1\tinf\t-inf\n2\t1/4\t0.6931471805599453\n"
+               "3\t1/16\t0.9241962407465937\n# verdict: TrendBounded\n")
+        assert run_cli(["hochman", "--maps", "1/2,0;;1/4,1/2", "--n", "3"], capsys) == \
+            (0, out, "")
+
+    def test_out_writes_the_table(self, capsys, tmp_path):
+        path = tmp_path / "t.tsv"
+        out = ("n\troot\n2\t1.4683349072579963\n4\t1.4486707965650771\n"
+               "# upper-bound: 1.4486707965650771\n"
+               "# extrapolated-estimate: 1.429006685872158 (heuristic, Richardson)\n"
+               "# converged: false\n")
+        argv = ["pressure", "--example", "sec44", "--n", "2,4", "--out", str(path)]
+        assert run_cli(argv, capsys) == (0, out, "")
+        assert path.read_text() == out
+
+    def test_render_without_polygon_uses_default_viewport(self, capsys, tmp_path):
+        cfg, img = tmp_path / "np.cfg", tmp_path / "img.ppm"
+        cfg.write_text(NO_POLYGON_CONFIG)
+        assert run_cli(["render", "--config", str(cfg), "--out", str(img)], capsys) == (0, "", "")
+        assert hashlib.sha256(img.read_bytes()).hexdigest() == \
+            "81ddeaad1d17bc3725c974ff9a6df5abb5429009292bb5a3a1b4d80c003084d5"
 
 
 # sha256 of (stdout, stderr) at 80 columns, recorded while build_parser still

@@ -55,6 +55,14 @@ def three_unequal_symbols_system():
     return IfsSystem(shared_linear_part_system().maps + (c,))
 
 
+def root_above_two_system():
+    """Six lower-triangular maps with a = 3/5 and c = 9/20: s1 = 3.5076 and
+    s2 = 2.6042 both lie above 2, so the root solves 6 (ac)^(s/2) = 1."""
+    shears = (F(1, 10), F(-1, 10), F(0), F(1, 5), F(-1, 5), F(1, 20))
+    return IfsSystem(tuple(AffineMap(Mat2.lower_triangular(F(3, 5), b, F(9, 20)), (F(k, 6), F(0)))
+                           for k, b in enumerate(shears)))
+
+
 def brute_force_phi_sum(sysm, s, n):
     """sum over all N^n words of phi^s(A_w), one product per word, no merging."""
     products = [Mat2.identity()]
@@ -163,6 +171,10 @@ class TestPressureRoot:
         assert est.dropped == (12,)
         sysm, _, _ = sec44()
         assert pressure_root(sysm, (2, 4)).dropped == ()
+
+    def test_schedule_falls_back_to_the_deepest_under_cap(self):
+        # 6^12 and 6^14 both exceed the cap: the deepest depth under it stays
+        assert pressure_mod.adjusted_schedule(root_above_two_system(), (12, 14), cap=1000) == (3,)
 
     def test_phi_c_merged_reaches_depth_12(self):
         sysm, _, _ = phi_c(F(1, 4))  # 6 maps, 3 linear parts: 3^12 words
@@ -475,3 +487,16 @@ class TestTriangularClosedForms:
             assert abs(est.s_extrapolated - closed) < 1e-3
             gaps = [r - closed for _, r in est.history]
             assert all(a >= b - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+    def test_root_above_two(self):
+        """On [2, 4] phi^s is |det|^(s/2) whatever the shear, so every depth's
+        root is the closed form's up to rounding.  The depth-6 root lands
+        4e-13 below it: a float sign test decides the bracket (ROADMAP item 7)."""
+        sysm = root_above_two_system()
+        s1, s2 = triangular_roots(sysm)
+        assert (round(s1, 4), round(s2, 4)) == (3.5076, 2.6042)
+        closed = triangular_pressure_root(sysm)
+        assert closed == 2.7369034941393693
+        for n in (2, 4, 6):
+            (_, r), = pressure_root(sysm, (n,)).history
+            assert abs(r - closed) <= 1e-12
