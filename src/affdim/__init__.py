@@ -60,7 +60,6 @@ from .splitting import (
     check_multicone_invariance,
     check_triangular_split,
     min_angle_separation,
-    sample_nu_ss,
     stable_direction,
     strong_stable_direction,
 )

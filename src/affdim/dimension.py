@@ -55,9 +55,9 @@ from .ergodic import (
 from .hochman import DeltaReport, LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
                   format_number)
-from .linalg2 import Mat2, arc_image, singular_values
+from .linalg2 import Mat2, singular_values
 from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
-from .splitting import SplitReport, abs_diagonals, certify, sample_nu_ss_angles
+from .splitting import SplitReport, abs_diagonals, certify, nest, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -226,23 +226,12 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
         if merged.n == 1:
             return FAILED  # single direction map: all inverse images coincide
         return VERIFIED if _interval_images_disjoint(merged) else FAILED
-    if len({f.linear for f in sys.maps}) < sys.n:
+    if len(sys.symbols) < sys.n:
         return FAILED
-    cone = split.backward_cone
-    images = []
-    for f in sys.maps:
-        inv = f.linear.to_float().inverse()
-        arcs = []
-        for arc in cone.arcs:
-            img = arc_image(inv, arc)
-            placed = cone.place(img)
-            if placed is None:
-                return UNKNOWN
-            host, off = placed
-            if off + img.length > host.length + OVERLAP_TOL:
-                return UNKNOWN
-            arcs.append(img)
-        images.append(arcs)
+    images, clearance = nest((f.linear.to_float().inverse() for f in sys.maps),
+                             split.backward_cone)
+    if not clearance >= -OVERLAP_TOL:
+        return UNKNOWN
     for arcs_i, arcs_j in combinations(images, 2):
         if any(a.overlap(b) > OVERLAP_TOL for a in arcs_i for b in arcs_j):
             return UNKNOWN
@@ -710,10 +699,7 @@ def _empirical_direction(st: _ReportState):
         return None
     ctx = st.ctx
     angles = sample_nu_ss_angles(ctx.sys, st.weights, None, 4000, ctx.rng_seed, ctx.split)
-    try:
-        series = correlation_dimension_estimate(angles, [2.0 ** -k for k in range(3, 11)])
-    except TooFewPoints:
-        return None
+    series = correlation_dimension_estimate(angles, [2.0 ** -k for k in range(3, 11)])
     st.details.append(("nu-ss-empirical-slope", format_number(series.slope)))
     if series.slope + st.h_over_chi_ss > 2.0 and st.dim_lyap > 1.0:
         st.hyps.append(("nu-ss-dimension-empirical", TREND))
@@ -737,13 +723,10 @@ _RULES = (_bounds_only, _a_dominant, _direction_data, _hueter_lalley, _projectio
 
 def _prescribed_weight_candidates(ctx: _Ctx):
     """Theorem-prescribed Bernoulli vectors for the attractor lower bound."""
-    sys, split = ctx.sys, ctx.split
     cands = []
     if ctx.triangular_roots is not None:
         s1, s2 = ctx.triangular_roots
-        a, c = abs_diagonals(sys)
-        if split.triangular == "CDominant":
-            a, c = c, a
+        a, c = abs_diagonals(ctx.sys)  # the dominant diagonal first
         w1 = a ** s1
         w2 = a * c ** (s2 - 1.0)
         for w in (w1, w2):

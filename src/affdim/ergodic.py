@@ -34,8 +34,9 @@ which is sqrt(T^2 - 4 D^2) / (2 D) with T = tr(A^T A) and D = |det A|,
 rounded up as sqrt(T^2 - 4 D^2 + 64 u T^2) (1 + 16 u) / (2 D).  The arcs
 shrink like exp(-n (chi_ss - chi_s)), and n is raised until the bracket is
 ``ENCLOSURE_TOL`` wide, stops narrowing, or ``ENCLOSURE_WORDS`` words are
-spent.  Words run over the distinct linear parts, each weighted by the sum of
-its maps' weights, in the blocks of :func:`linalg2.word_blocks`.
+spent.  Words run over the merged alphabet of the pressure,
+``IfsSystem.symbols`` (the distinct linear parts), each symbol weighted by the
+sum of its maps' weights, in the blocks of :func:`linalg2.word_blocks`.
 
 Rounding.  With u = 2^-53, K = 2 max_i ||A_i||_F / min |A_i x| over unit x
 in C (doubled for the points' own distance from C), F = max_i
@@ -75,8 +76,8 @@ import numpy as np
 from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4, word_blocks
-from .pressure import WORD_BLOCK, _merged_linear_parts
+from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks
+from .pressure import WORD_BLOCK
 from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
@@ -121,7 +122,7 @@ def entropy(weights: BernoulliWeights) -> float:
 
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
     """-sum p_i log |det A_i| = chi_s + chi_ss, exactly."""
-    return float(-np.dot(weights.as_array, np.log(np.abs(det4(entry_columns(sys.linear_array))))))
+    return float(-np.dot(weights.as_array, np.log(np.abs(det4(sys.columns[:4])))))
 
 
 def _with_det_identity(sys, weights, chi_s, stderr, enc=None) -> ExponentTriple:
@@ -159,7 +160,7 @@ def lyapunov_monte_carlo(
         raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    cols = entry_columns(sys.linear_array)
+    cols = sys.columns[:4]
     e = (np.ones(trials), np.zeros(trials), np.zeros(trials), np.ones(trials))
     logscale = np.zeros(trials)
     k = 0
@@ -202,9 +203,9 @@ def exponent_bracket(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    A, p = _merged_linear_parts(sys, weights.p)
+    p = np.array([float(sum(weights.p[i] for i in g)) for g in sys.symbols])
     n_sym = len(p)
-    cols = entry_columns(A)
+    cols = sys.symbol_columns
     t = sum(c * c for c in cols)  # alpha1^2 + alpha2^2
     dt = np.abs(det4(cols))  # alpha1 alpha2
     disc = np.maximum(t * t - 4.0 * dt * dt, 0.0)  # (alpha1^2 - alpha2^2)^2
@@ -270,7 +271,7 @@ def lyapunov_enclosure(
     The depths run 4, 8, then as far as the bracket's geometric decay between
     the last two depths predicts the tolerance is met.
     """
-    n_sym = len(set(f.linear for f in sys.maps))
+    n_sym = len(sys.symbols)
     runs = []  # Enclosure per depth run
     want, left = 4, ENCLOSURE_WORDS
     while True:
@@ -327,6 +328,4 @@ def lyapunov_exponents(
 
 def lyapunov_dimension(t: ExponentTriple) -> float:
     """min{2, h/chi_s, 1 + (h - chi_s)/chi_ss}; always in [0, 2]."""
-    if not t.chi_s > 0:
-        raise BadExponents("chi_s must be positive")
     return min(2.0, t.entropy / t.chi_s, 1.0 + (t.entropy - t.chi_s) / t.chi_ss)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BadSymbol, NonConvexPolygon, ParseError
-from .linalg2 import Mat2, entry_columns, log_alpha1, mul4, operator_norm, renormalise4
+from .linalg2 import Mat2, log_alpha1, mul4, operator_norm, renormalise4
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
 
@@ -107,15 +107,28 @@ class IfsSystem:
         )
 
     @cached_property
-    def linear_array(self) -> np.ndarray:
-        return np.array(
-            [[[f.linear.a11, f.linear.a12], [f.linear.a21, f.linear.a22]] for f in self.maps],
-            dtype=float,
-        )
+    def columns(self) -> tuple:
+        """Entry columns (a11, a12, a21, a22, tx, ty) of the float maps, one
+        entry per map: the operands of the batched 2x2 kernel."""
+        table = np.array([f.linear.entries() + tuple(f.translation) for f in self.maps],
+                         dtype=float)
+        return tuple(table.T)
 
     @cached_property
-    def translation_array(self) -> np.ndarray:
-        return np.array([f.translation for f in self.maps], dtype=float)
+    def symbols(self) -> tuple:
+        """The merged alphabet of the pressure and the exponent enclosure,
+        which ignore translations: the map indices of each distinct linear
+        part, in order of first appearance."""
+        groups = {}
+        for i, f in enumerate(self.maps):
+            groups.setdefault(f.linear, []).append(i)
+        return tuple(tuple(g) for g in groups.values())
+
+    @cached_property
+    def symbol_columns(self) -> tuple:
+        """The linear entry columns of :attr:`columns` at each symbol's first map."""
+        first = [g[0] for g in self.symbols]
+        return tuple(c[first] for c in self.columns[:4])
 
     @cached_property
     def max_norm(self) -> float:
@@ -239,10 +252,9 @@ def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0
         raise ValueError("natural_projection needs a non-empty word")
     validate_word(sys, word)
     x, y = _point_kernel(sys, seed)(np.array([word]) - 1)[0]
-    cols = entry_columns(sys.linear_array)
     prod, log_scale = (1.0, 0.0, 0.0, 1.0), 0.0
     for s in word:
-        prod, scale = renormalise4(mul4(prod, tuple(c[s - 1] for c in cols)))
+        prod, scale = renormalise4(mul4(prod, tuple(c[s - 1] for c in sys.columns[:4])))
         log_scale += math.log(scale)
     bound = math.exp(log_scale + float(log_alpha1(prod))) * 2.0 * sys.bounding_radius
     return ProjectedPoint((float(x), float(y)), bound)
@@ -250,12 +262,8 @@ def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0
 
 def _point_kernel(sys: IfsSystem, seed_point: Vec2):
     """Function of a (count, depth) array of 0-based symbols giving the
-    (count, 2) points f_w(seed_point), one word w per row; the per-symbol
-    entry columns are taken once, outside the step loop."""
-    A = sys.linear_array
-    t = sys.translation_array
-    a11, a12, a21, a22 = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    tx, ty = t[:, 0], t[:, 1]
+    (count, 2) points f_w(seed_point), one word w per row."""
+    a11, a12, a21, a22, tx, ty = sys.columns
 
     def points(syms):
         x = np.full(len(syms), float(seed_point[0]))
@@ -451,7 +459,8 @@ def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
                 if margin_sd2 is None or sd2 < margin_sd2:
                     margin_sd2 = sd2
                     if cr <= 0:
-                        margin_witness = f"image {i + 1} vertex {v} not interior to O"
+                        x, y = (format_number(c) for c in v)
+                        margin_witness = f"image {i + 1} vertex ({x}, {y}) not interior to O"
     margin = math.copysign(math.sqrt(abs(float(margin_sd2))), float(margin_sd2))
 
     # (b) pairwise disjointness with gap

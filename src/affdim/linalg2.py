@@ -7,9 +7,11 @@ square root (singular values, angles) is computed in float.
 The batched 2x2 kernel (:func:`mul4`, :func:`renormalise4`, :func:`log_alpha1`)
 forms every word product for the pressure, the exponents and the direction
 samplers, and :func:`word_blocks` enumerates the words of the pressure and
-the exponent enclosure in bounded blocks.  Each caller keeps its own
-renormalisation cadence, and that cadence is part of the output bytes: it
-decides the last bits.
+the exponent enclosure in bounded blocks.  Its operands are entry 4-tuples
+of arrays: a system's per-map float entries are ``IfsSystem.columns``, and
+those of its merged alphabet ``IfsSystem.symbol_columns``.  Each caller
+keeps its own renormalisation cadence, and that cadence is part of the
+output bytes: it decides the last bits.
 """
 
 from __future__ import annotations
@@ -151,11 +153,6 @@ def phi_s(m: Mat2, s: float) -> float:
 # Batched 2x2 kernel: a batch of matrices is the 4-tuple (m11, m12, m21, m22)
 # of entry arrays, and operands broadcast against each other.
 # ---------------------------------------------------------------------------
-
-
-def entry_columns(A: np.ndarray) -> tuple:
-    """Entry 4-tuple of a (..., 2, 2) array."""
-    return A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
 
 
 def det4(m) -> np.ndarray:
@@ -304,10 +301,9 @@ class ProjArc:
     def midpoint(self) -> ProjPoint:
         return ProjPoint(self.start.theta + 0.5 * self.length)
 
-    def contains(self, p: ProjPoint, margin: float = 0.0) -> bool:
-        """True if p lies on the arc, at angular distance >= margin from both ends."""
-        off = angle_gap(self.start.theta, p.theta)
-        return margin <= off <= self.length - margin
+    def contains(self, p: ProjPoint) -> bool:
+        """True if p lies on the closed arc."""
+        return angle_gap(self.start.theta, p.theta) <= self.length
 
     def start_offset(self, other: "ProjArc") -> Optional[float]:
         """The ccw gap from this arc's start to the start of ``other`` when

@@ -3,10 +3,10 @@ exact closed forms for lower-triangular families.
 
 The pressure ignores translations, so maps that share a linear part are
 merged into one symbol with a multiplicity: words run over the *distinct*
-linear parts (in order of first appearance), and each word carries the log
-of the product of its symbols' multiplicities as an s-independent weight
-inside the log-sum-exp.  The merge is exact, and the enumeration cap counts
-the distinct^n words that are actually allocated.
+linear parts (``IfsSystem.symbols``, in order of first appearance), and each
+word carries the log of the product of its symbols' multiplicities as an
+s-independent weight inside the log-sum-exp.  The merge is exact, and the
+enumeration cap counts the distinct^n words that are actually allocated.
 
 Words are enumerated in lexicographic (leading-symbol-block) order with
 per-word renormalization, so results are deterministic and no product ever
@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .linalg2 import det4, entry_columns, log_alpha1, mul4, renormalise4, word_blocks
+from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks
 from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
@@ -96,18 +96,6 @@ class RootEstimate:
         return (n2 * r2 - n1 * r1) / (n2 - n1)
 
 
-def _merged_linear_parts(sys: IfsSystem, per_map=None) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct linear parts in order of first appearance, as an
-    (n_sym, 2, 2) float array, and the sum of ``per_map`` (one value per map,
-    exact until the sum is rounded) over the maps sharing each one; without
-    ``per_map``, the number of those maps."""
-    first, sums = {}, {}
-    for i, f in enumerate(sys.maps):
-        first.setdefault(f.linear, i)
-        sums[f.linear] = sums.get(f.linear, 0) + (1 if per_map is None else per_map[i])
-    return sys.linear_array[list(first.values())], np.array([float(v) for v in sums.values()])
-
-
 def _word_sums(values: np.ndarray, n: int):
     """The sum of the symbols' ``values`` along every length-n word, the new
     symbol's added on the left at each level: one float when every symbol
@@ -138,12 +126,12 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    A, mult = _merged_linear_parts(sys)
-    n_sym = A.shape[0]
+    n_sym = len(sys.symbols)
     total = n_sym ** n
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
-    cols = entry_columns(A)
+    cols = sys.symbol_columns
+    mult = np.array([float(len(g)) for g in sys.symbols])
     log_det, log_w = (_word_sums(v, n) for v in (np.log(np.abs(det4(cols))), np.log(mult)))
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
@@ -288,7 +276,7 @@ def adjusted_schedule(sys: IfsSystem, schedule: Sequence[int], cap: int = DEFAUL
 
     Words run over the distinct linear parts, so depth n costs distinct^n.
     """
-    n_sym = len({f.linear for f in sys.maps})
+    n_sym = len(sys.symbols)
     kept = [n for n in schedule if n_sym ** n <= cap]
     if not kept:
         n = 1
@@ -301,15 +289,14 @@ def adjusted_schedule(sys: IfsSystem, schedule: Sequence[int], cap: int = DEFAUL
 def pressure_root(
     sys: IfsSystem,
     n_schedule: Optional[Sequence[int]] = None,
-    tol: float = ROOT_TOL,
     cap: int = DEFAULT_CAP,
 ) -> RootEstimate:
     """Roots of the finite-depth pressures along an increasing schedule.
 
-    Each depth's root is the upper end of a bracket of width ``tol`` in
-    [0, 4] (see :func:`_depth_root`); the final root is an upper bound for
-    the true pressure root.  ``converged`` is the stopping heuristic
-    |last - previous| < 10 tol, not a proof.
+    Each depth's root is the upper end of a bracket of width ``ROOT_TOL``
+    in [0, 4] (see :func:`_depth_root`); the final root is an upper bound
+    for the true pressure root.  ``converged`` is the stopping heuristic
+    |last - previous| < 10 ROOT_TOL, not a proof.
     """
     requested = DEFAULT_SCHEDULE if n_schedule is None else tuple(n_schedule)
     n_schedule = adjusted_schedule(sys, requested, cap)
@@ -318,9 +305,9 @@ def pressure_root(
     history = []
     for n in n_schedule:
         words = word_log_singulars(sys, n, cap=cap)
-        root = _depth_root(lambda s: _pressure_with_slope(words, n, s), tol)
+        root = _depth_root(lambda s: _pressure_with_slope(words, n, s), ROOT_TOL)
         history.append((n, root))
-    converged = len(history) >= 2 and abs(history[-1][1] - history[-2][1]) < 10 * tol
+    converged = len(history) >= 2 and abs(history[-1][1] - history[-2][1]) < 10 * ROOT_TOL
     return RootEstimate(
         s_upper=history[-1][1],
         history=tuple(history),
@@ -348,19 +335,19 @@ def triangular_pressure(sys: IfsSystem, s: float) -> float:
     return math.log(float(np.sum((a * c) ** (s / 2.0))))
 
 
-def _solve_sum_equals_one(fn: Callable[[float], float], tol: float = 1e-12) -> float:
+def _solve_sum_equals_one(fn: Callable[[float], float]) -> float:
     """Unique root of a strictly decreasing sum-function minus one, from above.
 
-    Bisects to a bracket of width at most ``tol`` and returns its upper end,
-    where ``fn`` was evaluated <= 1, so the result never sits below the root
-    (up to rounding in ``fn``), like the finite-depth pressure roots.
+    Bisects to a bracket of width at most ``ROOT_TOL`` and returns its upper
+    end, where ``fn`` was evaluated <= 1, so the result never sits below the
+    root (up to rounding in ``fn``), like the finite-depth pressure roots.
     """
     lo, hi = 0.0, 1.0
     while fn(hi) > 1.0:
         hi *= 2.0
         if hi > 1e6:
             raise NoSignChange("sum never drops below one; entries not contracting?")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if fn(mid) > 1.0:
             lo = mid
@@ -376,12 +363,9 @@ def triangular_roots(sys: IfsSystem) -> Tuple[float, float]:
     c-dominant swaps the roles of a and c.  min(s1, s2) is the pressure root
     whenever it lies below 2 (see :func:`triangular_pressure_root`).
     """
-    a, c = abs_diagonals(sys)
-    case = check_triangular_split(sys)
-    if case == "None":
+    if check_triangular_split(sys) == "None":
         raise NoDomination("need |a_i|>|c_i| for all i or |a_i|<|c_i| for all i")
-    if case == "CDominant":
-        a, c = c, a
+    a, c = abs_diagonals(sys)  # the dominant diagonal first
     s1 = _solve_sum_equals_one(lambda s: float(np.sum(a ** s)))
     s2 = _solve_sum_equals_one(lambda s: float(np.sum(a * c ** (s - 1.0))))
     return s1, s2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import UnsupportedDepth
 from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
-from .linalg2 import entry_columns, mul4
+from .linalg2 import mul4
 
 CYLINDER_WORD_CAP = 200_000
 PAIR_BLOCK = 1 << 16  # (polygon, pixel row) pairs scanned at once
@@ -128,8 +128,7 @@ def _cylinder_maps(sys: IfsSystem, depth: int):
     of compose_word, so each map is bit-identical to compose_word(float
     system, w), at about N/(N-1) compositions per word.
     """
-    maps = entry_columns(sys.linear_array) + tuple(sys.translation_array.T)
-    level = maps
+    maps = level = sys.columns
     for _ in range(depth - 1):
         a11, a12, a21, a22, tx, ty = (c[:, None] for c in maps)
         gx, gy = level[4], level[5]
@@ -244,10 +243,7 @@ def render_chaos(
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
     syms = weights.draw(rng(spec.seed), spec.count + CHAOS_BURN_IN)
-    steps = [
-        (a[0][0], a[0][1], a[1][0], a[1][1], t[0], t[1])
-        for a, t in zip(sys.linear_array.tolist(), sys.translation_array.tolist())
-    ]
+    steps = list(zip(*(c.tolist() for c in sys.columns)))
     px, py = (float(c) for c in sys.maps[0].fixed_point())
     xs, ys = array("d"), array("d")  # 8 bytes per coordinate, not a boxed float
     for s in syms.tolist():

@@ -9,8 +9,8 @@ along its own powers).
 
 The certificate's forward multicone (``SplitReport.multicone``) and its
 complement (``SplitReport.backward_cone``) are the only cones that the
-backward check and the direction routines read, and :meth:`Multicone.place`
-is the one nesting test of an image arc, forward and backward.
+backward check and the direction routines read, and :func:`nest` is the one
+nesting test of image arcs, forward and backward.
 
 Direction fields: e_ss depends on the forward word and is computed either from
 products of inverse matrices on the certificate's cone (generic) or by the
@@ -51,7 +51,6 @@ from .linalg2 import (
     ProjPoint,
     arc_image,
     det4,
-    entry_columns,
     mul4,
     proj_act,
     renormalise4,
@@ -85,20 +84,6 @@ class Multicone:
                 if a.intersects(b):  # closed arcs, so touching endpoints fail too
                     raise ValueError("multicone arcs must be disjoint with positive gaps")
         object.__setattr__(self, "arcs", tuple(order))
-
-    @staticmethod
-    def single(arc: ProjArc) -> "Multicone":
-        return Multicone((arc,))
-
-    def place(self, img: ProjArc) -> Optional[tuple]:
-        """(host, offset) of an image arc: the component that holds its
-        start and the ccw gap from the host's start to it; None when it
-        starts outside the multicone."""
-        for host in self.arcs:
-            off = host.start_offset(img)
-            if off is not None:
-                return host, off
-        return None
 
     def complement(self) -> "Multicone":
         """Closure of the complement: the gap arcs between the components."""
@@ -156,17 +141,11 @@ def check_triangular_split(sys: IfsSystem) -> str:
     return "None"
 
 
-def _triangular_entries(sys: IfsSystem):
-    """Per-symbol arrays a, b, c of the linear parts [[a, 0], [b, c]]."""
-    A = sys.linear_array
-    return A[:, 0, 0], A[:, 1, 0], A[:, 1, 1]
-
-
 def abs_diagonals(sys: IfsSystem):
-    """|a_i| and |c_i| of a lower-triangular system; NotTriangular otherwise."""
-    check_triangular_split(sys)
-    a, _, c = _triangular_entries(sys)
-    return np.abs(a), np.abs(c)
+    """|a_i| and |c_i| of a lower-triangular system, the dominant diagonal
+    first: (|c_i|, |a_i|) when it is c-dominant.  NotTriangular otherwise."""
+    a, c = np.abs(sys.columns[0]), np.abs(sys.columns[3])
+    return (c, a) if check_triangular_split(sys) == "CDominant" else (a, c)
 
 
 def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
@@ -177,17 +156,17 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
     """
-    a, b, c = (np.abs(x) for x in _triangular_entries(sys))
+    a, _, b, c = (np.abs(x) for x in sys.columns[:4])
     if case == "ADominant":
         bound = float(np.max(b / a)) / (1.0 - float(np.max(c / a)))
         k = max(bound * 1.001 + 1e-9, 0.01)
         half = math.atan(k)
-        return Multicone.single(ProjArc.from_angles(-half, half))
+        return Multicone((ProjArc.from_angles(-half, half),))
     if case == "CDominant":
         t0 = float(np.max(b / (c - a)))
         t = max(t0 * 1.001 + 1e-9, 1.0)
         cut = math.atan(t)
-        return Multicone.single(ProjArc.from_angles(cut, math.pi - cut))
+        return Multicone((ProjArc.from_angles(cut, math.pi - cut),))
     raise ValueError(f"no cone for triangular case {case!r}")
 
 
@@ -202,23 +181,36 @@ def _is_similarity(m: Mat2) -> bool:
     return a * a + b * b == c * c + d * d and a * c + b * d == 0
 
 
+def nest(linears, cone: Multicone) -> tuple:
+    """(images, clearance) of ``cone`` under each linear map, in order:
+    ``images`` holds the image arcs of the cone's arcs, one list per map, and
+    ``clearance`` the least min(off, host.length - (off + img.length)) over
+    them, where ``host`` is the first arc of the cone that holds the image's
+    start and ``off`` the ccw gap from the host's start to it; -inf once an
+    image starts outside the cone."""
+    images, clearance = [], math.inf
+    for m in linears:
+        images.append([])
+        for arc in cone.arcs:
+            img = arc_image(m, arc)
+            for host in cone.arcs:
+                off = host.start_offset(img)
+                if off is not None:
+                    clearance = min(clearance, off, host.length - (off + img.length))
+                    break
+            else:
+                return images, -math.inf
+            images[-1].append(img)
+    return images, clearance
+
+
 def check_multicone_invariance(sys: IfsSystem, m: Multicone, margin: float = 0.0) -> SplitReport:
     """Certified iff every generator maps every arc strictly inside the cone
-    with angular clearance >= margin; reports the minimal clearance."""
-    clearance = math.inf
-    for f in sys.maps:
-        for arc in m.arcs:
-            img = arc_image(f.linear, arc)
-            placed = m.place(img)
-            if placed is None:
-                return SplitReport("Refuted", method="MulticoneCheck", multicone=m,
-                                   margin=-math.inf)
-            host, off = placed
-            tail = host.length - (off + img.length)
-            if tail < 0:
-                return SplitReport("Refuted", method="MulticoneCheck", multicone=m,
-                                   margin=-math.inf)
-            clearance = min(clearance, off, tail)
+    with angular clearance >= margin; reports the minimal clearance, -inf
+    when an image leaves the cone."""
+    _, clearance = nest((f.linear for f in sys.maps), m)
+    if clearance < 0:
+        clearance = -math.inf
     verdict = "Certified" if clearance >= margin and clearance > 0 else "Refuted"
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
 
@@ -321,7 +313,7 @@ def certify(sys: IfsSystem) -> SplitReport:
         return SplitReport("Certified", method="Triangular", multicone=cone,
                            margin=checked.margin, triangular=case)
     if all(_sign_consistent(f.linear) for f in sys.maps):
-        cone = Multicone.single(ProjArc.from_angles(0.0, math.pi / 2))
+        cone = Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
         checked = check_multicone_invariance(sys, cone)
         if checked.certified:
             return SplitReport("Certified", method="Positivity", multicone=cone,
@@ -347,7 +339,7 @@ def _slope_series(sys: IfsSystem, field: str):
     slope = sum_k num[w_k] * ratio[w_1] ... ratio[w_{k-1}]:
     (-b/c, a/c) for e_ss over the future word, (b/a, c/a) for e_s over the
     past word read from its most recent symbol."""
-    a, b, c = _triangular_entries(sys)
+    a, _, b, c = sys.columns[:4]
     return (-b / c, a / c) if field == "ss" else (b / a, c / a)
 
 
@@ -421,7 +413,7 @@ def _route(sys, split, field, method="auto"):
     if method == "series":
         case = _SERIES[field][0].lower()
         raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
-    cols = entry_columns(sys.linear_array)
+    cols = sys.columns[:4]
     if field == "ss":  # inverse maps applied to the backward cone
         cone = split.backward_cone
         det = det4(cols)
@@ -458,18 +450,6 @@ def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss
         )
         r = min(max(r, 1e-6), 0.97)
     return int(min(max(math.ceil(math.log(SAMPLE_TOL) / math.log(r)), 8), 400))
-
-
-def sample_nu_ss(
-    sys: IfsSystem,
-    weights: BernoulliWeights,
-    depth: Optional[int],
-    count: int,
-    rng_seed: int,
-    split: Optional[SplitReport] = None,
-):
-    """``count`` i.i.d. draws of e_ss(w), w ~ weights^depth, as ProjPoints."""
-    return [ProjPoint(t) for t in sample_nu_ss_angles(sys, weights, depth, count, rng_seed, split)]
 
 
 def sample_nu_ss_angles(

@@ -788,7 +788,7 @@ class TestRarePaths:
 
     def test_failing_ssc_prints_witness(self, capsys):
         out = ("holds: false\nkappa: 0.0\nmargin: 0.0\n"
-               "witness: image 1 vertex (Fraction(1, 3), Fraction(0, 1)) not interior to O\n")
+               "witness: image 1 vertex (1/3, 0) not interior to O\n")
         assert run_cli(["ssc", "--example", "phi-c", "--param", "c=2/5"], capsys) == (0, out, "")
 
     def test_empty_line_map_is_skipped(self, capsys):

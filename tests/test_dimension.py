@@ -149,6 +149,15 @@ class TestHueterLalleyCheck:
         st = hueter_lalley_check(sysm)
         assert st["backward-non-overlapping"] == "Failed"
 
+    def test_single_direction_map_fails(self):
+        # c-dominant maps with one linear part derive one direction map, so
+        # every inverse image of the backward cone is the same arc
+        m = Mat2.lower_triangular(F(1, 4), F(1, 8), F(1, 2))
+        sysm = IfsSystem((AffineMap(m, (F(0), F(0))), AffineMap(m, (F(3, 4), F(1, 2)))))
+        split = certify(sysm)
+        assert split.triangular == "CDominant"
+        assert backward_non_overlapping(sysm, split) == "Failed"
+
     def test_a_dominant_never_backward_separates(self):
         sysm, w, _ = phi_c(F(1, 4))
         split = certify(sysm)
@@ -160,7 +169,7 @@ class TestBackwardNonOverlapping:
     the complement of the forward multicone, and the inverse images of its
     arcs must nest in it and be pairwise disjoint."""
 
-    QUADRANT = Multicone.single(ProjArc.from_angles(0.0, math.pi / 2))
+    QUADRANT = Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
 
     def split(self, multicone=QUADRANT):
         return SplitReport("Certified", method="MulticoneCheck", multicone=multicone)
@@ -318,6 +327,20 @@ class TestAnalyze:
         assert details["chi-s-enclosure-depth"] == "8"
         assert "stderr-chi-s" in details
         assert rep.assumptions == ("exponents estimated by Monte Carlo",)
+
+    def test_hl_demo_monte_carlo_exponents_are_an_assumption(self, monkeypatch):
+        # without an enclosure the value is h / chi_s of the Monte-Carlo chi_s
+        import affdim.ergodic
+
+        monkeypatch.setattr(affdim.ergodic, "lyapunov_enclosure", lambda *args: None)
+        sysm, w, poly = hl_demo()
+        rep = analyze(sysm, w, polygon=poly, target="measure", rng_seed=3,
+                      mc_n=200, mc_trials=50)
+        assert rep.fired_theorem == "T4.1-HueterLalley"
+        assert rep.certified_value is not None
+        assert "chi-s-enclosure" not in dict(rep.details)
+        assert rep.assumptions == ("exponents estimated by Monte Carlo",
+                                   "certified value evaluated with Monte-Carlo exponents")
 
     def test_phi_c_exits_at_pressure_bound(self):
         sysm, w, poly = phi_c(F(1, 4))
@@ -491,6 +514,26 @@ RULE_CASES = [
 class TestRulePrecedence:
     """Each rule of the decision procedure fires on its case with the same
     hypotheses, in the same order, and the same report bytes."""
+
+    def test_a_dominant_exact_overlap_gives_the_interval(self, capsys, tmp_path):
+        # the projected x-axis system {x/2, x/2 + 1/4, x/2 + 1/2} overlaps
+        # exactly, so the a-dominant rule fires T2.6 with the interval
+        # [h / chi_ss, upper]; sha256 of the stdout recorded before this
+        # exit was first tested
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("map 1/2 0 0 1/8 0 0\nmap 1/2 0 0 1/8 1/4 3/8\nmap 1/2 0 0 1/8 1/2 3/4\n"
+                       "polygon -1/10 -1/10\npolygon 11/10 -1/10\npolygon 11/10 67/70\n"
+                       "polygon -1/10 67/70\n")
+        code = main(["analyze", "--config", str(cfg), "--target", "measure", "--seed", "7"])
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert code == 2
+        for line in ("hochman-x-verdict: ExactOverlap", "hypothesis hochman-x: Failed",
+                     "fired-theorem: T2.6-LY-formula",
+                     "certified-interval: [0.5283208335737187, 1.1949875002403854]"):
+            assert line in lines
+        digest = "de0a21cfb645f1aeeff42e43090b5aaf9f182fc1837cc84445ca4eab1622a243"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("source, fired, hyps, digest", RULE_CASES,
                              ids=[fired for _, fired, _, _ in RULE_CASES])

@@ -136,8 +136,8 @@ class TestSampleMeasure:
         sysm, w, _ = sec44()
         count = 20_000
         pts = sample_measure(sysm, w, depth=40, count=count, rng_seed=7)
-        A = sysm.linear_array
-        t = sysm.translation_array
+        A = np.stack(sysm.columns[:4], axis=-1).reshape(-1, 2, 2)
+        t = np.stack(sysm.columns[4:], axis=-1)
         p = w.as_array
         mean_exact = np.linalg.solve(np.eye(2) - np.einsum("i,ijk->jk", p, A),
                                      np.einsum("i,ij->j", p, t))
@@ -162,12 +162,12 @@ class TestSampleMeasure:
             monkeypatch.setattr(affdim.ifs, "SYMBOL_BLOCK", block)
         got = sample_measure(sysm, w, depth=7, count=301, rng_seed=5, seed_point=(0.25, 0.5))
         syms = rng(5).choice(3, size=(301, 7), p=w.as_array)
-        A, t = sysm.linear_array, sysm.translation_array
+        a11, a12, a21, a22, tx, ty = sysm.columns
         x, y = np.full(301, 0.25), np.full(301, 0.5)
         for k in range(6, -1, -1):
             i = syms[:, k]
-            x, y = (A[i, 0, 0] * x + A[i, 0, 1] * y + t[i, 0],
-                    A[i, 1, 0] * x + A[i, 1, 1] * y + t[i, 1])
+            x, y = (a11[i] * x + a12[i] * y + tx[i],
+                    a21[i] * x + a22[i] * y + ty[i])
         assert np.array_equal(got, np.column_stack([x, y]))
 
 
@@ -240,6 +240,14 @@ class TestCheckSsc:
                 for j in range(i + 1, len(ws)):
                     assert polygons_disjoint(polys[ws[i]], polys[ws[j]])
 
+    def test_witness_vertex_prints_like_every_number(self):
+        # rational vertices through format_number, float ones as their repr
+        sysm, _, square = phi_c(Fraction(2, 5))
+        assert check_ssc(sysm, square).witness == "image 1 vertex (1/3, 0) not interior to O"
+        float_sys = IfsSystem(tuple(f.to_float() for f in sysm.maps))
+        assert check_ssc(float_sys, square).witness == \
+            "image 1 vertex (0.3333333333333333, 0.0) not interior to O"
+
     def test_nonconvex_rejected(self):
         with pytest.raises(NonConvexPolygon):
             Polygon(((0, 0), (2, 0), (1, 0.2), (2, 2), (0, 2)))
@@ -247,6 +255,18 @@ class TestCheckSsc:
     def test_clockwise_input_canonicalized(self):
         p = Polygon(((0, 0), (0, 1), (1, 1), (1, 0)))  # clockwise
         assert len(p) == 4  # accepted; orientation normalized to ccw
+
+
+class TestSystemTables:
+    def test_symbols_and_columns(self):
+        # phi-c: maps 1-2, 3-4 and 5-6 share their linear parts
+        sysm, _, _ = phi_c(Fraction(2, 5))
+        assert sysm.symbols == ((0, 1), (2, 3), (4, 5))
+        assert [c.tolist() for c in sysm.columns] == \
+            [[float(x) for x in col] for col in zip(*(f.linear.entries() + f.translation
+                                                     for f in sysm.maps))]
+        assert [c.tolist() for c in sysm.symbol_columns] == \
+            [c[[0, 2, 4]].tolist() for c in sysm.columns[:4]]
 
 
 class TestParseSerialize:

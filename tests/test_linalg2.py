@@ -10,7 +10,6 @@ from affdim.linalg2 import (
     ProjArc,
     ProjPoint,
     arc_image,
-    entry_columns,
     log_alpha1,
     mul4,
     operator_norm,
@@ -208,7 +207,7 @@ class TestArc:
 def _kernel_fold(mats, word):
     """log alpha1 of mats[w_1] ... mats[w_n] through the batched kernel,
     renormalised every step, for a batch of one."""
-    cols = entry_columns(np.array([[[m.a11, m.a12], [m.a21, m.a22]] for m in mats]))
+    cols = tuple(np.array(c, dtype=float) for c in zip(*(m.entries() for m in mats)))
     e = (np.ones(1), np.zeros(1), np.zeros(1), np.ones(1))
     logscale = np.zeros(1)
     for s in word:
@@ -247,7 +246,7 @@ class TestBatchedKernel:
         rng = np.random.default_rng(11)
         A = rng.uniform(-1.0, 1.0, size=(5, 2, 2))
         words = tuple(rng.uniform(-1.0, 1.0, size=(4, 97)))
-        cols = entry_columns(A)
+        cols = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
         batched = [x.ravel() for x in mul4(tuple(c[:, None] for c in cols), words)]
         looped = [np.concatenate(parts) for parts in zip(
             *(mul4(tuple(c[i] for c in cols), words) for i in range(len(A))))]

@@ -197,7 +197,9 @@ def per_symbol_loop(sysm, n):
     then renormalises.  Returns log alpha1, log alpha2 = log |det| - log
     alpha1 as the enumeration computed it before it kept log alpha1 alone,
     log |det| and log multiplicity."""
-    A, mult = pressure_mod._merged_linear_parts(sysm)
+    linears = [sysm.maps[g[0]].linear for g in sysm.symbols]
+    A = np.array([[[m.a11, m.a12], [m.a21, m.a22]] for m in linears], dtype=float)
+    mult = np.array([float(len(g)) for g in sysm.symbols])
     n_sym = A.shape[0]
     sym_logdet = np.log(np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]))
     e11, e12, e21, e22 = (A[:, r, c].copy() for r in (0, 1) for c in (0, 1))
@@ -367,11 +369,12 @@ class TestMergedSymbols:
         """Bytes held beside the full-length outputs.  The depth-first walk
         builds the levels whose words fit in WALK_BLOCK breadth first, then
         holds one block of at most WALK_BLOCK words per level from there to
-        the leaf, each word 7 floats (4 matrix entries, its log scale and up
-        to two carried sums), plus two blocks for a prepend's and the leaf's
-        temporaries.  A root evaluation holds two blocks of WORD_BLOCK words;
-        the slack is the larger of the two."""
-        n_sym = len({f.linear for f in sysm.maps})
+        the leaf.  The walk carries 5 floats per word (4 product entries and
+        one log scale); the bound counts 7, two floats of headroom.  Two more
+        blocks cover a prepend's and the leaf's temporaries.  A root
+        evaluation holds two blocks of WORD_BLOCK words; the slack is the
+        larger of the two."""
+        n_sym = len(sysm.symbols)
         block = pressure_mod.WALK_BLOCK
         first = max(k for k in range(1, n + 1) if k == 1 or n_sym ** k <= block)
         levels = n - first + 1
@@ -422,7 +425,7 @@ class TestDepthRootFinder:
 
     def test_solve_sum_equals_one_bounds_from_above(self):
         a = np.array([0.5, 0.3, 0.2])
-        r = pressure_mod._solve_sum_equals_one(lambda s: float(np.sum(a ** s)), tol=1e-12)
+        r = pressure_mod._solve_sum_equals_one(lambda s: float(np.sum(a ** s)))
         assert float(np.sum(a ** r)) <= 1.0
         assert float(np.sum(a ** (r - 1e-12))) > 1.0
 

@@ -207,11 +207,11 @@ def _chaos_oracle(sysm, spec, weights, burn_in=100):
     syms = rng(spec.seed).choice(sysm.n, size=spec.count + burn_in, p=weights.as_array)
     img = render._pixel_grid(spec)
     x0, y0, x1, y1 = spec.viewport
-    A, t = sysm.linear_array, sysm.translation_array
+    a11, a12, a21, a22, tx, ty = sysm.columns
     px, py = (float(c) for c in sysm.maps[0].fixed_point())
     for k, s in enumerate(syms):
-        px, py = (A[s, 0, 0] * px + A[s, 0, 1] * py + t[s, 0],
-                  A[s, 1, 0] * px + A[s, 1, 1] * py + t[s, 1])
+        px, py = (a11[s] * px + a12[s] * py + tx[s],
+                  a21[s] * px + a22[s] * py + ty[s])
         if k < burn_in:
             continue
         col = int((px - x0) / (x1 - x0) * spec.width)

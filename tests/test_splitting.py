@@ -16,7 +16,6 @@ from affdim.splitting import (
     min_angle_separation,
     min_circular_gap,
     sample_e_s_angles,
-    sample_nu_ss,
     sample_nu_ss_angles,
     stable_direction,
     strong_stable_direction,
@@ -77,21 +76,21 @@ class TestTriangularCriterion:
 class TestMulticoneInvariance:
     def test_positive_entries_first_quadrant(self):
         sysm, _, _ = hl_demo()
-        cone = Multicone.single(ProjArc.from_angles(0.0, math.pi / 2))
+        cone = Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
         rep = check_multicone_invariance(sysm, cone)
         assert rep.certified and rep.margin > 0
 
     def test_rotation_refuted(self):
         m = Mat2.rotation(1.0).scaled(0.5)
         sysm = IfsSystem((AffineMap(m, (0, 0)), AffineMap(m, (1, 0))))
-        cone = Multicone.single(ProjArc.from_angles(0.2, 1.2))
+        cone = Multicone((ProjArc.from_angles(0.2, 1.2),))
         rep = check_multicone_invariance(sysm, cone)
         assert rep.verdict == "Refuted"
 
     def test_diagonal_attracting_axis(self):
         sysm = IfsSystem((AffineMap(Mat2.diagonal(0.5, 0.25), (0, 0)),
                           AffineMap(Mat2.diagonal(0.5, 0.25), (1, 1))))
-        cone = Multicone.single(ProjArc.around(0.0, 0.3))
+        cone = Multicone((ProjArc.around(0.0, 0.3),))
         rep = check_multicone_invariance(sysm, cone)
         assert rep.certified
 
@@ -246,8 +245,8 @@ class TestStableDirection:
 class TestNuSsSampling:
     def test_a_dominant_all_vertical(self):
         sysm, w, _ = phi_c(F(1, 4))
-        pts = sample_nu_ss(sysm, w, depth=None, count=50, rng_seed=3)
-        assert all(p.theta == math.pi / 2 for p in pts)
+        angles = sample_nu_ss_angles(sysm, w, None, 50, 3)
+        assert all(t == math.pi / 2 for t in angles)
 
     def test_single_map_eigendirection(self):
         sysm = IfsSystem((AffineMap(Mat2.lower_triangular(0.125, 0.5, 0.25), (0, 0)),))
