@@ -44,8 +44,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BadExponents, TooFewPoints
 from .ergodic import (
     ExponentTriple,
@@ -57,7 +56,8 @@ from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, co
                   format_number)
 from .linalg2 import Mat2, singular_values
 from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
-from .splitting import SplitReport, abs_diagonals, certify, nest, sample_nu_ss_angles
+from .splitting import (SplitReport, abs_diagonals, certify, nest, require_lower_triangular,
+                        sample_nu_ss_angles)
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -162,7 +162,8 @@ def one_bunched(m: Mat2) -> bool:
 
 def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Projected first-coordinate system {a_i x + t_i} of a triangular family,
-    duplicates merged with summed weights."""
+    duplicates merged with summed weights.  NotTriangular otherwise."""
+    require_lower_triangular(sys)
     maps = []
     for f in sys.maps:
         maps.append((f.linear.a11, f.translation[0]))
@@ -171,7 +172,8 @@ def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
 
 def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Strong-stable slope system {(a_i/c_i) x - b_i/c_i} of a triangular
-    family, duplicates merged with summed weights."""
+    family, duplicates merged with summed weights.  NotTriangular otherwise."""
+    require_lower_triangular(sys)
     maps = []
     for f in sys.maps:
         a, b, c = f.linear.a11, f.linear.a21, f.linear.a22

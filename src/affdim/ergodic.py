@@ -71,8 +71,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng

@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BadSymbol, NonConvexPolygon, ParseError
 from .linalg2 import Mat2, log_alpha1, mul4, operator_norm, renormalise4
 

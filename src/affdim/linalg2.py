@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NegativeExponent, SingularMatrix
 
 # |det| below this is treated as singular: keeps inverse norms finite.

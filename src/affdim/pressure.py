@@ -49,8 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
 from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks

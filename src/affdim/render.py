@@ -14,8 +14,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import UnsupportedDepth
 from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
 from .linalg2 import mul4
@@ -37,7 +36,6 @@ PALETTE = (
     (227, 119, 194),
     (127, 127, 127),
 )
-_PALETTE_ARRAY = np.array(PALETTE, dtype=np.uint8)
 BACKGROUND = (255, 255, 255)
 SIZES = (16, 8192)  # least and greatest raster width and height
 
@@ -93,12 +91,13 @@ def _paint_runs(img, row, start, stop, color) -> None:
     fancy-index assignments in.
     """
     flat_img = img.reshape(-1, 3)
+    palette = np.array(PALETTE, dtype=np.uint8)
     length = stop - start + 1
     for block, flat in _expand_blocks(length, row * img.shape[1] + start, PIXEL_BLOCK):
         colors = np.repeat(color[block], length[block])
         _, rev_first = np.unique(flat[::-1], return_index=True)
         last = len(flat) - 1 - rev_first
-        flat_img[flat[last]] = _PALETTE_ARRAY[colors[last]]
+        flat_img[flat[last]] = palette[colors[last]]
 
 
 def _expand_blocks(length, first, budget):

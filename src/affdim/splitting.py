@@ -41,8 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NotCertified, NotTriangular, PrefixTooShort
 from .ifs import BernoulliWeights, IfsSystem, draw_blockwise, rng, validate_word
 from .linalg2 import (
@@ -124,14 +123,19 @@ class SplitReport:
         return None if self.multicone is None else self.multicone.complement()
 
 
+def require_lower_triangular(sys: IfsSystem) -> None:
+    """NotTriangular, naming the first map with a nonzero upper-right entry."""
+    for k, f in enumerate(sys.maps):
+        if not f.linear.is_lower_triangular():
+            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
+
+
 def check_triangular_split(sys: IfsSystem) -> str:
     """Sufficient triangular criterion: ADominant, CDominant or None.
 
     Exact on rational entries; any tie |a_i| = |c_i| yields None.
     """
-    for k, f in enumerate(sys.maps):
-        if not f.linear.is_lower_triangular():
-            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
+    require_lower_triangular(sys)
     a_dom = all(abs(f.linear.a11) > abs(f.linear.a22) for f in sys.maps)
     c_dom = all(abs(f.linear.a11) < abs(f.linear.a22) for f in sys.maps)
     if a_dom:

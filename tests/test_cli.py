@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,7 +652,7 @@ class TestBadInput:
         ["lyapunov", "--example", "hl-demo", "--mc-n", "0"],
         ["lyapunov", "--example", "hl-demo", "--mc-trials", "1"],
         ["boxdim", "--example", "sec44", "--depth", "0"],
-        ["hochman", "--example", "hl-demo"],  # its direction system has |beta| >= 1
+        ["hochman", "--example", "hl-demo"],  # not triangular: no line system
         ["render", "--example", "sec44", "--mode", "chaos", "--count", "0"],
         ["render", "--example", "sec44", "--mode", "chaos", "--count", "-5"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
@@ -721,6 +723,18 @@ class TestBadInput:
         if argv[0] == "render":
             argv = argv + ["--out", str(tmp_path / "img.ppm")]
         assert run_cli(argv, capsys) == (1, "", f"affdim: error: {message}\n")
+
+    @pytest.mark.parametrize("text, argv", [
+        # a22 = 0 divided the direction system by zero; upper-triangular maps
+        # got an x-axis system that dropped a12
+        ("map 0 1/2 -1/2 0 0 0\nmap 1/3 0 0 1/3 1/2 1/2\n", ["--n", "6"]),
+        ("map 1/2 1/4 0 1/3 0 0\nmap 1/3 0 0 1/4 1/2 1/2\n", ["--derive", "x"]),
+    ], ids=["direction-a22-zero", "x-upper-triangular"])
+    def test_hochman_line_system_needs_lower_triangular(self, text, argv, capsys, tmp_path):
+        cfg = tmp_path / "maps.cfg"
+        cfg.write_text(text)
+        assert run_cli(["hochman", "--config", str(cfg)] + argv, capsys) == \
+            (1, "", "affdim: error: map 1 has a nonzero upper-right entry\n")
 
     def test_chaos_mode_ignores_depth(self, capsys, tmp_path):
         out = tmp_path / "img.ppm"
@@ -852,3 +866,62 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert "holds: true" in proc.stdout
+
+
+# runs main(argv) and reports on its last stderr line whether numpy executed;
+# under LazyLoader 'numpy' sits in sys.modules from the start, its compiled
+# core only once numpy runs
+NUMPY_PROBE = """import sys, types
+from affdim.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+import affdim.linalg2
+np = sys.modules["numpy"]
+print("numpy._core" in sys.modules, affdim.linalg2.np is np and type(np) is types.ModuleType,
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestNumpyOnFirstUse:
+    @pytest.mark.parametrize("argv, code", [
+        (["ssc", "--example", "sec44"], 0),
+        (["hochman", "--example", "phi-c", "--param", "c=2/5", "--n", "10"], 0),
+        (["--help"], 0),
+        (["directions", "--example", "hl-demo", "--count", "0"], 1),
+    ], ids=["ssc", "hochman", "help", "input-error"])
+    def test_exact_commands_never_execute_numpy(self, argv, code):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False False"
+
+    def test_array_command_runs_plain_numpy(self):
+        argv = ["pressure", "--example", "sec44", "--n", "8"]
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True True\n"
+
+    def test_missing_numpy_fails_import_at_once(self):
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "try:\n    import affdim\n"
+                "except ModuleNotFoundError as e:\n    print(e.name)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "numpy\n"), proc.stderr
+
+    def test_only_the_helper_imports_numpy_at_top_level(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "affdim"
+        offenders = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "_numpy.py":
+                continue
+            for node in ast.parse(path.read_text()).body:
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
