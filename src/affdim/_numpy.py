@@ -1,9 +1,11 @@
 """numpy, executed on first attribute access.
 
-``ssc``, ``hochman``, ``--help`` and input errors run on Fractions alone, so
-every module takes ``np`` from here and only a process that calls into numpy
-pays its ~170 ms import.  ``LazyLoader`` turns the module into a plain one on
-first use; a missing numpy still fails ``import affdim`` at once.
+``ssc``, ``hochman``, ``--help`` and input errors run on Fractions alone, and
+``analyze`` and ``lyapunov`` on lower-triangular input on Fractions, Python
+floats and ``math``, so every module takes ``np`` from here and only a
+process that calls into numpy pays its ~170 ms import.  ``LazyLoader`` turns
+the module into a plain one on first use; a missing numpy still fails
+``import affdim`` at once.
 
 Only numpy is deferred: the benchmark's tracer (``perfbench/spans.py``)
 imports ``affdim.cli`` and then reads ``sys.modules["affdim.<layer>"]`` for

@@ -1,11 +1,5 @@
-"""Command-line front end.
-
-Grammar: affdim <command> [--example NAME | --config PATH] [--param k=v]*
-[--seed N] [--out PATH] plus command-specific flags.  Tables are
-tab-delimited with a header row, reports are key/value blocks, images are
-binary P6.  Exit codes: 0 certified/success, 2 interval-only analysis,
-1 input or processing error.
-"""
+"""Command-line front end: one handler per command, registered with its
+flags and their bounds in ``COMMANDS``."""
 
 from __future__ import annotations
 
@@ -20,6 +14,13 @@ from .hochman import LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, ParsedSystem, check_ssc, format_number, parse_system,
                   sample_measure)
 from .library import example_names, get_example, phi_c_closed_form
+
+
+# the top-level --help text (argparse refills it)
+DESCRIPTION = """Command-line front end.  Grammar: affdim <command> [--example NAME |
+--config PATH] [--param k=v]* [--seed N] [--out PATH] plus command-specific flags.  Tables
+are tab-delimited with a header row, reports are key/value blocks, images are binary P6.
+Exit codes: 0 certified/success, 2 interval-only analysis, 1 input or processing error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,8 +311,7 @@ _MONTE_CARLO = (("--mc-n", dict(type=int, default=1000), 1),
 
 # name -> (help, handler, flags after the source flags).  Each flag is one
 # row (flag, add_argument keywords, bound), in --help order; main checks every
-# bound before the handler runs (see _check_flags).  The module docstring is
-# the top-level --help text, so the table is described here.
+# bound before the handler runs (see _check_flags).
 COMMANDS = {
     "analyze": ("certified dimension report", cmd_analyze, (
         ("--target", dict(choices=("measure", "attractor", "both"), default="both"), None),
@@ -373,7 +373,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     first one named in ``argv`` gets its flags, since argparse parses no
     other.  The top-level help and errors list the commands alone either way.
     """
-    p = _Parser(prog="affdim", description=__doc__)
+    p = _Parser(prog="affdim", description=DESCRIPTION)
     sub = p.add_subparsers(dest="command", required=True)
     chosen = next((a for a in argv if a in COMMANDS), None)
     for name, (help_text, _, flags) in COMMANDS.items():

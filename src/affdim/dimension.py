@@ -46,16 +46,13 @@ from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
 from .errors import BadExponents, TooFewPoints
-from .ergodic import (
-    ExponentTriple,
-    lyapunov_dimension,
-    lyapunov_exponents,
-)
+from .ergodic import ExponentTriple, entropy, lyapunov_dimension, lyapunov_exponents
 from .hochman import DeltaReport, LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
                   format_number)
 from .linalg2 import Mat2, singular_values
-from .pressure import RootEstimate, pressure_root, triangular_pressure_root, triangular_roots
+from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
+                       triangular_roots)
 from .splitting import (SplitReport, abs_diagonals, certify, nest, require_lower_triangular,
                         sample_nu_ss_angles)
 
@@ -164,10 +161,8 @@ def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Projected first-coordinate system {a_i x + t_i} of a triangular family,
     duplicates merged with summed weights.  NotTriangular otherwise."""
     require_lower_triangular(sys)
-    maps = []
-    for f in sys.maps:
-        maps.append((f.linear.a11, f.translation[0]))
-    return LineIfs(tuple(maps)).merged_duplicates(weights.p)
+    maps = tuple((f.linear.a11, f.translation[0]) for f in sys.maps)
+    return LineIfs(maps).merged_duplicates(weights.p)
 
 
 def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
@@ -252,21 +247,14 @@ def hueter_lalley_check(
     decides them: ``analyze`` reads its T4.1 statuses from here."""
     if split is None:
         split = certify(sys)
-    statuses = {}
-    statuses["dominated-splitting"] = (
-        VERIFIED if split.certified else (FAILED if split.verdict == "Refuted" else UNKNOWN)
-    )
-    if split.certified:
-        statuses["backward-non-overlapping"] = backward_non_overlapping(sys, split)
-    else:
-        statuses["backward-non-overlapping"] = UNKNOWN
-    statuses["one-bunched"] = (
-        VERIFIED if all(one_bunched(f.linear) for f in sys.maps) else FAILED
-    )
-    statuses["strong-separation"] = (
-        UNKNOWN if ssc is None else (VERIFIED if ssc.holds else FAILED)
-    )
-    return statuses
+    return {
+        "dominated-splitting": (VERIFIED if split.certified
+                                else FAILED if split.verdict == "Refuted" else UNKNOWN),
+        "backward-non-overlapping": (backward_non_overlapping(sys, split) if split.certified
+                                     else UNKNOWN),
+        "one-bunched": VERIFIED if all(one_bunched(f.linear) for f in sys.maps) else FAILED,
+        "strong-separation": UNKNOWN if ssc is None else VERIFIED if ssc.holds else FAILED,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +408,9 @@ class _Ctx:
         return self._once(("delta", ifs.maps, depth), lambda: hochman_rate(ifs, depth))
 
     def exponents(self, weights) -> ExponentTriple:
+        # symbol stream 2: _empirical_direction samples e_ss from stream 0
         return self._once(("exponents", weights.p), lambda: lyapunov_exponents(
-            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed, self.split))
+            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed, self.split, stream=2))
 
     def measure_report(self, weights) -> DimensionReport:
         return self._once(("measure", weights.p), lambda: _measure_report(self, weights))
@@ -581,7 +570,7 @@ class _ReportState:
             self.details.append(("hochman-depth-clipped", f"{requested} -> {depth}"))
         report = self.ctx.delta_report(merged, depth)
         self.details.append((verdict_key, report.verdict))
-        return depth, report, float(-sum(float(w) * math.log(float(w)) for w in merged_w))
+        return depth, report, entropy(BernoulliWeights(merged_w))
 
     def fire(self, theorem: str, value: Optional[float], interval=None) -> DimensionReport:
         return DimensionReport(
@@ -729,11 +718,9 @@ def _prescribed_weight_candidates(ctx: _Ctx):
     if ctx.triangular_roots is not None:
         s1, s2 = ctx.triangular_roots
         a, c = abs_diagonals(ctx.sys)  # the dominant diagonal first
-        w1 = a ** s1
-        w2 = a * c ** (s2 - 1.0)
-        for w in (w1, w2):
-            w = w / w.sum()
-            cands.append(BernoulliWeights(tuple(float(x) for x in w)))
+        for w in ([x ** s1 for x in a], [x * y ** (s2 - 1.0) for x, y in zip(a, c)]):
+            total = ordered_sum(w)
+            cands.append(BernoulliWeights(tuple(x / total for x in w)))
     return cands
 
 

@@ -4,7 +4,7 @@ Exponents come by one of three routes, tried in this order by
 :func:`lyapunov_exponents`:
 
 - lower-triangular linear parts: exact closed forms (Birkhoff averages of
-  the log diagonal entries);
+  the log diagonal entries, on Python floats and ``math.log``);
 - a certified dominated splitting: a two-sided enclosure of chi_s from
   Furstenberg's formula over the certified forward multicone
   (:func:`lyapunov_enclosure`).  Its midpoint is chi_s once it is
@@ -76,7 +76,7 @@ from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
 from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks
-from .pressure import WORD_BLOCK
+from .pressure import WORD_BLOCK, ordered_sum
 from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
@@ -115,8 +115,7 @@ class ExponentTriple:
 
 def entropy(weights: BernoulliWeights) -> float:
     """Shannon entropy -sum p_i log p_i in nats."""
-    p = weights.as_array
-    return float(-np.sum(p * np.log(p)))
+    return -ordered_sum(x * math.log(x) for x in map(float, weights.p))
 
 
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
@@ -135,9 +134,7 @@ def _with_det_identity(sys, weights, chi_s, stderr, enc=None) -> ExponentTriple:
 def lyapunov_triangular(sys: IfsSystem, weights: BernoulliWeights) -> ExponentTriple:
     """Exact exponents for lower-triangular linear parts."""
     a, c = abs_diagonals(sys)
-    p = weights.as_array
-    la = float(-np.dot(p, np.log(a)))
-    lc = float(-np.dot(p, np.log(c)))
+    la, lc = (-ordered_sum(float(p) * math.log(x) for p, x in zip(weights.p, d)) for d in (a, c))
     return ExponentTriple(entropy(weights), min(la, lc), max(la, lc))
 
 
@@ -147,13 +144,14 @@ def lyapunov_monte_carlo(
     n: int,
     trials: int,
     rng_seed: int,
+    stream: int = 0,
 ) -> ExponentTriple:
     """Monte-Carlo exponents from ``trials`` independent length-n products.
 
     chi_s averages -(1/n) log alpha1 of renormalized products; chi_ss comes
     from the determinant identity, so the identity holds exactly by
-    construction and stderr_ss mirrors stderr_s.  The (n, trials) symbol
-    draw comes in :func:`ifs.symbol_blocks` of whole steps.
+    construction and stderr_ss mirrors stderr_s.  The (n, trials) draw from
+    ``rng(rng_seed, stream)`` comes in :func:`ifs.symbol_blocks` of whole steps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,7 +161,7 @@ def lyapunov_monte_carlo(
     e = (np.ones(trials), np.zeros(trials), np.zeros(trials), np.ones(trials))
     logscale = np.zeros(trials)
     k = 0
-    for syms in ifs.symbol_blocks(weights, rng(rng_seed), n, trials):
+    for syms in ifs.symbol_blocks(weights, rng(rng_seed, stream), n, trials):
         for i in syms:
             # right-multiply the running product by the step matrix
             e = mul4(e, tuple(c[i] for c in cols))
@@ -304,12 +302,13 @@ def lyapunov_exponents(
     mc_trials: int = 1000,
     rng_seed: int = 0,
     split: Optional[SplitReport] = None,
+    stream: int = 0,
 ) -> ExponentTriple:
     """Exact exponents when the system is triangular.  When ``split``
     certifies a dominated splitting, chi_s is enclosed: its value is the
     enclosure's midpoint once the enclosure is ``ENCLOSURE_TOL`` wide, and
     otherwise the Monte-Carlo estimate clamped into the enclosure.  Monte
-    Carlo alone serves every other system."""
+    Carlo alone (symbol stream ``stream``) serves every other system."""
     if sys.is_triangular():
         return lyapunov_triangular(sys, weights)
     enc = None
@@ -318,7 +317,7 @@ def lyapunov_exponents(
     if enc is not None and enc.hi - enc.lo <= ENCLOSURE_TOL:
         chi_s, stderr = 0.5 * (enc.lo + enc.hi), 0.0
     else:
-        mc = lyapunov_monte_carlo(sys, weights, mc_n, mc_trials, rng_seed)
+        mc = lyapunov_monte_carlo(sys, weights, mc_n, mc_trials, rng_seed, stream)
         if enc is None:
             return mc
         chi_s, stderr = min(max(mc.chi_s, enc.lo), enc.hi), mc.stderr_s

@@ -27,8 +27,6 @@ from .errors import NegativeExponent, SingularMatrix
 # |det| below this is treated as singular: keeps inverse norms finite.
 DET_FLOOR = 1e-300
 
-Scalar = "float | Fraction"
-
 
 @dataclass(frozen=True)
 class Mat2:

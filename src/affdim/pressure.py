@@ -40,12 +40,15 @@ Dominated lower-triangular families have the exact closed form of Falconer
 and Miao (:func:`triangular_pressure_root`).  ``dimension.analyze`` uses it
 instead of :func:`pressure_root` for them, as a :meth:`RootEstimate.closed_form`
 whose reports print ``pressure-method: closed-form``; every other system, and
-the ``pressure`` command, runs the finite-depth roots.
+the ``pressure`` command, runs the finite-depth roots.  The closed forms run
+on Python floats and libm (``**``, ``math.log``), summed by :func:`ordered_sum`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -320,18 +323,22 @@ def pressure_root(
 # ---------------------------------------------------------------------------
 
 
+def ordered_sum(terms) -> float:
+    """Left-to-right float sum: numpy's below 8 terms, Python's before 3.12."""
+    return functools.reduce(operator.add, terms)
+
+
 def triangular_pressure(sys: IfsSystem, s: float) -> float:
     """Exact piecewise pressure for lower-triangular linear parts."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
     a, c = abs_diagonals(sys)
     if s < 1:
-        return math.log(max(float(np.sum(a ** s)), float(np.sum(c ** s))))
+        return math.log(max(ordered_sum(x ** s for x in a), ordered_sum(y ** s for y in c)))
     if s < 2:
-        return math.log(
-            max(float(np.sum(a * c ** (s - 1))), float(np.sum(c * a ** (s - 1))))
-        )
-    return math.log(float(np.sum((a * c) ** (s / 2.0))))
+        return math.log(max(ordered_sum(x * y ** (s - 1) for x, y in zip(a, c)),
+                            ordered_sum(y * x ** (s - 1) for x, y in zip(a, c))))
+    return math.log(ordered_sum((x * y) ** (s / 2.0) for x, y in zip(a, c)))
 
 
 def _solve_sum_equals_one(fn: Callable[[float], float]) -> float:
@@ -365,8 +372,8 @@ def triangular_roots(sys: IfsSystem) -> Tuple[float, float]:
     if check_triangular_split(sys) == "None":
         raise NoDomination("need |a_i|>|c_i| for all i or |a_i|<|c_i| for all i")
     a, c = abs_diagonals(sys)  # the dominant diagonal first
-    s1 = _solve_sum_equals_one(lambda s: float(np.sum(a ** s)))
-    s2 = _solve_sum_equals_one(lambda s: float(np.sum(a * c ** (s - 1.0))))
+    s1 = _solve_sum_equals_one(lambda s: ordered_sum(x ** s for x in a))
+    s2 = _solve_sum_equals_one(lambda s: ordered_sum(x * y ** (s - 1.0) for x, y in zip(a, c)))
     return s1, s2
 
 
@@ -384,4 +391,4 @@ def triangular_pressure_root(
     if root < 2.0:
         return root
     a, c = abs_diagonals(sys)
-    return _solve_sum_equals_one(lambda s: float(np.sum((a * c) ** (s / 2.0))))
+    return _solve_sum_equals_one(lambda s: ordered_sum((x * y) ** (s / 2.0) for x, y in zip(a, c)))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from ._numpy import np
@@ -146,9 +147,11 @@ def check_triangular_split(sys: IfsSystem) -> str:
 
 
 def abs_diagonals(sys: IfsSystem):
-    """|a_i| and |c_i| of a lower-triangular system, the dominant diagonal
-    first: (|c_i|, |a_i|) when it is c-dominant.  NotTriangular otherwise."""
-    a, c = np.abs(sys.columns[0]), np.abs(sys.columns[3])
+    """|a_i| and |c_i| of a lower-triangular system as tuples of floats, the
+    dominant diagonal first: (|c_i|, |a_i|) when it is c-dominant.
+    NotTriangular otherwise."""
+    a = tuple(abs(float(f.linear.a11)) for f in sys.maps)
+    c = tuple(abs(float(f.linear.a22)) for f in sys.maps)
     return (c, a) if check_triangular_split(sys) == "CDominant" else (a, c)
 
 
@@ -160,14 +163,14 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
     """
-    a, _, b, c = (np.abs(x) for x in sys.columns[:4])
+    rows = [tuple(abs(float(x)) for x in f.linear.entries()) for f in sys.maps]
     if case == "ADominant":
-        bound = float(np.max(b / a)) / (1.0 - float(np.max(c / a)))
+        bound = max(b / a for a, _, b, _ in rows) / (1.0 - max(c / a for a, _, _, c in rows))
         k = max(bound * 1.001 + 1e-9, 0.01)
         half = math.atan(k)
         return Multicone((ProjArc.from_angles(-half, half),))
     if case == "CDominant":
-        t0 = float(np.max(b / (c - a)))
+        t0 = max(b / (c - a) for a, _, b, c in rows)
         t = max(t0 * 1.001 + 1e-9, 1.0)
         cut = math.atan(t)
         return Multicone((ProjArc.from_angles(cut, math.pi - cut),))
@@ -269,23 +272,17 @@ def _merge_arcs(arcs):
     """Union of circular arcs, merged while any pair touches; None if the
     union degenerates toward the full circle."""
     work = list(arcs)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                u = _union_two(work[i], work[j])
-                if u is NotImplemented:
-                    continue
-                if u is None:
-                    return None
+    while True:
+        for i, j in combinations(range(len(work)), 2):
+            u = _union_two(work[i], work[j])
+            if u is None:
+                return None
+            if u is not NotImplemented:
                 work[j] = u
                 del work[i]
-                changed = True
                 break
-            if changed:
-                break
-    return work
+        else:
+            return work
 
 
 def _union_two(a: ProjArc, b: ProjArc):

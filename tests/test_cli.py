@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import TIE_CONFIG, count_calls, six_distinct_maps_system
+from test_dimension import RULE_CASES, UNIT_SQUARE
 
 from affdim.cli import main
 from affdim.ifs import BernoulliWeights, parse_system, sample_measure, serialize_system
@@ -885,25 +886,48 @@ sys.exit(code)
 """
 
 
+# the config texts of the T4.2-ADominant and T4.2-CDominant rule cases, which
+# take the two branches of splitting.triangular_forward_cone
+RULE_CASE_CONFIGS = {
+    fired: "".join(f"map {row}\n" for row in source)
+    + "".join(f"polygon {v}\n" for v in UNIT_SQUARE)
+    for source, fired, _, _ in RULE_CASES if fired in ("T4.2-ADominant", "T4.2-CDominant")
+}
+
+
 class TestNumpyOnFirstUse:
     @pytest.mark.parametrize("argv, code", [
         (["ssc", "--example", "sec44"], 0),
         (["hochman", "--example", "phi-c", "--param", "c=2/5", "--n", "10"], 0),
         (["--help"], 0),
         (["directions", "--example", "hl-demo", "--count", "0"], 1),
-    ], ids=["ssc", "hochman", "help", "input-error"])
-    def test_exact_commands_never_execute_numpy(self, argv, code):
+        (["analyze", "--example", "sec44"], 0),
+        (["analyze", "--example", "phi-c", "--param", "c=2/5"], 2),
+        (["analyze", "--example", "phi-c", "--param", "c=1/4", "--target", "measure",
+          "--subsystem-exclude", "4,6"], 2),
+        (["analyze", "--config", RULE_CASE_CONFIGS["T4.2-ADominant"]], 0),
+        (["analyze", "--config", RULE_CASE_CONFIGS["T4.2-CDominant"]], 0),
+        (["lyapunov", "--example", "sec44"], 0),
+    ], ids=["ssc", "hochman", "help", "input-error", "analyze-sec44", "analyze-phi-c",
+            "analyze-subsystem", "analyze-a-dominant", "analyze-c-dominant", "lyapunov-sec44"])
+    def test_exact_commands_never_execute_numpy(self, argv, code, tmp_path):
+        if "--config" in argv:  # the config text goes to a file
+            k = argv.index("--config") + 1
+            (tmp_path / "case.cfg").write_text(argv[k])
+            argv = argv[:k] + [str(tmp_path / "case.cfg")] + argv[k + 1:]
         proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.splitlines()[-1] == "False False"
 
     def test_array_command_runs_plain_numpy(self):
-        argv = ["pressure", "--example", "sec44", "--n", "8"]
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr == "True True\n"
+        # hl-demo is not triangular: its analyze runs the array kernels
+        for argv, code in ((["pressure", "--example", "sec44", "--n", "8"], 0),
+                           (["analyze", "--example", "hl-demo"], 2)):
+            proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stderr == "True True\n"
 
     def test_missing_numpy_fails_import_at_once(self):
         code = ("import sys; sys.modules['numpy'] = None\n"

@@ -49,6 +49,12 @@ class TestTriangularExponents:
         assert t.chi_ss == pytest.approx(math.log(81 / 16), abs=1e-12)
         assert t.stderr_s == 0.0
 
+    def test_sec44_chi_s_is_libm_log_three_halves(self):
+        # three terms (1/3) log(2/3) on Python floats and math.log give the
+        # bits of log(3/2); np.dot of np.log gave 0.40546510810816444
+        sysm, w, _ = sec44()
+        assert lyapunov_triangular(sysm, w).chi_s == math.log(1.5) == 0.4054651081081644
+
     def test_equal_diagonal(self):
         sysm = IfsSystem((
             AffineMap(Mat2.diagonal(0.45, 0.45), (0.0, 0.0)),

@@ -1,12 +1,14 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import affdim.pressure as pressure_mod
+from affdim.ergodic import entropy, lyapunov_triangular
 from affdim.errors import EnumerationTooLarge, NoDomination, NoSignChange, NotTriangular
-from affdim.ifs import AffineMap, IfsSystem
+from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, phi_s, singular_values
 from affdim.pressure import (
@@ -503,3 +505,65 @@ class TestTriangularClosedForms:
         for n in (2, 4, 6):
             (_, r), = pressure_root(sysm, (n,)).history
             assert abs(r - closed) <= 1e-12
+
+
+def random_rational_triangular_system(rng, n, dominant):
+    """n lower-triangular rational maps, |a_i| > |c_i| (``dominant`` "a") or
+    |c_i| > |a_i| ("c") for every i; some signs negative."""
+    maps = []
+    for k in range(n):
+        big = F(rng.randint(30, 85), 100) * rng.choice((1, 1, 1, -1))
+        small = big * F(rng.randint(10, 60), 100) * rng.choice((1, 1, 1, -1))
+        a, c = (big, small) if dominant == "a" else (small, big)
+        maps.append(AffineMap(Mat2(a, F(0), F(rng.randint(-15, 15), 100), c), (F(k, n), F(0))))
+    return IfsSystem(tuple(maps))
+
+
+class TestTriangularClosedFormsOnFloats:
+    """The closed forms, the exact exponents and the entropy run on Python
+    floats and libm; they agree with the numpy forms they replaced.  From 8
+    terms on numpy's pairwise sum adds in another order than left to right."""
+
+    @pytest.mark.parametrize("dominant", ["a", "c"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_agree_with_numpy(self, n, dominant):
+        rng = random.Random(1000 * n + ord(dominant))
+        u = 2.0 ** -52
+        for _ in range(4):
+            sysm = random_rational_triangular_system(rng, n, dominant)
+            ws = [F(rng.randint(1, 9)) for _ in range(n)]
+            w = BernoulliWeights(tuple(x / sum(ws) for x in ws))
+            # the numpy oracle: the dominant diagonal first
+            a, c = np.abs(sysm.columns[0]), np.abs(sysm.columns[3])
+            if dominant == "c":
+                a, c = c, a
+            for s in (0.0, 0.37, 1.0, 1.61, 2.0, 2.9):
+                if s < 1:
+                    want = math.log(max(float(np.sum(a ** s)), float(np.sum(c ** s))))
+                elif s < 2:
+                    want = math.log(max(float(np.sum(a * c ** (s - 1))),
+                                        float(np.sum(c * a ** (s - 1)))))
+                else:
+                    want = math.log(float(np.sum((a * c) ** (s / 2.0))))
+                assert abs(triangular_pressure(sysm, s) - want) <= 4 * u  # 4 ulps of the sum
+
+            p = w.as_array
+            t = lyapunov_triangular(sysm, w)
+            la, lc = float(-np.dot(p, np.log(a))), float(-np.dot(p, np.log(c)))
+            for got, want in ((t.chi_s, min(la, lc)), (t.chi_ss, max(la, lc)),
+                              (entropy(w), float(-np.sum(p * np.log(p))))):
+                assert abs(got - want) <= 4 * math.ulp(want)
+
+            s1, s2 = triangular_roots(sysm)
+            solve = pressure_mod._solve_sum_equals_one
+            assert abs(s1 - solve(lambda s: float(np.sum(a ** s)))) <= ROOT_TOL
+            assert abs(s2 - solve(lambda s: float(np.sum(a * c ** (s - 1.0))))) <= ROOT_TOL
+            root = triangular_pressure_root(sysm, (s1, s2))
+            if root >= 2.0:
+                want = solve(lambda s: float(np.sum((a * c) ** (s / 2.0))))
+                assert abs(root - want) <= ROOT_TOL
+            # each root is the upper end of a bracket: its sum evaluates <= 1
+            da, dc = (tuple(float(x) for x in d) for d in (a, c))
+            assert pressure_mod.ordered_sum(x ** s1 for x in da) <= 1.0
+            assert pressure_mod.ordered_sum(x * y ** (s2 - 1.0) for x, y in zip(da, dc)) <= 1.0
+            assert triangular_pressure(sysm, root) <= 0.0
