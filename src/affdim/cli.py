@@ -8,12 +8,16 @@ import dataclasses
 import sys as _sys
 from fractions import Fraction
 
-from . import dimension, ergodic, pressure, render, splitting
+from ._numpy import _lazy
 from .errors import AffdimError
 from .hochman import LineIfs, hochman_rate
-from .ifs import (BernoulliWeights, ParsedSystem, check_ssc, format_number, parse_system,
-                  sample_measure)
-from .library import example_names, get_example, phi_c_closed_form
+
+# each layer executes on a command's first use of it: --help and ssc never
+# execute dimension or render (perfbench/spans.py reads all seven layers from
+# sys.modules after importing this module, and wraps hochman_rate here)
+dimension, ergodic, ifs, library, pressure, render, splitting = (
+    _lazy(f"affdim.{name}")
+    for name in ("dimension", "ergodic", "ifs", "library", "pressure", "render", "splitting"))
 
 
 # the top-level --help text (argparse refills it)
@@ -38,22 +42,22 @@ def _params_dict(args):
     return out
 
 
-def _load(args) -> ParsedSystem:
+def _load(args) -> ifs.ParsedSystem:
     if args.example and args.config:
         raise AffdimError("give either --example or --config, not both")
     if args.example:
         try:
-            return get_example(args.example, _params_dict(args))
+            return library.get_example(args.example, _params_dict(args))
         except (ValueError, ZeroDivisionError, KeyError) as e:
             raise AffdimError(str(e)) from None
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            return parse_system(fh.read())
+            return ifs.parse_system(fh.read())
     raise AffdimError("a system is required: --example NAME or --config PATH")
 
 
-def _weights_for(parsed: ParsedSystem) -> BernoulliWeights:
-    return parsed.weights or BernoulliWeights.uniform(parsed.system.n)
+def _weights_for(parsed: ifs.ParsedSystem) -> ifs.BernoulliWeights:
+    return parsed.weights or ifs.BernoulliWeights.uniform(parsed.system.n)
 
 
 def _emit(text, out):
@@ -65,7 +69,7 @@ def _emit(text, out):
 
 
 def _emit_table(header, rows, comments=(), out=None):
-    _emit_lines(header, ("\t".join(map(format_number, row)) for row in rows), comments, out)
+    _emit_lines(header, ("\t".join(map(ifs.format_number, row)) for row in rows), comments, out)
 
 
 def _emit_lines(header, lines, comments, out):
@@ -92,7 +96,7 @@ def _check_flags(args, flags):
 def _family_closed_form(args):
     if args.example == "phi-c":
         c = Fraction(str(_params_dict(args)["c"]))
-        return ("family-closed-form", phi_c_closed_form(c))
+        return ("family-closed-form", library.phi_c_closed_form(c))
     return None
 
 
@@ -106,7 +110,7 @@ def cmd_analyze(args) -> int:
             raise AffdimError(f"bad --subsystem-exclude {args.subsystem_exclude!r}; "
                               f"need symbols in 1..{system.n}, not all of them")
         system = dimension.build_subsystem(system, exclude, args.subsystem_depth)
-        weights = BernoulliWeights.uniform(system.n)
+        weights = ifs.BernoulliWeights.uniform(system.n)
     targets = ("measure", "attractor") if args.target == "both" else (args.target,)
     reports = dimension.analyze_targets(
         system,
@@ -224,16 +228,16 @@ def _parse_depth_range(text: str):
 
 def cmd_hochman(args) -> int:
     if args.maps:
-        ifs = _parse_line_maps(args.maps)
+        line_ifs = _parse_line_maps(args.maps)
     else:
         parsed = _load(args)
         weights = _weights_for(parsed)
         if args.derive == "x":
-            ifs, _ = dimension.x_axis_line_ifs(parsed.system, weights)
+            line_ifs, _ = dimension.x_axis_line_ifs(parsed.system, weights)
         else:
-            ifs, _ = dimension.direction_line_ifs(parsed.system, weights)
+            line_ifs, _ = dimension.direction_line_ifs(parsed.system, weights)
     lo, hi = _parse_depth_range(args.n)
-    rep = hochman_rate(ifs, hi)
+    rep = hochman_rate(line_ifs, hi)
     rows = [row for row in rep.rows if row[0] >= lo]
     _emit_table(("n", "delta_n", "rate"), rows, (f"verdict: {rep.verdict}",), args.out)
     return 0
@@ -243,7 +247,7 @@ def cmd_boxdim(args) -> int:
     parsed = _load(args)
     weights = _weights_for(parsed)
     seed_point = parsed.polygon.centroid() if parsed.polygon else (0.0, 0.0)
-    pts = sample_measure(
+    pts = ifs.sample_measure(
         parsed.system, weights, depth=args.depth, count=args.count,
         rng_seed=args.seed, seed_point=seed_point,
     )
@@ -261,7 +265,7 @@ def cmd_ssc(args) -> int:
     parsed = _load(args)
     if parsed.polygon is None:
         raise AffdimError("ssc needs a polygon (in the config or the example)")
-    rep = check_ssc(parsed.system, parsed.polygon)
+    rep = ifs.check_ssc(parsed.system, parsed.polygon)
     lines = [
         f"holds: {'true' if rep.holds else 'false'}",
         f"kappa: {rep.kappa!r}",
@@ -297,13 +301,19 @@ def cmd_render(args) -> int:
     return 0
 
 
-_SOURCE_FLAGS = (
-    ("--example", dict(choices=example_names(), help="built-in example system"), None),
-    ("--config", dict(help="path to an IFS config file"), None),
-    ("--param", dict(action="append", default=[], metavar="K=V",
-                     help="example parameter, e.g. c=0.4 for phi-c"), None),
-    ("--seed", dict(type=int, default=0, help="RNG seed threaded everywhere"), None),
-)
+def _source_flags():
+    """The flags every command takes first: a function, so that only the
+    parser of a named command reads the example names."""
+    return (
+        ("--example", dict(choices=library.example_names(), help="built-in example system"),
+         None),
+        ("--config", dict(help="path to an IFS config file"), None),
+        ("--param", dict(action="append", default=[], metavar="K=V",
+                         help="example parameter, e.g. c=0.4 for phi-c"), None),
+        ("--seed", dict(type=int, default=0, help="RNG seed threaded everywhere"), None),
+    )
+
+
 _OUT = ("--out", {}, None)
 _MONTE_CARLO = (("--mc-n", dict(type=int, default=1000), 1),
                 ("--mc-trials", dict(type=int, default=1000), 2))
@@ -357,8 +367,8 @@ COMMANDS = {
     "ssc": ("strong separation check against the polygon", cmd_ssc, (_OUT,)),
     "render": ("write a P6 image of the attractor", cmd_render, (
         _OUT,
-        ("--width", dict(type=int, default=512), render.SIZES),
-        ("--height", dict(type=int, default=512), render.SIZES),
+        ("--width", dict(type=int, default=512), lambda args: render.SIZES),
+        ("--height", dict(type=int, default=512), lambda args: render.SIZES),
         ("--mode", dict(choices=("cylinders", "chaos"), default="cylinders"), None),
         # chaos mode draws no cylinders, and cylinders mode no orbit
         ("--depth", dict(type=int, default=5), lambda a: 1 if a.mode == "cylinders" else None),
@@ -379,7 +389,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
     for name, (help_text, _, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if name == chosen:
-            for flag, keywords, _ in _SOURCE_FLAGS + flags:
+            for flag, keywords, _ in _source_flags() + flags:
                 sp.add_argument(flag, **keywords)
     return p
 

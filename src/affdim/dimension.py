@@ -639,8 +639,8 @@ def _direction_data(st: _ReportState):
     if st.ctx.split.triangular == "CDominant":
         _, st.hochman_dir, h_dir = st.line_separation(direction_line_ifs,
                                                       "hochman-direction-verdict")
-    if st.t.chi_ss > st.t.chi_s:
-        st.nu_dim = h_dir / (st.t.chi_ss - st.t.chi_s)
+    if st.t.chi_ss > st.t.chi_s:  # a measure on the projective line: at most 1
+        st.nu_dim = min(1.0, h_dir / (st.t.chi_ss - st.t.chi_s))
         st.details.append(("nu-ss-dimension", format_number(st.nu_dim)))
 
 

@@ -63,11 +63,21 @@ products and differences of each term (8), the per-block and final
 ``math.fsum`` (B + 1, each exactly rounded), and the value of f at a float
 midpoint (the last three terms).  The argument needs eta < m / 2; when that
 fails the enclosure gives up and Monte Carlo runs instead.
+
+A depth of at most ``WORD_BLOCK`` words times arcs runs its words on Python
+floats (:func:`_bracket_sums_floats`), larger ones on numpy blocks
+(:func:`_bracket_sums_arrays`); the set-up (L, F, K, rho, eta and the cone's
+unit vectors) runs on Python floats and libm for both.  The float form makes
+the same operations with libm's log, hypot and atan2 in place of numpy's
+loops, which the rounding argument counts the same way, so one pad serves
+both forms, with B counting the blocks of either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -75,8 +85,8 @@ from ._numpy import np
 from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks
-from .pressure import WORD_BLOCK, ordered_sum
+from .linalg2 import det4, log_alpha1, mul4, prepend_each, renormalise4, word_blocks
+from .pressure import WALK_BLOCK, WORD_BLOCK, ordered_sum
 from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
@@ -119,8 +129,9 @@ def entropy(weights: BernoulliWeights) -> float:
 
 
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:
-    """-sum p_i log |det A_i| = chi_s + chi_ss, exactly."""
-    return float(-np.dot(weights.as_array, np.log(np.abs(det4(sys.columns[:4])))))
+    """-sum p_i log |det A_i| = chi_s + chi_ss, exactly, on libm."""
+    dets = (det4(f.linear.to_float().entries()) for f in sys.maps)
+    return -ordered_sum(float(p) * math.log(abs(d)) for p, d in zip(weights.p, dets))
 
 
 def _with_det_identity(sys, weights, chi_s, stderr, enc=None) -> ExponentTriple:
@@ -177,16 +188,18 @@ def lyapunov_monte_carlo(
     return _with_det_identity(sys, weights, chi_s, stderr)
 
 
-def _min_gain(cols, alpha2, cone, starts, lengths) -> np.ndarray:
-    """min |A_i x| over unit x on each arc, one row per symbol: at an end of
-    the arc, or alpha2 when the arc holds the most contracted direction."""
-    a11, a12, a21, a22 = a = tuple(c[:, None] for c in cols)
+def _min_gain(a, alpha2: float, start: float, length: float, cone) -> float:
+    """min |A x| over unit x on an arc: at an end of the arc, or alpha2 when
+    the arc holds the most contracted direction.  ``cone`` is the arc as the
+    matrix [start | end] of unit vectors."""
+    a11, a12, a21, a22 = a
     e11, e12, e21, e22 = mul4(a, cone)
     # the eigenvector of A^T A for alpha2^2, a quarter turn from that for alpha1^2
-    low = 0.5 * np.arctan2(2 * (a11 * a12 + a21 * a22),
+    low = 0.5 * math.atan2(2 * (a11 * a12 + a21 * a22),
                            a11 * a11 + a21 * a21 - a12 * a12 - a22 * a22) + 0.5 * math.pi
-    return np.where(np.mod(low - starts, math.pi) <= lengths, alpha2[:, None],
-                    np.minimum(np.hypot(e11, e21), np.hypot(e12, e22)))
+    if (low - start) % math.pi <= length:
+        return alpha2
+    return min(math.hypot(e11, e21), math.hypot(e12, e22))
 
 
 def exponent_bracket(
@@ -197,36 +210,98 @@ def exponent_bracket(
     None when the rounding argument does not apply (eta >= m / 2).
 
     Maps that share a linear part are one symbol with the summed weight.
+    The set-up runs on Python floats and libm.  The words run on them too
+    (:func:`_bracket_sums_floats`) while words times arcs stay within
+    ``WORD_BLOCK``, and on numpy blocks (:func:`_bracket_sums_arrays`) past it.
     """
+    small = len(sys.symbols) ** n * len(split.multicone.arcs) <= WORD_BLOCK
+    word_sums = _bracket_sums_floats if small else _bracket_sums_arrays
+    return _bracket(sys, weights, split, n, word_sums)
+
+
+def _bracket(sys, weights, split, n, word_sums) -> Optional[Tuple[float, float]]:
+    """:func:`exponent_bracket`, its words summed by ``word_sums``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = np.array([float(sum(weights.p[i] for i in g)) for g in sys.symbols])
-    n_sym = len(p)
-    cols = sys.symbol_columns
-    t = sum(c * c for c in cols)  # alpha1^2 + alpha2^2
-    dt = np.abs(det4(cols))  # alpha1 alpha2
-    disc = np.maximum(t * t - 4.0 * dt * dt, 0.0)  # (alpha1^2 - alpha2^2)^2
-    alpha1 = np.sqrt((t + np.sqrt(disc)) / 2.0)
-    lip = float(np.dot(p, np.sqrt(disc + 64 * _U * t * t) / (2.0 * dt))) * (1 + 16 * _U)
-    big_f = float(np.max(np.abs(np.log([alpha1, dt / alpha1]))))
+    p = [float(sum(weights.p[i] for i in g)) for g in sys.symbols]
+    syms = sys.symbol_entries
+    t = [a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22 for a11, a12, a21, a22 in syms]
+    dt = [abs(det4(a)) for a in syms]  # alpha1 alpha2; t is alpha1^2 + alpha2^2
+    disc = [max(x * x - 4.0 * y * y, 0.0) for x, y in zip(t, dt)]  # (alpha1^2 - alpha2^2)^2
+    alpha1 = [math.sqrt((x + math.sqrt(d)) / 2.0) for x, d in zip(t, disc)]
+    alpha2 = [y / a for y, a in zip(dt, alpha1)]
+    lip = math.fsum(pa * (math.sqrt(d + 64 * _U * x * x) / (2.0 * y))
+                    for pa, d, x, y in zip(p, disc, t, dt)) * (1 + 16 * _U)
+    big_f = max(abs(math.log(a)) for a in alpha1 + alpha2)
 
     arcs = split.multicone.arcs
-    lengths = np.array([a.length for a in arcs])
     m2 = split.margin / 2.0
     if not m2 > 0.0:  # a triangular cone whose float check failed
         return None
     # each arc as the matrix [start | end] of unit vectors, ccw from start
-    starts = np.array([a.start.theta for a in arcs])
-    ends = starts + lengths
-    cone = (np.cos(starts), np.cos(ends), np.sin(starts), np.sin(ends))
-    gain = _min_gain(cols, dt / alpha1, cone, starts, lengths)
-    k = 2.0 * float(np.max(np.sqrt(t)[:, None] / gain))
-    rho = float(np.max(np.sin(lengths) / (math.sin(m2) * np.sin(lengths - m2))))
-    eta = float(np.max(np.tan(lengths / 2.0))) / 2.0 * rho * (2 * k + n * (5 * k + 1)) * _U
+    cone = []
+    for arc in arcs:
+        start, end = arc.start.theta, arc.start.theta + arc.length
+        cone.append((math.cos(start), math.cos(end), math.sin(start), math.sin(end)))
+    k = 2.0 * max(math.sqrt(x) / _min_gain(a, a2, arc.start.theta, arc.length, c)
+                  for a, x, a2 in zip(syms, t, alpha2) for arc, c in zip(arcs, cone))
+    rho = max(math.sin(a.length) / (math.sin(m2) * math.sin(a.length - m2)) for a in arcs)
+    eta = max(math.tan(a.length / 2.0) for a in arcs) / 2.0 * rho * (2 * k + n * (5 * k + 1)) * _U
     if not eta < m2:
         return None
     eta += 8 * _U
-    n_arcs = len(arcs)
+    sums_lo, sums_hi = word_sums(sys, p, cone, n, lip, eta)
+    pad = ((2 * n + 8 + len(sums_lo)) * (big_f + math.pi * lip)
+           + 4 * k + 4 + (len(syms) + 4) * big_f) * _U
+    return -(math.fsum(sums_hi) + pad), -(math.fsum(sums_lo) - pad)
+
+
+def _bracket_sums_floats(sys, p, cone, n, lip, eta):
+    """The per-block sums of :func:`_bracket_sums_arrays` on Python floats
+    and libm, in the float walk's blocks of the pressure
+    (:func:`pressure._word_products_floats`): the same operations on lists,
+    so the word products are the same bits."""
+    syms = sys.symbol_entries
+
+    def prepend(words, i):
+        e, pu = words
+        a, pa = (syms, p) if i is None else (syms[i:i + 1], p[i:i + 1])
+        return prepend_each(a, e)[0], [x * y for x in pa for y in pu]
+
+    k = len(cone)
+
+    def sum_over_words(extreme, values, pu):  # sum_u p_u times the extreme over u's arcs
+        per_word = functools.reduce(lambda a, b: list(map(extreme, a, b)),
+                                    (values[j::k] for j in range(k)))
+        return math.fsum(map(operator.mul, pu, per_word))
+
+    level_one = prepend((tuple(map(list, zip(*cone))), [1.0]), None)
+    sums_lo, sums_hi = [], []
+    for _, ((e11, e12, e21, e22), pu) in word_blocks(level_one, prepend, len(syms), n,
+                                                     WALK_BLOCK // 4):
+        ns, ne = list(map(math.hypot, e11, e21)), list(map(math.hypot, e12, e22))
+        cx = [a / b + c / d for a, b, c, d in zip(e11, ns, e12, ne)]  # the bisector
+        cy = [a / b + c / d for a, b, c, d in zip(e21, ns, e22, ne)]
+        half = [0.5 * math.atan2(abs(a * d - b * c), a * b + c * d)
+                for a, b, c, d in zip(e11, e12, e21, e22)]
+        cc = [x * x + y * y for x, y in zip(cx, cy)]
+        f = [0.0] * len(cc)
+        for (a11, a12, a21, a22), pa in zip(syms, p):
+            f = [g + pa * math.log(((wx := a11 * x + a12 * y) * wx
+                                    + (wy := a21 * x + a22 * y) * wy) / c)
+                 for g, x, y, c in zip(f, cx, cy, cc)]
+        spread = [lip * (h + eta) for h in half]
+        sums_lo.append(sum_over_words(min, [0.5 * g - s for g, s in zip(f, spread)], pu))
+        sums_hi.append(sum_over_words(max, [0.5 * g + s for g, s in zip(f, spread)], pu))
+    return sums_lo, sums_hi
+
+
+def _bracket_sums_arrays(sys, p, cone, n, lip, eta):
+    """The per-block sums of :func:`_bracket_sums_floats` on numpy, over the
+    blocks of at most ``WORD_BLOCK`` words of :func:`linalg2.word_blocks`."""
+    cols = sys.symbol_columns
+    p = np.array(p)
+    n_sym, n_arcs = len(p), len(cone)
     lead = tuple(c[:, None, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
     def prepend(words, i):
@@ -235,7 +310,7 @@ def exponent_bracket(
         e, _ = renormalise4(mul4(a, e))
         return tuple(x.reshape(-1, n_arcs) for x in e), np.multiply.outer(pa, pu).ravel()
 
-    level_one = prepend((tuple(x[None, :] for x in cone), np.ones(1)), None)
+    level_one = prepend((tuple(np.array(x)[None, :] for x in zip(*cone)), np.ones(1)), None)
     sums_lo, sums_hi = [], []
     for _, (e, pu) in word_blocks(level_one, prepend, n_sym, n, WORD_BLOCK):
         e11, e12, e21, e22 = e  # columns: the images of each arc's start and end
@@ -252,9 +327,7 @@ def exponent_bracket(
         spread = lip * (half + eta)
         sums_lo.append(math.fsum(pu * np.min(f - spread, axis=1)))
         sums_hi.append(math.fsum(pu * np.max(f + spread, axis=1)))
-    pad = ((2 * n + 8 + len(sums_lo)) * (big_f + math.pi * lip)
-           + 4 * k + 4 + (n_sym + 4) * big_f) * _U
-    return -(math.fsum(sums_hi) + pad), -(math.fsum(sums_lo) - pad)
+    return sums_lo, sums_hi
 
 
 def lyapunov_enclosure(

@@ -124,10 +124,15 @@ class IfsSystem:
         return tuple(tuple(g) for g in groups.values())
 
     @cached_property
+    def symbol_entries(self) -> tuple:
+        """The float linear entries (a11, a12, a21, a22) of each symbol's
+        first map: the operands of the kernel's Python-float forms."""
+        return tuple(self.maps[g[0]].linear.to_float().entries() for g in self.symbols)
+
+    @cached_property
     def symbol_columns(self) -> tuple:
-        """The linear entry columns of :attr:`columns` at each symbol's first map."""
-        first = [g[0] for g in self.symbols]
-        return tuple(c[first] for c in self.columns[:4])
+        """:attr:`symbol_entries` as entry columns, the batched operands."""
+        return tuple(np.array(c) for c in zip(*self.symbol_entries))
 
     @cached_property
     def max_norm(self) -> float:

@@ -9,7 +9,10 @@ forms every word product for the pressure, the exponents and the direction
 samplers, and :func:`word_blocks` enumerates the words of the pressure and
 the exponent enclosure in bounded blocks.  Its operands are entry 4-tuples
 of arrays: a system's per-map float entries are ``IfsSystem.columns``, and
-those of its merged alphabet ``IfsSystem.symbol_columns``.  Each caller
+those of its merged alphabet ``IfsSystem.symbol_columns``.  The small
+enumerations run on :func:`prepend_each` and :func:`log_alpha1_each`
+instead: the same operations on lists of Python floats, with the merged
+alphabet as ``IfsSystem.symbol_entries``.  Each caller
 keeps its own renormalisation cadence, and that cadence is part of the
 output bytes: it decides the last bits.
 """
@@ -17,6 +20,7 @@ output bytes: it decides the last bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -171,6 +175,35 @@ def renormalise4(m) -> tuple:
     scale = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
                        np.maximum(np.abs(m21), np.abs(m22)))
     return (m11 / scale, m12 / scale, m21 / scale, m22 / scale), scale
+
+
+def prepend_each(syms, words) -> tuple:
+    """``renormalise4(mul4(A, words))`` for every matrix A of ``syms``
+    (4-tuples of Python floats), on a batch of words given as four entry
+    lists: the products' four entry lists and their scales, A the slowest
+    index.  The operations are the batched kernel's, so are the values."""
+    out, scales = ([], [], [], []), []
+    q11, q12, q21, q22 = words
+    for a11, a12, a21, a22 in syms:
+        m = ([a11 * x + a12 * y for x, y in zip(q11, q21)],
+             [a11 * x + a12 * y for x, y in zip(q12, q22)],
+             [a21 * x + a22 * y for x, y in zip(q11, q21)],
+             [a21 * x + a22 * y for x, y in zip(q12, q22)])
+        scale = list(map(max, *(map(abs, c) for c in m)))
+        for o, c in zip(out, m):
+            o.extend(map(operator.truediv, c, scale))
+        scales.extend(scale)
+    return out, scales
+
+
+def log_alpha1_each(m) -> list:
+    """:func:`log_alpha1` of a batch given as four entry lists, on libm."""
+    out = []
+    for m11, m12, m21, m22 in zip(*m):
+        t = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
+        dn = m11 * m22 - m12 * m21
+        out.append(0.5 * math.log((t + math.sqrt(max(t * t - 4.0 * dn * dn, 0.0))) / 2.0))
+    return out
 
 
 def log_alpha1(m) -> np.ndarray:

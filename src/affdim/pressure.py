@@ -29,6 +29,15 @@ beside blocks of fixed size.  Finite-n roots certify the true root from
 above: submultiplicativity of the singular value function makes the
 approximants decrease along doubling depths.
 
+A depth of at most ``WORD_BLOCK`` words runs on Python floats and libm
+instead, as lists (:func:`_word_log_singulars_floats`,
+:func:`_pressure_with_slope_floats`): the walk's operations one float at a
+time (:func:`linalg2.prepend_each`), so every word product is the same bits,
+with ``math.log``, ``math.exp`` and ``math.fsum`` for the logs, the weights
+and the two sums.  Such a depth executes no numpy and its bits do not depend
+on numpy's CPU dispatch; its root lies within 2 ``ROOT_TOL`` of the array
+form's.  Which form runs depends on the system and the depth alone.
+
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
 depth's root is found by Newton's method from the left end of the piece that
@@ -55,7 +64,8 @@ from typing import Callable, Optional, Sequence, Tuple
 from ._numpy import np
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .linalg2 import det4, log_alpha1, mul4, renormalise4, word_blocks
+from .linalg2 import (det4, log_alpha1, log_alpha1_each, mul4, prepend_each, renormalise4,
+                      word_blocks)
 from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
@@ -98,15 +108,16 @@ class RootEstimate:
         return (n2 * r2 - n1 * r1) / (n2 - n1)
 
 
-def _word_sums(values: np.ndarray, n: int):
+def _word_sums(values, n: int, outer):
     """The sum of the symbols' ``values`` along every length-n word, the new
-    symbol's added on the left at each level: one float when every symbol
-    carries the same value, otherwise one entry per word in lexicographic
-    order with the leading symbol as the slowest digit."""
-    shared = bool(np.all(values == values[0]))
+    symbol's added on the left at each level by ``outer`` (the sums of every
+    pair, first argument slowest): one float when every symbol carries the
+    same value, otherwise one entry per word in lexicographic order with the
+    leading symbol as the slowest digit."""
+    shared = all(v == values[0] for v in values)
     symbols = total = values[:1] if shared else values
     for _ in range(n - 1):
-        total = np.add.outer(symbols, total).ravel()
+        total = outer(symbols, total)
     return float(total[0]) if shared else total
 
 
@@ -115,16 +126,16 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     the distinct linear parts, in lexicographic order with the leading symbol
     as the slowest digit.
 
-    log |det| and the log multiplicity come from :func:`_word_sums`: arrays
-    only when the symbols' values differ, otherwise one float that equals
-    every word's entry.  log alpha2 is log |det| - log alpha1 (see
-    :func:`phi_log_values`).  Products are renormalized per word (log scale
-    carried separately) and log |det| is the exact per-symbol sum, so deep
-    strongly-dominated products lose no precision.  Only the outputs are
-    allocated at full length: one float per word when the symbols share |det|
-    and multiplicity, three otherwise.  Beside them the depth-first walk holds
-    one block of at most ``WALK_BLOCK`` products per level (see the module
-    docstring).
+    At most ``WORD_BLOCK`` words run on Python floats and libm, as lists
+    (:func:`_word_log_singulars_floats`), more on numpy arrays
+    (:func:`_word_log_singulars_arrays`); both form every word product with
+    the same operations.  log |det| and the log multiplicity come from
+    :func:`_word_sums`: per word only when the symbols' values differ,
+    otherwise one float that equals every word's entry.  log alpha2 is
+    log |det| - log alpha1 (see :func:`phi_log_values`).  Products are
+    renormalized per word (log scale carried separately) and log |det| is
+    the exact per-symbol sum, so deep strongly-dominated products lose no
+    precision.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -132,9 +143,32 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     total = n_sym ** n
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
+    if total <= WORD_BLOCK:
+        return _word_log_singulars_floats(sys, n)
+    return _word_log_singulars_arrays(sys, n)
+
+
+def _word_products_floats(sys: IfsSystem, n: int):
+    """:func:`_word_products_arrays` on Python floats and libm: blocks of
+    four entry lists and the log scales, the same operations, so the same
+    products.  A word held as Python floats takes four times its bytes as
+    float64, so the walk holds a quarter of ``WALK_BLOCK`` words per level."""
+    syms = sys.symbol_entries
+
+    def prepend(words, i):
+        e, logscale = words
+        lead = syms if i is None else syms[i:i + 1]
+        e, m = prepend_each(lead, e)
+        return e, [x + math.log(y) for x, y in zip(logscale * len(lead), m)]
+
+    level_one = tuple(map(list, zip(*syms))), [0.0] * len(syms)
+    return word_blocks(level_one, prepend, len(syms), n, WALK_BLOCK // 4)
+
+
+def _word_products_arrays(sys: IfsSystem, n: int):
+    """The (start, (products, log scales)) blocks of the length-n words: the
+    depth-first walk of the module docstring."""
     cols = sys.symbol_columns
-    mult = np.array([float(len(g)) for g in sys.symbols])
-    log_det, log_w = (_word_sums(v, n) for v in (np.log(np.abs(det4(cols))), np.log(mult)))
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
     def prepend(words, i):
@@ -142,18 +176,52 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
         e, m = renormalise4(mul4(lead if i is None else tuple(c[i] for c in cols), e))
         return tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel()
 
-    blocks = word_blocks((cols, np.zeros(n_sym)), prepend, n_sym, n, WALK_BLOCK)
-    log_a1 = np.empty(total)
-    for start, (e, logscale) in blocks:
+    n_sym = len(cols[0])
+    return word_blocks((cols, np.zeros(n_sym)), prepend, n_sym, n, WALK_BLOCK)
+
+
+def _word_log_singulars_floats(sys: IfsSystem, n: int):
+    """:func:`word_log_singulars` as lists of Python floats, on libm."""
+    syms = sys.symbol_entries
+    values = ([math.log(abs(det4(a))) for a in syms],
+              [math.log(float(len(g))) for g in sys.symbols])
+    log_det, log_w = (_word_sums(v, n, lambda a, b: [x + y for x in a for y in b])
+                      for v in values)
+    log_a1 = [0.0] * len(syms) ** n
+    for start, (e, logscale) in _word_products_floats(sys, n):
+        log_a1[start:start + len(logscale)] = map(operator.add, logscale, log_alpha1_each(e))
+    return log_a1, log_det, log_w
+
+
+def _word_log_singulars_arrays(sys: IfsSystem, n: int):
+    """:func:`word_log_singulars` as numpy arrays.  Only the outputs are
+    allocated at full length: one float per word when the symbols share |det|
+    and multiplicity, three otherwise.  Beside them the depth-first walk holds
+    one block of at most ``WALK_BLOCK`` products per level."""
+    cols = sys.symbol_columns
+    values = (np.log(np.abs(det4(cols))), np.log(np.array([float(len(g)) for g in sys.symbols])))
+    log_det, log_w = (_word_sums(v, n, lambda a, b: np.add.outer(a, b).ravel()) for v in values)
+    log_a1 = np.empty(len(sys.symbols) ** n)
+    for start, (e, logscale) in _word_products_arrays(sys, n):
         np.add(logscale, log_alpha1(e), out=log_a1[start:start + len(logscale)])
     return log_a1, log_det, log_w
 
 
-def phi_log_values(log_a1: np.ndarray, log_det, s: float) -> Callable[[slice], np.ndarray]:
-    """log phi^s of the words in a slice, in one fresh array per call, from
-    the stored log alpha1 and log |det| (an array or one shared float)."""
+def phi_log_values(log_a1, log_det, s: float) -> Callable[[slice], object]:
+    """log phi^s of the words in a slice, in one fresh array (or list, for
+    the float form's lists) per call, from the stored log alpha1 and log
+    |det| (per word or one shared float)."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
+    if isinstance(log_a1, list):  # the operations of the array blocks below
+        if s <= 1:
+            return lambda words: [s * a for a in log_a1[words]]
+        dets = log_det if isinstance(log_det, list) else [log_det] * len(log_a1)
+        if s <= 2:
+            c = s - 1.0
+            return lambda words: [(d - a) * c + a for a, d in zip(log_a1[words], dets[words])]
+        c = s / 2.0
+        return lambda words: [(d - a + a) * c for a, d in zip(log_a1[words], dets[words])]
     log_det = np.broadcast_to(log_det, log_a1.shape)
 
     def block(words: slice) -> np.ndarray:
@@ -195,12 +263,40 @@ def _pairwise_sums(leaf: Callable[[slice], tuple], start: int, stop: int, block:
 
 
 def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
-    """P_n(s) and its right derivative in s, from one phi_log_values call.
+    """P_n(s) and its right derivative in s, from one phi_log_values call,
+    on the form that :func:`word_log_singulars` chose for ``words``.
 
     The derivative is the softmax-weighted mean of the per-word slopes of the
-    affine piece that starts at s.  The words are read in blocks of at most
-    ``WORD_BLOCK`` twice: for the largest log term, and for the two sums.
+    affine piece that starts at s.
     """
+    if isinstance(words[0], list):
+        return _pressure_with_slope_floats(words, n, s)
+    return _pressure_with_slope_arrays(words, n, s)
+
+
+def _pressure_with_slope_floats(words, n: int, s: float) -> Tuple[float, float]:
+    """:func:`_pressure_with_slope` on lists of Python floats: ``math.exp``,
+    and ``math.fsum`` for the two sums."""
+    log_a1, log_det, log_w = words
+    terms = phi_log_values(log_a1, log_det, s)(slice(None))
+    log_det, log_w = (x if isinstance(x, list) else [x] * len(log_a1) for x in (log_det, log_w))
+    terms = [e + w for e, w in zip(terms, log_w)]
+    m = max(terms)
+    weights = [math.exp(e - m) for e in terms]
+    if s < 1.0:
+        slopes = log_a1
+    elif s < 2.0:  # slope log alpha2, or its mean with log alpha1
+        slopes = [d - a for a, d in zip(log_a1, log_det)]
+    else:
+        slopes = [(d - a + a) * 0.5 for a, d in zip(log_a1, log_det)]
+    total = math.fsum(weights)
+    return (m + math.log(total)) / n, math.fsum(map(operator.mul, weights, slopes)) / (total * n)
+
+
+def _pressure_with_slope_arrays(words, n: int, s: float) -> Tuple[float, float]:
+    """:func:`_pressure_with_slope` on numpy arrays.  The words are read in
+    blocks of at most ``WORD_BLOCK`` twice: for the largest log term, and for
+    the two sums."""
     log_a1, log_det, log_w = words
     phi = phi_log_values(log_a1, log_det, s)
     log_det, log_w = (np.broadcast_to(x, log_a1.shape) for x in (log_det, log_w))

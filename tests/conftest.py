@@ -25,6 +25,15 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+def random_positive_system(rng, n_maps):
+    """Maps with entries in [0.02, 0.45]: positive, contracting, and
+    certified by the positivity route (dominated, not triangular)."""
+    return IfsSystem(tuple(
+        AffineMap(Mat2(*(float(x) for x in rng.uniform(0.02, 0.45, 4))), (float(k), 0.0))
+        for k in range(n_maps)
+    ))
+
+
 def _draw_triangular(rng, n_maps, ratio, bscale, norm_cap, dominant, big_range):
     rows = []
     for _ in range(n_maps):

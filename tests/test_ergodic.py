@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import random_triangular_system
+from conftest import random_positive_system, random_triangular_system
 
 from test_cli import PROPOSED_CONE_CONFIGS
 
@@ -187,15 +187,6 @@ class TestLyapunovDimension:
             ExponentTriple(entropy=1.0, chi_s=1.0, chi_ss=0.5)
 
 
-def random_positive_system(rng, n_maps):
-    """Maps with entries in [0.02, 0.45]: positive, contracting, and
-    certified by the positivity route."""
-    return IfsSystem(tuple(
-        AffineMap(Mat2(*(float(x) for x in rng.uniform(0.02, 0.45, 4))), (float(k), 0.0))
-        for k in range(n_maps)
-    ))
-
-
 def _positive_and_proposed_cases():
     """(system, weights): random positive systems with random weights, and
     the multi-arc proposed-cone configs with uniform ones."""
@@ -284,3 +275,44 @@ class TestEnclosure:
         assert lyapunov_enclosure(sysm, w, thin) is None
         t = lyapunov_exponents(sysm, w, mc_n=50, mc_trials=20, rng_seed=3, split=thin)
         assert t == lyapunov_monte_carlo(sysm, w, 50, 20, 3)
+
+
+class TestEnclosureForms:
+    """The words of an enclosure depth run on Python floats and libm up to
+    WORD_BLOCK words times arcs, on numpy blocks past it; both forms are
+    valid brackets of the same chi_s."""
+
+    @pytest.mark.parametrize("sysm, w", _positive_and_proposed_cases())
+    def test_float_and_array_brackets_overlap(self, sysm, w):
+        # random positive 2- and 3-symbol systems, and multi-arc cones
+        import affdim.ergodic as ergodic_mod
+
+        split = certify(sysm)
+        arcs = len(split.multicone.arcs)
+        for n in (k for k in (1, 3, 6, 9) if len(sysm.symbols) ** k * arcs <= 2 ** 15):
+            lo_f, hi_f = ergodic_mod._bracket(sysm, w, split, n, ergodic_mod._bracket_sums_floats)
+            lo_a, hi_a = ergodic_mod._bracket(sysm, w, split, n, ergodic_mod._bracket_sums_arrays)
+            assert max(lo_f, lo_a) <= min(hi_f, hi_a)
+            # the same words and set-up: the ends differ by the pad's block
+            # count and the last bits of libm's and numpy's logs
+            assert lo_f == pytest.approx(lo_a, abs=1e-12)
+            assert hi_f == pytest.approx(hi_a, abs=1e-12)
+
+    def test_gate_edge(self, monkeypatch):
+        # hl-demo has two symbols and a one-arc cone: 2^15 words take the
+        # float form, 2^16 the array form
+        import affdim.ergodic as ergodic_mod
+
+        sysm, w, _ = hl_demo()
+        split = certify(sysm)
+        assert len(split.multicone.arcs) == 1
+        ran = []
+        for name in ("_bracket_sums_floats", "_bracket_sums_arrays"):
+            def recorded(*args, form=getattr(ergodic_mod, name), name=name):
+                ran.append(name)
+                return form(*args)
+
+            monkeypatch.setattr(ergodic_mod, name, recorded)
+        for n in (15, 16):
+            assert exponent_bracket(sysm, w, split, n) is not None
+        assert ran == ["_bracket_sums_floats", "_bracket_sums_arrays"]

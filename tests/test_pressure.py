@@ -33,7 +33,7 @@ def similar_system(rho, n, angle=0.6):
     return IfsSystem(maps)
 
 
-from conftest import random_triangular_system, six_distinct_maps_system
+from conftest import random_positive_system, random_triangular_system, six_distinct_maps_system
 
 
 def phi_c_subsystem():
@@ -78,7 +78,7 @@ def bisection_root(sysm, n, tol=ROOT_TOL):
     log_a1, log_det, log_w = word_log_singulars(sysm, n)
 
     def p(s):
-        v = phi_log_values(log_a1, log_det, s)(slice(None)) + log_w
+        v = np.asarray(phi_log_values(log_a1, log_det, s)(slice(None))) + log_w
         m = float(np.max(v))
         return m + math.log(float(np.sum(np.exp(v - m))))
 
@@ -230,6 +230,9 @@ def per_symbol_loop(sysm, n):
     return log_a1, logdet - log_a1, logdet, logw
 
 
+array_words = pressure_mod._word_log_singulars_arrays
+
+
 def assert_bit_identical(words, reference):
     """log alpha1, log |det| - log alpha1 and the broadcast log |det| and log
     multiplicity equal the per-word reference bit for bit."""
@@ -289,11 +292,13 @@ class TestMergedSymbols:
         three_unequal_symbols_system,
     ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random", "three-unequal"])
 
+    # the array form: the per-symbol loop takes its logs from numpy, while
+    # TestFloatForm checks the float form against this one
     @BIT_SYSTEMS
     def test_bit_identical_to_a_per_symbol_loop(self, make):
         sysm = make()
         for n in (1, 2, 3, 5):
-            assert_bit_identical(word_log_singulars(sysm, n), per_symbol_loop(sysm, n))
+            assert_bit_identical(array_words(sysm, n), per_symbol_loop(sysm, n))
 
     @BIT_SYSTEMS
     def test_depth_first_blocks_bit_identical(self, make, monkeypatch):
@@ -302,7 +307,7 @@ class TestMergedSymbols:
         monkeypatch.setattr(pressure_mod, "WALK_BLOCK", 4)
         sysm = make()
         for n in (1, 2, 3, 5, 6, 7):
-            assert_bit_identical(word_log_singulars(sysm, n), per_symbol_loop(sysm, n))
+            assert_bit_identical(array_words(sysm, n), per_symbol_loop(sysm, n))
 
     @BIT_SYSTEMS
     @pytest.mark.parametrize("block", [None, 4, 100, 129, 1000])
@@ -340,12 +345,14 @@ class TestMergedSymbols:
     ], ids=["phi-c", "hl-demo", "sec44", "phi-c-without-4-6", "shared-linear-part",
             "three-unequal"])
     def test_shared_det_and_multiplicity_are_one_float(self, make, n_shared):
-        # phi-c without maps 4 and 6 keeps one |det| but multiplicities 2, 2, 1
-        log_a1, *rest = word_log_singulars(make(), 4)
-        assert isinstance(log_a1, np.ndarray)
-        assert sum(isinstance(x, float) for x in rest) == n_shared
-        assert sum(isinstance(x, np.ndarray) and x.shape == log_a1.shape
-                   for x in rest) == 2 - n_shared
+        # phi-c without maps 4 and 6 keeps one |det| but multiplicities 2, 2, 1;
+        # both forms keep the same shapes
+        for form, kind in ((array_words, np.ndarray),
+                           (pressure_mod._word_log_singulars_floats, list)):
+            log_a1, *rest = form(make(), 4)
+            assert isinstance(log_a1, kind)
+            assert sum(isinstance(x, float) for x in rest) == n_shared
+            assert sum(isinstance(x, kind) and len(x) == len(log_a1) for x in rest) == 2 - n_shared
 
     @staticmethod
     def peak_bytes(sysm, n):
@@ -397,7 +404,7 @@ class TestMergedSymbols:
 
     def test_enumerates_distinct_linear_parts(self):
         log_a1, _, log_w = word_log_singulars(phi_c_subsystem(), 3)
-        assert log_a1.shape == (27,)  # 3^3, not 4^3
+        assert len(log_a1) == 27  # 3^3, not 4^3
         assert math.fsum(np.exp(log_w)) == pytest.approx(4 ** 3, rel=1e-14)
 
 
@@ -567,3 +574,47 @@ class TestTriangularClosedFormsOnFloats:
             assert pressure_mod.ordered_sum(x ** s1 for x in da) <= 1.0
             assert pressure_mod.ordered_sum(x * y ** (s2 - 1.0) for x, y in zip(da, dc)) <= 1.0
             assert triangular_pressure(sysm, root) <= 0.0
+
+
+def _random_dominated_systems():
+    rng = np.random.default_rng(79)
+    return [pytest.param(random_positive_system(rng, 2 + k % 2), id=f"{2 + k % 2}-maps-{k}")
+            for k in range(6)]
+
+
+class TestFloatForm:
+    """Depths of at most WORD_BLOCK words run on Python floats and libm:
+    the same word products as the array form, bit for bit, while the logs,
+    exps and the two sums come from libm and math.fsum."""
+
+    @pytest.mark.parametrize("sysm", _random_dominated_systems())
+    def test_word_products_bit_identical(self, sysm):
+        # 3^9 words walk depth first in both forms
+        def whole(blocks):
+            blocks = sorted(blocks, key=lambda b: b[0])
+            e = [np.concatenate([np.asarray(b[1][0][k]) for b in blocks]) for k in range(4)]
+            return e, np.concatenate([np.asarray(b[1][1]) for b in blocks])
+
+        for n in (1, 2, 5, 9):
+            e_f, scale_f = whole(pressure_mod._word_products_floats(sysm, n))
+            e_a, scale_a = whole(pressure_mod._word_products_arrays(sysm, n))
+            for x, y in zip(e_f, e_a):
+                assert np.array_equal(x, y)
+            np.testing.assert_allclose(scale_f, scale_a, rtol=0, atol=n * 1e-15)
+
+    @pytest.mark.parametrize("sysm", _random_dominated_systems())
+    def test_depth_roots_agree(self, sysm):
+        for n in (1, 2, 4, 8):
+            roots = []
+            for words, evaluate in ((pressure_mod._word_log_singulars_floats(sysm, n),
+                                     pressure_mod._pressure_with_slope_floats),
+                                    (pressure_mod._word_log_singulars_arrays(sysm, n),
+                                     pressure_mod._pressure_with_slope_arrays)):
+                roots.append(pressure_mod._depth_root(lambda s: evaluate(words, n, s), ROOT_TOL))
+            assert abs(roots[0] - roots[1]) <= 2 * ROOT_TOL
+
+    def test_gate_edge(self):
+        sysm = hl_demo()[0]  # two symbols
+        assert pressure_mod.WORD_BLOCK == 2 ** 15
+        assert isinstance(word_log_singulars(sysm, 15)[0], list)
+        assert isinstance(word_log_singulars(sysm, 16)[0], np.ndarray)
