@@ -2,11 +2,12 @@
 
 ``ssc``, ``hochman``, ``--help`` and input errors run on Fractions alone, and
 ``analyze`` and ``lyapunov`` on lower-triangular input on Fractions, Python
-floats and ``math``.  A word enumeration runs on Python floats and libm too
-while it stays within ``pressure.WORD_BLOCK`` (2^15) words: a pressure depth
-of at most that many words, or an enclosure depth of at most that many words
-times arcs, so ``analyze`` on hl-demo and ``pressure --example sec44 --n 8``
-never execute numpy either.  Every module takes ``np`` from here and only a
+floats and ``math``, and certifying a dominated splitting executes no numpy
+on any system.  A word enumeration runs on Python floats and libm too while
+it stays within ``pressure.WORD_BLOCK`` (2^15) words: a pressure depth of at
+most that many words, or an enclosure depth of at most that many words times
+arcs, so ``analyze`` on hl-demo and ``pressure --example sec44 --n 8`` never
+execute numpy either.  Every module takes ``np`` from here and only a
 process that calls into numpy pays its ~115 ms import.  ``LazyLoader`` turns
 the module into a plain one on first use; a missing numpy still fails
 ``import affdim`` at once.

@@ -251,7 +251,7 @@ def _walk(words, depth, start, prepend, n_sym, n):
 
 def _canonical_angle(theta: float) -> float:
     t = math.fmod(theta, math.pi)
-    if t < 0.0:
+    if t <= 0.0:  # -0.0 as well, so that the seam gives +0.0
         t += math.pi
     if t >= math.pi:  # fmod round-off at the seam
         t -= math.pi

@@ -5,7 +5,9 @@ criterion, the exact positivity criterion, then a numeric multicone
 invariance check of a best-effort proposal.  A failed numeric route yields
 Unknown, never Refuted; the only refutations are exact obstructions (a
 generator with equal singular values keeps the ratio alpha1/alpha2 at one
-along its own powers).
+along its own powers).  The proposal grows from the attracting eigenlines of
+the generators and of their products of two, so certification draws no
+random numbers and executes no numpy, on any system.
 
 The certificate's forward multicone (``SplitReport.multicone``) and its
 complement (``SplitReport.backward_cone``) are the only cones that the
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from ._numpy import np
@@ -52,7 +54,6 @@ from .linalg2 import (
     arc_image,
     det4,
     mul4,
-    proj_act,
     renormalise4,
     singular_values,
 )
@@ -87,13 +88,8 @@ class Multicone:
 
     def complement(self) -> "Multicone":
         """Closure of the complement: the gap arcs between the components."""
-        arcs = []
-        n = len(self.arcs)
-        for i in range(n):
-            a = self.arcs[i]
-            b = self.arcs[(i + 1) % n]
-            arcs.append(ProjArc(a.end, b.start))
-        return Multicone(tuple(arcs))
+        following = self.arcs[1:] + self.arcs[:1]
+        return Multicone(tuple(ProjArc(a.end, b.start) for a, b in zip(self.arcs, following)))
 
     def seed_point(self) -> ProjPoint:
         return self.arcs[0].midpoint
@@ -191,80 +187,75 @@ def _is_similarity(m: Mat2) -> bool:
 def nest(linears, cone: Multicone) -> tuple:
     """(images, clearance) of ``cone`` under each linear map, in order:
     ``images`` holds the image arcs of the cone's arcs, one list per map, and
-    ``clearance`` the least min(off, host.length - (off + img.length)) over
-    them, where ``host`` is the first arc of the cone that holds the image's
-    start and ``off`` the ccw gap from the host's start to it; -inf once an
-    image starts outside the cone."""
-    images, clearance = [], math.inf
-    for m in linears:
-        images.append([])
-        for arc in cone.arcs:
-            img = arc_image(m, arc)
-            for host in cone.arcs:
-                off = host.start_offset(img)
-                if off is not None:
-                    clearance = min(clearance, off, host.length - (off + img.length))
-                    break
-            else:
-                return images, -math.inf
-            images[-1].append(img)
-    return images, clearance
+    ``clearance`` the least :func:`_clearance` of them."""
+    images = [[arc_image(m, arc) for arc in cone.arcs] for m in linears]
+    return images, min(_clearance(cone, img) for row in images for img in row)
 
 
-def check_multicone_invariance(sys: IfsSystem, m: Multicone, margin: float = 0.0) -> SplitReport:
-    """Certified iff every generator maps every arc strictly inside the cone
-    with angular clearance >= margin; reports the minimal clearance, -inf
-    when an image leaves the cone."""
+def _clearance(cone: Multicone, img: ProjArc) -> float:
+    """min(off, host.length - (off + img.length)), where ``host`` is the first
+    arc of the cone that holds the start of ``img`` and ``off`` the ccw gap
+    from the host's start to it; -inf when no arc holds it."""
+    for host in cone.arcs:
+        off = host.start_offset(img)
+        if off is not None:
+            return min(off, host.length - (off + img.length))
+    return -math.inf
+
+
+def check_multicone_invariance(sys: IfsSystem, m: Multicone) -> SplitReport:
+    """Certified iff every generator maps every arc strictly inside the cone;
+    reports the minimal clearance, -inf when an image leaves the cone."""
     _, clearance = nest((f.linear for f in sys.maps), m)
     if clearance < 0:
         clearance = -math.inf
-    verdict = "Certified" if clearance >= margin and clearance > 0 else "Refuted"
+    verdict = "Certified" if clearance > 0 else "Refuted"
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
 
 
-def propose_multicone(sys: IfsSystem) -> Optional[Multicone]:
-    """Best-effort forward multicone: fatten sampled attracting directions and
-    absorb their images until invariant or hopeless."""
-    gen = rng(1234567)
-    angles = []
-    for f in sys.maps:
-        p = ProjPoint(0.3)
-        angles.append(proj_act(f.linear, p).theta)
-    for _ in range(160):
-        depth = int(gen.integers(8, 30))
-        word = gen.integers(0, sys.n, size=depth)
-        mat = Mat2.identity()
-        for s in word:
-            mat = sys.maps[int(s)].linear.to_float() @ mat
-            mx = max(abs(e) for e in mat.entries())
-            mat = mat.scaled(1.0 / mx)
-        # long products are numerically rank one; map a generic vector rather
-        # than going through the nonsingular projective action
-        x, y = mat.apply(ProjPoint(gen.uniform(0, math.pi)).to_vector())
-        if x != 0.0 or y != 0.0:
-            angles.append(ProjPoint.from_vector(x, y).theta)
-
-    arcs = [ProjArc.around(t, PROPOSAL_INFLATE) for t in sorted(set(angles))]
-    arcs = _merge_arcs(arcs)
-    if arcs is None:
+def attracting_line(m: Mat2) -> Optional[ProjPoint]:
+    """The eigenline of the eigenvalue of larger modulus, from the closed
+    form of a 2x2 eigenvector; None when the eigenvalues are complex or equal
+    in modulus, decided exactly on rational entries."""
+    a, b, c, d = m.entries()
+    tr = a + d
+    disc = (a - d) ** 2 + 4 * b * c
+    if disc <= 0 or tr == 0:
         return None
+    # with root = sign(tr) sqrt(disc), 2 lambda = tr + root, and both (2 lambda
+    # - 2d, 2c) and (2b, 2 lambda - 2a) are eigenvectors: take the form whose
+    # sum does not cancel
+    root = math.copysign(math.sqrt(disc), tr)
+    if (a - d) * tr >= 0:
+        return ProjPoint.from_vector(float(a - d) + root, float(2 * c))
+    return ProjPoint.from_vector(float(2 * b), float(d - a) + root)
+
+
+def propose_multicone(sys: IfsSystem) -> Optional[SplitReport]:
+    """The certifying report of a proposed forward multicone, or None.
+
+    The attracting eigenlines of the generators and of their products of two
+    are fattened into arcs; each round, every image arc that does not nest
+    with clearance PROPOSAL_INFLATE / 4 is fattened and absorbed, until the
+    cone nests or is hopeless (Bochi-Gourmelon: a dominated finite family has
+    a strictly invariant multicone)."""
+    linears = [f.linear for f in sys.maps]
+    seeds = [attracting_line(m) for m in linears]
+    seeds += [attracting_line(p @ q) for p, q in permutations(linears, 2)]
+    angles = sorted({p.theta for p in seeds if p is not None})
+    arcs = _merge_arcs([ProjArc.around(t, PROPOSAL_INFLATE) for t in angles])
     for _ in range(PROPOSAL_ROUNDS):
-        try:
-            cone = Multicone(tuple(arcs))
-        except ValueError:
-            return None
-        report = check_multicone_invariance(sys, cone, margin=PROPOSAL_INFLATE / 4)
-        if report.certified:
-            return cone
-        new_arcs = list(arcs)
-        for f in sys.maps:
-            for arc in arcs:
-                img = arc_image(f.linear, arc)
-                new_arcs.append(ProjArc.around(img.midpoint.theta,
-                                               img.length / 2 + PROPOSAL_INFLATE))
-        arcs = _merge_arcs(new_arcs)
-        if arcs is None or sum(a.length for a in arcs) >= math.pi - 0.05:
-            return None
+        if not arcs or sum(a.length for a in arcs) >= math.pi - 0.05:
+            return None  # no seed, or the union nears the whole line
+        cone = Multicone(tuple(arcs))  # merged arcs are disjoint
+        images, clearance = nest(linears, cone)
+        if clearance >= PROPOSAL_INFLATE / 4:
+            return SplitReport("Certified", method="MulticoneCheck", multicone=cone,
+                               margin=clearance)
+        arcs = _merge_arcs(arcs + [ProjArc.around(img.midpoint.theta,
+                                                  img.length / 2 + PROPOSAL_INFLATE)
+                                   for row in images for img in row
+                                   if _clearance(cone, img) < PROPOSAL_INFLATE / 4])
     return None
 
 
@@ -301,9 +292,8 @@ def _union_two(a: ProjArc, b: ProjArc):
 def certify(sys: IfsSystem) -> SplitReport:
     """Dominated-splitting certification with route precedence
     triangular > positivity > proposed multicone."""
-    for f in sys.maps:
-        if _is_similarity(f.linear):
-            return SplitReport("Refuted", method=None, margin=-math.inf)
+    if any(_is_similarity(f.linear) for f in sys.maps):
+        return SplitReport("Refuted", method=None, margin=-math.inf)
     try:
         case = check_triangular_split(sys)
     except NotTriangular:
@@ -319,12 +309,7 @@ def certify(sys: IfsSystem) -> SplitReport:
         if checked.certified:
             return SplitReport("Certified", method="Positivity", multicone=cone,
                                margin=checked.margin)
-    cone = propose_multicone(sys)
-    if cone is not None:
-        checked = check_multicone_invariance(sys, cone)
-        if checked.certified:
-            return checked
-    return SplitReport("Unknown")
+    return propose_multicone(sys) or SplitReport("Unknown")
 
 
 def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitReport:
@@ -408,7 +393,7 @@ def _route(sys, split, field, method="auto"):
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
         num, ratio = _slope_series(sys, field)
         return (lambda syms: _series_fold(num, ratio, syms),
-                lambda folded: np.mod(np.arctan(folded[0]), math.pi),
+                lambda folded: _fold(list(map(math.atan, folded[0].tolist()))),
                 lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0]))
                 / (1.0 - float(np.max(np.abs(ratio)))))
     if method == "series":
@@ -425,8 +410,8 @@ def _route(sys, split, field, method="auto"):
 
     def error(prod):
         ends = [p.to_vector() for a in cone.arcs for p in (a.start, a.midpoint, a.end)]
-        t = _image_angles(prod, np.array(ends).T)
-        return float(np.max(np.abs(np.sin(t[:, None] - t))))
+        t = _image_angles(prod, np.array(ends).T).tolist()
+        return max(abs(math.sin(x - y)) for x in t for y in t)
 
     return (lambda syms: _product_fold(cols, syms),
             lambda prod: _image_angles(prod, seed), error)
@@ -445,10 +430,7 @@ def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss
             return 1
         r = float(np.max(np.abs(_slope_series(sys, field)[1])))
     else:
-        r = max(
-            singular_values(f.linear).alpha2 / singular_values(f.linear).alpha1
-            for f in sys.maps
-        )
+        r = max(a2 / a1 for a1, a2 in (singular_values(f.linear) for f in sys.maps))
         r = min(max(r, 1e-6), 0.97)
     return int(min(max(math.ceil(math.log(SAMPLE_TOL) / math.log(r)), 8), 400))
 
@@ -527,7 +509,15 @@ def _image_angles(p, v) -> np.ndarray:
     vx, vy = v
     wx = p[0] * vx + p[1] * vy
     wy = p[2] * vx + p[3] * vy
-    return np.mod(np.arctan2(wy, wx), math.pi)
+    return _fold(list(map(math.atan2, wy.tolist(), wx.tolist())))
+
+
+def _fold(angles) -> np.ndarray:
+    """libm angles in [-pi, pi] folded into [0, pi) by correctly rounded
+    operations, as ``ProjPoint`` folds them: +-pi and -0.0 give 0."""
+    t = np.array(angles)
+    t = np.where(t <= 0.0, t + math.pi, t)
+    return np.where(t >= math.pi, t - math.pi, t)
 
 
 def min_angle_separation(

@@ -37,15 +37,17 @@ DEEP_CYLINDER_P6_SHA256 = [
 HL_DEMO_SEED_7_SHA256 = "0fa3b9b0c75b6143efbc243619f471b8873c11f74e7328a3cbed148e40ab9b9b"
 TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
 # stdout of the commands that run the batched 2x2 product kernel, recorded
-# before the kernel replaced the per-module product loops
+# before the kernel replaced the per-module product loops (the directions
+# re-pinned when their angles moved from numpy's arctan2 and arctan to libm's:
+# up to 1 ulp on 851, 9 and 18 of the 5000 angles)
 KERNEL_STDOUT_SHA256 = [
     (["directions", "--example", "hl-demo", "--count", "5000", "--seed", "7"],
-     "4cb490efd039b5923b05a4784600de40b5b929eb47aab3e2d380380ec5faa29a"),
+     "8db51cd7703a25ebdac9449f2af7c79d48900f52e3aeeaef5fa2d239142d2106"),
     (["directions", "--example", "sec44", "--count", "5000", "--seed", "7"],
-     "c81b1c5518276931ef87f8c02b5835fcc4834012338fd9bc07833143725cafd8"),
+     "ff4c99d5aabc05a5d2c7dd96db9c55d58edb590fe874933b3bb44db3ac34b0fc"),
     (["directions", "--example", "phi-c", "--param", "c=2/5", "--count", "5000",
       "--seed", "7"],
-     "003cb6b5b972cfde64e2ec37ef5d512eb93b1ad186bdfd84503b0f6e4410d4f0"),
+     "3aac7739f0ef3528ff7b4dffea66796bb1bc91a4383d703d9730a3fef8b23c51"),
     (["lyapunov", "--example", "hl-demo", "--mc-n", "400", "--mc-trials", "200",
       "--seed", "7"],
      "50f40b36fcb4f247351b8095079f4bd23a1e41dde29ba2e0974f40f84b66efb5"),
@@ -108,17 +110,18 @@ polygon 0 1
 # stdout of `analyze --seed 7` (recorded once their exponents came from the
 # Furstenberg enclosure) and `directions --count 500 --seed 3` on them
 PROPOSED_CONE_STDOUT_SHA256 = [
-    # re-pinned when depths of at most 2^15 words moved to Python floats: the
-    # depth-8 pressure root moved by one ROOT_TOL, 0.8527222593017504 ->
-    # 0.8527222593007505, and the extrapolated estimate with it
+    # all four re-pinned when the proposed cone grew from eigenlines instead
+    # of random words: split-margin, the chi-s-enclosure ends and last bits of
+    # the values after them moved, and every directions angle with the seed
+    # point of the cone; verdicts and fired theorems stayed
     ("rotated-diagonal", ["analyze", "--seed", "7"],
-     "eb545bba54915bf74079ea60af2ba6166f4b06bfe593abd00e4f8d89bb2bddb6"),
+     "31220d72f5ab2f5eace381bdf58be321384f158d859b226fdbefce0975a544b1"),
     ("rotated-diagonal", ["directions", "--count", "500", "--seed", "3"],
-     "7ee350d3df3d765bf99ee28812b223f947696c710611c08d09e29ba55f09ecf9"),
+     "3a4c41b64698732756dbfc3ca45eebf77bd792ca0be8ef28f79ab29a8dde18d1"),
     ("thin-rotated", ["analyze", "--seed", "7"],
-     "9d3b6081a9dce1ebce11d2c08ef5b4121b5d09c152097f192269340af11023a5"),
+     "1d80f6800a7bf81b8647c42a1681c98017d6bbea2fc0608bee033ec1030fb82b"),
     ("thin-rotated", ["directions", "--count", "500", "--seed", "3"],
-     "cf52d0f4a0df2522d3515287d1c1f9a9d378d591855637843143a8e019f8b45e"),
+     "63cfcf28d1e12fdf0b05a48eaf3e7f7b057ccc1ca386893bfff2d15b7fc0c2da"),
 ]
 
 
@@ -385,7 +388,7 @@ class TestComputeOnce:
     @pytest.mark.parametrize("source, digest", [
         ("hl-demo", HL_DEMO_SEED_7_SHA256),
         ("tie", TIE_SEED_7_SHA256),
-    ])
+    ], ids=["hl-demo", "tie"])
     def test_finite_depth_route_once_and_unchanged(self, source, digest, monkeypatch,
                                                     capsys, tmp_path):
         # outside the dominated triangular case: one finite-depth pressure_root
@@ -928,9 +931,11 @@ class TestNumpyOnFirstUse:
         # enclosure depth times the cone's arcs
         (["analyze", "--example", "hl-demo"], 2),
         (["pressure", "--example", "sec44", "--n", "8"], 0),
+        # a cone proposed from eigenlines, and words on Python floats
+        (["analyze", "--config", PROPOSED_CONE_CONFIGS["thin-rotated"]], 2),
     ], ids=["ssc", "hochman", "help", "input-error", "analyze-sec44", "analyze-phi-c",
             "analyze-subsystem", "analyze-a-dominant", "analyze-c-dominant", "lyapunov-sec44",
-            "analyze-hl-demo", "pressure-sec44-n8"])
+            "analyze-hl-demo", "pressure-sec44-n8", "analyze-thin-rotated"])
     def test_exact_commands_never_execute_numpy(self, argv, code, tmp_path):
         if "--config" in argv:  # the config text goes to a file
             k = argv.index("--config") + 1
@@ -964,12 +969,26 @@ class TestNumpyOnFirstUse:
                               capture_output=True, text=True, timeout=120)
         assert proc.stderr.splitlines()[-1] == "False False True", proc.stderr
 
+    def test_certify_never_executes_numpy(self):
+        # the proposed cone grows from eigenlines: no random words, no arrays
+        code = ("import sys\nfrom affdim.ifs import parse_system\n"
+                "from affdim.splitting import certify\n"
+                f"split = certify(parse_system({PROPOSED_CONE_CONFIGS['rotated-diagonal']!r}).system)\n"
+                "print(split.method, 'numpy._core' in sys.modules, 'numpy.random' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stdout == "MulticoneCheck False False\n", proc.stderr
+
     def test_float_form_bytes_do_not_depend_on_numpy_dispatch(self):
-        # a child with numpy's AVX512 loops switched off prints the same bytes
+        # a child with numpy's AVX512 loops switched off prints the same bytes;
+        # direction angles come from libm's atan2 and atan
         env = dict(os.environ, NPY_ENABLE_CPU_FEATURES="SSE SSE2 SSE3 SSSE3 SSE41 POPCNT "
                                                        "SSE42 AVX F16C FMA3 AVX2")
+        directions = ["directions", "--count", "2000", "--seed", "1", "--example"]
         for argv in (["analyze", "--example", "hl-demo"],
-                     ["pressure", "--example", "sec44", "--n", "8"]):
+                     ["pressure", "--example", "sec44", "--n", "8"],
+                     directions + ["sec44"], directions + ["hl-demo"],
+                     directions + ["phi-c", "--param", "c=2/5"]):
             outs = [subprocess.run([sys.executable, "-m", "affdim.cli", *argv], env=e,
                                    capture_output=True, timeout=120).stdout
                     for e in (None, env)]

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from affdim.errors import NotCertified, NotTriangular, PrefixTooShort
-from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem
+from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem, parse_system
 from affdim.library import hl_demo, phi_c, sec44
-from affdim.linalg2 import Mat2, ProjArc, ProjPoint, proj_act, proj_metric, singular_values
+from affdim.linalg2 import (Mat2, ProjArc, ProjPoint, angle_gap, proj_act, proj_metric,
+                            singular_values)
 from affdim.splitting import (
     Multicone,
+    attracting_line,
     certify,
     check_multicone_invariance,
     check_triangular_split,
@@ -95,6 +97,31 @@ class TestMulticoneInvariance:
         assert rep.certified
 
 
+class TestAttractingLine:
+    def test_dominant_eigenvector(self):
+        # M v is parallel to v, and |M v| is the spectral radius
+        g = np.random.default_rng(3)
+        for _ in range(500):
+            m = Mat2(*(float(x) for x in g.uniform(-1, 1, 4)))
+            a, b, c, d = m.entries()
+            disc = (a - d) ** 2 + 4 * b * c
+            p = attracting_line(m)
+            if disc <= 0:
+                assert p is None
+                continue
+            x, y = p.to_vector()
+            u, v = m.apply((x, y))
+            assert abs(x * v - y * u) < 1e-12
+            assert math.hypot(u, v) == pytest.approx((abs(a + d) + math.sqrt(disc)) / 2,
+                                                     rel=1e-12)
+
+    def test_none_without_a_dominant_eigenvalue(self):
+        assert attracting_line(Mat2.rotation(0.5).scaled(0.5)) is None  # complex pair
+        assert attracting_line(Mat2(F(1, 2), F(0), F(0), F(-1, 2))) is None  # +-1/2
+        assert attracting_line(Mat2(F(1, 2), F(1), F(0), F(1, 2))) is None  # one eigenline
+        assert attracting_line(Mat2.diagonal(F(1, 5), F(1, 2))) == ProjPoint(math.pi / 2)
+
+
 class TestCertify:
     def test_sec44_triangular_route(self):
         sysm, _, _ = sec44()
@@ -143,6 +170,54 @@ class TestCertify:
                 AffineMap(Mat2.diagonal(0.6, 0.5), (1, 1)))
         sysm = IfsSystem(maps)
         assert certify(sysm).verdict in ("Unknown", "Refuted")
+
+
+def random_conjugated_system(seed):
+    """2-4 maps R(c + t) diag(s1, s2) R(p - c), t and p uniform in (-w, w):
+    strongly non-conformal maps whose image and weak directions, in bands of
+    random half-width w, are turned together by c, so many are dominated
+    outside the positive quadrant, some only by a multi-arc cone."""
+    g = np.random.default_rng(seed)
+    c, w = g.uniform(0, math.pi), g.uniform(0.2, 1.2)
+    maps = []
+    for k in range(int(g.integers(2, 5))):
+        t, p = g.uniform(-w, w, 2)
+        s1 = float(g.uniform(0.3, 0.9))
+        d = Mat2.diagonal(s1, s1 * float(g.uniform(0.02, 0.4)))
+        maps.append(AffineMap(Mat2.rotation(c + t) @ d @ Mat2.rotation(p - c), (float(k), 0.0)))
+    return IfsSystem(tuple(maps))
+
+
+class TestProposedConeSoundness:
+    def test_arc_points_map_strictly_inside(self, monkeypatch):
+        # a pointwise re-check that does not go through splitting.nest: 65
+        # evenly spaced points of every arc, ends included, map by float Mat2
+        # into the open interior of some arc; certification draws no random
+        # numbers and gives the same arcs on every call
+        import affdim.splitting as splitting_mod
+        from test_cli import PROPOSED_CONE_CONFIGS
+
+        def no_random(*args, **kwargs):
+            raise AssertionError("certification drew random numbers")
+
+        monkeypatch.setattr(splitting_mod, "rng", no_random)
+        systems = [parse_system(text).system for text in PROPOSED_CONE_CONFIGS.values()]
+        systems += [random_conjugated_system(seed) for seed in range(60)]
+        proposed = 0
+        for sysm in systems:
+            rep = certify(sysm)
+            if rep.method != "MulticoneCheck":
+                continue
+            assert rep.multicone == certify(sysm).multicone
+            proposed += 1
+            arcs = rep.multicone.arcs
+            for m in (f.linear.to_float() for f in sysm.maps):
+                for arc in arcs:
+                    for k in range(65):
+                        q = proj_act(m, ProjPoint(arc.start.theta + arc.length * k / 64))
+                        assert any(0 < angle_gap(a.start.theta, q.theta) < a.length
+                                   for a in arcs)
+        assert proposed >= 29  # both configs and 27 of the 60 random systems
 
 
 class TestStrongStableDirection:
