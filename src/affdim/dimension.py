@@ -50,7 +50,7 @@ from .ergodic import ExponentTriple, entropy, lyapunov_dimension, lyapunov_expon
 from .hochman import DeltaReport, LineIfs, hochman_rate
 from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
                   format_number)
-from .linalg2 import Mat2, singular_values
+from .linalg2 import Mat2
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
 from .splitting import (SplitReport, abs_diagonals, certify, nest, require_lower_triangular,
@@ -131,25 +131,19 @@ def lower_bound_iteration(h: float, chi_s: float, chi_ss: float) -> float:
 
 
 def one_bunched(m: Mat2) -> bool:
-    """alpha1(m)^2 <= alpha2(m), exactly on rational entries.
+    """alpha1(m)^2 <= alpha2(m), exactly: float entries are read as the
+    binary rationals they are.
 
     With alpha1^2 = (T + sqrt(T^2 - 4 D^2))/2 the inequality is equivalent to
     (3T^2 + Delta) sqrt(Delta) <= 8 D^2 - T^3 - 3 T Delta, which squares to a
     rational comparison.
     """
-    if m.is_rational():
-        a, b, c, d = (Fraction(e) for e in m.entries())
-        t = a * a + b * b + c * c + d * d
-        det2 = (a * d - b * c) ** 2
-        delta = t * t - 4 * det2
-        if delta < 0:
-            delta = Fraction(0)
-        rhs = 8 * det2 - t ** 3 - 3 * t * delta
-        if rhs < 0:
-            return False
-        return delta * (3 * t * t + delta) ** 2 <= rhs * rhs
-    a1, a2 = singular_values(m)
-    return a1 * a1 <= a2 * (1 + 1e-12)
+    a, b, c, d = (Fraction(e) for e in m.entries())
+    t = a * a + b * b + c * c + d * d
+    det2 = (a * d - b * c) ** 2
+    delta = max(t * t - 4 * det2, 0)
+    rhs = 8 * det2 - t ** 3 - 3 * t * delta
+    return rhs >= 0 and delta * (3 * t * t + delta) ** 2 <= rhs * rhs
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +163,21 @@ def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Strong-stable slope system {(a_i/c_i) x - b_i/c_i} of a triangular
     family, duplicates merged with summed weights.  NotTriangular otherwise."""
     require_lower_triangular(sys)
-    maps = []
-    for f in sys.maps:
-        a, b, c = f.linear.a11, f.linear.a21, f.linear.a22
-        one = Fraction(1) if f.linear.is_rational() else 1.0
-        maps.append(((a * one) / c, -(b * one) / c))
-    return LineIfs(tuple(maps)).merged_duplicates(weights.p)
+    maps = tuple((f.linear.a11 / f.linear.a22, -f.linear.a21 / f.linear.a22) for f in sys.maps)
+    return LineIfs(maps).merged_duplicates(weights.p)
 
 
 def _interval_images_disjoint(ifs: LineIfs) -> bool:
     """Backward non-overlapping certificate for a 1-D system: an invariant
     interval with pairwise disjoint open images.
 
-    Exact on rational input (the float hull is padded and rationalized, then
-    every inclusion is re-verified in exact arithmetic); float systems get
-    the same test with slack ``OVERLAP_TOL``.
+    Exact: the float hull is padded and rationalized, then every inclusion
+    is verified in the system's Fractions.
     """
     lo_f, hi_f = ifs.hull()
     pad = max((hi_f - lo_f), 1.0) * 1e-6
-    if ifs.is_rational():
-        lo = Fraction(lo_f - pad).limit_denominator(10 ** 9)
-        hi = Fraction(hi_f + pad).limit_denominator(10 ** 9)
-        zero = Fraction(0)
-    else:
-        lo, hi = lo_f - pad, hi_f + pad
-        zero = OVERLAP_TOL
+    lo = Fraction(lo_f - pad).limit_denominator(10 ** 9)
+    hi = Fraction(hi_f + pad).limit_denominator(10 ** 9)
     images = []
     for b, g in ifs.maps:
         e1, e2 = b * lo + g, b * hi + g
@@ -203,7 +187,7 @@ def _interval_images_disjoint(ifs: LineIfs) -> bool:
         images.append(img)
     images.sort()
     # an open overlap fails; touching endpoints pass
-    return not any(b1 - a2 > zero for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
+    return not any(b1 > a2 for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
 
 
 def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:

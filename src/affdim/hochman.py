@@ -3,8 +3,9 @@
 Delta_n is the minimum distance between the translation parts of distinct
 depth-n compositions sharing an exact contraction ratio (+inf when every
 ratio class is a singleton, 0 on an exact overlap).  Rational arithmetic is
-mandatory for verdicts: Delta_n must distinguish 0 from 1e-300, which floats
-cannot.  Float input still yields rate diagnostics, verdict Inconclusive.
+mandatory: Delta_n must distinguish 0 from 1e-300, which floats cannot.  So
+``LineIfs`` converts every beta and gamma to a ``Fraction``, exactly, and a
+float is read as the binary rational it already is.
 
 The arithmetic is exact and in Python integers.  With q the least common
 denominator of all betas and gammas, every depth-n word is one integer pair
@@ -28,19 +29,16 @@ from .errors import EnumerationTooLarge
 
 DEFAULT_CAP = 2_000_000
 
-# float-mode ratio grouping quantum (diagnostics only); float ratios are
-# grouped by sign and quantised log-magnitude
-_QUANT = 1e-12
-
 
 @dataclass(frozen=True)
 class LineIfs:
-    """Self-similar maps g_i(x) = beta_i * x + gamma_i on the real line."""
+    """Self-similar maps g_i(x) = beta_i * x + gamma_i on the real line,
+    every beta and gamma a ``Fraction``."""
 
     maps: tuple  # ((beta, gamma), ...)
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(tuple(m) for m in self.maps))
+        object.__setattr__(self, "maps", tuple(tuple(map(Fraction, m)) for m in self.maps))
         if len(self.maps) < 1:
             raise ValueError("LineIfs needs at least one map")
         for k, (beta, _gamma) in enumerate(self.maps):
@@ -50,12 +48,6 @@ class LineIfs:
     @property
     def n(self) -> int:
         return len(self.maps)
-
-    def is_rational(self) -> bool:
-        return all(
-            isinstance(b, (Fraction, int)) and isinstance(g, (Fraction, int))
-            for b, g in self.maps
-        )
 
     def merged_duplicates(self, weights: Optional[Sequence] = None):
         """Collapse exactly identical maps, summing their weights.
@@ -99,7 +91,7 @@ class LineIfs:
 class DeltaReport:
     """Delta_n table with the finite-depth trend verdict."""
 
-    rows: tuple  # ((n, delta_n, rate), ...); delta_n exact Fraction, inf, or float
+    rows: tuple  # ((n, delta_n, rate), ...); delta_n an exact Fraction or inf
     verdict: str  # TrendBounded | ExactOverlap | Inconclusive
 
 
@@ -114,22 +106,17 @@ def _levels(ifs: LineIfs, n_max: int, cap: int):
     maps each ratio P to the list of translations T of the depth-n words
     with that ratio.
 
-    On rational input q is the least common denominator of all betas and
-    gammas, so beta_i = p_i/q and gamma_i = r_i/q with integers p_i, r_i.
+    q is the least common denominator of all betas and gammas, so
+    beta_i = p_i/q and gamma_i = r_i/q with integers p_i, r_i.
     A depth-n word w is then the integer pair (P, T) with beta_w = P/q^n and
     gamma_w = T/q^n: appending symbol i on the right gives
     g_(wi)(x) = g_w(g_i(x)), i.e. (P p_i, T q + P r_i), so class (P, ts)
-    sends its translations to class P p_i.  Float input runs the same
-    recursion with q = 1.  The order of the translations within a class is
-    unspecified.  EnumerationTooLarge is raised before the first depth with
-    N^n > cap.
+    sends its translations to class P p_i.  The order of the translations
+    within a class is unspecified.  EnumerationTooLarge is raised before the
+    first depth with N^n > cap.
     """
-    if ifs.is_rational():
-        q = math.lcm(*(Fraction(x).denominator for m in ifs.maps for x in m))
-        gens = [(int(Fraction(b) * q), int(Fraction(g) * q)) for b, g in ifs.maps]
-    else:
-        q = 1
-        gens = [(float(b), float(g)) for b, g in ifs.maps]
+    q = math.lcm(*(x.denominator for m in ifs.maps for x in m))
+    gens = [(int(b * q), int(g * q)) for b, g in ifs.maps]
     classes = {1: [0]}
     for n in range(1, n_max + 1):
         _check_cap(ifs, n, cap)
@@ -142,19 +129,12 @@ def _levels(ifs: LineIfs, n_max: int, cap: int):
         yield q ** n, classes
 
 
-def _delta(scale, classes, exact: bool):
+def _delta(scale, classes):
     """Delta_n of one enumerated level: the smallest distance between the
-    translations of words with equal ratio, rescaled by 1/q^n.  Float ratios
-    are regrouped by sign and quantised log first.  Sorts the classes in
-    place."""
-    groups = classes.values()
-    if not exact:
-        merged = {}
-        for P, ts in classes.items():
-            merged.setdefault((P > 0, round(math.log(abs(P)) / _QUANT)), []).extend(ts)
-        groups = merged.values()
+    translations of words with equal ratio, rescaled by 1/q^n.  Sorts the
+    classes in place."""
     best = None
-    for vals in groups:
+    for vals in classes.values():
         if len(vals) < 2:
             continue
         vals.sort()
@@ -165,22 +145,21 @@ def _delta(scale, classes, exact: bool):
                 break
     if best is None:
         return math.inf
-    return Fraction(best, scale) if exact else best
+    return Fraction(best, scale)
 
 
 def delta_n(ifs: LineIfs, n: int, cap: int = DEFAULT_CAP):
     """Exact Delta_n: min gap of same-ratio translations over distinct words.
 
-    Returns a Fraction (or float for float input) or math.inf when every
-    ratio group is a singleton.  Zero means two distinct words induce the
-    same map.
+    Returns a Fraction, or math.inf when every ratio group is a singleton.
+    Zero means two distinct words induce the same map.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(ifs, n, cap)
     for level in _levels(ifs, n, cap):
         pass  # only the deepest level is kept
-    return _delta(*level, ifs.is_rational())
+    return _delta(*level)
 
 
 def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaReport:
@@ -189,17 +168,16 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
     TrendBounded when every rate -(1/n) log Delta_n stays below
     1.5 * (-log min |beta|) and no exact overlap occurred; verdicts are
     heuristics about the inspected depths, never proofs of the limit
-    condition.  Float input is always Inconclusive (unless overlapping).
+    condition.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    exact = ifs.is_rational()
     bound = 1.5 * max(-math.log(abs(float(b))) for b, _ in ifs.maps)
     rows = []
     overlap = False
     rates_ok = True
     for n, level in enumerate(_levels(ifs, n_max, cap), 1):
-        d = _delta(*level, exact)
+        d = _delta(*level)
         if d == math.inf:
             rate = -math.inf
         elif d == 0:
@@ -212,10 +190,5 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
         rows.append((n, d, rate))
         if overlap:
             break
-    if overlap:
-        verdict = "ExactOverlap"
-    elif exact and rates_ok:
-        verdict = "TrendBounded"
-    else:
-        verdict = "Inconclusive"
+    verdict = "ExactOverlap" if overlap else "TrendBounded" if rates_ok else "Inconclusive"
     return DeltaReport(rows=tuple(rows), verdict=verdict)

@@ -1,9 +1,12 @@
 """IFS data model: affine maps, words, the natural projection, measure
 sampling, the strong-separation checker, and the config file format.
 
-Geometry predicates run exactly when all inputs are rational (the parser
-keeps every number as a ``Fraction``), so touching configurations are
-classified as separation failures rather than round-off noise.
+A system holds every entry as a ``Fraction``: ``IfsSystem`` converts what
+it is given, and ``Fraction(float)`` is exact, so a float entry is read as
+the binary rational it already is.  Every decision on a system (contraction,
+strong separation) is therefore exact, and touching configurations are
+classified as separation failures rather than round-off noise.  The float
+kernels read ``IfsSystem.columns``.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ class AffineMap:
     def fixed_point(self) -> Vec2:
         """Solve (I - A) x = t; unique since A is contracting."""
         a = self.linear
-        one = Fraction(1) if a.is_rational() else 1.0
-        m = Mat2(one - a.a11, -a.a12, -a.a21, one - a.a22)
+        m = Mat2(1 - a.a11, -a.a12, -a.a21, 1 - a.a22)
         return m.inverse().apply(self.translation)
 
     def to_float(self) -> "AffineMap":
@@ -75,20 +77,27 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class IfsSystem:
-    """Ordered list of affine contractions; symbols are 1..N."""
+    """Ordered list of affine contractions; symbols are 1..N.  Every entry
+    is converted to a ``Fraction``, exactly."""
 
     maps: tuple
     label: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
+        object.__setattr__(self, "maps", tuple(
+            AffineMap(Mat2(*map(Fraction, f.linear.entries())),
+                      tuple(map(Fraction, f.translation)))
+            for f in self.maps))
         if len(self.maps) < 1:
             raise ValueError("an IFS needs at least one map")
         for k, f in enumerate(self.maps):
-            d = abs(float(f.linear.det))
-            if d == 0.0:
+            d = f.linear.det
+            if float(d) == 0.0:
                 raise ValueError(f"map {k + 1} is singular")
-            if operator_norm(f.linear) >= 1.0:
+            # alpha1 < 1 iff T < 2 and (1 - alpha1^2)(1 - alpha2^2) = 1 - T + D^2 > 0,
+            # with T = alpha1^2 + alpha2^2; the float norm bounds bounding_radius
+            t = sum(e * e for e in f.linear.entries())
+            if t >= 2 or t >= 1 + d * d or operator_norm(f.linear) >= 1.0:
                 raise ValueError(f"map {k + 1} is not a contraction")
 
     @property
@@ -97,13 +106,6 @@ class IfsSystem:
 
     def is_triangular(self) -> bool:
         return all(f.linear.is_lower_triangular() for f in self.maps)
-
-    def is_rational(self) -> bool:
-        return all(
-            f.linear.is_rational()
-            and all(isinstance(c, (Fraction, int)) for c in f.translation)
-            for f in self.maps
-        )
 
     @cached_property
     def columns(self) -> tuple:
@@ -227,8 +229,8 @@ def validate_word(sys: IfsSystem, word: Sequence[int]) -> None:
 def compose_word(sys: IfsSystem, word: Sequence[int]) -> AffineMap:
     """f_w = f_{w_1} o ... o f_{w_n}; the empty word gives the identity.
 
-    Folds the system maps directly (no identity factor) so rational systems
-    compose exactly.
+    Folds the system maps directly (no identity factor), so the composition
+    is exact in the system's Fractions.
     """
     validate_word(sys, word)
     if not word:
@@ -345,11 +347,6 @@ class Polygon:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
-    def is_rational(self) -> bool:
-        return all(
-            isinstance(c, (Fraction, int)) for v in self.vertices for c in v
-        )
-
     def centroid(self) -> Vec2:
         n = len(self.vertices)
         sx = sum(v[0] for v in self.vertices)
@@ -430,25 +427,19 @@ def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
 
     ``holds`` requires every image polygon strictly inside ``polygon`` with
     boundary clearance > tolerance, and image polygons pairwise separated by
-    more than tolerance.  With rational input (the default for parsed
-    configs) all comparisons are exact, so touching images fail cleanly.
+    more than tolerance.  The polygon's vertices and the tolerance are
+    converted to Fractions like the system's entries, so every comparison is
+    exact and touching images fail cleanly.
     """
-    exact = sys.is_rational() and polygon.is_rational()
-    if not exact:
-        polygon = polygon.to_float()
-        sys_maps = [f.to_float() for f in sys.maps]
-    else:
-        sys_maps = list(sys.maps)
-
-    images = [polygon.transform(f) for f in sys_maps]
-    tol = Fraction(tolerance) if exact else float(tolerance)
-    tol2 = tol * tol
+    polygon = Polygon(tuple(tuple(map(Fraction, v)) for v in polygon.vertices))
+    images = [polygon.transform(f) for f in sys.maps]
+    tol2 = Fraction(tolerance) ** 2
 
     # (a) containment with margin.  For an interior point of a convex polygon
     # the boundary distance is the min over edges of the distance to the edge
     # line, and that min over a convex image polygon is attained at an image
     # vertex.  sign(d) * d^2 is monotone in the signed distance d, so the
-    # minimum can be taken exactly on rational input.
+    # minimum can be taken exactly.
     margin_sd2 = None  # signed squared line distance; negative = outside
     margin_witness = None
     for i, img in enumerate(images):

@@ -1,8 +1,10 @@
 """Small exact linear algebra: 2x2 matrices, singular values, the projective line.
 
-Entries may be floats or ``fractions.Fraction``; products, determinants and
-triangular predicates stay exact on rational input.  Anything involving a
-square root (singular values, angles) is computed in float.
+Entries may be floats or ``fractions.Fraction``: an IFS holds Fractions,
+while the splitting certificate and the renderer run float matrices.
+Products, determinants and triangular predicates are exact on Fractions.
+Anything involving a square root (singular values, angles) is computed in
+float.
 
 The batched 2x2 kernel (:func:`mul4`, :func:`renormalise4`, :func:`log_alpha1`)
 forms every word product for the pressure, the exponents and the direction
@@ -71,9 +73,6 @@ class Mat2:
     def to_float(self) -> "Mat2":
         return Mat2(float(self.a11), float(self.a12), float(self.a21), float(self.a22))
 
-    def is_rational(self) -> bool:
-        return all(isinstance(e, (Fraction, int)) for e in self.entries())
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,
@@ -93,12 +92,7 @@ class Mat2:
         d = self.det
         if abs(d) < DET_FLOOR:
             raise SingularMatrix(f"|det| = {abs(d)} below floor {DET_FLOOR}")
-        if isinstance(d, Fraction) or (
-            isinstance(d, int) and self.is_rational()
-        ):
-            inv = Fraction(1, 1) / d
-        else:
-            inv = 1.0 / d
+        inv = Fraction(1) / d if isinstance(d, (int, Fraction)) else 1.0 / d
         return Mat2(self.a22 * inv, -self.a12 * inv, -self.a21 * inv, self.a11 * inv)
 
 

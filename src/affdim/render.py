@@ -123,9 +123,9 @@ def _cylinder_maps(sys: IfsSystem, depth: int):
 
     Level k+1 composes each f_i, the slowest digit, after every level-k map
     g: the linear parts with mul4 and the translation as A_i t_g + t_i, in
-    the operation order of AffineMap.compose.  This is the right-to-left fold
-    of compose_word, so each map is bit-identical to compose_word(float
-    system, w), at about N/(N-1) compositions per word.
+    the operation order of AffineMap.compose.  This is compose_word's
+    right-to-left fold on the float maps f.to_float(), so each map is
+    bit-identical to that fold, at about N/(N-1) compositions per word.
     """
     maps = level = sys.columns
     for _ in range(depth - 1):

@@ -130,7 +130,7 @@ def require_lower_triangular(sys: IfsSystem) -> None:
 def check_triangular_split(sys: IfsSystem) -> str:
     """Sufficient triangular criterion: ADominant, CDominant or None.
 
-    Exact on rational entries; any tie |a_i| = |c_i| yields None.
+    Exact on the system's Fractions; any tie |a_i| = |c_i| yields None.
     """
     require_lower_triangular(sys)
     a_dom = all(abs(f.linear.a11) > abs(f.linear.a22) for f in sys.maps)

@@ -95,9 +95,9 @@ def random_triangular_system(
             return sysm
 
 
-def compose_line_word(ifs, word, one=F(1), zero=F(0)):
+def compose_line_word(ifs, word):
     """(beta_w, gamma_w) of g_w = g_{w_1} o ... o g_{w_n}, symbol by symbol."""
-    beta, gamma = one, zero
+    beta, gamma = F(1), F(0)
     for s in word:
         b, g = ifs.maps[s]
         gamma = gamma + beta * g

@@ -162,6 +162,14 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "line 2" in err
 
+    def test_norm_one_map_is_an_input_error(self, capsys, tmp_path):
+        # singular values exactly 1 and 10/11; the float norm reads 1 - 8e-16
+        cfg = tmp_path / "norm1.cfg"
+        cfg.write_text("map 3/5 -8/11 4/5 6/11 0 0\nmap 1/3 0 0 1/3 2 2\n")
+        code, out, err = run_cli(["analyze", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert "map 1 is not a contraction" in err
+
     def test_missing_source_exit_1(self, capsys):
         code, _, err = run_cli(["analyze"], capsys)
         assert code == 1

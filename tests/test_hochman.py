@@ -84,18 +84,18 @@ class TestDeltaN:
             assert list(classes) == [5 ** n]
             assert len(classes[5 ** n]) == 3 ** n
 
-    def test_float_input_matches_float_composition(self):
-        # float input runs the same recursion with q = 1 and groups ratios by
-        # a quantised log
+    def test_float_input_is_read_as_binary_fractions(self):
+        # float entries are the binary rationals they are: q = lcm(2, 4, 8)
         maps = ((0.5, 0.0), (-0.5, 0.75), (0.5, 0.125))
         ifs = LineIfs(maps)
+        assert ifs.maps == ((F(1, 2), 0), (F(-1, 2), F(3, 4)), (F(1, 2), F(1, 8)))
         for n in (1, 2, 3):
             *_, (scale, classes) = _levels(ifs, n, 10 ** 6)
-            assert scale == 1
-            words = product(range(3), repeat=n)
-            assert self.level_pairs(classes) == Counter(
-                compose_line_word(ifs, w, one=1.0, zero=0.0) for w in words)
-        assert delta_n(ifs, 1) == 0.125
+            assert scale == 8 ** n
+            words = Counter(compose_line_word(ifs, w) for w in product(range(3), repeat=n))
+            assert Counter({(F(p, scale), F(t, scale)): k
+                            for (p, t), k in self.level_pairs(classes).items()}) == words
+        assert delta_n(ifs, 1) == F(1, 8)
 
     def test_phi_c_memory_is_the_translations(self):
         """Depth 10 of phi-c's direction system (c = 2/5) is one ratio class
@@ -190,10 +190,10 @@ class TestHochmanRate:
         assert [d for _, d, _ in got.rows] == [float(d) for _, d, _ in want.rows]
         assert got.verdict == want.verdict == "ExactOverlap"
 
-    def test_float_input_inconclusive(self):
-        ifs = LineIfs(((0.5, 0.0), (0.5, 0.5)))
-        rep = hochman_rate(ifs, 4)
-        assert rep.verdict == "Inconclusive"
+    def test_float_input_equals_its_fractions(self):
+        rep = hochman_rate(LineIfs(((0.5, 0.0), (0.5, 0.5))), 4)
+        assert rep == hochman_rate(LineIfs(((F(1, 2), F(0)), (F(1, 2), F(1, 2)))), 4)
+        assert rep.verdict == "TrendBounded"
 
     def test_sec44_direction_ifs(self):
         ifs = LineIfs(((F(8, 27), F(1)), (F(8, 27), F(0)), (F(8, 27), F(-1))))

@@ -241,12 +241,14 @@ class TestCheckSsc:
                     assert polygons_disjoint(polys[ws[i]], polys[ws[j]])
 
     def test_witness_vertex_prints_like_every_number(self):
-        # rational vertices through format_number, float ones as their repr
+        # vertices through format_number; float entries are read exactly, so
+        # the float-built system's image 3 pokes out of the square by 2^-55
         sysm, _, square = phi_c(Fraction(2, 5))
         assert check_ssc(sysm, square).witness == "image 1 vertex (1/3, 0) not interior to O"
         float_sys = IfsSystem(tuple(f.to_float() for f in sysm.maps))
-        assert check_ssc(float_sys, square).witness == \
-            "image 1 vertex (0.3333333333333333, 0.0) not interior to O"
+        assert check_ssc(float_sys, square).witness == (
+            "image 3 vertex (6004799503160661/18014398509481984, "
+            "36028797018963969/36028797018963968) not interior to O")
 
     def test_nonconvex_rejected(self):
         with pytest.raises(NonConvexPolygon):
@@ -281,7 +283,8 @@ class TestParseSerialize:
 
     def test_sec44_rationals(self):
         sysm, _, _ = sec44()
-        assert sysm.is_rational()
+        assert all(type(x) is Fraction for f in sysm.maps
+                   for x in f.linear.entries() + f.translation)
         assert sysm.maps[0].linear.a11 == Fraction(16, 81)
         assert sysm.maps[2].translation == (Fraction(1721, 2187), Fraction(-38, 81))
 
@@ -327,5 +330,14 @@ class TestFormatNumber:
         sysm = IfsSystem((AffineMap(m, (0, 0)), AffineMap(m, (np.float64(0.5), 0))))
         text = serialize_system(sysm)
         assert "np." not in text
-        assert text.splitlines()[1] == "map 0.5 0 0.25 0.5 0.5 0"
+        assert text.splitlines()[1] == "map 1/2 0 1/4 1/2 1/2 0"
+        assert parse_system(text).system.maps == sysm.maps
+
+    def test_float_system_round_trips_exactly(self):
+        # 0.1 is stored as the binary rational nearest 1/10, and printed so
+        m = Mat2(0.1, 0, 0, 0.1)
+        sysm = IfsSystem((AffineMap(m, (0, 0)), AffineMap(m, (0.5, 0.5))))
+        text = serialize_system(sysm)
+        tenth = "3602879701896397/36028797018963968"
+        assert text.splitlines()[0] == f"map {tenth} 0 0 {tenth} 0 0"
         assert parse_system(text).system.maps == sysm.maps
