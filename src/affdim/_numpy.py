@@ -3,14 +3,14 @@
 ``ssc``, ``hochman``, ``--help`` and input errors run on Fractions alone, and
 ``analyze`` and ``lyapunov`` on lower-triangular input on Fractions, Python
 floats and ``math``, and certifying a dominated splitting executes no numpy
-on any system.  A word enumeration runs on Python floats and libm too while
-it stays within ``pressure.WORD_BLOCK`` (2^15) words: a pressure depth of at
-most that many words, or an enclosure depth of at most that many words times
-arcs, so ``analyze`` on hl-demo and ``pressure --example sec44 --n 8`` never
-execute numpy either.  Every module takes ``np`` from here and only a
-process that calls into numpy pays its ~115 ms import.  ``LazyLoader`` turns
-the module into a plain one on first use; a missing numpy still fails
-``import affdim`` at once.
+on any system.  Each word-walk formula runs as its list instance, on Python
+floats and libm, while the walk stays within ``pressure.WORD_BLOCK`` (2^15)
+words (times arcs, for an enclosure depth), so ``analyze`` on hl-demo and
+``pressure --example hl-demo --n 15`` never execute numpy either; the array
+instance binds its numpy ops on first use (``linalg2.numpy_ops``).  Every
+module takes ``np`` from here and only a process that calls into numpy pays
+its ~115 ms import.  ``LazyLoader`` turns the module into a plain one on first
+use; a missing numpy still fails ``import affdim`` at once.
 
 ``cli`` takes its layer modules from :func:`_lazy` as well, so a command
 executes only the layers it uses.  They stay in ``sys.modules`` from the

@@ -64,13 +64,13 @@ products and differences of each term (8), the per-block and final
 midpoint (the last three terms).  The argument needs eta < m / 2; when that
 fails the enclosure gives up and Monte Carlo runs instead.
 
-A depth of at most ``WORD_BLOCK`` words times arcs runs its words on Python
-floats (:func:`_bracket_sums_floats`), larger ones on numpy blocks
-(:func:`_bracket_sums_arrays`); the set-up (L, F, K, rho, eta and the cone's
-unit vectors) runs on Python floats and libm for both.  The float form makes
-the same operations with libm's log, hypot and atan2 in place of numpy's
-loops, which the rounding argument counts the same way, so one pad serves
-both forms, with B counting the blocks of either.
+The value of f and the spread on an image arc are defined once
+(:func:`_arc_values`).  A depth of at most ``WORD_BLOCK`` words times arcs
+maps it over lists of Python floats with libm, a larger one calls it on numpy
+blocks (:func:`pressure.word_ops`); the set-up (L, F, K, rho, eta and the
+cone's unit vectors) runs on Python floats and libm for both.  The two
+instances make the same operations, which the rounding argument counts the
+same way, so one pad serves both, with B counting the blocks of either.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ from ._numpy import np
 from . import ifs
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .linalg2 import det4, log_alpha1, mul4, prepend_each, renormalise4, word_blocks
-from .pressure import WALK_BLOCK, WORD_BLOCK, ordered_sum
+from .linalg2 import (LIBM, det4, log_alpha1, mul4, numpy_ops, prepend_each, renormalise4,
+                      word_blocks)
+from .pressure import WALK_BLOCK, WORD_BLOCK, ordered_sum, word_ops
 from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
@@ -181,7 +182,7 @@ def lyapunov_monte_carlo(
                 e, m = renormalise4(e)
                 logscale += np.log(m)
 
-    log_a1 = logscale + log_alpha1(e)
+    log_a1 = logscale + log_alpha1(numpy_ops())(*e)
     chi_trials = -log_a1 / n
     chi_s = float(np.mean(chi_trials))
     stderr = float(np.std(chi_trials, ddof=1) / math.sqrt(trials))
@@ -209,18 +210,9 @@ def exponent_bracket(
     multicone of ``split``, padded for rounding (see the module docstring);
     None when the rounding argument does not apply (eta >= m / 2).
 
-    Maps that share a linear part are one symbol with the summed weight.
-    The set-up runs on Python floats and libm.  The words run on them too
-    (:func:`_bracket_sums_floats`) while words times arcs stay within
-    ``WORD_BLOCK``, and on numpy blocks (:func:`_bracket_sums_arrays`) past it.
+    Maps that share a linear part are one symbol with the summed weight.  The
+    set-up runs on Python floats and libm, the words as :func:`_arc_sums`.
     """
-    small = len(sys.symbols) ** n * len(split.multicone.arcs) <= WORD_BLOCK
-    word_sums = _bracket_sums_floats if small else _bracket_sums_arrays
-    return _bracket(sys, weights, split, n, word_sums)
-
-
-def _bracket(sys, weights, split, n, word_sums) -> Optional[Tuple[float, float]]:
-    """:func:`exponent_bracket`, its words summed by ``word_sums``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = [float(sum(weights.p[i] for i in g)) for g in sys.symbols]
@@ -249,84 +241,71 @@ def _bracket(sys, weights, split, n, word_sums) -> Optional[Tuple[float, float]]
     eta = max(math.tan(a.length / 2.0) for a in arcs) / 2.0 * rho * (2 * k + n * (5 * k + 1)) * _U
     if not eta < m2:
         return None
-    eta += 8 * _U
-    sums_lo, sums_hi = word_sums(sys, p, cone, n, lip, eta)
+    sums_lo, sums_hi = _arc_sums(sys, p, cone, n, lip, eta + 8 * _U)
     pad = ((2 * n + 8 + len(sums_lo)) * (big_f + math.pi * lip)
            + 4 * k + 4 + (len(syms) + 4) * big_f) * _U
     return -(math.fsum(sums_hi) + pad), -(math.fsum(sums_lo) - pad)
 
 
-def _bracket_sums_floats(sys, p, cone, n, lip, eta):
-    """The per-block sums of :func:`_bracket_sums_arrays` on Python floats
-    and libm, in the float walk's blocks of the pressure
-    (:func:`pressure._word_products_floats`): the same operations on lists,
-    so the word products are the same bits."""
-    syms = sys.symbol_entries
+def _arc_values(syms, p, lip, eta, ops):
+    """The function of a word's images (e11, e21) and (e12, e22) of an arc's
+    start and end that gives f at the image arc's midpoint minus and plus its
+    spread lip (h + eta), h the image's half-width: one definition for
+    floats and arrays alike, on ``ops``."""
+    log, hypot, atan2 = ops.log, ops.hypot, ops.atan2
+    rows = tuple((*a, pa) for a, pa in zip(syms, p))
 
-    def prepend(words, i):
-        e, pu = words
-        a, pa = (syms, p) if i is None else (syms[i:i + 1], p[i:i + 1])
-        return prepend_each(a, e)[0], [x * y for x in pa for y in pu]
-
-    k = len(cone)
-
-    def sum_over_words(extreme, values, pu):  # sum_u p_u times the extreme over u's arcs
-        per_word = functools.reduce(lambda a, b: list(map(extreme, a, b)),
-                                    (values[j::k] for j in range(k)))
-        return math.fsum(map(operator.mul, pu, per_word))
-
-    level_one = prepend((tuple(map(list, zip(*cone))), [1.0]), None)
-    sums_lo, sums_hi = [], []
-    for _, ((e11, e12, e21, e22), pu) in word_blocks(level_one, prepend, len(syms), n,
-                                                     WALK_BLOCK // 4):
-        ns, ne = list(map(math.hypot, e11, e21)), list(map(math.hypot, e12, e22))
-        cx = [a / b + c / d for a, b, c, d in zip(e11, ns, e12, ne)]  # the bisector
-        cy = [a / b + c / d for a, b, c, d in zip(e21, ns, e22, ne)]
-        half = [0.5 * math.atan2(abs(a * d - b * c), a * b + c * d)
-                for a, b, c, d in zip(e11, e12, e21, e22)]
-        cc = [x * x + y * y for x, y in zip(cx, cy)]
-        f = [0.0] * len(cc)
-        for (a11, a12, a21, a22), pa in zip(syms, p):
-            f = [g + pa * math.log(((wx := a11 * x + a12 * y) * wx
-                                    + (wy := a21 * x + a22 * y) * wy) / c)
-                 for g, x, y, c in zip(f, cx, cy, cc)]
-        spread = [lip * (h + eta) for h in half]
-        sums_lo.append(sum_over_words(min, [0.5 * g - s for g, s in zip(f, spread)], pu))
-        sums_hi.append(sum_over_words(max, [0.5 * g + s for g, s in zip(f, spread)], pu))
-    return sums_lo, sums_hi
-
-
-def _bracket_sums_arrays(sys, p, cone, n, lip, eta):
-    """The per-block sums of :func:`_bracket_sums_floats` on numpy, over the
-    blocks of at most ``WORD_BLOCK`` words of :func:`linalg2.word_blocks`."""
-    cols = sys.symbol_columns
-    p = np.array(p)
-    n_sym, n_arcs = len(p), len(cone)
-    lead = tuple(c[:, None, None] for c in cols)  # A_i down the rows: i is the slowest digit
-
-    def prepend(words, i):
-        e, pu = words
-        a, pa = (lead, p) if i is None else (tuple(c[i] for c in cols), p[i])
-        e, _ = renormalise4(mul4(a, e))
-        return tuple(x.reshape(-1, n_arcs) for x in e), np.multiply.outer(pa, pu).ravel()
-
-    level_one = prepend((tuple(np.array(x)[None, :] for x in zip(*cone)), np.ones(1)), None)
-    sums_lo, sums_hi = [], []
-    for _, (e, pu) in word_blocks(level_one, prepend, n_sym, n, WORD_BLOCK):
-        e11, e12, e21, e22 = e  # columns: the images of each arc's start and end
-        ns, ne = np.hypot(e11, e21), np.hypot(e12, e22)
-        cx, cy = e11 / ns + e12 / ne, e21 / ns + e22 / ne  # bisector: the image's midpoint
-        half = 0.5 * np.arctan2(np.abs(e11 * e22 - e12 * e21), e11 * e12 + e21 * e22)
+    def kernel(e11, e12, e21, e22):
+        ns, ne = hypot(e11, e21), hypot(e12, e22)
+        cx, cy = e11 / ns + e12 / ne, e21 / ns + e22 / ne  # the bisector: the image's midpoint
         cc = cx * cx + cy * cy
-        f = np.zeros_like(cx)
-        for i in range(n_sym):
-            wx = cols[0][i] * cx + cols[1][i] * cy
-            wy = cols[2][i] * cx + cols[3][i] * cy
-            f += p[i] * np.log((wx * wx + wy * wy) / cc)
-        f *= 0.5
-        spread = lip * (half + eta)
-        sums_lo.append(math.fsum(pu * np.min(f - spread, axis=1)))
-        sums_hi.append(math.fsum(pu * np.max(f + spread, axis=1)))
+        f = 0.0
+        for a11, a12, a21, a22, pa in rows:
+            wx = a11 * cx + a12 * cy
+            wy = a21 * cx + a22 * cy
+            f = f + pa * log((wx * wx + wy * wy) / cc)
+        f = 0.5 * f
+        spread = lip * (0.5 * atan2(abs(e11 * e22 - e12 * e21), e11 * e12 + e21 * e22) + eta)
+        return f - spread, f + spread
+
+    return kernel
+
+
+def _arc_sums(sys, p, cone, n, lip, eta):
+    """Per block of words u, the sums of p_u times the least and the largest
+    :func:`_arc_values` over the arcs of u, in the list walk's blocks of the
+    pressure or in array blocks of at most ``WORD_BLOCK`` words, which hold
+    words times arcs flat, the arc the fastest index."""
+    syms, n_arcs = sys.symbol_entries, len(cone)
+    ops = word_ops(len(syms) ** n * n_arcs)
+    if ops is LIBM:
+        def prepend(words, i):
+            e, pu = words
+            a, pa = (syms, p) if i is None else (syms[i:i + 1], p[i:i + 1])
+            return prepend_each(a, e)[0], [x * y for x in pa for y in pu]
+
+        start, block = (tuple(map(list, zip(*cone))), [1.0]), WALK_BLOCK // 4
+    else:
+        cols, pn = sys.symbol_columns, np.array(p)
+        lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
+
+        def prepend(words, i):
+            e, pu = words
+            a, pa = (lead, pn) if i is None else (tuple(c[i] for c in cols), pn[i])
+            e, _ = renormalise4(mul4(a, e))
+            return tuple(x.ravel() for x in e), np.multiply.outer(pa, pu).ravel()
+
+        start, block = (tuple(map(np.array, zip(*cone))), np.ones(1)), WORD_BLOCK
+    kernel, each = _arc_values(syms, p, lip, eta, ops), ops.each
+    sums_lo, sums_hi = [], []
+    for _, (e, pu) in word_blocks(prepend(start, None), prepend, len(syms), n, block):
+        values = each(kernel, *e)  # on lists, one (lo, hi) pair per word
+        lo, hi = values if ops is not LIBM else (list(map(operator.itemgetter(k), values))
+                                                 for k in (0, 1))
+        for sums, v, extreme in ((sums_lo, lo, ops.minimum), (sums_hi, hi, ops.maximum)):
+            per_word = functools.reduce(lambda a, b: each(extreme, a, b),
+                                        (v[j::n_arcs] for j in range(n_arcs)))
+            sums.append(math.fsum(each(operator.mul, pu, per_word)))
     return sums_lo, sums_hi
 
 

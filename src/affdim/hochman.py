@@ -183,8 +183,9 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
         elif d == 0:
             rate = math.inf
             overlap = True
-        else:
-            rate = -math.log(float(d)) / n
+        else:  # from the exact Fraction when Delta_n is below the least float
+            f = float(d)
+            rate = (-math.log(f) if f else math.log(d.denominator) - math.log(d.numerator)) / n
             if rate > bound:
                 rates_ok = False
         rows.append((n, d, rate))

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from ._numpy import np
 from .errors import BadSymbol, NonConvexPolygon, ParseError
-from .linalg2 import Mat2, log_alpha1, mul4, operator_norm, renormalise4
+from .linalg2 import Mat2, log_alpha1, mul4, numpy_ops, operator_norm, renormalise4
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
 
@@ -128,7 +128,7 @@ class IfsSystem:
     @cached_property
     def symbol_entries(self) -> tuple:
         """The float linear entries (a11, a12, a21, a22) of each symbol's
-        first map: the operands of the kernel's Python-float forms."""
+        first map: the operands of the list instance's kernels."""
         return tuple(self.maps[g[0]].linear.to_float().entries() for g in self.symbols)
 
     @cached_property
@@ -262,7 +262,7 @@ def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0
     for s in word:
         prod, scale = renormalise4(mul4(prod, tuple(c[s - 1] for c in sys.columns[:4])))
         log_scale += math.log(scale)
-    bound = math.exp(log_scale + float(log_alpha1(prod))) * 2.0 * sys.bounding_radius
+    bound = math.exp(log_scale + float(log_alpha1(numpy_ops())(*prod))) * 2.0 * sys.bounding_radius
     return ProjectedPoint((float(x), float(y)), bound)
 
 

@@ -29,14 +29,14 @@ beside blocks of fixed size.  Finite-n roots certify the true root from
 above: submultiplicativity of the singular value function makes the
 approximants decrease along doubling depths.
 
-A depth of at most ``WORD_BLOCK`` words runs on Python floats and libm
-instead, as lists (:func:`_word_log_singulars_floats`,
-:func:`_pressure_with_slope_floats`): the walk's operations one float at a
-time (:func:`linalg2.prepend_each`), so every word product is the same bits,
-with ``math.log``, ``math.exp`` and ``math.fsum`` for the logs, the weights
-and the two sums.  Such a depth executes no numpy and its bits do not depend
-on numpy's CPU dispatch; its root lies within 2 ``ROOT_TOL`` of the array
-form's.  Which form runs depends on the system and the depth alone.
+Each per-word formula is defined once, for floats and arrays alike: log
+alpha1 (:func:`linalg2.log_alpha1`), and the log phi^s term with its slope
+(:func:`_phi_and_slope`).  A depth of at most ``WORD_BLOCK`` words maps them
+over lists of Python floats with libm, ``math.exp`` and ``math.fsum``, and
+executes no numpy; a deeper one calls them on numpy blocks.  The word count
+alone decides (:func:`word_ops`).  The products are the same bits in both,
+while numpy's AVX512 log may differ from libm's by 1 ulp, so a list root lies
+within 2 ``ROOT_TOL`` of the array one.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -64,8 +64,8 @@ from typing import Callable, Optional, Sequence, Tuple
 from ._numpy import np
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .linalg2 import (det4, log_alpha1, log_alpha1_each, mul4, prepend_each, renormalise4,
-                      word_blocks)
+from .linalg2 import (LIBM, Ops, det4, log_alpha1, mul4, numpy_ops, prepend_each,
+                      renormalise4, word_blocks)
 from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
@@ -121,21 +121,24 @@ def _word_sums(values, n: int, outer):
     return float(total[0]) if shared else total
 
 
+def word_ops(words: int) -> Ops:
+    """The container of a walk over ``words`` words (words times arcs, for
+    the exponent enclosure): lists of Python floats on libm (:data:`LIBM`) up
+    to ``WORD_BLOCK``, numpy arrays past it.  The one test that decides it."""
+    return LIBM if words <= WORD_BLOCK else numpy_ops()
+
+
 def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     """log alpha1, log |det| and log multiplicity of every length-n word over
     the distinct linear parts, in lexicographic order with the leading symbol
-    as the slowest digit.
+    as the slowest digit: lists or arrays, as :func:`word_ops` picks.
 
-    At most ``WORD_BLOCK`` words run on Python floats and libm, as lists
-    (:func:`_word_log_singulars_floats`), more on numpy arrays
-    (:func:`_word_log_singulars_arrays`); both form every word product with
-    the same operations.  log |det| and the log multiplicity come from
-    :func:`_word_sums`: per word only when the symbols' values differ,
-    otherwise one float that equals every word's entry.  log alpha2 is
-    log |det| - log alpha1 (see :func:`phi_log_values`).  Products are
-    renormalized per word (log scale carried separately) and log |det| is
-    the exact per-symbol sum, so deep strongly-dominated products lose no
-    precision.
+    log |det| and the log multiplicity come from :func:`_word_sums`: per word
+    only when the symbols' values differ, otherwise one float that equals
+    every word's entry.  log alpha2 is log |det| - log alpha1 (see
+    :func:`phi_log_values`).  Products are renormalized per word (log scale
+    carried separately) and log |det| is the exact per-symbol sum, so deep
+    strongly-dominated products lose no precision.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -143,31 +146,38 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     total = n_sym ** n
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
-    if total <= WORD_BLOCK:
-        return _word_log_singulars_floats(sys, n)
-    return _word_log_singulars_arrays(sys, n)
+    ops = word_ops(total)
+    if ops is LIBM:
+        cols, log_a1 = tuple(map(list, zip(*sys.symbol_entries))), [0.0] * total
+        outer = lambda a, b: [x + y for x in a for y in b]
+    else:
+        cols, log_a1 = sys.symbol_columns, np.empty(total)
+        outer = lambda a, b: np.add.outer(a, b).ravel()
+    log, each = ops.log, ops.each
+    values = (each(lambda *a: log(abs(det4(a))), *cols),
+              each(log, [float(len(g)) for g in sys.symbols]))
+    log_det, log_w = (_word_sums(v, n, outer) for v in values)
+    kernel = log_alpha1(ops)
+    for start, (e, logscale) in _word_products(sys, n, ops is LIBM):
+        log_a1[start:start + len(logscale)] = each(operator.add, logscale, each(kernel, *e))
+    return log_a1, log_det, log_w
 
 
-def _word_products_floats(sys: IfsSystem, n: int):
-    """:func:`_word_products_arrays` on Python floats and libm: blocks of
-    four entry lists and the log scales, the same operations, so the same
-    products.  A word held as Python floats takes four times its bytes as
-    float64, so the walk holds a quarter of ``WALK_BLOCK`` words per level."""
-    syms = sys.symbol_entries
-
-    def prepend(words, i):
-        e, logscale = words
-        lead = syms if i is None else syms[i:i + 1]
-        e, m = prepend_each(lead, e)
-        return e, [x + math.log(y) for x, y in zip(logscale * len(lead), m)]
-
-    level_one = tuple(map(list, zip(*syms))), [0.0] * len(syms)
-    return word_blocks(level_one, prepend, len(syms), n, WALK_BLOCK // 4)
-
-
-def _word_products_arrays(sys: IfsSystem, n: int):
+def _word_products(sys: IfsSystem, n: int, lists: bool):
     """The (start, (products, log scales)) blocks of the length-n words: the
-    depth-first walk of the module docstring."""
+    depth-first walk of the module docstring, on lists or arrays.  A word
+    held as Python floats takes four times its bytes as float64, so the list
+    walk holds a quarter of ``WALK_BLOCK`` words per level."""
+    syms = sys.symbol_entries
+    if lists:
+        def prepend(words, i):
+            e, logscale = words
+            lead = syms if i is None else syms[i:i + 1]
+            e, m = prepend_each(lead, e)
+            return e, [x + math.log(y) for x, y in zip(logscale * len(lead), m)]
+
+        level_one = tuple(map(list, zip(*syms))), [0.0] * len(syms)
+        return word_blocks(level_one, prepend, len(syms), n, WALK_BLOCK // 4)
     cols = sys.symbol_columns
     lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
 
@@ -176,68 +186,42 @@ def _word_products_arrays(sys: IfsSystem, n: int):
         e, m = renormalise4(mul4(lead if i is None else tuple(c[i] for c in cols), e))
         return tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel()
 
-    n_sym = len(cols[0])
-    return word_blocks((cols, np.zeros(n_sym)), prepend, n_sym, n, WALK_BLOCK)
+    return word_blocks((cols, np.zeros(len(syms))), prepend, len(syms), n, WALK_BLOCK)
 
 
-def _word_log_singulars_floats(sys: IfsSystem, n: int):
-    """:func:`word_log_singulars` as lists of Python floats, on libm."""
-    syms = sys.symbol_entries
-    values = ([math.log(abs(det4(a))) for a in syms],
-              [math.log(float(len(g))) for g in sys.symbols])
-    log_det, log_w = (_word_sums(v, n, lambda a, b: [x + y for x in a for y in b])
-                      for v in values)
-    log_a1 = [0.0] * len(syms) ** n
-    for start, (e, logscale) in _word_products_floats(sys, n):
-        log_a1[start:start + len(logscale)] = map(operator.add, logscale, log_alpha1_each(e))
-    return log_a1, log_det, log_w
+def _phi_and_slope(s: float):
+    """log phi^s of a word from its log alpha1 ``a`` and log |det| ``d``, and
+    the slope in s of the affine piece that starts at s: one definition for
+    floats and arrays alike."""
+    if s <= 1:
+        phi = lambda a, d: s * a
+    elif s <= 2:  # log alpha1 + (s - 1) log alpha2
+        phi = lambda a, d, c=s - 1.0: (d - a) * c + a
+    else:
+        phi = lambda a, d, c=s / 2.0: (d - a + a) * c
+    if s < 1.0:
+        return phi, lambda a, d: a
+    if s < 2.0:  # log alpha2
+        return phi, lambda a, d: d - a
+    return phi, lambda a, d: (d - a + a) * 0.5  # the mean of log alpha1 and log alpha2
 
 
-def _word_log_singulars_arrays(sys: IfsSystem, n: int):
-    """:func:`word_log_singulars` as numpy arrays.  Only the outputs are
-    allocated at full length: one float per word when the symbols share |det|
-    and multiplicity, three otherwise.  Beside them the depth-first walk holds
-    one block of at most ``WALK_BLOCK`` products per level."""
-    cols = sys.symbol_columns
-    values = (np.log(np.abs(det4(cols))), np.log(np.array([float(len(g)) for g in sys.symbols])))
-    log_det, log_w = (_word_sums(v, n, lambda a, b: np.add.outer(a, b).ravel()) for v in values)
-    log_a1 = np.empty(len(sys.symbols) ** n)
-    for start, (e, logscale) in _word_products_arrays(sys, n):
-        np.add(logscale, log_alpha1(e), out=log_a1[start:start + len(logscale)])
-    return log_a1, log_det, log_w
+def _per_word(x, log_a1):
+    """``x`` with one entry per word of ``log_a1``, a shared float repeated."""
+    if word_ops(len(log_a1)) is LIBM:
+        return x if isinstance(x, list) else [x] * len(log_a1)
+    return np.broadcast_to(x, log_a1.shape)
 
 
 def phi_log_values(log_a1, log_det, s: float) -> Callable[[slice], object]:
-    """log phi^s of the words in a slice, in one fresh array (or list, for
-    the float form's lists) per call, from the stored log alpha1 and log
-    |det| (per word or one shared float)."""
+    """log phi^s of the words in a slice, in one fresh list or array per
+    call (the container of ``log_a1``), from the stored log alpha1 and log
+    |det| (per word or one shared float), by :func:`_phi_and_slope`."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
-    if isinstance(log_a1, list):  # the operations of the array blocks below
-        if s <= 1:
-            return lambda words: [s * a for a in log_a1[words]]
-        dets = log_det if isinstance(log_det, list) else [log_det] * len(log_a1)
-        if s <= 2:
-            c = s - 1.0
-            return lambda words: [(d - a) * c + a for a, d in zip(log_a1[words], dets[words])]
-        c = s / 2.0
-        return lambda words: [(d - a + a) * c for a, d in zip(log_a1[words], dets[words])]
-    log_det = np.broadcast_to(log_det, log_a1.shape)
-
-    def block(words: slice) -> np.ndarray:
-        a1 = log_a1[words]
-        if s <= 1:
-            return s * a1
-        e = np.subtract(log_det[words], a1)  # log alpha2
-        if s <= 2:
-            e *= s - 1.0
-            e += a1
-        else:
-            e += a1
-            e *= s / 2.0
-        return e
-
-    return block
+    phi, each = _phi_and_slope(s)[0], word_ops(len(log_a1)).each
+    log_det = _per_word(log_det, log_a1)
+    return lambda words: each(phi, log_a1[words], log_det[words])
 
 
 def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> float:
@@ -263,69 +247,35 @@ def _pairwise_sums(leaf: Callable[[slice], tuple], start: int, stop: int, block:
 
 
 def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
-    """P_n(s) and its right derivative in s, from one phi_log_values call,
-    on the form that :func:`word_log_singulars` chose for ``words``.
+    """P_n(s) and its right derivative in s, from one phi_log_values call.
 
     The derivative is the softmax-weighted mean of the per-word slopes of the
-    affine piece that starts at s.
+    affine piece that starts at s (:func:`_phi_and_slope`).  Lists are one
+    block, summed by ``math.fsum``.  Arrays are read in blocks of at most
+    ``WORD_BLOCK`` words twice, for the largest log term and for the two
+    sums, which run along numpy's pairwise tree (:func:`_pairwise_sums`).
     """
-    if isinstance(words[0], list):
-        return _pressure_with_slope_floats(words, n, s)
-    return _pressure_with_slope_arrays(words, n, s)
-
-
-def _pressure_with_slope_floats(words, n: int, s: float) -> Tuple[float, float]:
-    """:func:`_pressure_with_slope` on lists of Python floats: ``math.exp``,
-    and ``math.fsum`` for the two sums."""
     log_a1, log_det, log_w = words
-    terms = phi_log_values(log_a1, log_det, s)(slice(None))
-    log_det, log_w = (x if isinstance(x, list) else [x] * len(log_a1) for x in (log_det, log_w))
-    terms = [e + w for e, w in zip(terms, log_w)]
-    m = max(terms)
-    weights = [math.exp(e - m) for e in terms]
-    if s < 1.0:
-        slopes = log_a1
-    elif s < 2.0:  # slope log alpha2, or its mean with log alpha1
-        slopes = [d - a for a, d in zip(log_a1, log_det)]
+    phi, slope = phi_log_values(log_a1, log_det, s), _phi_and_slope(s)[1]
+    log_det, log_w = (_per_word(x, log_a1) for x in (log_det, log_w))
+    if word_ops(len(log_a1)) is LIBM:
+        terms = list(map(operator.add, phi(slice(None)), log_w))
+        m = max(terms)
+        weights = [math.exp(e - m) for e in terms]
+        total = math.fsum(weights)
+        dot = math.fsum(map(operator.mul, weights, map(slope, log_a1, log_det)))
     else:
-        slopes = [(d - a + a) * 0.5 for a, d in zip(log_a1, log_det)]
-    total = math.fsum(weights)
-    return (m + math.log(total)) / n, math.fsum(map(operator.mul, weights, slopes)) / (total * n)
+        def log_terms(words):
+            return phi(words) + log_w[words]
 
+        m = float(np.max([np.max(log_terms(slice(a, a + WORD_BLOCK)))
+                          for a in range(0, log_a1.size, WORD_BLOCK)]))
 
-def _pressure_with_slope_arrays(words, n: int, s: float) -> Tuple[float, float]:
-    """:func:`_pressure_with_slope` on numpy arrays.  The words are read in
-    blocks of at most ``WORD_BLOCK`` twice: for the largest log term, and for
-    the two sums."""
-    log_a1, log_det, log_w = words
-    phi = phi_log_values(log_a1, log_det, s)
-    log_det, log_w = (np.broadcast_to(x, log_a1.shape) for x in (log_det, log_w))
-    block = WORD_BLOCK
+        def sums(words):  # the softmax weights, and the weights times the slopes
+            e = np.exp(log_terms(words) - m)
+            return float(np.sum(e)), float(np.sum(e * slope(log_a1[words], log_det[words])))
 
-    def log_terms(words):
-        e = phi(words)
-        e += log_w[words]
-        return e
-
-    m = float(np.max([np.max(log_terms(slice(a, a + block)))
-                      for a in range(0, log_a1.size, block)]))
-
-    def sums(words):  # the softmax weights, and the weights times the slopes
-        e = log_terms(words)
-        e -= m
-        np.exp(e, out=e)
-        total = float(np.sum(e))
-        if s < 1.0:
-            e *= log_a1[words]
-        else:  # slope log alpha2, or its mean with log alpha1
-            slope = np.subtract(log_det[words], log_a1[words])
-            if s >= 2.0:
-                slope += log_a1[words]
-                slope *= 0.5
-            e *= slope
-        return total, float(np.sum(e))
-
-    total, dot = _pairwise_sums(sums, 0, log_a1.size, block)
+        total, dot = _pairwise_sums(sums, 0, log_a1.size, WORD_BLOCK)
     return (m + math.log(total)) / n, dot / (total * n)
 
 

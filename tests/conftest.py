@@ -8,12 +8,17 @@ when requested: the leading 1/n coefficient jumps across a branch switch, so
 depth-extrapolation tolerances only hold away from the kinks.
 """
 
+import contextlib
 import math
 import os
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+import pytest
+
+import affdim.ergodic
+import affdim.pressure
 from affdim.ifs import AffineMap, IfsSystem
 from affdim.linalg2 import Mat2, operator_norm
 
@@ -23,6 +28,23 @@ BREAKPOINT_GAP = 0.07
 # tests that run ``python -m affdim.cli`` in a child need it in the environment
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def avx2_env():
+    """This process's environment with numpy's SIMD dispatch limited to AVX2
+    and below, for a child that runs without the AVX512 loops."""
+    return dict(os.environ, NPY_ENABLE_CPU_FEATURES="SSE SSE2 SSE3 SSSE3 SSE41 POPCNT "
+                                                    "SSE42 AVX F16C FMA3 AVX2")
+
+
+@contextlib.contextmanager
+def word_instance(ops):
+    """Every word walk of ``pressure`` and ``ergodic`` on the container of
+    ``ops`` (``LIBM`` or ``numpy_ops()``), whatever its word count."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (affdim.pressure, affdim.ergodic):
+            mp.setattr(module, "word_ops", lambda words: ops)
+        yield
 
 
 def random_positive_system(rng, n_maps):

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TIE_CONFIG, count_calls, six_distinct_maps_system
+from conftest import TIE_CONFIG, avx2_env, count_calls, six_distinct_maps_system
 from test_dimension import RULE_CASES, UNIT_SQUARE
 
 from affdim.cli import main
@@ -281,6 +280,19 @@ class TestTableCommands:
         rows = [l.split("\t")[:2] for l in out.splitlines()[1:] if not l.startswith("#")]
         assert rows == [[str(k), f"1/{2 ** k}"] for k in range(3, 7)]
         assert "# verdict: TrendBounded" in out.splitlines()
+
+    def test_hochman_rate_of_a_delta_below_the_least_float(self, capsys):
+        # Delta_3 = 10^-400 underflows a float: its rate comes from the exact
+        # Fraction, and the rows of the depths before it stay as they were
+        maps = ["hochman", "--maps", "1e-200,0;1e-200,1", "--n"]
+        code, out, _ = run_cli(maps + ["3"], capsys)
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[:3] == run_cli(maps + ["2"], capsys)[1].splitlines()[:3]
+        n, _, rate = rows[3].split("\t")
+        assert n == "3" and math.isfinite(float(rate))
+        assert float(rate) == pytest.approx(400 * math.log(10) / 3, rel=1e-14)
+        assert rows[-1] == "# verdict: TrendBounded"
 
     @pytest.mark.parametrize("spec", ["abc", "1", "0..1", "6..2", "3..", "..4", ""])
     def test_hochman_bad_depth_exit_1(self, spec, capsys):
@@ -939,11 +951,13 @@ class TestNumpyOnFirstUse:
         # enclosure depth times the cone's arcs
         (["analyze", "--example", "hl-demo"], 2),
         (["pressure", "--example", "sec44", "--n", "8"], 0),
+        (["pressure", "--example", "hl-demo", "--n", "15"], 0),  # 2^15 words: the last on lists
         # a cone proposed from eigenlines, and words on Python floats
         (["analyze", "--config", PROPOSED_CONE_CONFIGS["thin-rotated"]], 2),
     ], ids=["ssc", "hochman", "help", "input-error", "analyze-sec44", "analyze-phi-c",
             "analyze-subsystem", "analyze-a-dominant", "analyze-c-dominant", "lyapunov-sec44",
-            "analyze-hl-demo", "pressure-sec44-n8", "analyze-thin-rotated"])
+            "analyze-hl-demo", "pressure-sec44-n8", "pressure-hl-demo-n15",
+            "analyze-thin-rotated"])
     def test_exact_commands_never_execute_numpy(self, argv, code, tmp_path):
         if "--config" in argv:  # the config text goes to a file
             k = argv.index("--config") + 1
@@ -955,9 +969,10 @@ class TestNumpyOnFirstUse:
         assert proc.stderr.splitlines()[-1] == "False False"
 
     def test_array_command_runs_plain_numpy(self):
-        # phi-c's depth 12 has 3^12 words, past the float form's 2^15, and
-        # the Monte-Carlo exponents run on arrays
+        # phi-c's depth 12 has 3^12 words and hl-demo's depth 16 2^16, past the
+        # list instance's 2^15, and the Monte-Carlo exponents run on arrays
         for argv, code in ((["pressure", "--example", "phi-c", "--param", "c=2/5"], 0),
+                           (["pressure", "--example", "hl-demo", "--n", "16"], 0),
                            (["lyapunov", "--example", "hl-demo"], 0)):
             proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
                                   capture_output=True, text=True, timeout=120)
@@ -990,8 +1005,7 @@ class TestNumpyOnFirstUse:
     def test_float_form_bytes_do_not_depend_on_numpy_dispatch(self):
         # a child with numpy's AVX512 loops switched off prints the same bytes;
         # direction angles come from libm's atan2 and atan
-        env = dict(os.environ, NPY_ENABLE_CPU_FEATURES="SSE SSE2 SSE3 SSSE3 SSE41 POPCNT "
-                                                       "SSE42 AVX F16C FMA3 AVX2")
+        env = avx2_env()
         directions = ["directions", "--count", "2000", "--seed", "1", "--example"]
         for argv in (["analyze", "--example", "hl-demo"],
                      ["pressure", "--example", "sec44", "--n", "8"],

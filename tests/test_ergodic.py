@@ -1,10 +1,13 @@
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from conftest import random_positive_system, random_triangular_system
+from conftest import avx2_env, random_positive_system, random_triangular_system, word_instance
 
 from test_cli import PROPOSED_CONE_CONFIGS
 
@@ -23,7 +26,7 @@ from affdim.ergodic import (
 )
 from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem, parse_system
 from affdim.library import hl_demo, phi_c, sec44
-from affdim.linalg2 import Mat2, singular_values
+from affdim.linalg2 import LIBM, Mat2, numpy_ops, singular_values
 from affdim.splitting import SplitReport, certify
 
 
@@ -278,41 +281,116 @@ class TestEnclosure:
 
 
 class TestEnclosureForms:
-    """The words of an enclosure depth run on Python floats and libm up to
-    WORD_BLOCK words times arcs, on numpy blocks past it; both forms are
-    valid brackets of the same chi_s."""
+    """The words of an enclosure depth run on the list instance, Python
+    floats and libm, up to WORD_BLOCK words times arcs, and on the array
+    instance past it; both are valid brackets of the same chi_s."""
 
     @pytest.mark.parametrize("sysm, w", _positive_and_proposed_cases())
     def test_float_and_array_brackets_overlap(self, sysm, w):
         # random positive 2- and 3-symbol systems, and multi-arc cones
-        import affdim.ergodic as ergodic_mod
-
         split = certify(sysm)
         arcs = len(split.multicone.arcs)
         for n in (k for k in (1, 3, 6, 9) if len(sysm.symbols) ** k * arcs <= 2 ** 15):
-            lo_f, hi_f = ergodic_mod._bracket(sysm, w, split, n, ergodic_mod._bracket_sums_floats)
-            lo_a, hi_a = ergodic_mod._bracket(sysm, w, split, n, ergodic_mod._bracket_sums_arrays)
+            (lo_f, hi_f), (lo_a, hi_a) = (self.bracket(ops, sysm, w, split, n)
+                                          for ops in (LIBM, numpy_ops()))
             assert max(lo_f, lo_a) <= min(hi_f, hi_a)
             # the same words and set-up: the ends differ by the pad's block
             # count and the last bits of libm's and numpy's logs
             assert lo_f == pytest.approx(lo_a, abs=1e-12)
             assert hi_f == pytest.approx(hi_a, abs=1e-12)
 
+    @staticmethod
+    def bracket(ops, *args):
+        with word_instance(ops):
+            return exponent_bracket(*args)
+
     def test_gate_edge(self, monkeypatch):
         # hl-demo has two symbols and a one-arc cone: 2^15 words take the
-        # float form, 2^16 the array form
+        # list instance, 2^16 the array instance
         import affdim.ergodic as ergodic_mod
 
         sysm, w, _ = hl_demo()
         split = certify(sysm)
         assert len(split.multicone.arcs) == 1
         ran = []
-        for name in ("_bracket_sums_floats", "_bracket_sums_arrays"):
-            def recorded(*args, form=getattr(ergodic_mod, name), name=name):
-                ran.append(name)
-                return form(*args)
 
-            monkeypatch.setattr(ergodic_mod, name, recorded)
+        def recorded(words, pick=ergodic_mod.word_ops):
+            ops = pick(words)
+            ran.append("lists" if ops is LIBM else "arrays")
+            return ops
+
+        monkeypatch.setattr(ergodic_mod, "word_ops", recorded)
         for n in (15, 16):
             assert exponent_bracket(sysm, w, split, n) is not None
-        assert ran == ["_bracket_sums_floats", "_bracket_sums_arrays"]
+        assert ran == ["lists", "arrays"]
+
+
+# Both instances of log alpha1 and of the enclosure's arc values on the same
+# inputs: the products of the list walk (3^11 words of phi-c c=2/5, 2^15 of
+# hl-demo), and their images of hl-demo's certified cone.  The arc values'
+# list instance runs as the enclosure runs it ("libm") and with numpy's
+# hypot in place of math.hypot ("one-hypot").  Prints, per kernel and
+# system, how many outputs differ and by at most how many units in the last
+# place.
+WORD_LEVEL_PROBE = """import json
+from fractions import Fraction
+import numpy as np
+from affdim.ergodic import _arc_values
+from affdim.library import hl_demo, phi_c
+from affdim.linalg2 import LIBM, log_alpha1, numpy_ops, prepend_each
+from affdim.pressure import _word_products
+from affdim.splitting import certify
+
+def differ(lists, arrays):
+    a, b = np.array(lists), np.asarray(arrays)
+    ulps = np.abs(a.view(np.int64) - b.view(np.int64))
+    return [int(np.count_nonzero(ulps)), int(ulps.max())]
+
+out = {}
+for name, sysm, n in (("phi-c", phi_c(Fraction(2, 5))[0], 11), ("hl-demo", hl_demo()[0], 15)):
+    e = [[], [], [], []]
+    for _, (block, _) in sorted(_word_products(sysm, n, True), key=lambda b: b[0]):
+        for col, part in zip(e, block):
+            col.extend(part)
+    out["log_alpha1 " + name] = differ(list(map(log_alpha1(LIBM), *e)),
+                                       log_alpha1(numpy_ops())(*map(np.array, e)))
+arc = certify(sysm).multicone.arcs[0]
+ends = arc.start.theta, arc.start.theta + arc.length
+images = prepend_each(list(zip(*e)), tuple([f(t)] for f in (np.cos, np.sin) for t in ends))[0]
+args = sysm.symbol_entries, [0.5] * len(sysm.symbols), 0.5, 2.0 ** -40
+arrays = _arc_values(*args, numpy_ops())(*map(np.array, images))
+for tag, ops in (("libm", LIBM), ("one-hypot", LIBM._replace(hypot=np.hypot))):
+    lists = list(map(_arc_values(*args, ops), *images))
+    for k, end in enumerate(("lo", "hi")):
+        out[f"arc_values_{end} {tag}"] = differ([v[k] for v in lists], arrays[k])
+print(json.dumps(out))
+"""
+
+
+class TestWordLevelDispatch:
+    """The list and array instances of each single-definition kernel make the
+    same operations, so with the same ops they give the same bits.  numpy's
+    log and atan2 equal libm's under AVX2 dispatch, and its AVX512 loops may
+    differ by 1 ulp (2,746 of phi-c's 3^11 log alpha1 here, 33 of hl-demo's
+    2^15).  ``math.hypot`` is CPython's own, not libm's that ``np.hypot``
+    calls, so as the enclosure runs them the arc values differ by up to
+    2 ulps under either dispatch (69 of 2^15 under AVX2)."""
+
+    @staticmethod
+    def probe(env):
+        proc = subprocess.run([sys.executable, "-c", WORD_LEVEL_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_equal_bits_under_avx2(self):
+        got = self.probe(avx2_env())
+        assert len(got) == 6
+        assert all(count == 0 for key, (count, _) in got.items() if "libm" not in key), got
+        assert all(ulps <= 2 for _, ulps in got.values()), got
+
+    def test_at_most_one_ulp_under_the_default_dispatch(self):
+        got = self.probe(None)
+        assert len(got) == 6
+        assert all(ulps <= 1 for key, (_, ulps) in got.items() if "libm" not in key), got
+        assert all(ulps <= 2 for _, ulps in got.values()), got

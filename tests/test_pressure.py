@@ -10,7 +10,7 @@ from affdim.ergodic import entropy, lyapunov_triangular
 from affdim.errors import EnumerationTooLarge, NoDomination, NoSignChange, NotTriangular
 from affdim.ifs import AffineMap, BernoulliWeights, IfsSystem
 from affdim.library import hl_demo, phi_c, sec44
-from affdim.linalg2 import Mat2, phi_s, singular_values
+from affdim.linalg2 import LIBM, Mat2, numpy_ops, phi_s, singular_values
 from affdim.pressure import (
     ROOT_TOL,
     phi_log_values,
@@ -33,7 +33,8 @@ def similar_system(rho, n, angle=0.6):
     return IfsSystem(maps)
 
 
-from conftest import random_positive_system, random_triangular_system, six_distinct_maps_system
+from conftest import (random_positive_system, random_triangular_system, six_distinct_maps_system,
+                      word_instance)
 
 
 def phi_c_subsystem():
@@ -230,7 +231,16 @@ def per_symbol_loop(sysm, n):
     return log_a1, logdet - log_a1, logdet, logw
 
 
-array_words = pressure_mod._word_log_singulars_arrays
+def array_words(sysm, n):
+    """:func:`word_log_singulars` on the array instance, whatever its size."""
+    with word_instance(numpy_ops()):
+        return word_log_singulars(sysm, n)
+
+
+def list_words(sysm, n):
+    """:func:`word_log_singulars` on the list instance, whatever its size."""
+    with word_instance(LIBM):
+        return word_log_singulars(sysm, n)
 
 
 def assert_bit_identical(words, reference):
@@ -292,8 +302,8 @@ class TestMergedSymbols:
         three_unequal_symbols_system,
     ], ids=["phi-c", "phi-c-without-4-6", "hl-demo", "sec44", "random", "three-unequal"])
 
-    # the array form: the per-symbol loop takes its logs from numpy, while
-    # TestFloatForm checks the float form against this one
+    # the array instance: the per-symbol loop takes its logs from numpy,
+    # while TestFloatForm checks the list instance against this one
     @BIT_SYSTEMS
     def test_bit_identical_to_a_per_symbol_loop(self, make):
         sysm = make()
@@ -346,9 +356,8 @@ class TestMergedSymbols:
             "three-unequal"])
     def test_shared_det_and_multiplicity_are_one_float(self, make, n_shared):
         # phi-c without maps 4 and 6 keeps one |det| but multiplicities 2, 2, 1;
-        # both forms keep the same shapes
-        for form, kind in ((array_words, np.ndarray),
-                           (pressure_mod._word_log_singulars_floats, list)):
+        # both instances keep the same shapes
+        for form, kind in ((array_words, np.ndarray), (list_words, list)):
             log_a1, *rest = form(make(), 4)
             assert isinstance(log_a1, kind)
             assert sum(isinstance(x, float) for x in rest) == n_shared
@@ -583,21 +592,21 @@ def _random_dominated_systems():
 
 
 class TestFloatForm:
-    """Depths of at most WORD_BLOCK words run on Python floats and libm:
-    the same word products as the array form, bit for bit, while the logs,
-    exps and the two sums come from libm and math.fsum."""
+    """Depths of at most WORD_BLOCK words run on the list instance, Python
+    floats and libm: the same word products as the array instance, bit for
+    bit, while the logs, exps and the two sums come from libm and math.fsum."""
 
     @pytest.mark.parametrize("sysm", _random_dominated_systems())
     def test_word_products_bit_identical(self, sysm):
-        # 3^9 words walk depth first in both forms
+        # 3^9 words walk depth first in both instances
         def whole(blocks):
             blocks = sorted(blocks, key=lambda b: b[0])
             e = [np.concatenate([np.asarray(b[1][0][k]) for b in blocks]) for k in range(4)]
             return e, np.concatenate([np.asarray(b[1][1]) for b in blocks])
 
         for n in (1, 2, 5, 9):
-            e_f, scale_f = whole(pressure_mod._word_products_floats(sysm, n))
-            e_a, scale_a = whole(pressure_mod._word_products_arrays(sysm, n))
+            e_f, scale_f = whole(pressure_mod._word_products(sysm, n, True))
+            e_a, scale_a = whole(pressure_mod._word_products(sysm, n, False))
             for x, y in zip(e_f, e_a):
                 assert np.array_equal(x, y)
             np.testing.assert_allclose(scale_f, scale_a, rtol=0, atol=n * 1e-15)
@@ -606,11 +615,11 @@ class TestFloatForm:
     def test_depth_roots_agree(self, sysm):
         for n in (1, 2, 4, 8):
             roots = []
-            for words, evaluate in ((pressure_mod._word_log_singulars_floats(sysm, n),
-                                     pressure_mod._pressure_with_slope_floats),
-                                    (pressure_mod._word_log_singulars_arrays(sysm, n),
-                                     pressure_mod._pressure_with_slope_arrays)):
-                roots.append(pressure_mod._depth_root(lambda s: evaluate(words, n, s), ROOT_TOL))
+            for ops in (LIBM, numpy_ops()):
+                with word_instance(ops):
+                    words = word_log_singulars(sysm, n)
+                    roots.append(pressure_mod._depth_root(
+                        lambda s: pressure_mod._pressure_with_slope(words, n, s), ROOT_TOL))
             assert abs(roots[0] - roots[1]) <= 2 * ROOT_TOL
 
     def test_gate_edge(self):
