@@ -64,13 +64,14 @@ products and differences of each term (8), the per-block and final
 midpoint (the last three terms).  The argument needs eta < m / 2; when that
 fails the enclosure gives up and Monte Carlo runs instead.
 
-The value of f and the spread on an image arc are defined once
-(:func:`_arc_values`).  A depth of at most ``WORD_BLOCK`` words times arcs
-maps it over lists of Python floats with libm, a larger one calls it on numpy
-blocks (:func:`pressure.word_ops`); the set-up (L, F, K, rho, eta and the
-cone's unit vectors) runs on Python floats and libm for both.  The two
-instances make the same operations, which the rounding argument counts the
-same way, so one pad serves both, with B counting the blocks of either.
+The walk of the words and the value of f and the spread on an image arc are
+defined once (:func:`_arc_sums`, :func:`_arc_values`).  A depth of at most
+``WORD_BLOCK`` words times arcs maps them over lists of Python floats with
+libm, a larger one calls them on numpy blocks (:func:`pressure.word_ops`);
+the set-up (L, F, K, rho, eta and the cone's unit vectors) runs on Python
+floats and libm for both.  The two instances make the same operations, which
+the rounding argument counts the same way, so one pad serves both, with B
+counting the blocks of either.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._numpy import np
-from . import ifs
+from . import ifs, pressure
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, rng
-from .linalg2 import (LIBM, det4, log_alpha1, mul4, numpy_ops, prepend_each, renormalise4,
-                      word_blocks)
-from .pressure import WALK_BLOCK, WORD_BLOCK, ordered_sum, word_ops
+from .linalg2 import LIBM, det4, log_alpha1, mul4, numpy_ops, renormalise4, word_blocks
+from .pressure import WALK_BLOCK, ordered_sum, word_ops
 from .splitting import SplitReport, abs_diagonals
 
 RENORM_EVERY = 32
@@ -248,14 +248,14 @@ def exponent_bracket(
 
 
 def _arc_values(syms, p, lip, eta, ops):
-    """The function of a word's images (e11, e21) and (e12, e22) of an arc's
-    start and end that gives f at the image arc's midpoint minus and plus its
-    spread lip (h + eta), h the image's half-width: one definition for
-    floats and arrays alike, on ``ops``."""
+    """The functions of a word's images (e11, e21) and (e12, e22) of an arc's
+    start and end that give f at the image arc's midpoint, and its spread
+    lip (h + eta), h the image's half-width: one definition for floats and
+    arrays alike, on ``ops``."""
     log, hypot, atan2 = ops.log, ops.hypot, ops.atan2
     rows = tuple((*a, pa) for a, pa in zip(syms, p))
 
-    def kernel(e11, e12, e21, e22):
+    def mid(e11, e12, e21, e22):
         ns, ne = hypot(e11, e21), hypot(e12, e22)
         cx, cy = e11 / ns + e12 / ne, e21 / ns + e22 / ne  # the bisector: the image's midpoint
         cc = cx * cx + cy * cy
@@ -264,45 +264,37 @@ def _arc_values(syms, p, lip, eta, ops):
             wx = a11 * cx + a12 * cy
             wy = a21 * cx + a22 * cy
             f = f + pa * log((wx * wx + wy * wy) / cc)
-        f = 0.5 * f
-        spread = lip * (0.5 * atan2(abs(e11 * e22 - e12 * e21), e11 * e12 + e21 * e22) + eta)
-        return f - spread, f + spread
+        return 0.5 * f
 
-    return kernel
+    def spread(e11, e12, e21, e22):
+        return lip * (0.5 * atan2(abs(e11 * e22 - e12 * e21), e11 * e12 + e21 * e22) + eta)
+
+    return mid, spread
 
 
 def _arc_sums(sys, p, cone, n, lip, eta):
     """Per block of words u, the sums of p_u times the least and the largest
-    :func:`_arc_values` over the arcs of u, in the list walk's blocks of the
-    pressure or in array blocks of at most ``WORD_BLOCK`` words, which hold
-    words times arcs flat, the arc the fastest index."""
+    f -+ spread (:func:`_arc_values`) over the arcs of u, in the list walk's
+    blocks of the pressure or in array blocks of at most ``WORD_BLOCK``
+    words, which hold words times arcs flat, the arc the fastest index."""
     syms, n_arcs = sys.symbol_entries, len(cone)
     ops = word_ops(len(syms) ** n * n_arcs)
-    if ops is LIBM:
-        def prepend(words, i):
-            e, pu = words
-            a, pa = (syms, p) if i is None else (syms[i:i + 1], p[i:i + 1])
-            return prepend_each(a, e)[0], [x * y for x in pa for y in pu]
+    each = ops.each
 
-        start, block = (tuple(map(list, zip(*cone))), [1.0]), WALK_BLOCK // 4
-    else:
-        cols, pn = sys.symbol_columns, np.array(p)
-        lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
+    def prepend(words, i):
+        e, pu = words
+        a, pa = (syms, p) if i is None else (syms[i:i + 1], p[i:i + 1])
+        return ops.products(a, e)[0], ops.outer(operator.mul, pa, pu)
 
-        def prepend(words, i):
-            e, pu = words
-            a, pa = (lead, pn) if i is None else (tuple(c[i] for c in cols), pn[i])
-            e, _ = renormalise4(mul4(a, e))
-            return tuple(x.ravel() for x in e), np.multiply.outer(pa, pu).ravel()
-
-        start, block = (tuple(map(np.array, zip(*cone))), np.ones(1)), WORD_BLOCK
-    kernel, each = _arc_values(syms, p, lip, eta, ops), ops.each
+    start = tuple(map(ops.vector, zip(*cone))), ops.vector([1.0])
+    block = WALK_BLOCK // 4 if ops is LIBM else pressure.WORD_BLOCK
+    mid, spread = _arc_values(syms, p, lip, eta, ops)
     sums_lo, sums_hi = [], []
     for _, (e, pu) in word_blocks(prepend(start, None), prepend, len(syms), n, block):
-        values = each(kernel, *e)  # on lists, one (lo, hi) pair per word
-        lo, hi = values if ops is not LIBM else (list(map(operator.itemgetter(k), values))
-                                                 for k in (0, 1))
-        for sums, v, extreme in ((sums_lo, lo, ops.minimum), (sums_hi, hi, ops.maximum)):
+        f, h = each(mid, *e), each(spread, *e)
+        for sums, side, extreme in ((sums_lo, operator.sub, ops.minimum),
+                                    (sums_hi, operator.add, ops.maximum)):
+            v = each(side, f, h)
             per_word = functools.reduce(lambda a, b: each(extreme, a, b),
                                         (v[j::n_arcs] for j in range(n_arcs)))
             sums.append(math.fsum(each(operator.mul, pu, per_word)))

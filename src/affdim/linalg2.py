@@ -17,15 +17,16 @@ instance maps it over lists of Python floats with libm (:data:`LIBM`), the
 other calls it on numpy arrays (:func:`numpy_ops`).  Both make the same
 operations in the same order, so they give the same bits wherever numpy's
 loops equal libm's: under AVX2 dispatch, but for ``math.hypot``, which is
-CPython's own; numpy's AVX512 log may differ by 1 ulp.  Only the products of
-a small walk have a list-only kernel, :func:`prepend_each`.  Each caller
-keeps its own renormalisation cadence, and that cadence is part of the output
-bytes: it decides the last bits.
+CPython's own; numpy's AVX512 log may differ by 1 ulp.  The one list-only
+kernel is the product step of a walk, :func:`prepend_each`, bound in as
+``LIBM.products``.  Each caller keeps its own renormalisation cadence, and
+that cadence is part of the output bytes: it decides the last bits.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -177,20 +178,6 @@ def renormalise4(m) -> tuple:
     return (m11 / scale, m12 / scale, m21 / scale, m22 / scale), scale
 
 
-# What a word-walk formula is written over: operations its caller binds in, and
-# ``each``, which maps a per-word formula over lists or calls it on arrays.
-Ops = namedtuple("Ops", "log sqrt hypot atan2 maximum minimum each")
-LIBM = Ops(math.log, math.sqrt, math.hypot, math.atan2, max, min,
-           lambda f, *words: list(map(f, *words)))
-
-
-@functools.cache
-def numpy_ops() -> Ops:
-    """:data:`LIBM`'s numpy twin, built on first use: imports execute no numpy."""
-    return Ops(np.log, np.sqrt, np.hypot, np.arctan2, np.maximum, np.minimum,
-               lambda f, *words: f(*words))
-
-
 def prepend_each(syms, words) -> tuple:
     """``renormalise4(mul4(A, words))`` for every matrix A of ``syms``
     (4-tuples of Python floats), on a batch of words given as four entry
@@ -212,6 +199,36 @@ def prepend_each(syms, words) -> tuple:
             o.extend(map(operator.truediv, c, scale))
         scales.extend(scale)
     return out, scales
+
+
+def _each(f, *words) -> list:
+    """``f`` over lists of words, a float argument shared by all, as numpy broadcasts it."""
+    return list(map(f, *(itertools.repeat(w) if isinstance(w, float) else w for w in words)))
+
+
+# What a word walk is written over, bound in by its caller: the formulas' operations;
+# ``each``, which maps a formula over lists of words or calls it on arrays; the
+# containers' constructors; ``outer``, a formula over all pairs; and ``products``, the
+# renormalised products of each matrix of a list with each word, the matrix slowest.
+Ops = namedtuple("Ops", "log sqrt hypot atan2 maximum minimum each vector zeros tile outer "
+                        "products")
+LIBM = Ops(math.log, math.sqrt, math.hypot, math.atan2, max, min, _each, list,
+           lambda k: [0.0] * k, operator.mul,
+           lambda f, a, b: [v for x in a for v in map(f, itertools.repeat(x), b)], prepend_each)
+
+
+@functools.cache
+def numpy_ops() -> Ops:
+    """:data:`LIBM`'s numpy twin, built on first use: imports execute no numpy."""
+    def products(syms, words):
+        lead = syms[0] if len(syms) == 1 else tuple(np.array(c)[:, None] for c in zip(*syms))
+        e, scale = renormalise4(mul4(lead, words))
+        return tuple(x.ravel() for x in e), scale.ravel()
+
+    return Ops(np.log, np.sqrt, np.hypot, np.arctan2, np.maximum, np.minimum,
+               lambda f, *words: f(*words), np.array, np.zeros,
+               lambda x, k: x if k == 1 else np.tile(x, k),
+               lambda f, a, b: f(np.asarray(a)[:, None], b).ravel(), products)
 
 
 def log_alpha1(ops: Ops):

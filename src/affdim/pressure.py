@@ -29,14 +29,14 @@ beside blocks of fixed size.  Finite-n roots certify the true root from
 above: submultiplicativity of the singular value function makes the
 approximants decrease along doubling depths.
 
-Each per-word formula is defined once, for floats and arrays alike: log
-alpha1 (:func:`linalg2.log_alpha1`), and the log phi^s term with its slope
-(:func:`_phi_and_slope`).  A depth of at most ``WORD_BLOCK`` words maps them
-over lists of Python floats with libm, ``math.exp`` and ``math.fsum``, and
-executes no numpy; a deeper one calls them on numpy blocks.  The word count
-alone decides (:func:`word_ops`).  The products are the same bits in both,
-while numpy's AVX512 log may differ from libm's by 1 ulp, so a list root lies
-within 2 ``ROOT_TOL`` of the array one.
+The walk (:func:`_word_products`), log alpha1 (:func:`linalg2.log_alpha1`)
+and the log phi^s term with its slope (:func:`_phi_and_slope`) are defined
+once over ``linalg2.Ops``.  A depth of at most ``WORD_BLOCK`` words
+(:func:`word_ops`) maps them over lists of Python floats with libm,
+``math.exp`` and ``math.fsum``, and executes no numpy; a deeper one calls
+them on numpy blocks.  The products are the same bits in both, while numpy's
+AVX512 log may differ from libm's by 1 ulp, so a list root lies within 2
+``ROOT_TOL`` of the array one.
 
 On each of [0, 1], [1, 2] and [2, 4] the finite-depth pressure is a
 log-sum-exp of functions affine in s, hence convex and decreasing, so each
@@ -64,8 +64,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from ._numpy import np
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
 from .ifs import IfsSystem
-from .linalg2 import (LIBM, Ops, det4, log_alpha1, mul4, numpy_ops, prepend_each,
-                      renormalise4, word_blocks)
+from .linalg2 import LIBM, Ops, det4, log_alpha1, numpy_ops, word_blocks
 from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
@@ -108,16 +107,15 @@ class RootEstimate:
         return (n2 * r2 - n1 * r1) / (n2 - n1)
 
 
-def _word_sums(values, n: int, outer):
+def _word_sums(values, n: int, ops: Ops):
     """The sum of the symbols' ``values`` along every length-n word, the new
-    symbol's added on the left at each level by ``outer`` (the sums of every
-    pair, first argument slowest): one float when every symbol carries the
-    same value, otherwise one entry per word in lexicographic order with the
-    leading symbol as the slowest digit."""
+    symbol's added on the left at each level by ``ops.outer``: one float when
+    every symbol carries the same value, otherwise one entry per word in
+    lexicographic order with the leading symbol as the slowest digit."""
     shared = all(v == values[0] for v in values)
     symbols = total = values[:1] if shared else values
     for _ in range(n - 1):
-        total = outer(symbols, total)
+        total = ops.outer(operator.add, symbols, total)
     return float(total[0]) if shared else total
 
 
@@ -147,52 +145,39 @@ def word_log_singulars(sys: IfsSystem, n: int, cap: int = DEFAULT_CAP):
     if total > cap:
         raise EnumerationTooLarge(f"{n_sym}^{n} = {total} exceeds cap {cap}")
     ops = word_ops(total)
-    if ops is LIBM:
-        cols, log_a1 = tuple(map(list, zip(*sys.symbol_entries))), [0.0] * total
-        outer = lambda a, b: [x + y for x in a for y in b]
-    else:
-        cols, log_a1 = sys.symbol_columns, np.empty(total)
-        outer = lambda a, b: np.add.outer(a, b).ravel()
     log, each = ops.log, ops.each
-    values = (each(lambda *a: log(abs(det4(a))), *cols),
-              each(log, [float(len(g)) for g in sys.symbols]))
-    log_det, log_w = (_word_sums(v, n, outer) for v in values)
-    kernel = log_alpha1(ops)
-    for start, (e, logscale) in _word_products(sys, n, ops is LIBM):
-        log_a1[start:start + len(logscale)] = each(operator.add, logscale, each(kernel, *e))
+    values = (each(lambda *a: log(abs(det4(a))), *map(ops.vector, zip(*sys.symbol_entries))),
+              each(log, ops.vector([float(len(g)) for g in sys.symbols])))
+    log_det, log_w = (_word_sums(v, n, ops) for v in values)
+    log_a1, kernel = ops.zeros(total), log_alpha1(ops)
+    for start, (e, logscale) in _word_products(sys, n, ops):
+        log_a1[start:start + len(logscale)] = each(operator.iadd, each(kernel, *e), logscale)
     return log_a1, log_det, log_w
 
 
-def _word_products(sys: IfsSystem, n: int, lists: bool):
+def _word_products(sys: IfsSystem, n: int, ops: Ops):
     """The (start, (products, log scales)) blocks of the length-n words: the
-    depth-first walk of the module docstring, on lists or arrays.  A word
-    held as Python floats takes four times its bytes as float64, so the list
-    walk holds a quarter of ``WALK_BLOCK`` words per level."""
-    syms = sys.symbol_entries
-    if lists:
-        def prepend(words, i):
-            e, logscale = words
-            lead = syms if i is None else syms[i:i + 1]
-            e, m = prepend_each(lead, e)
-            return e, [x + math.log(y) for x, y in zip(logscale * len(lead), m)]
-
-        level_one = tuple(map(list, zip(*syms))), [0.0] * len(syms)
-        return word_blocks(level_one, prepend, len(syms), n, WALK_BLOCK // 4)
-    cols = sys.symbol_columns
-    lead = tuple(c[:, None] for c in cols)  # A_i down the rows: i is the slowest digit
+    depth-first walk of the module docstring, on the container of ``ops``.
+    A word held as Python floats takes four times its bytes as float64, so
+    the list walk holds a quarter of ``WALK_BLOCK`` words per level."""
+    syms, log, each = sys.symbol_entries, ops.log, ops.each
 
     def prepend(words, i):
         e, logscale = words
-        e, m = renormalise4(mul4(lead if i is None else tuple(c[i] for c in cols), e))
-        return tuple(x.ravel() for x in e), (logscale + np.log(m)).ravel()
+        lead = syms if i is None else syms[i:i + 1]
+        e, m = ops.products(lead, e)  # iadd: in place on fresh arrays, a plain + on floats
+        return e, each(operator.iadd, each(log, m), ops.tile(logscale, len(lead)))
 
-    return word_blocks((cols, np.zeros(len(syms))), prepend, len(syms), n, WALK_BLOCK)
+    level_one = tuple(map(ops.vector, zip(*syms))), ops.zeros(len(syms))
+    block = WALK_BLOCK // 4 if ops is LIBM else WALK_BLOCK
+    return word_blocks(level_one, prepend, len(syms), n, block)
 
 
 def _phi_and_slope(s: float):
     """log phi^s of a word from its log alpha1 ``a`` and log |det| ``d``, and
     the slope in s of the affine piece that starts at s: one definition for
-    floats and arrays alike."""
+    floats and arrays alike.  The slope is None below s = 1, where it is the
+    stored log alpha1 itself."""
     if s <= 1:
         phi = lambda a, d: s * a
     elif s <= 2:  # log alpha1 + (s - 1) log alpha2
@@ -200,17 +185,15 @@ def _phi_and_slope(s: float):
     else:
         phi = lambda a, d, c=s / 2.0: (d - a + a) * c
     if s < 1.0:
-        return phi, lambda a, d: a
+        return phi, None
     if s < 2.0:  # log alpha2
         return phi, lambda a, d: d - a
     return phi, lambda a, d: (d - a + a) * 0.5  # the mean of log alpha1 and log alpha2
 
 
-def _per_word(x, log_a1):
-    """``x`` with one entry per word of ``log_a1``, a shared float repeated."""
-    if word_ops(len(log_a1)) is LIBM:
-        return x if isinstance(x, list) else [x] * len(log_a1)
-    return np.broadcast_to(x, log_a1.shape)
+def _at(x, words: slice):
+    """A per-word ``x`` in a slice of words; a float shared by every word as is."""
+    return x if isinstance(x, float) else x[words]
 
 
 def phi_log_values(log_a1, log_det, s: float) -> Callable[[slice], object]:
@@ -219,9 +202,8 @@ def phi_log_values(log_a1, log_det, s: float) -> Callable[[slice], object]:
     |det| (per word or one shared float), by :func:`_phi_and_slope`."""
     if s < 0:
         raise NegativeExponent(f"s = {s} < 0")
-    phi, each = _phi_and_slope(s)[0], word_ops(len(log_a1)).each
-    log_det = _per_word(log_det, log_a1)
-    return lambda words: each(phi, log_a1[words], log_det[words])
+    phi, each = _phi_and_slope(s)[0], (LIBM if isinstance(log_a1, list) else numpy_ops()).each
+    return lambda words: each(phi, log_a1[words], _at(log_det, words))
 
 
 def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> float:
@@ -257,23 +239,33 @@ def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     """
     log_a1, log_det, log_w = words
     phi, slope = phi_log_values(log_a1, log_det, s), _phi_and_slope(s)[1]
-    log_det, log_w = (_per_word(x, log_a1) for x in (log_det, log_w))
-    if word_ops(len(log_a1)) is LIBM:
-        terms = list(map(operator.add, phi(slice(None)), log_w))
+    lists = isinstance(log_a1, list)  # the container that word_log_singulars picked
+    each = (LIBM if lists else numpy_ops()).each
+
+    def log_terms(words):
+        return each(operator.iadd, phi(words), _at(log_w, words))
+
+    def slopes(words):
+        a1 = log_a1[words]
+        return a1 if slope is None else each(slope, a1, _at(log_det, words))
+
+    if lists:
+        terms = log_terms(slice(None))
         m = max(terms)
         weights = [math.exp(e - m) for e in terms]
         total = math.fsum(weights)
-        dot = math.fsum(map(operator.mul, weights, map(slope, log_a1, log_det)))
+        dot = math.fsum(map(operator.mul, weights, slopes(slice(None))))
     else:
-        def log_terms(words):
-            return phi(words) + log_w[words]
-
         m = float(np.max([np.max(log_terms(slice(a, a + WORD_BLOCK)))
                           for a in range(0, log_a1.size, WORD_BLOCK)]))
 
         def sums(words):  # the softmax weights, and the weights times the slopes
-            e = np.exp(log_terms(words) - m)
-            return float(np.sum(e)), float(np.sum(e * slope(log_a1[words], log_det[words])))
+            e = log_terms(words)
+            e -= m
+            np.exp(e, out=e)
+            total = float(np.sum(e))
+            e *= slopes(words)
+            return total, float(np.sum(e))
 
         total, dot = _pairwise_sums(sums, 0, log_a1.size, WORD_BLOCK)
     return (m + math.log(total)) / n, dot / (total * n)

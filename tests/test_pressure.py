@@ -605,8 +605,8 @@ class TestFloatForm:
             return e, np.concatenate([np.asarray(b[1][1]) for b in blocks])
 
         for n in (1, 2, 5, 9):
-            e_f, scale_f = whole(pressure_mod._word_products(sysm, n, True))
-            e_a, scale_a = whole(pressure_mod._word_products(sysm, n, False))
+            e_f, scale_f = whole(pressure_mod._word_products(sysm, n, LIBM))
+            e_a, scale_a = whole(pressure_mod._word_products(sysm, n, numpy_ops()))
             for x, y in zip(e_f, e_a):
                 assert np.array_equal(x, y)
             np.testing.assert_allclose(scale_f, scale_a, rtol=0, atol=n * 1e-15)
