@@ -17,16 +17,15 @@ _EXPORTS = {
     "ergodic": ("ExponentTriple", "entropy", "lyapunov_dimension", "lyapunov_enclosure",
                 "lyapunov_monte_carlo", "lyapunov_triangular"),
     "hochman": ("DeltaReport", "LineIfs", "delta_n", "hochman_rate"),
-    "ifs": ("AffineMap", "BernoulliWeights", "IfsSystem", "Polygon", "SscReport", "check_ssc",
-            "compose_word", "natural_projection", "parse_system", "sample_measure",
-            "serialize_system"),
+    "ifs": ("AffineMap", "BernoulliWeights", "IfsSystem", "Polygon", "SscReport",
+            "check_ssc", "check_triangular_split", "compose_word", "natural_projection",
+            "parse_system", "sample_measure", "serialize_system"),
     "linalg2": ("Mat2", "ProjArc", "ProjPoint", "SingularPair", "arc_image", "phi_s",
                 "proj_act", "proj_metric", "singular_values"),
     "pressure": ("RootEstimate", "pressure_n", "pressure_root", "triangular_pressure",
                  "triangular_roots"),
     "splitting": ("Multicone", "SplitReport", "certify", "check_multicone_invariance",
-                  "check_triangular_split", "min_angle_separation", "stable_direction",
-                  "strong_stable_direction"),
+                  "min_angle_separation", "stable_direction", "strong_stable_direction"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "errors", "library", "render"}

@@ -4,17 +4,20 @@ flags and their bounds in ``COMMANDS``."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys as _sys
 from fractions import Fraction
 
 from ._numpy import _lazy
+from ._record import asdict
 from .errors import AffdimError
-from .hochman import LineIfs, hochman_rate
+from .hochman import LineIfs, direction_line_ifs, hochman_rate, x_axis_line_ifs
 
-# each layer executes on a command's first use of it: --help and ssc never
-# execute dimension or render (perfbench/spans.py reads all seven layers from
-# sys.modules after importing this module, and wraps hochman_rate here)
+# each layer executes on a command's first use of it: hochman and pressure
+# never execute dimension, ergodic or splitting, lyapunov never dimension or
+# splitting, and analyze every layer but render (the _numpy docstring lists
+# each command's layers; perfbench/spans.py reads all seven layers from
+# sys.modules after importing this module, and wraps hochman_rate and the
+# line-system builders here)
 dimension, ergodic, ifs, library, pressure, render, splitting = (
     _lazy(f"affdim.{name}")
     for name in ("dimension", "ergodic", "ifs", "library", "pressure", "render", "splitting"))
@@ -126,7 +129,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         import json
 
-        doc = [dict(dataclasses.asdict(r), hypotheses=dict(r.hypotheses), details=dict(r.details))
+        doc = [dict(asdict(r), hypotheses=dict(r.hypotheses), details=dict(r.details))
                for r in reports]
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
@@ -233,9 +236,9 @@ def cmd_hochman(args) -> int:
         parsed = _load(args)
         weights = _weights_for(parsed)
         if args.derive == "x":
-            line_ifs, _ = dimension.x_axis_line_ifs(parsed.system, weights)
+            line_ifs, _ = x_axis_line_ifs(parsed.system, weights)
         else:
-            line_ifs, _ = dimension.direction_line_ifs(parsed.system, weights)
+            line_ifs, _ = direction_line_ifs(parsed.system, weights)
     lo, hi = _parse_depth_range(args.n)
     rep = hochman_rate(line_ifs, hi)
     rows = [row for row in rep.rows if row[0] >= lo]

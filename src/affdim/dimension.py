@@ -39,22 +39,21 @@ hypotheses are listed under assumptions, exact ones as Verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
+from ._record import field, record
 from .errors import BadExponents, TooFewPoints
 from .ergodic import ExponentTriple, entropy, lyapunov_dimension, lyapunov_exponents
-from .hochman import DeltaReport, LineIfs, hochman_rate
-from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, check_ssc, compose_word,
-                  format_number)
+from .hochman import DeltaReport, LineIfs, direction_line_ifs, hochman_rate, x_axis_line_ifs
+from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, abs_diagonals, check_ssc,
+                  compose_word, format_number)
 from .linalg2 import Mat2
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
-from .splitting import (SplitReport, abs_diagonals, certify, nest, require_lower_triangular,
-                        sample_nu_ss_angles)
+from .splitting import SplitReport, certify, nest, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -77,7 +76,7 @@ SANDWICH_TOL = 1e-9
 OVERLAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DimensionReport:
     """Certified dimension data plus every hypothesis check that fed it."""
 
@@ -147,24 +146,8 @@ def one_bunched(m: Mat2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Line-system extraction and the backward non-overlapping check
+# The backward non-overlapping check
 # ---------------------------------------------------------------------------
-
-
-def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
-    """Projected first-coordinate system {a_i x + t_i} of a triangular family,
-    duplicates merged with summed weights.  NotTriangular otherwise."""
-    require_lower_triangular(sys)
-    maps = tuple((f.linear.a11, f.translation[0]) for f in sys.maps)
-    return LineIfs(maps).merged_duplicates(weights.p)
-
-
-def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
-    """Strong-stable slope system {(a_i/c_i) x - b_i/c_i} of a triangular
-    family, duplicates merged with summed weights.  NotTriangular otherwise."""
-    require_lower_triangular(sys)
-    maps = tuple((f.linear.a11 / f.linear.a22, -f.linear.a21 / f.linear.a22) for f in sys.maps)
-    return LineIfs(maps).merged_duplicates(weights.p)
 
 
 def _interval_images_disjoint(ifs: LineIfs) -> bool:
@@ -246,7 +229,7 @@ def hueter_lalley_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EstimateSeries:
     """Log-log regression data of an empirical dimension estimator."""
 
@@ -362,7 +345,7 @@ def build_subsystem(
     return IfsSystem(tuple(compose_word(sys, w) for w in kept), label=label)
 
 
-@dataclass
+@record
 class _Ctx:
     """What one analyze command fixes and computes once: its options, the
     weight-independent certificates, hypothesis statuses, pressure data and
@@ -494,7 +477,7 @@ def analyze_targets(
     )
 
 
-@dataclass
+@record
 class _ReportState:
     """One measure report in the making: every rule reads it and appends its
     detail lines, hypotheses and assumptions to it, and the rule that fires

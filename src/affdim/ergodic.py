@@ -79,16 +79,18 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ._numpy import np
+from ._record import record
 from . import ifs, pressure
 from .errors import BadExponents
-from .ifs import BernoulliWeights, IfsSystem, rng
+from .ifs import BernoulliWeights, IfsSystem, abs_diagonals, rng
 from .linalg2 import LIBM, det4, log_alpha1, mul4, numpy_ops, renormalise4, word_blocks
 from .pressure import WALK_BLOCK, ordered_sum, word_ops
-from .splitting import SplitReport, abs_diagonals
+
+if TYPE_CHECKING:  # certify's report is only passed through: splitting stays unexecuted
+    from .splitting import SplitReport
 
 RENORM_EVERY = 32
 ENCLOSURE_TOL = 1e-10  # chi_s bracket width at which the enclosure stops
@@ -96,7 +98,7 @@ ENCLOSURE_WORDS = 1 << 20  # words the enclosure may enumerate, all depths toget
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Enclosure:
     """chi_s lies in [lo, hi], by the depth-``depth`` words."""
 
@@ -105,7 +107,7 @@ class Enclosure:
     depth: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentTriple:
     """Entropy and Lyapunov exponents in nats, with standard errors (zero for
     exact and enclosed exponents) and, for enclosed ones, the enclosure."""

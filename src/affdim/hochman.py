@@ -16,21 +16,28 @@ per-word ratio is stored and Delta_n reads each class as it is.  Only the
 final minimum gap becomes a Fraction, gap/q^n.  One level-by-level
 enumeration yields every depth, so ``hochman_rate`` builds Delta_1..Delta_n
 in a single pass instead of re-enumerating each depth from level one.
+
+``x_axis_line_ifs`` and ``direction_line_ifs`` derive the line systems of a
+planar triangular system.  They import ``ifs`` when called, not with this
+module, which ``import affdim.cli`` executes for every command.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+from ._record import record
 from .errors import EnumerationTooLarge
+
+if TYPE_CHECKING:
+    from .ifs import BernoulliWeights, IfsSystem
 
 DEFAULT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LineIfs:
     """Self-similar maps g_i(x) = beta_i * x + gamma_i on the real line,
     every beta and gamma a ``Fraction``."""
@@ -87,7 +94,7 @@ class LineIfs:
             lo, hi = new_lo, new_hi
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeltaReport:
     """Delta_n table with the finite-depth trend verdict."""
 
@@ -193,3 +200,21 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
             break
     verdict = "ExactOverlap" if overlap else "TrendBounded" if rates_ok else "Inconclusive"
     return DeltaReport(rows=tuple(rows), verdict=verdict)
+
+
+def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
+    """Projected first-coordinate system {a_i x + t_i} of a triangular family,
+    duplicates merged with summed weights.  NotTriangular otherwise."""
+    from .ifs import require_lower_triangular
+    require_lower_triangular(sys)
+    maps = tuple((f.linear.a11, f.translation[0]) for f in sys.maps)
+    return LineIfs(maps).merged_duplicates(weights.p)
+
+
+def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
+    """Strong-stable slope system {(a_i/c_i) x - b_i/c_i} of a triangular
+    family, duplicates merged with summed weights.  NotTriangular otherwise."""
+    from .ifs import require_lower_triangular
+    require_lower_triangular(sys)
+    maps = tuple((f.linear.a11 / f.linear.a22, -f.linear.a21 / f.linear.a22) for f in sys.maps)
+    return LineIfs(maps).merged_duplicates(weights.p)

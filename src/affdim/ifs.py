@@ -6,19 +6,22 @@ it is given, and ``Fraction(float)`` is exact, so a float entry is read as
 the binary rational it already is.  Every decision on a system (contraction,
 strong separation) is therefore exact, and touching configurations are
 classified as separation failures rather than round-off noise.  The float
-kernels read ``IfsSystem.columns``.
+kernels read ``IfsSystem.columns``.  The triangular tests
+(``check_triangular_split``, ``abs_diagonals``) live here too: they read
+only the system's Fractions, so ``pressure`` and ``ergodic`` take them
+without executing ``splitting``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from ._numpy import np
-from .errors import BadSymbol, NonConvexPolygon, ParseError
+from ._record import record
+from .errors import BadSymbol, NonConvexPolygon, NotTriangular, ParseError
 from .linalg2 import Mat2, log_alpha1, mul4, numpy_ops, operator_norm, renormalise4
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
@@ -41,7 +44,7 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineMap:
     """f(x) = A x + t with A contracting and nonsingular."""
 
@@ -75,7 +78,7 @@ class AffineMap:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IfsSystem:
     """Ordered list of affine contractions; symbols are 1..N.  Every entry
     is converted to a ``Fraction``, exactly."""
@@ -156,7 +159,39 @@ class IfsSystem:
         return tmax / (1.0 - self.max_norm) if tmax > 0 else 1.0
 
 
-@dataclass(frozen=True)
+def require_lower_triangular(sys: IfsSystem) -> None:
+    """NotTriangular unless :meth:`IfsSystem.is_triangular`, naming the first
+    map with a nonzero upper-right entry."""
+    if not sys.is_triangular():
+        k = next(k for k, f in enumerate(sys.maps) if not f.linear.is_lower_triangular())
+        raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
+
+
+def check_triangular_split(sys: IfsSystem) -> str:
+    """Sufficient triangular criterion: ADominant, CDominant or None.
+
+    Exact on the system's Fractions; any tie |a_i| = |c_i| yields None.
+    """
+    require_lower_triangular(sys)
+    a_dom = all(abs(f.linear.a11) > abs(f.linear.a22) for f in sys.maps)
+    c_dom = all(abs(f.linear.a11) < abs(f.linear.a22) for f in sys.maps)
+    if a_dom:
+        return "ADominant"
+    if c_dom:
+        return "CDominant"
+    return "None"
+
+
+def abs_diagonals(sys: IfsSystem):
+    """|a_i| and |c_i| of a lower-triangular system as tuples of floats, the
+    dominant diagonal first: (|c_i|, |a_i|) when it is c-dominant.
+    NotTriangular otherwise."""
+    a = tuple(abs(float(f.linear.a11)) for f in sys.maps)
+    c = tuple(abs(float(f.linear.a22)) for f in sys.maps)
+    return (c, a) if check_triangular_split(sys) == "CDominant" else (a, c)
+
+
+@record(frozen=True)
 class BernoulliWeights:
     """Strictly positive probability vector over the symbols."""
 
@@ -314,7 +349,7 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Polygon:
     """Convex polygon; vertices are canonicalized to counterclockwise order."""
 
@@ -412,7 +447,7 @@ def polygon_distance2(p: Polygon, q: Polygon):
     return best
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SscReport:
     """Outcome of the strong separation check against an open polygon."""
 

@@ -30,18 +30,18 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from ._numpy import np
+from ._record import record
 from .errors import NegativeExponent, SingularMatrix
 
 # |det| below this is treated as singular: keeps inverse norms finite.
 DET_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mat2:
     """2x2 real matrix [[a11, a12], [a21, a22]]."""
 
@@ -49,6 +49,12 @@ class Mat2:
     a12: object
     a21: object
     a22: object
+
+    def __init__(self, a11, a12, a21, a22):  # built in inner loops: a fixed signature
+        object.__setattr__(self, "a11", a11)
+        object.__setattr__(self, "a12", a12)
+        object.__setattr__(self, "a21", a21)
+        object.__setattr__(self, "a22", a22)
 
     @staticmethod
     def identity() -> "Mat2":
@@ -288,14 +294,14 @@ def _canonical_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProjPoint:
     """A direction line through the origin, stored as its angle in [0, pi)."""
 
     theta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _canonical_angle(float(self.theta)))
+    def __init__(self, theta):
+        object.__setattr__(self, "theta", _canonical_angle(float(theta)))
 
     @staticmethod
     def from_vector(x: float, y: float) -> "ProjPoint":
@@ -329,7 +335,7 @@ def angle_gap(a: float, b: float) -> float:
     return _canonical_angle(b - a)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProjArc:
     """Closed angular arc on P^1, counterclockwise from start to end.
 
@@ -339,7 +345,9 @@ class ProjArc:
     start: ProjPoint
     end: ProjPoint
 
-    def __post_init__(self):
+    def __init__(self, start, end):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
         if not 0.0 < self.length < math.pi:
             raise ValueError(
                 f"arc length {self.length} outside (0, pi); endpoints must differ"

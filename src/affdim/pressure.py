@@ -58,14 +58,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from ._numpy import np
+from ._record import record
 from .errors import EnumerationTooLarge, NegativeExponent, NoDomination, NoSignChange
-from .ifs import IfsSystem
+from .ifs import IfsSystem, abs_diagonals, check_triangular_split
 from .linalg2 import LIBM, Ops, det4, log_alpha1, numpy_ops, word_blocks
-from .splitting import abs_diagonals, check_triangular_split
 
 DEFAULT_CAP = 20_000_000
 DEFAULT_SCHEDULE = (2, 4, 8, 12)
@@ -74,7 +73,7 @@ WALK_BLOCK = 1 << 13  # words held per level of the depth-first enumeration
 WORD_BLOCK = 1 << 15  # words per block of a root evaluation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RootEstimate:
     """Certified-from-above pressure root data along a depth schedule.
 

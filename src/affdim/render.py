@@ -11,10 +11,10 @@ orbit points in time order) in which the last write to a pixel wins.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._numpy import np
+from ._record import record
 from .errors import UnsupportedDepth
 from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
 from .linalg2 import mul4
@@ -40,7 +40,7 @@ BACKGROUND = (255, 255, 255)
 SIZES = (16, 8192)  # least and greatest raster width and height
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RenderSpec:
     """Raster geometry and drawing mode."""
 

@@ -40,13 +40,14 @@ bounds hold for the limit of every extension of the word:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from ._numpy import np
+from ._record import record
 from .errors import NotCertified, NotTriangular, PrefixTooShort
-from .ifs import BernoulliWeights, IfsSystem, draw_blockwise, rng, validate_word
+from .ifs import (BernoulliWeights, IfsSystem, check_triangular_split, draw_blockwise, rng,
+                  validate_word)
 from .linalg2 import (
     Mat2,
     ProjArc,
@@ -67,7 +68,7 @@ _PINNED = {"ss": "ADominant", "s": "CDominant"}
 _SERIES = {"ss": "CDominant", "s": "ADominant"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Multicone:
     """Finite disjoint union of closed angular arcs with total measure < pi."""
 
@@ -95,7 +96,7 @@ class Multicone:
         return self.arcs[0].midpoint
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SplitReport:
     """Outcome of dominated-splitting certification."""
 
@@ -118,37 +119,6 @@ class SplitReport:
         """Closure of the complement of the forward multicone: the cone of
         the backward non-overlapping check and of e_ss."""
         return None if self.multicone is None else self.multicone.complement()
-
-
-def require_lower_triangular(sys: IfsSystem) -> None:
-    """NotTriangular, naming the first map with a nonzero upper-right entry."""
-    for k, f in enumerate(sys.maps):
-        if not f.linear.is_lower_triangular():
-            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
-
-
-def check_triangular_split(sys: IfsSystem) -> str:
-    """Sufficient triangular criterion: ADominant, CDominant or None.
-
-    Exact on the system's Fractions; any tie |a_i| = |c_i| yields None.
-    """
-    require_lower_triangular(sys)
-    a_dom = all(abs(f.linear.a11) > abs(f.linear.a22) for f in sys.maps)
-    c_dom = all(abs(f.linear.a11) < abs(f.linear.a22) for f in sys.maps)
-    if a_dom:
-        return "ADominant"
-    if c_dom:
-        return "CDominant"
-    return "None"
-
-
-def abs_diagonals(sys: IfsSystem):
-    """|a_i| and |c_i| of a lower-triangular system as tuples of floats, the
-    dominant diagonal first: (|c_i|, |a_i|) when it is c-dominant.
-    NotTriangular otherwise."""
-    a = tuple(abs(float(f.linear.a11)) for f in sys.maps)
-    c = tuple(abs(float(f.linear.a22)) for f in sys.maps)
-    return (c, a) if check_triangular_split(sys) == "CDominant" else (a, c)
 
 
 def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
@@ -294,10 +264,7 @@ def certify(sys: IfsSystem) -> SplitReport:
     triangular > positivity > proposed multicone."""
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
-    try:
-        case = check_triangular_split(sys)
-    except NotTriangular:
-        case = None
+    case = check_triangular_split(sys) if sys.is_triangular() else None
     if case in ("ADominant", "CDominant"):
         cone = triangular_forward_cone(sys, case)
         checked = check_multicone_invariance(sys, cone)

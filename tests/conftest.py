@@ -9,8 +9,12 @@ depth-extrapolation tolerances only hold away from the kinks.
 """
 
 import contextlib
+import json
 import math
 import os
+import subprocess
+import sys
+from collections import namedtuple
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -28,6 +32,40 @@ BREAKPOINT_GAP = 0.07
 # tests that run ``python -m affdim.cli`` in a child need it in the environment
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+# Runs main(argv) and prints, on its last stderr line, what the run executed.
+# type() reads a module's class without an attribute access, so the report
+# loads nothing: a module LazyLoader has not executed is still a lazy module.
+# Every layer takes numpy from affdim._numpy, so numpy counts as executed when
+# that binding is the plain module in sys.modules.  The report is taken
+# before json is imported.
+_PROBE = """import sys, types
+from affdim.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+ran = lambda name: type(sys.modules.get(name)) is types.ModuleType
+report = [code, ran("numpy") and sys.modules["affdim._numpy"].np is sys.modules["numpy"],
+          sorted(n[7:] for n in list(sys.modules) if n.startswith("affdim.") and ran(n)),
+          sorted(sys.stdlib_module_names.intersection(sys.modules))]
+import json
+print(json.dumps(report), file=sys.stderr)
+"""
+
+Probe = namedtuple("Probe", "code numpy layers stdlib stderr")
+
+
+def probe_cli(argv):
+    """Run ``main(argv)`` in a child: its exit code, whether numpy executed,
+    the affdim modules it executed (``"ifs"``, ``"cli"``, ...) and the
+    top-level stdlib modules it imported, with the child's stderr."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, numpy, layers, stdlib = json.loads(proc.stderr.splitlines()[-1])
+    return Probe(code, numpy, frozenset(layers), frozenset(stdlib), proc.stderr)
 
 
 def avx2_env():

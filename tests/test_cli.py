@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TIE_CONFIG, avx2_env, count_calls, six_distinct_maps_system
+from conftest import TIE_CONFIG, avx2_env, count_calls, probe_cli, six_distinct_maps_system
 from test_dimension import RULE_CASES, UNIT_SQUARE
 
 from affdim.cli import main
@@ -35,6 +35,12 @@ DEEP_CYLINDER_P6_SHA256 = [
 # eight word blocks instead of one, so both ends of chi-s-enclosure moved out)
 HL_DEMO_SEED_7_SHA256 = "0fa3b9b0c75b6143efbc243619f471b8873c11f74e7328a3cbed148e40ab9b9b"
 TIE_SEED_7_SHA256 = "57801537d0ed27de5c8bdb2c9d8c76d8120aec21d5484bf55f253c98fb93b04a"
+# sha256 of the whole `analyze --json` document, both targets, seed 0
+JSON_SHA256 = {
+    "sec44": "2f27b091a68b1044bc50372ce3a05b3a8ad062ac873f6eff9c2b100e34054df3",
+    "phi-c": "08a9b3853593c7300a096906547fb7d165c57bdcfc6b08163e1831271876b161",
+    "hl-demo": "dc772f4b3655f007c4ea78b4018f305572bb192cc2cf416013e50a775d9abb9a",
+}
 # stdout of the commands that run the batched 2x2 product kernel, recorded
 # before the kernel replaced the per-module product loops (the directions
 # re-pinned when their angles moved from numpy's arctan2 and arctan to libm's:
@@ -188,6 +194,19 @@ class TestAnalyzeCommand:
         assert doc[0]["fired_theorem"] == "T4.5-app"
         assert doc[0]["certified_value"] == pytest.approx(SEC44_DIM, abs=1e-9)
         assert doc[0]["hypotheses"]["condition4"] == "Verified"
+
+    @pytest.mark.parametrize("source, code", [
+        (["--example", "sec44"], 0),
+        (["--example", "phi-c", "--param", "c=2/5"], 2),
+        (["--example", "hl-demo"], 2),
+    ], ids=["sec44", "phi-c", "hl-demo"])
+    def test_json_document_bytes_pinned(self, source, code, capsys, tmp_path):
+        # recorded while the records were dataclasses and the document came
+        # from dataclasses.asdict: no key, key order or float may move
+        path = tmp_path / "rep.json"
+        assert run_cli(["analyze", *source, "--json", str(path)], capsys)[0] == code
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == JSON_SHA256[source[1]]
 
     def test_hochman_depth_clip_is_named(self, capsys):
         argv = ["analyze", "--example", "sec44", "--target", "measure", "--hochman-depth"]
@@ -908,23 +927,6 @@ class TestSubprocessEntry:
         assert "holds: true" in proc.stdout
 
 
-# runs main(argv) and reports on its last stderr line whether numpy executed;
-# under LazyLoader 'numpy' sits in sys.modules from the start, its compiled
-# core only once numpy runs
-NUMPY_PROBE = """import sys, types
-from affdim.cli import main
-try:
-    code = main(sys.argv[1:])
-except SystemExit as stop:
-    code = stop.code
-import affdim.linalg2
-np = sys.modules["numpy"]
-print("numpy._core" in sys.modules, affdim.linalg2.np is np and type(np) is types.ModuleType,
-      file=sys.stderr)
-sys.exit(code)
-"""
-
-
 # the config texts of the T4.2-ADominant and T4.2-CDominant rule cases, which
 # take the two branches of splitting.triangular_forward_cone
 RULE_CASE_CONFIGS = {
@@ -963,10 +965,10 @@ class TestNumpyOnFirstUse:
             k = argv.index("--config") + 1
             (tmp_path / "case.cfg").write_text(argv[k])
             argv = argv[:k] + [str(tmp_path / "case.cfg")] + argv[k + 1:]
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == code, proc.stderr
-        assert proc.stderr.splitlines()[-1] == "False False"
+        probe = probe_cli(argv)
+        assert probe.code == code, probe.stderr
+        assert not probe.numpy
+        assert "dataclasses" not in probe.stdlib
 
     def test_array_command_runs_plain_numpy(self):
         # phi-c's depth 12 has 3^12 words and hl-demo's depth 16 2^16, past the
@@ -974,23 +976,34 @@ class TestNumpyOnFirstUse:
         for argv, code in ((["pressure", "--example", "phi-c", "--param", "c=2/5"], 0),
                            (["pressure", "--example", "hl-demo", "--n", "16"], 0),
                            (["lyapunov", "--example", "hl-demo"], 0)):
-            proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE] + argv,
-                                  capture_output=True, text=True, timeout=120)
-            assert proc.returncode == code, proc.stderr
-            assert proc.stderr == "True True\n"
+            probe = probe_cli(argv)
+            assert probe.code == code, probe.stderr
+            assert probe.numpy
+            assert "dataclasses" not in probe.stdlib
 
-    @pytest.mark.parametrize("argv", [["--help"], ["ssc", "--example", "sec44"]],
-                             ids=["help", "ssc"])
-    def test_layers_execute_on_first_use(self, argv):
-        # type() reads the class without an attribute access, so the probe
-        # loads nothing: a layer not yet executed is still a lazy module
-        probe = ("import sys, types\nfrom affdim.cli import main\n"
-                 "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-                 "print(*(type(sys.modules['affdim.' + m]) is types.ModuleType\n"
-                 "        for m in ('dimension', 'render', 'hochman')), file=sys.stderr)\n")
-        proc = subprocess.run([sys.executable, "-c", probe] + argv,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stderr.splitlines()[-1] == "False False True", proc.stderr
+    @pytest.mark.parametrize("argv, executed, lazy", [
+        (["--help"], {"cli", "hochman"}, {"dimension", "ifs", "render"}),
+        (["ssc", "--example", "sec44"], {"ifs"}, {"dimension", "pressure", "render"}),
+        # the line system comes from hochman, its triangular test from ifs
+        (["hochman", "--example", "phi-c", "--param", "c=2/5", "--n", "10"],
+         {"cli", "errors", "hochman", "library", "ifs", "linalg2"},
+         {"dimension", "ergodic", "pressure", "render", "splitting"}),
+        (["pressure", "--example", "phi-c", "--param", "c=2/5"], {"pressure"},
+         {"dimension", "ergodic", "render", "splitting"}),
+        (["lyapunov", "--example", "hl-demo"], {"ergodic"}, {"dimension", "splitting"}),
+    ], ids=["help", "ssc", "hochman", "pressure", "lyapunov-hl-demo"])
+    def test_layers_execute_on_first_use(self, argv, executed, lazy):
+        probe = probe_cli(argv)
+        assert probe.code == 0, probe.stderr
+        assert executed <= probe.layers
+        assert not lazy & probe.layers
+
+    def test_records_need_no_code_generation(self):
+        # dataclass runs exec on its generated methods and dataclasses imports inspect
+        probe = probe_cli(["analyze", "--example", "hl-demo"])
+        assert probe.code == 2, probe.stderr
+        assert {"dimension", "splitting"} <= probe.layers
+        assert not {"dataclasses", "inspect"} & probe.stdlib
 
     def test_certify_never_executes_numpy(self):
         # the proposed cone grows from eigenlines: no random words, no arrays
@@ -1035,4 +1048,14 @@ class TestNumpyOnFirstUse:
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
                 if any(n == "numpy" or n.startswith("numpy.") for n in names):
                     offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_no_module_imports_dataclasses(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "affdim"
+        offenders = [
+            f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        ]
         assert offenders == []

@@ -8,9 +8,8 @@ import pytest
 
 from conftest import brute_force_delta, compose_line_word
 
-from affdim.dimension import direction_line_ifs
 from affdim.errors import EnumerationTooLarge
-from affdim.hochman import LineIfs, _levels, delta_n, hochman_rate
+from affdim.hochman import LineIfs, _levels, delta_n, direction_line_ifs, hochman_rate
 from affdim.ifs import BernoulliWeights
 from affdim.library import phi_c
 
@@ -225,3 +224,14 @@ class TestMergedDuplicates:
             assert lo <= b * lo + g <= hi and lo <= b * hi + g <= hi
         # the true hull of x -> beta x + {0, 1} is [beta, 1] / (1 - beta^2)
         assert (lo, hi) == pytest.approx((beta / (1 - beta * beta), 1 / (1 - beta * beta)))
+
+
+def test_moved_helpers_keep_their_old_import_paths():
+    import affdim
+    from affdim import dimension, hochman, ifs, splitting
+
+    assert dimension.direction_line_ifs is hochman.direction_line_ifs
+    assert dimension.x_axis_line_ifs is hochman.x_axis_line_ifs
+    assert splitting.check_triangular_split is ifs.check_triangular_split
+    assert affdim.check_triangular_split is ifs.check_triangular_split
+    assert all(getattr(affdim, name) is not None for name in affdim.__all__)
