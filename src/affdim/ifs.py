@@ -160,11 +160,10 @@ class IfsSystem:
 
 
 def require_lower_triangular(sys: IfsSystem) -> None:
-    """NotTriangular unless :meth:`IfsSystem.is_triangular`, naming the first
-    map with a nonzero upper-right entry."""
-    if not sys.is_triangular():
-        k = next(k for k, f in enumerate(sys.maps) if not f.linear.is_lower_triangular())
-        raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
+    """NotTriangular, naming the first map with a nonzero upper-right entry."""
+    for k, f in enumerate(sys.maps):
+        if not f.linear.is_lower_triangular():
+            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
 
 
 def check_triangular_split(sys: IfsSystem) -> str:

@@ -264,7 +264,10 @@ def certify(sys: IfsSystem) -> SplitReport:
     triangular > positivity > proposed multicone."""
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
-    case = check_triangular_split(sys) if sys.is_triangular() else None
+    try:
+        case = check_triangular_split(sys)
+    except NotTriangular:
+        case = None
     if case in ("ADominant", "CDominant"):
         cone = triangular_forward_cone(sys, case)
         checked = check_multicone_invariance(sys, cone)

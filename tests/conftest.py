@@ -59,13 +59,14 @@ Probe = namedtuple("Probe", "code numpy layers stdlib stderr")
 
 def probe_cli(argv):
     """Run ``main(argv)`` in a child: its exit code, whether numpy executed,
-    the affdim modules it executed (``"ifs"``, ``"cli"``, ...) and the
-    top-level stdlib modules it imported, with the child's stderr."""
+    the affdim modules it executed (``"ifs"``, ``"cli"``, ...), the top-level
+    stdlib modules it imported, and what else it wrote to stderr."""
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, numpy, layers, stdlib = json.loads(proc.stderr.splitlines()[-1])
-    return Probe(code, numpy, frozenset(layers), frozenset(stdlib), proc.stderr)
+    *rest, report = proc.stderr.splitlines(keepends=True)
+    code, numpy, layers, stdlib = json.loads(report)
+    return Probe(code, numpy, frozenset(layers), frozenset(stdlib), "".join(rest))
 
 
 def avx2_env():

@@ -968,7 +968,6 @@ class TestNumpyOnFirstUse:
         probe = probe_cli(argv)
         assert probe.code == code, probe.stderr
         assert not probe.numpy
-        assert "dataclasses" not in probe.stdlib
 
     def test_array_command_runs_plain_numpy(self):
         # phi-c's depth 12 has 3^12 words and hl-demo's depth 16 2^16, past the
@@ -977,33 +976,31 @@ class TestNumpyOnFirstUse:
                            (["pressure", "--example", "hl-demo", "--n", "16"], 0),
                            (["lyapunov", "--example", "hl-demo"], 0)):
             probe = probe_cli(argv)
-            assert probe.code == code, probe.stderr
+            assert (probe.code, probe.stderr) == (code, "")
             assert probe.numpy
-            assert "dataclasses" not in probe.stdlib
 
-    @pytest.mark.parametrize("argv, executed, lazy", [
-        (["--help"], {"cli", "hochman"}, {"dimension", "ifs", "render"}),
-        (["ssc", "--example", "sec44"], {"ifs"}, {"dimension", "pressure", "render"}),
+    # absent: neither an affdim layer the command executed nor a stdlib
+    # module it imported
+    @pytest.mark.parametrize("argv, code, executed, absent", [
+        (["--help"], 0, {"cli", "hochman"}, {"dimension", "ifs", "render"}),
+        (["ssc", "--example", "sec44"], 0, {"ifs"}, {"dimension", "pressure", "render"}),
         # the line system comes from hochman, its triangular test from ifs
-        (["hochman", "--example", "phi-c", "--param", "c=2/5", "--n", "10"],
+        (["hochman", "--example", "phi-c", "--param", "c=2/5", "--n", "10"], 0,
          {"cli", "errors", "hochman", "library", "ifs", "linalg2"},
          {"dimension", "ergodic", "pressure", "render", "splitting"}),
-        (["pressure", "--example", "phi-c", "--param", "c=2/5"], {"pressure"},
+        (["pressure", "--example", "phi-c", "--param", "c=2/5"], 0, {"pressure"},
          {"dimension", "ergodic", "render", "splitting"}),
-        (["lyapunov", "--example", "hl-demo"], {"ergodic"}, {"dimension", "splitting"}),
-    ], ids=["help", "ssc", "hochman", "pressure", "lyapunov-hl-demo"])
-    def test_layers_execute_on_first_use(self, argv, executed, lazy):
+        (["lyapunov", "--example", "hl-demo"], 0, {"ergodic"}, {"dimension", "splitting"}),
+        # records are built without dataclasses, which runs exec on its
+        # generated methods and imports inspect
+        (["analyze", "--example", "hl-demo"], 2, {"dimension", "splitting"},
+         {"dataclasses", "inspect"}),
+    ], ids=["help", "ssc", "hochman", "pressure", "lyapunov-hl-demo", "analyze-hl-demo"])
+    def test_layers_execute_on_first_use(self, argv, code, executed, absent):
         probe = probe_cli(argv)
-        assert probe.code == 0, probe.stderr
+        assert probe.code == code, probe.stderr
         assert executed <= probe.layers
-        assert not lazy & probe.layers
-
-    def test_records_need_no_code_generation(self):
-        # dataclass runs exec on its generated methods and dataclasses imports inspect
-        probe = probe_cli(["analyze", "--example", "hl-demo"])
-        assert probe.code == 2, probe.stderr
-        assert {"dimension", "splitting"} <= probe.layers
-        assert not {"dataclasses", "inspect"} & probe.stdlib
+        assert not absent & (probe.layers | probe.stdlib)
 
     def test_certify_never_executes_numpy(self):
         # the proposed cone grows from eigenlines: no random words, no arrays
