@@ -11,15 +11,15 @@ import importlib
 from . import _numpy  # noqa: F401  -- fails at once without numpy
 
 _EXPORTS = {
-    "dimension": ("DimensionReport", "EstimateSeries", "analyze", "analyze_targets",
-                  "box_dimension_estimate", "correlation_dimension_estimate",
-                  "hueter_lalley_check", "lower_bound_iteration", "ly_dimension_formula"),
+    "dimension": ("DimensionReport", "analyze", "analyze_targets",
+                  "correlation_dimension_estimate", "hueter_lalley_check",
+                  "lower_bound_iteration", "ly_dimension_formula"),
     "ergodic": ("ExponentTriple", "entropy", "lyapunov_dimension", "lyapunov_enclosure",
                 "lyapunov_monte_carlo", "lyapunov_triangular"),
     "hochman": ("DeltaReport", "LineIfs", "delta_n", "hochman_rate"),
-    "ifs": ("AffineMap", "BernoulliWeights", "IfsSystem", "Polygon", "SscReport",
-            "check_ssc", "check_triangular_split", "compose_word", "natural_projection",
-            "parse_system", "sample_measure", "serialize_system"),
+    "ifs": ("AffineMap", "BernoulliWeights", "EstimateSeries", "IfsSystem", "Polygon", "SscReport",
+            "box_dimension_estimate", "check_ssc", "check_triangular_split", "compose_word",
+            "natural_projection", "parse_system", "sample_measure", "serialize_system"),
     "linalg2": ("Mat2", "ProjArc", "ProjPoint", "SingularPair", "arc_image", "phi_s",
                 "proj_act", "proj_metric", "singular_values"),
     "pressure": ("RootEstimate", "pressure_n", "pressure_root", "triangular_pressure",

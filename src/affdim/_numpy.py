@@ -14,14 +14,15 @@ use; a missing numpy still fails ``import affdim`` at once.
 
 ``cli`` takes its layer modules from :func:`_lazy` as well, so a command
 executes only the layers it uses.  ``--help`` executes ``hochman`` (with
-``errors`` and ``_record``, as every command does).  ``ssc`` and ``hochman``
-add ``library``, ``ifs`` and ``linalg2``: the line system of a planar config
-is built in ``hochman``.  On top of those, ``pressure`` executes
-``pressure``, ``lyapunov`` ``ergodic`` and ``pressure``, ``directions``
-``splitting``, and ``render`` ``render``.  ``analyze`` and ``boxdim`` execute
-``dimension`` and, through it, every layer but ``render``.  The layers stay
-in ``sys.modules`` from the import of ``cli`` on, where the benchmark's tracer
-(``perfbench/spans.py``) reads every layer it wraps.
+``errors`` and ``_record``, as every command does).  ``ssc``, ``boxdim`` and
+``hochman`` add ``library``, ``ifs`` and ``linalg2``: the box-count estimator
+lives in ``ifs``, the line system of a planar config in ``hochman``.  On top
+of those, ``pressure`` executes ``pressure``, ``lyapunov`` ``ergodic`` and
+``pressure``, ``directions`` ``splitting``, and ``render`` ``render``.  Only
+``analyze`` executes ``dimension`` and, through it, every layer but
+``render``.  The layers stay in ``sys.modules`` from the import of ``cli``
+on, where the benchmark's tracer (``perfbench/spans.py``) reads every layer
+it wraps.
 """
 
 import importlib.util

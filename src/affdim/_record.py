@@ -1,23 +1,22 @@
-"""Records: the part of ``dataclasses`` that affdim's value classes use,
-built without generating code.
+"""Records: affdim's frozen value classes, built without generating code.
 
 Python 3.11's ``dataclass`` writes the source of about six methods per class
 and runs it through ``exec``, and ``dataclasses`` imports ``inspect``: a CLI
 child paid for both at start-up, for every class of every layer it executed.
-:func:`record` attaches closures over the class's field names instead, and
-supports what the classes use:
+:func:`record` attaches closures over the class's field names instead.  A
+record is what a frozen ``dataclass`` makes of the same class body, and
+nothing more:
 
-- fields are the class's own annotations, in order, with a class-level
-  default or ``field(default_factory=...)``;
+- fields are the class's own annotations, in order, with a plain class-level
+  default where one is given;
 - ``__init__`` takes fields by position or name, then calls ``__post_init__``;
   a class that defines its own ``__init__`` keeps it, as with ``dataclass``
   (the hottest records do: a fixed signature binds faster than ``*args``);
 - ``__eq__`` (same class only), ``__hash__`` and ``__repr__`` as
   ``dataclass`` writes them, over the field tuple;
-- ``frozen=True`` rejects assignment and deletion.  ``__post_init__`` writes
-  with ``object.__setattr__``, and ``functools.cached_property`` into the
-  instance ``__dict__``, as on a frozen dataclass.  A mutable record is
-  unhashable.
+- assignment and deletion are rejected.  ``__post_init__`` writes with
+  ``object.__setattr__``, and ``functools.cached_property`` into the
+  instance ``__dict__``, as on a frozen dataclass.
 """
 
 from operator import attrgetter
@@ -25,23 +24,10 @@ from operator import attrgetter
 _setattr = object.__setattr__
 
 
-class field:
-    """A field whose default is ``default_factory()``, new for each instance."""
-
-    def __init__(self, *, default_factory):
-        self.default_factory = default_factory
-
-
-def record(cls=None, *, frozen=False):
-    """Make ``cls`` a record; use as ``@record`` or ``@record(frozen=True)``."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+def record(cls):
+    """Make ``cls`` a frozen record."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    factories = {name: d.default_factory for name, d in defaults.items() if isinstance(d, field)}
-    for name in factories:
-        delattr(cls, name)
-        del defaults[name]
     post_init = cls.__dict__.get("__post_init__")
     n = len(names)
     indices = range(n)
@@ -54,9 +40,6 @@ def record(cls=None, *, frozen=False):
         if len(args) > n or not keywords[len(args)].issuperset(kwargs):
             raise TypeError(f"{cls.__name__}() got too many, unknown or repeated arguments")
         given = {**defaults, **kwargs}
-        for name in factories:
-            if name not in given:
-                given[name] = factories[name]()
         try:
             return args + tuple(map(given.__getitem__, names[len(args):]))
         except KeyError as name:
@@ -85,10 +68,8 @@ def record(cls=None, *, frozen=False):
     cls.__eq__, cls.__repr__ = __eq__, __repr__
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
-    cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = _frozen("assign to")
-        cls.__delattr__ = _frozen("delete")
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__, cls.__delattr__ = _frozen("assign to"), _frozen("delete")
     cls._record_fields = names
     return cls
 
@@ -97,16 +78,3 @@ def _frozen(verb):
     def refuse(self, name, *value):
         raise AttributeError(f"cannot {verb} field {name!r}")
     return refuse
-
-
-def asdict(obj):
-    """``dataclasses.asdict`` for records: records become dicts, and lists,
-    tuples and dicts are rebuilt with their items converted.  Other values
-    are shared, not deep-copied."""
-    if hasattr(type(obj), "_record_fields"):
-        return {name: asdict(getattr(obj, name)) for name in obj._record_fields}
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(map(asdict, obj))
-    if isinstance(obj, dict):
-        return type(obj)((asdict(k), asdict(v)) for k, v in obj.items())
-    return obj

@@ -8,16 +8,15 @@ import sys as _sys
 from fractions import Fraction
 
 from ._numpy import _lazy
-from ._record import asdict
 from .errors import AffdimError
 from .hochman import LineIfs, direction_line_ifs, hochman_rate, x_axis_line_ifs
 
-# each layer executes on a command's first use of it: hochman and pressure
-# never execute dimension, ergodic or splitting, lyapunov never dimension or
-# splitting, and analyze every layer but render (the _numpy docstring lists
-# each command's layers; perfbench/spans.py reads all seven layers from
-# sys.modules after importing this module, and wraps hochman_rate and the
-# line-system builders here)
+# each layer executes on a command's first use of it: hochman, pressure and
+# boxdim never execute dimension, ergodic or splitting, lyapunov never
+# dimension or splitting, and analyze every layer but render (the _numpy
+# docstring lists each command's layers; perfbench/spans.py reads all seven
+# layers from sys.modules after importing this module, and wraps hochman_rate
+# and the line-system builders here)
 dimension, ergodic, ifs, library, pressure, render, splitting = (
     _lazy(f"affdim.{name}")
     for name in ("dimension", "ergodic", "ifs", "library", "pressure", "render", "splitting"))
@@ -129,8 +128,9 @@ def cmd_analyze(args) -> int:
     if args.json:
         import json
 
-        doc = [dict(asdict(r), hypotheses=dict(r.hypotheses), details=dict(r.details))
-               for r in reports]
+        # json writes the tuples of the other fields as lists
+        doc = [dict({f: getattr(r, f) for f in r._record_fields}, hypotheses=dict(r.hypotheses),
+                    details=dict(r.details)) for r in reports]
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -255,7 +255,7 @@ def cmd_boxdim(args) -> int:
         rng_seed=args.seed, seed_point=seed_point,
     )
     try:
-        series = dimension.box_dimension_estimate(pts, args.k_min, args.k_max)
+        series = ifs.box_dimension_estimate(pts, args.k_min, args.k_max)
     except ValueError as e:  # the flags are checked: only k_max can be too fine
         raise AffdimError(f"bad --k-max {args.k_max}; {e}") from None
     rows = list(zip(range(args.k_min, args.k_max + 1), series.scales, series.counts))

@@ -44,12 +44,13 @@ from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
-from ._record import field, record
+from ._record import record
 from .errors import BadExponents, TooFewPoints
 from .ergodic import ExponentTriple, entropy, lyapunov_dimension, lyapunov_exponents
 from .hochman import DeltaReport, LineIfs, direction_line_ifs, hochman_rate, x_axis_line_ifs
-from .ifs import (BernoulliWeights, IfsSystem, Polygon, SscReport, abs_diagonals, check_ssc,
-                  compose_word, format_number)
+from .ifs import (BernoulliWeights, EstimateSeries, IfsSystem, Polygon, SscReport,
+                  _least_squares, abs_diagonals, check_ssc, compose_word, format_number)
+from .ifs import box_dimension_estimate  # noqa: F401  -- still read from here
 from .linalg2 import Mat2
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
@@ -76,7 +77,7 @@ SANDWICH_TOL = 1e-9
 OVERLAP_TOL = 1e-9
 
 
-@record(frozen=True)
+@record
 class DimensionReport:
     """Certified dimension data plus every hypothesis check that fed it."""
 
@@ -229,69 +230,6 @@ def hueter_lalley_check(
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class EstimateSeries:
-    """Log-log regression data of an empirical dimension estimator."""
-
-    scales: tuple  # strictly decreasing
-    counts: tuple  # box counts or correlation integrals per scale
-    slope: float
-    r2: float
-
-    def __post_init__(self):
-        if len(self.scales) < 4:
-            raise ValueError("need at least 4 scales")
-        if any(a <= b for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly decreasing")
-
-
-def _least_squares(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    sxy = float(np.sum((x - xm) * (y - ym)))
-    if sxx == 0.0:
-        return 0.0, 1.0
-    slope = sxy / sxx
-    pred = ym + slope * (x - xm)
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return slope, r2
-
-
-def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> EstimateSeries:
-    """Occupied-box counts on the dyadic grids 2^-k, k = k_min..k_max, and the
-    least-squares slope of log count against k log 2.
-
-    Counts are exact at every k: the cells are exact floats, packed into one
-    exact key x 2^26 + y while |x|, |y| < 2^25, and otherwise compared as
-    complex numbers, which sort by x, then y."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array")
-    if pts.shape[0] < 1000:
-        raise TooFewPoints(f"need >= 1000 points, got {pts.shape[0]}")
-    if not 1 <= k_min <= k_max - 3:
-        raise ValueError("need k_max >= k_min + 3 >= 4 (four scales)")
-    if not np.abs(pts).max() < 2.0 ** (1024 - k_max):
-        raise ValueError("points * 2^k_max overflow float64")
-    ks = list(range(k_min, k_max + 1))
-    counts = []
-    for k in ks:
-        cell = np.floor(np.ldexp(pts, k))  # exact: scaling by 2^k rounds nothing
-        if np.abs(cell).max() < 2.0 ** 25:
-            key = cell[:, 0] * 2.0 ** 26 + cell[:, 1]
-        else:
-            key = cell.view(np.complex128)
-        counts.append(int(np.unique(key).size))
-    x = np.array([k * math.log(2.0) for k in ks])
-    y = np.log(np.array(counts, dtype=float))
-    slope, r2 = _least_squares(x, y)
-    return EstimateSeries(
-        scales=tuple(0.5 ** k for k in ks), counts=tuple(counts), slope=slope, r2=r2
-    )
-
-
 def correlation_dimension_estimate(values, radii: Sequence[float]) -> EstimateSeries:
     """Correlation integrals C(r) = fraction of pairs within r of 1-D
     samples (angles), by exact sorted pair counting, and the least-squares
@@ -363,8 +301,8 @@ class _Ctx:
     mc_n: int
     mc_trials: int
     rng_seed: int
-    details: list = field(default_factory=list)
-    memo: dict = field(default_factory=dict)  # (stage, *inputs) -> result
+    details: list  # the shared detail lines, appended to in order
+    memo: dict  # (stage, *inputs) -> result
 
     def _once(self, key, build):
         if key not in self.memo:
@@ -436,7 +374,7 @@ def analyze_targets(
     ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots,
                statuses=hueter_lalley_check(sys, ssc, split),
                hochman_depth=hochman_depth, mc_n=mc_n, mc_trials=mc_trials,
-               rng_seed=rng_seed)
+               rng_seed=rng_seed, details=[], memo={})
     d = ctx.details
     if sys.label:
         d.append(("label", sys.label))
@@ -477,21 +415,17 @@ def analyze_targets(
     )
 
 
-@record
 class _ReportState:
     """One measure report in the making: every rule reads it and appends its
     detail lines, hypotheses and assumptions to it, and the rule that fires
-    builds the report from it."""
+    builds the report from it.  A plain class: nothing compares or prints it."""
 
-    ctx: _Ctx
-    weights: BernoulliWeights
-    t: ExponentTriple
-    dim_lyap: float
-    details: list
-    hyps: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
-    nu_dim: Optional[float] = None  # closed-form direction dimension
-    hochman_dir: Optional[DeltaReport] = None  # c-dominant direction system separation
+    def __init__(self, ctx: _Ctx, weights: BernoulliWeights, t: ExponentTriple, details: list):
+        self.ctx, self.weights, self.t, self.details = ctx, weights, t, details
+        self.dim_lyap = lyapunov_dimension(t)
+        self.hyps, self.assumptions = [], []
+        self.nu_dim = None  # closed-form direction dimension
+        self.hochman_dir = None  # c-dominant direction system separation
 
     @property
     def upper(self) -> float:
@@ -554,7 +488,7 @@ class _ReportState:
 def _measure_report(ctx: _Ctx, weights: BernoulliWeights) -> DimensionReport:
     """The report of the first rule of ``_RULES`` that fires."""
     t = ctx.exponents(weights)
-    st = _ReportState(ctx, weights, t, lyapunov_dimension(t), list(ctx.details))
+    st = _ReportState(ctx, weights, t, list(ctx.details))
     st.details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
     st.details.append(("entropy", format_number(t.entropy)))
     st.details.append(("chi-s", format_number(t.chi_s)))

@@ -98,7 +98,7 @@ ENCLOSURE_WORDS = 1 << 20  # words the enclosure may enumerate, all depths toget
 _U = 2.0 ** -53  # unit roundoff of float64
 
 
-@record(frozen=True)
+@record
 class Enclosure:
     """chi_s lies in [lo, hi], by the depth-``depth`` words."""
 
@@ -107,7 +107,7 @@ class Enclosure:
     depth: int
 
 
-@record(frozen=True)
+@record
 class ExponentTriple:
     """Entropy and Lyapunov exponents in nats, with standard errors (zero for
     exact and enclosed exponents) and, for enclosed ones, the enclosure."""

@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 2_000_000
 
 
-@record(frozen=True)
+@record
 class LineIfs:
     """Self-similar maps g_i(x) = beta_i * x + gamma_i on the real line,
     every beta and gamma a ``Fraction``."""
@@ -94,7 +94,7 @@ class LineIfs:
             lo, hi = new_lo, new_hi
 
 
-@record(frozen=True)
+@record
 class DeltaReport:
     """Delta_n table with the finite-depth trend verdict."""
 

@@ -1,5 +1,6 @@
 """IFS data model: affine maps, words, the natural projection, measure
-sampling, the strong-separation checker, and the config file format.
+sampling and the box-count estimator on the samples, the strong-separation
+checker, and the config file format.
 
 A system holds every entry as a ``Fraction``: ``IfsSystem`` converts what
 it is given, and ``Fraction(float)`` is exact, so a float entry is read as
@@ -17,11 +18,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ._numpy import np
 from ._record import record
-from .errors import BadSymbol, NonConvexPolygon, NotTriangular, ParseError
+from .errors import BadSymbol, NonConvexPolygon, NotTriangular, ParseError, TooFewPoints
 from .linalg2 import Mat2, log_alpha1, mul4, numpy_ops, operator_norm, renormalise4
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
@@ -44,7 +45,7 @@ def rng(seed: int, stream: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class AffineMap:
     """f(x) = A x + t with A contracting and nonsingular."""
 
@@ -78,7 +79,7 @@ class AffineMap:
         )
 
 
-@record(frozen=True)
+@record
 class IfsSystem:
     """Ordered list of affine contractions; symbols are 1..N.  Every entry
     is converted to a ``Fraction``, exactly."""
@@ -135,11 +136,6 @@ class IfsSystem:
         return tuple(self.maps[g[0]].linear.to_float().entries() for g in self.symbols)
 
     @cached_property
-    def symbol_columns(self) -> tuple:
-        """:attr:`symbol_entries` as entry columns, the batched operands."""
-        return tuple(np.array(c) for c in zip(*self.symbol_entries))
-
-    @cached_property
     def max_norm(self) -> float:
         return max(operator_norm(f.linear) for f in self.maps)
 
@@ -190,7 +186,7 @@ def abs_diagonals(sys: IfsSystem):
     return (c, a) if check_triangular_split(sys) == "CDominant" else (a, c)
 
 
-@record(frozen=True)
+@record
 class BernoulliWeights:
     """Strictly positive probability vector over the symbols."""
 
@@ -339,6 +335,69 @@ def sample_measure(
     return draw_blockwise(weights, rng(rng_seed), count, depth, _point_kernel(sys, seed_point))
 
 
+@record
+class EstimateSeries:
+    """Log-log regression data of an empirical dimension estimator."""
+
+    scales: tuple  # strictly decreasing
+    counts: tuple  # box counts or correlation integrals per scale
+    slope: float
+    r2: float
+
+    def __post_init__(self):
+        if len(self.scales) < 4:
+            raise ValueError("need at least 4 scales")
+        if any(a <= b for a, b in zip(self.scales, self.scales[1:])):
+            raise ValueError("scales must be strictly decreasing")
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    sxy = float(np.sum((x - xm) * (y - ym)))
+    if sxx == 0.0:
+        return 0.0, 1.0
+    slope = sxy / sxx
+    pred = ym + slope * (x - xm)
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return slope, r2
+
+
+def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> EstimateSeries:
+    """Occupied-box counts on the dyadic grids 2^-k, k = k_min..k_max, and the
+    least-squares slope of log count against k log 2.
+
+    Counts are exact at every k: the cells are exact floats, packed into one
+    exact key x 2^26 + y while |x|, |y| < 2^25, and otherwise compared as
+    complex numbers, which sort by x, then y."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be an (n, 2) array")
+    if pts.shape[0] < 1000:
+        raise TooFewPoints(f"need >= 1000 points, got {pts.shape[0]}")
+    if not 1 <= k_min <= k_max - 3:
+        raise ValueError("need k_max >= k_min + 3 >= 4 (four scales)")
+    if not np.abs(pts).max() < 2.0 ** (1024 - k_max):
+        raise ValueError("points * 2^k_max overflow float64")
+    ks = list(range(k_min, k_max + 1))
+    counts = []
+    for k in ks:
+        cell = np.floor(np.ldexp(pts, k))  # exact: scaling by 2^k rounds nothing
+        if np.abs(cell).max() < 2.0 ** 25:
+            key = cell[:, 0] * 2.0 ** 26 + cell[:, 1]
+        else:
+            key = cell.view(np.complex128)
+        counts.append(int(np.unique(key).size))
+    x = np.array([k * math.log(2.0) for k in ks])
+    y = np.log(np.array(counts, dtype=float))
+    slope, r2 = _least_squares(x, y)
+    return EstimateSeries(
+        scales=tuple(0.5 ** k for k in ks), counts=tuple(counts), slope=slope, r2=r2
+    )
+
+
 # ---------------------------------------------------------------------------
 # Convex polygons and the strong separation condition
 # ---------------------------------------------------------------------------
@@ -348,7 +407,7 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@record(frozen=True)
+@record
 class Polygon:
     """Convex polygon; vertices are canonicalized to counterclockwise order."""
 
@@ -446,7 +505,7 @@ def polygon_distance2(p: Polygon, q: Polygon):
     return best
 
 
-@record(frozen=True)
+@record
 class SscReport:
     """Outcome of the strong separation check against an open polygon."""
 

@@ -11,7 +11,7 @@ forms every word product for the pressure, the exponents and the direction
 samplers, and :func:`word_blocks` enumerates the words of the pressure and
 the exponent enclosure in bounded blocks.  Its operands are entry 4-tuples
 of arrays: a system's per-map float entries are ``IfsSystem.columns``, and
-those of its merged alphabet ``IfsSystem.symbol_columns``.  A formula of a
+the merged alphabet's are ``IfsSystem.symbol_entries`` transposed.  A formula of a
 word walk is written once, over the ``Ops`` its caller binds in: one
 instance maps it over lists of Python floats with libm (:data:`LIBM`), the
 other calls it on numpy arrays (:func:`numpy_ops`).  Both make the same
@@ -41,7 +41,7 @@ from .errors import NegativeExponent, SingularMatrix
 DET_FLOOR = 1e-300
 
 
-@record(frozen=True)
+@record
 class Mat2:
     """2x2 real matrix [[a11, a12], [a21, a22]]."""
 
@@ -294,7 +294,7 @@ def _canonical_angle(theta: float) -> float:
     return t
 
 
-@record(frozen=True)
+@record
 class ProjPoint:
     """A direction line through the origin, stored as its angle in [0, pi)."""
 
@@ -322,7 +322,7 @@ def proj_act(m: Mat2, p: ProjPoint) -> ProjPoint:
     """Image of the direction p under the linear map m, as a direction."""
     if abs(float(m.det)) < DET_FLOOR:
         raise SingularMatrix("projective action needs a nonsingular matrix")
-    return ProjPoint.from_vector(*m.to_float().apply(p.to_vector()))
+    return ProjPoint.from_vector(*m.apply(p.to_vector()))
 
 
 def proj_metric(p1: ProjPoint, p2: ProjPoint) -> float:
@@ -335,7 +335,7 @@ def angle_gap(a: float, b: float) -> float:
     return _canonical_angle(b - a)
 
 
-@record(frozen=True)
+@record
 class ProjArc:
     """Closed angular arc on P^1, counterclockwise from start to end.
 

@@ -73,7 +73,7 @@ WALK_BLOCK = 1 << 13  # words held per level of the depth-first enumeration
 WORD_BLOCK = 1 << 15  # words per block of a root evaluation
 
 
-@record(frozen=True)
+@record
 class RootEstimate:
     """Certified-from-above pressure root data along a depth schedule.
 

@@ -40,7 +40,7 @@ BACKGROUND = (255, 255, 255)
 SIZES = (16, 8192)  # least and greatest raster width and height
 
 
-@record(frozen=True)
+@record
 class RenderSpec:
     """Raster geometry and drawing mode."""
 

@@ -68,7 +68,7 @@ _PINNED = {"ss": "ADominant", "s": "CDominant"}
 _SERIES = {"ss": "CDominant", "s": "ADominant"}
 
 
-@record(frozen=True)
+@record
 class Multicone:
     """Finite disjoint union of closed angular arcs with total measure < pi."""
 
@@ -96,7 +96,7 @@ class Multicone:
         return self.arcs[0].midpoint
 
 
-@record(frozen=True)
+@record
 class SplitReport:
     """Outcome of dominated-splitting certification."""
 
@@ -157,8 +157,9 @@ def _is_similarity(m: Mat2) -> bool:
 def nest(linears, cone: Multicone) -> tuple:
     """(images, clearance) of ``cone`` under each linear map, in order:
     ``images`` holds the image arcs of the cone's arcs, one list per map, and
-    ``clearance`` the least :func:`_clearance` of them."""
-    images = [[arc_image(m, arc) for arc in cone.arcs] for m in linears]
+    ``clearance`` the least :func:`_clearance` of them.  Each map is made
+    float once: the projective action of a Fraction entry is its float's."""
+    images = [[arc_image(m, arc) for arc in cone.arcs] for m in map(Mat2.to_float, linears)]
     return images, min(_clearance(cone, img) for row in images for img in row)
 
 

@@ -991,11 +991,15 @@ class TestNumpyOnFirstUse:
         (["pressure", "--example", "phi-c", "--param", "c=2/5"], 0, {"pressure"},
          {"dimension", "ergodic", "render", "splitting"}),
         (["lyapunov", "--example", "hl-demo"], 0, {"ergodic"}, {"dimension", "splitting"}),
+        # the box-count estimator lives next to the sampler in ifs
+        (["boxdim", "--example", "sec44", "--count", "2000"], 0, {"ifs"},
+         {"dimension", "ergodic", "pressure", "render", "splitting"}),
         # records are built without dataclasses, which runs exec on its
         # generated methods and imports inspect
         (["analyze", "--example", "hl-demo"], 2, {"dimension", "splitting"},
          {"dataclasses", "inspect"}),
-    ], ids=["help", "ssc", "hochman", "pressure", "lyapunov-hl-demo", "analyze-hl-demo"])
+    ], ids=["help", "ssc", "hochman", "pressure", "lyapunov-hl-demo", "boxdim-sec44",
+        "analyze-hl-demo"])
     def test_layers_execute_on_first_use(self, argv, code, executed, absent):
         probe = probe_cli(argv)
         assert probe.code == code, probe.stderr

@@ -267,8 +267,6 @@ class TestSystemTables:
         assert [c.tolist() for c in sysm.columns] == \
             [[float(x) for x in col] for col in zip(*(f.linear.entries() + f.translation
                                                      for f in sysm.maps))]
-        assert [c.tolist() for c in sysm.symbol_columns] == \
-            [c[[0, 2, 4]].tolist() for c in sysm.columns[:4]]
 
 
 class TestParseSerialize:
