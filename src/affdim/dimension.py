@@ -50,7 +50,7 @@ from .ergodic import ExponentTriple, entropy, lyapunov_dimension, lyapunov_expon
 from .hochman import DeltaReport, LineIfs, direction_line_ifs, hochman_rate, x_axis_line_ifs
 from .ifs import (BernoulliWeights, EstimateSeries, IfsSystem, Polygon, SscReport,
                   _least_squares, abs_diagonals, check_ssc, compose_word, format_number)
-from .ifs import box_dimension_estimate  # noqa: F401  -- still read from here
+from .ifs import box_dimension_estimate  # noqa: F401  -- only for perfbench's span of this name
 from .linalg2 import Mat2
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)

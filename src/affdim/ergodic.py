@@ -12,7 +12,9 @@ Exponents come by one of three routes, tried in this order by
   the Monte-Carlo estimate instead;
 - anything else: a batched Monte-Carlo estimate.  The top exponent tracks
   alpha1 of renormalized random products, drawn in blocks of about
-  ``ifs.SYMBOL_BLOCK`` symbols.
+  ``ifs.SYMBOL_BLOCK`` symbols; each step reads one contiguous row of a
+  block and multiplies by the entries shared by every map as floats
+  (``IfsSystem.step_columns``).
 
 The second exponent always follows from the exact determinant identity
 chi_s + chi_ss = -sum p_i log |det A_i|, which loses no precision where
@@ -171,14 +173,14 @@ def lyapunov_monte_carlo(
         raise ValueError("n must be >= 1")
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    cols = sys.columns[:4]
+    cols = sys.step_columns[:4]
     e = (np.ones(trials), np.zeros(trials), np.zeros(trials), np.ones(trials))
     logscale = np.zeros(trials)
     k = 0
     for syms in ifs.symbol_blocks(weights, rng(rng_seed, stream), n, trials):
         for i in syms:
             # right-multiply the running product by the step matrix
-            e = mul4(e, tuple(c[i] for c in cols))
+            e = mul4(e, ifs.gather(cols, i))
             k += 1
             if k % RENORM_EVERY == 0 or k == n:
                 e, m = renormalise4(e)

@@ -7,10 +7,13 @@ it is given, and ``Fraction(float)`` is exact, so a float entry is read as
 the binary rational it already is.  Every decision on a system (contraction,
 strong separation) is therefore exact, and touching configurations are
 classified as separation failures rather than round-off noise.  The float
-kernels read ``IfsSystem.columns``.  The triangular tests
-(``check_triangular_split``, ``abs_diagonals``) live here too: they read
-only the system's Fractions, so ``pressure`` and ``ergodic`` take them
-without executing ``splitting``.
+kernels read ``IfsSystem.columns``; the sampling kernels read
+``IfsSystem.step_columns``, where an entry bitwise equal in every map is one
+Python float that each step multiplies by instead of gathering it, and they
+draw their symbols from raw Philox words (``BernoulliWeights.draw``).  The
+triangular tests (``check_triangular_split``, ``abs_diagonals``) live here
+too: they read only the system's Fractions, so ``pressure`` and ``ergodic``
+take them without executing ``splitting``.
 """
 
 from __future__ import annotations
@@ -120,6 +123,13 @@ class IfsSystem:
         return tuple(table.T)
 
     @cached_property
+    def step_columns(self) -> tuple:
+        """``columns`` as the sampling kernels read them at each step: a
+        column shared by every map is that one Python float
+        (:func:`shared_columns`)."""
+        return shared_columns(self.columns)
+
+    @cached_property
     def symbols(self) -> tuple:
         """The merged alphabet of the pressure and the exponent enclosure,
         which ignore translations: the map indices of each distinct linear
@@ -216,19 +226,46 @@ class BernoulliWeights:
         cdf /= cdf[-1]
         return cdf
 
+    @cached_property
+    def _cuts(self) -> tuple:
+        """The raw word ceil(c 2^53) << 11 of each inner value c < 1 of the
+        normalised cdf: Philox's double of a word w is (w >> 11) 2^-53, so it
+        is >= c exactly when w is >= the cut.  A value c = 1 is never reached
+        by a double below 1, and its cut would not fit 64 bits."""
+        return tuple(np.uint64(math.ceil(c * 2.0 ** 53) << 11)
+                     for c in self._cdf[:-1].tolist() if c < 1.0)
+
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
-        """Symbols 0..N-1, i.i.d. by the weights, of the given shape.
+        """Symbols 0..N-1 (intp), i.i.d. by the weights, of the given shape.
 
         Equal bit for bit to ``gen.choice(N, size=shape, p=self.as_array)``:
-        the same uniforms, counted against the same normalised cdf instead of
-        bisected.  Philox hands out its doubles in C order, so consecutive
-        draws of row blocks equal one draw of the stacked shape.
+        each of the raw words behind its uniforms counts the cut words
+        (``_cuts``) it reaches, as a uniform counts the cdf values it
+        reaches.  One word is drawn per symbol even for N = 1, so every
+        stream advances as ``choice`` advances it.  Philox hands out its
+        words in C order, so consecutive draws of row blocks equal one draw
+        of the stacked shape.
         """
-        u = gen.random(shape)
-        out = np.zeros(u.shape, dtype=np.intp)
-        for c in self._cdf[:-1]:
-            out += u >= c
-        return out
+        words = gen.bit_generator.random_raw(shape)
+        count = np.zeros(words.shape, dtype=np.min_scalar_type(len(self._cuts)))
+        for cut in self._cuts:
+            count += words >= cut
+        return count.astype(np.intp)
+
+
+def shared_columns(cols) -> tuple:
+    """``cols`` with each column whose entries are bitwise equal (as int64,
+    so +0.0 and -0.0 differ) replaced by that entry as a Python float: a
+    kernel multiplies by it instead of gathering it at every step, and gets
+    the same bits."""
+    return tuple(float(c[0]) if (c.view(np.int64) == c.view(np.int64)[0]).all() else c
+                 for c in cols)
+
+
+def gather(cols, syms) -> tuple:
+    """The entries of :func:`shared_columns` ``cols`` at the symbols
+    ``syms``: a shared entry as it is, any other column gathered."""
+    return tuple(c if type(c) is float else c.take(syms) for c in cols)
 
 
 def symbol_blocks(weights: BernoulliWeights, gen, count: int, depth: int):
@@ -298,15 +335,17 @@ def natural_projection(sys: IfsSystem, word: Sequence[int], seed: Vec2 = (0.0, 0
 
 def _point_kernel(sys: IfsSystem, seed_point: Vec2):
     """Function of a (count, depth) array of 0-based symbols giving the
-    (count, 2) points f_w(seed_point), one word w per row."""
-    a11, a12, a21, a22, tx, ty = sys.columns
+    (count, 2) points f_w(seed_point), one word w per row.  Each step reads
+    one row of a contiguous copy of the block's transpose, last symbol
+    first, and multiplies by the shared entries of ``step_columns``."""
+    cols = sys.step_columns
 
     def points(syms):
         x = np.full(len(syms), float(seed_point[0]))
         y = np.full(len(syms), float(seed_point[1]))
-        for k in range(syms.shape[1] - 1, -1, -1):
-            i = syms[:, k]
-            x, y = a11[i] * x + a12[i] * y + tx[i], a21[i] * x + a22[i] * y + ty[i]
+        for i in np.ascontiguousarray(syms.T[::-1]):
+            a11, a12, a21, a22, tx, ty = gather(cols, i)
+            x, y = a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
         return np.column_stack([x, y])
 
     return points

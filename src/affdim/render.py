@@ -5,11 +5,15 @@ Two modes: ``cylinders`` fills the depth-n images of a seed polygon,
 arithmetic plus floor rounding, so identical inputs give bit-identical
 images; P6 needs no image library and hashes cleanly in golden tests.
 Both modes paint with one scatter in drawing order (polygons in word order,
-orbit points in time order) in which the last write to a pixel wins.
+orbit points in time order) in which the last write to a pixel wins.  The
+scanline fill runs every (polygon, pixel row) pair at once, and a polygon
+that crosses no pixel-row centre paints the pixel under its vertex mean, so
+cylinders below a pixel stay visible.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from typing import Optional, Tuple
 
@@ -160,25 +164,37 @@ def _scanline_runs(spec: RenderSpec, cols, rows):
     in polygon order.  Per pair it evaluates the float expressions of the
     scalar scanline fill: the crossings of the row centre with the edges,
     the pixel centres between the outermost crossings, or, for a sliver
-    thinner than a pixel, the column under its centre.
+    thinner than a pixel, the column under its centre.  A polygon left
+    without a run (one that crosses no pixel-row centre, say) paints the
+    pixel under its vertex mean, the vertices summed in order, when that
+    pixel lies in the raster, so a sub-pixel cylinder does not vanish.
+
+    The vertices are held as one contiguous array each (``vc``, ``vr``), so
+    every minimum, maximum and count over a polygon's vertices or edges is an
+    elementwise chain over them; min, max and integer sums are exact, in any
+    order.
     """
     w, h = spec.width, spec.height
-    r_lo = np.maximum(0.0, np.floor(rows.min(axis=1)))
-    r_hi = np.minimum(h - 1.0, np.ceil(rows.max(axis=1)))
+    vc, vr = np.ascontiguousarray(cols.T), np.ascontiguousarray(rows.T)
+    n = len(vc)
+    r_lo = np.maximum(0.0, np.floor(functools.reduce(np.minimum, vr)))
+    r_hi = np.minimum(h - 1.0, np.ceil(functools.reduce(np.maximum, vr)))
     n_rows = np.maximum(r_hi - r_lo + 1.0, 0.0).astype(np.int64)
     r_lo = np.where(n_rows > 0, r_lo, 0.0).astype(np.int64)
-    cols_b, rows_b = np.roll(cols, -1, axis=1), np.roll(rows, -1, axis=1)
     out = []
     for block, row in _expand_blocks(n_rows, r_lo, PAIR_BLOCK):
         poly = np.repeat(np.arange(block.start, block.stop), n_rows[block])
-        yc = (row + 0.5)[:, None]
-        ra, rb, ca, cb = rows[poly], rows_b[poly], cols[poly], cols_b[poly]
-        crosses = ((ra <= yc) & (yc < rb)) | ((rb <= yc) & (yc < ra))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xs = ca + (yc - ra) / (rb - ra) * (cb - ca)
-        x_lo = np.where(crosses, xs, np.inf).min(axis=1)
-        x_hi = np.where(crosses, xs, -np.inf).max(axis=1)
-        filled = crosses.sum(axis=1) >= 2
+        yc = row + 0.5
+        pc, pr = vc[:, poly], vr[:, poly]
+        crosses, xs = [], []
+        for k in range(n):  # the edge from vertex k to vertex k + 1
+            ra, rb, ca, cb = pr[k], pr[(k + 1) % n], pc[k], pc[(k + 1) % n]
+            crosses.append(((ra <= yc) & (yc < rb)) | ((rb <= yc) & (yc < ra)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xs.append(ca + (yc - ra) / (rb - ra) * (cb - ca))
+        x_lo = functools.reduce(np.minimum, (np.where(c, x, np.inf) for c, x in zip(crosses, xs)))
+        x_hi = functools.reduce(np.maximum, (np.where(c, x, -np.inf) for c, x in zip(crosses, xs)))
+        filled = sum(crosses, np.zeros(len(poly), dtype=np.intp)) >= 2
         c_lo = np.maximum(0.0, np.floor(x_lo + 0.5))
         c_hi = np.minimum(w - 1.0, np.floor(x_hi - 0.5))
         wide = filled & (c_hi >= c_lo)
@@ -189,7 +205,17 @@ def _scanline_runs(spec: RenderSpec, cols, rows):
         first = np.where(wide, c_lo, centre)[keep].astype(np.int64)
         last = np.where(wide, c_hi, centre)[keep].astype(np.int64)
         out.append((poly[keep], row[keep], first, last))
-    return tuple(np.concatenate(parts) for parts in zip(*out))
+    runs = tuple(np.concatenate(parts) for parts in zip(*out))
+    bare = np.ones(vc.shape[1], dtype=bool)
+    bare[runs[0]] = False
+    mc, mr = sum(vc) / n, sum(vr) / n  # the vertex means, summed in vertex order
+    dot = np.flatnonzero(bare & (mc >= 0) & (mc < w) & (mr >= 0) & (mr < h))
+    if len(dot) == 0:
+        return runs
+    c, r = np.floor(mc[dot]).astype(np.int64), np.floor(mr[dot]).astype(np.int64)
+    runs = tuple(map(np.concatenate, zip(runs, (dot, r, c, c))))
+    order = np.argsort(runs[0], kind="stable")  # back into polygon order
+    return tuple(a[order] for a in runs)
 
 
 def _fill_polygons(img, spec: RenderSpec, xs, ys, color) -> None:
@@ -210,7 +236,8 @@ def render_cylinders(
     The seed polygon is validated once; its images under the invertible
     maps are convex, so they are kept as vertex arrays (reversed where their
     shoelace area is negative, as Polygon orders them) and a float sliver
-    that rounds to zero area is still drawn instead of rejected.
+    that rounds to zero area is still drawn instead of rejected.  An image
+    that crosses no pixel-row centre paints the pixel under its vertex mean.
     """
     if spec.depth < 1:
         raise ValueError("cylinders mode needs depth >= 1")

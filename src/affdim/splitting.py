@@ -23,6 +23,11 @@ the future word, the inverse maps, the backward cone and the series
 word from its most recent symbol, the forward maps, the forward cone and the
 series (b/a, c/a), and is pinned vertical for c-dominant systems.
 
+The folds read each step as one row of a contiguous copy of the symbol
+block's transpose, and multiply by an entry that is bitwise equal for every
+symbol (the inverse maps' included) as one float
+(:func:`ifs.shared_columns`), which gives the bits of gathering it.
+
 One route choice (:func:`_route`) and its folds serve the samplers and the
 single-word functions alike: a single word is a one-row symbol array, so
 ``strong_stable_direction`` gives exactly the sampler's angle for the row that
@@ -46,8 +51,8 @@ from typing import Optional, Sequence
 from ._numpy import np
 from ._record import record
 from .errors import NotCertified, NotTriangular, PrefixTooShort
-from .ifs import (BernoulliWeights, IfsSystem, check_triangular_split, draw_blockwise, rng,
-                  validate_word)
+from .ifs import (BernoulliWeights, IfsSystem, check_triangular_split, draw_blockwise, gather,
+                  rng, shared_columns, validate_word)
 from .linalg2 import (
     Mat2,
     ProjArc,
@@ -363,7 +368,8 @@ def _route(sys, split, field, method="auto"):
         return None
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
         num, ratio = _slope_series(sys, field)
-        return (lambda syms: _series_fold(num, ratio, syms),
+        steps = shared_columns((num, ratio))
+        return (lambda syms: _series_fold(*steps, syms),
                 lambda folded: _fold(list(map(math.atan, folded[0].tolist()))),
                 lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0]))
                 / (1.0 - float(np.max(np.abs(ratio)))))
@@ -377,6 +383,7 @@ def _route(sys, split, field, method="auto"):
         cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
     else:
         cone = split.multicone
+    cols = shared_columns(cols)
     seed = cone.seed_point().to_vector()
 
     def error(prod):
@@ -453,24 +460,27 @@ def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.
 
 def _series_fold(num, ratio, syms) -> tuple:
     """(slopes, prefactors), one per row of ``syms``: the slope series summed
-    over the row's word and the product of its ratios."""
+    over the row's word and the product of its ratios.  ``num`` and
+    ``ratio`` are :func:`ifs.shared_columns`; each step reads one row of a
+    contiguous copy of the block's transpose."""
     slopes = np.zeros(len(syms))
     pref = np.ones(len(syms))
-    for k in range(syms.shape[1]):
-        i = syms[:, k]
-        slopes += num[i] * pref
-        pref = pref * ratio[i]
+    for i in np.ascontiguousarray(syms.T):
+        num_i, ratio_i = gather((num, ratio), i)
+        slopes += num_i * pref
+        pref = pref * ratio_i
     return slopes, pref
 
 
 def _product_fold(cols, syms) -> tuple:
     """M_{s_1} ... M_{s_depth}, one product per row of ``syms``, renormalised
-    every step; ``cols`` holds the per-symbol entries of the M_i."""
+    every step; ``cols`` holds the per-symbol entries of the M_i as
+    :func:`ifs.shared_columns`, and each step reads one row of a contiguous
+    copy of the block's transpose."""
     count = len(syms)
     p = (np.ones(count), np.zeros(count), np.zeros(count), np.ones(count))
-    for k in range(syms.shape[1]):
-        i = syms[:, k]
-        p, _ = renormalise4(mul4(p, tuple(c[i] for c in cols)))
+    for i in np.ascontiguousarray(syms.T):
+        p, _ = renormalise4(mul4(p, gather(cols, i)))
     return p
 
 

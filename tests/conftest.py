@@ -183,7 +183,8 @@ def brute_force_delta(ifs, n):
 
 def fill_convex_oracle(img, spec, vertices, color):
     """Scalar scanline fill of one convex polygon given in plane coordinates:
-    the reference for the batched fill in ``affdim.render``."""
+    the reference for the batched fill in ``affdim.render``.  A polygon that
+    paints no run paints the pixel under its vertex mean, if in the raster."""
     x0, y0, x1, y1 = spec.viewport
     w, h = spec.width, spec.height
     cols = [(vx - x0) / (x1 - x0) * w for vx, vy in vertices]
@@ -191,6 +192,7 @@ def fill_convex_oracle(img, spec, vertices, color):
     r_lo = max(0, int(math.floor(min(rows))))
     r_hi = min(h - 1, int(math.ceil(max(rows))))
     n = len(vertices)
+    painted = False
     for r in range(r_lo, r_hi + 1):
         yc = r + 0.5
         xs = []
@@ -207,10 +209,15 @@ def fill_convex_oracle(img, spec, vertices, color):
         c_hi = min(w - 1, int(math.floor(hi - 0.5)))
         if c_hi >= c_lo:
             img[r, c_lo : c_hi + 1] = color
+            painted = True
         elif hi - lo > 0:  # thinner than a pixel: mark the center column
             c = int(math.floor((lo + hi) / 2))
             if 0 <= c < w:
                 img[r, c] = color
+                painted = True
+    mc, mr = sum(cols) / n, sum(rows) / n
+    if not painted and 0 <= mc < w and 0 <= mr < h:
+        img[int(math.floor(mr)), int(math.floor(mc))] = color
 
 
 def count_calls(monkeypatch, module, name):

@@ -17,13 +17,14 @@ import numpy as np
 
 from conftest import random_triangular_system
 
-from affdim.dimension import box_dimension_estimate, lower_bound_iteration
+from affdim.dimension import lower_bound_iteration
 from affdim.hochman import LineIfs, delta_n, hochman_rate
 from affdim.ifs import (
     AffineMap,
     BernoulliWeights,
     IfsSystem,
     Polygon,
+    box_dimension_estimate,
     check_ssc,
     compose_word,
     polygons_disjoint,

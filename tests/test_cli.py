@@ -20,14 +20,17 @@ SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
 
 GOLDEN_SEC44_CYL_128 = "9b6a035dba7c6c17f2ff008f0fd7d0a8d6db090afe20b51aec273bb4773106d3"
 GOLDEN_PHIC_CHAOS_128 = "f2320b4946b19c81798f1941447d67561344a951c9291a0d24abdf6c436bb1bb"
-GOLDEN_PHIC_CYL_192 = "21103212c88ac1e06a85636b08d6f224307a4934c5fbe5ed338d30f4957430f3"
+# (re-pinned when a cylinder that crosses no pixel-row centre began to paint
+# the pixel under its vertex mean instead of nothing)
+GOLDEN_PHIC_CYL_192 = "4eb2a891c42fd92295efd943d0ea8c28e90158df69f5c3d9856a6ac7139b4514"
 # sha256 of whole P6 files at the default 512x512 raster, recorded while the
-# cylinder maps were still composed one AffineMap at a time
+# cylinder maps were still composed one AffineMap at a time (phi-c's
+# re-pinned with GOLDEN_PHIC_CYL_192: 530 of its 7,776 cylinders were blank)
 DEEP_CYLINDER_P6_SHA256 = [
     (["--example", "sec44", "--depth", "8"],
      "8a59811edd6d189a159c4f322c9163d0e3ae73dd3949994fb29abe1c5266837f"),
     (["--example", "phi-c", "--param", "c=1/4", "--depth", "5"],
-     "1d30a8553d36379a8510add923fbd85e1b5e04a0cccc42ea6f900e4f93a5ebbb"),
+     "c4275c0f1fb49c0f4008752ba3034aa85e0097585311eab695aa9f3064615df8"),
 ]
 # stdout of `analyze --seed 7` on systems that keep the finite-depth pressure
 # (hl-demo's recorded once its exponents came from the Furstenberg enclosure,
@@ -44,8 +47,11 @@ JSON_SHA256 = {
 # stdout of the commands that run the batched 2x2 product kernel, recorded
 # before the kernel replaced the per-module product loops (the directions
 # re-pinned when their angles moved from numpy's arctan2 and arctan to libm's:
-# up to 1 ulp on 851, 9 and 18 of the 5000 angles)
+# up to 1 ulp on 851, 9 and 18 of the 5000 angles), and of boxdim's point
+# kernel, recorded while the symbols still came from Generator.random
 KERNEL_STDOUT_SHA256 = [
+    (["boxdim", "--example", "sec44", "--count", "20000", "--seed", "7"],
+     "2b156b18fc4933572a1552fd863810b87aafdbfdedf61293743fbd6f88094c30"),
     (["directions", "--example", "hl-demo", "--count", "5000", "--seed", "7"],
      "8db51cd7703a25ebdac9449f2af7c79d48900f52e3aeeaef5fa2d239142d2106"),
     (["directions", "--example", "sec44", "--count", "5000", "--seed", "7"],

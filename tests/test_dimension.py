@@ -12,7 +12,6 @@ from affdim.dimension import (
     analyze,
     analyze_targets,
     backward_non_overlapping,
-    box_dimension_estimate,
     build_subsystem,
     correlation_dimension_estimate,
     hueter_lalley_check,
@@ -21,7 +20,7 @@ from affdim.dimension import (
     one_bunched,
 )
 from affdim.errors import BadExponents, TooFewPoints
-from affdim.ifs import AffineMap, IfsSystem, check_ssc, sample_measure
+from affdim.ifs import AffineMap, IfsSystem, box_dimension_estimate, check_ssc, sample_measure
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, ProjArc
 from affdim.pressure import pressure_root

@@ -41,6 +41,7 @@ shapes = st.one_of(
 @given(weights=bernoulli_weights(), seed=seeds, shape=shapes)
 @example(weights=BernoulliWeights((F(1),)), seed=0, shape=(5, 3))  # one symbol
 @example(weights=BernoulliWeights.uniform(3), seed=7, shape=1000)
+@example(weights=BernoulliWeights((1, 10**-20)), seed=5, shape=(40, 25))  # cdf [1.0, 1.0]
 def test_draw_equals_choice(weights, seed, shape):
     want = rng(seed).choice(len(weights), size=shape, p=weights.as_array)
     got = weights.draw(rng(seed), shape)

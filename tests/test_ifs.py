@@ -13,12 +13,14 @@ from affdim.ifs import (
     check_ssc,
     compose_word,
     format_number,
+    gather,
     natural_projection,
     parse_system,
     polygons_disjoint,
     rng,
     sample_measure,
     serialize_system,
+    shared_columns,
 )
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2
@@ -172,23 +174,45 @@ class TestSampleMeasure:
 
 
 class TestBernoulliDraw:
-    class _Uniforms:
-        """Stands in for a Generator whose uniforms are given."""
+    class _Words:
+        """Stands in for a Generator whose raw Philox words are given."""
 
-        def __init__(self, u):
-            self.u = np.asarray(u, dtype=float)
+        def __init__(self, words):
+            self.bit_generator = self
+            self.words = np.asarray(words, dtype=np.uint64)
 
-        def random(self, shape):
-            return self.u.reshape(shape)
+        def random_raw(self, shape):
+            return self.words.reshape(shape)
 
-    def test_uniform_on_a_cdf_step_counts_it(self):
-        """A uniform equal to a cdf value goes to the next symbol, as the
-        right-sided searchsorted of Generator.choice does."""
-        w = BernoulliWeights((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        u = [0.0, 0.25, 0.2499999999999999, 0.5, 0.75, 0.9999999999999999]
-        got = w.draw(self._Uniforms(u), (2, 3))
-        assert got.tolist() == [[0, 1, 0], [2, 2, 2]]
-        assert np.array_equal(got.ravel(), np.cumsum(w.as_array).searchsorted(u, side="right"))
+    @pytest.mark.parametrize("p", [(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+                                   (Fraction(1, 3), Fraction(2, 3))], ids=["quarters", "thirds"])
+    def test_word_at_a_cut_counts_it(self, p):
+        """A word equal to the cut word of a cdf value goes to the next
+        symbol, as its uniform (w >> 11) 2^-53 does under the right-sided
+        searchsorted of Generator.choice; the word one below it does not."""
+        w = BernoulliWeights(p)
+        cuts = [math.ceil(c * 2.0 ** 53) << 11 for c in w._cdf[:-1].tolist()]
+        words = [0, 2 ** 64 - 1] + [c + d for c in cuts for d in (-1, 0)]
+        got = w.draw(self._Words(words), len(words))
+        assert got.dtype == np.intp
+        assert got[2:].tolist() == [k + d for k in range(len(cuts)) for d in (0, 1)]
+        u = (np.array(words, dtype=np.uint64) >> np.uint64(11)) * 2.0 ** -53
+        assert np.array_equal(got, w._cdf.searchsorted(u, side="right"))
+
+    def test_a_weight_below_the_last_cdf_step_is_never_drawn(self):
+        """Weights (1, 1e-20) have the cdf [1.0, 1.0]: a cut at 1.0 would
+        not fit 64 bits and no double below 1 reaches it."""
+        w = BernoulliWeights((1, 10 ** -20))
+        assert w._cdf.tolist() == [1.0, 1.0]
+        assert w.draw(self._Words([0, 2 ** 63, 2 ** 64 - 1]), 3).tolist() == [0, 0, 0]
+        assert not w.draw(rng(4), (50, 20)).any()
+
+    def test_one_symbol_draw_advances_the_stream(self):
+        w = BernoulliWeights((Fraction(1),))
+        gen, ref = rng(3), rng(3)
+        assert w.draw(gen, (4, 5)).tolist() == [[0] * 5] * 4
+        ref.choice(1, size=(4, 5), p=w.as_array)
+        assert gen.random() == ref.random()
 
     def test_shapes(self):
         w = BernoulliWeights.uniform(3)
@@ -257,6 +281,36 @@ class TestCheckSsc:
     def test_clockwise_input_canonicalized(self):
         p = Polygon(((0, 0), (0, 1), (1, 1), (1, 0)))  # clockwise
         assert len(p) == 4  # accepted; orientation normalized to ccw
+
+
+class TestSharedColumns:
+    def test_bitwise_equal_columns_become_floats(self):
+        # hl-demo's a12 = a21 = 1/25 in both maps; a11, a22 and t differ
+        sysm, _, _ = hl_demo()
+        got = sysm.step_columns
+        assert [type(c) is float for c in got] == [False, True, True, False, False, False]
+        assert got[1] == got[2] == 0.04
+        assert all(a is b for a, b in zip(got, sysm.columns) if type(a) is not float)
+
+    def test_signed_zeros_stay_an_array(self):
+        """-a12/det of lower-triangular maps whose dets differ in sign is
+        -0.0 for one map and +0.0 for the other: multiplying by one shared
+        zero would flip the sign of some products."""
+        sysm = IfsSystem((AffineMap(Mat2(0.5, 0.0, 0.1, 0.25), (0.0, 0.0)),
+                          AffineMap(Mat2(-0.5, 0.0, 0.1, 0.25), (0.5, 0.0))))
+        a11, a12, a21, a22 = sysm.columns[:4]
+        inv12 = -a12 / (a11 * a22 - a12 * a21)
+        assert [math.copysign(1.0, x) for x in inv12.tolist()] == [-1.0, 1.0]
+        got = shared_columns((inv12, a12, -a12))
+        assert got[0] is inv12
+        assert type(got[1]) is float and math.copysign(1.0, got[1]) == 1.0
+        assert type(got[2]) is float and math.copysign(1.0, got[2]) == -1.0
+
+    def test_gather_reads_arrays_and_keeps_floats(self):
+        cols = (np.array([1.0, 2.0, 3.0]), 0.5)
+        i = np.array([2, 0, 2])
+        a, b = gather(cols, i)
+        assert a.tolist() == [3.0, 1.0, 3.0] and b == 0.5
 
 
 class TestSystemTables:

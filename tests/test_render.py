@@ -89,6 +89,29 @@ def test_fill_in_small_blocks(monkeypatch):
     assert np.array_equal(_batched(SPEC, xs, ys), want)
 
 
+def test_sub_pixel_polygons_paint_their_vertex_mean_in_word_order():
+    """Triangles that cross no pixel-row centre paint the pixel under their
+    vertex mean, merged with the runs in polygon order: a dot drawn over a
+    square wins, a square drawn over a dot covers it, and a dot whose pixel
+    lies outside the raster paints nothing."""
+    def tiny(col, row):  # a triangle inside pixel (row, col), clear of its centre row
+        return [col + 0.2, col + 0.3, col + 0.25], [row + 0.1, row + 0.1, row + 0.3]
+
+    def box(c0, c1, r0, r1):
+        return [c0, c1, c1, c0], [r1, r1, r0, r0]
+
+    shapes = [box(4, 40, 4, 40), tiny(10, 12), tiny(50, 20), box(45, 60, 15, 25), tiny(70, 20)]
+    cols = np.array([c + [c[-1]] * (4 - len(c)) for c, _ in shapes])
+    rows = np.array([r + [r[-1]] * (4 - len(r)) for _, r in shapes])
+    xs, ys = cols / SPEC.width, 1.0 - rows / SPEC.height
+    got = _batched(SPEC, xs, ys)
+    assert np.array_equal(got, _scalar(SPEC, xs, ys))
+    assert tuple(got[12, 10]) == PALETTE[1]
+    assert tuple(got[20, 50]) == PALETTE[3]
+    assert not (got == PALETTE[2]).all(axis=2).any()
+    assert not (got == PALETTE[4]).all(axis=2).any()
+
+
 def test_paint_runs_last_write_wins(monkeypatch):
     img = np.zeros((2, 10, 3), dtype=np.uint8)
     row = np.array([0, 0, 0, 1, 1])
@@ -208,6 +231,16 @@ def test_deep_cylinders_draw_float_slivers():
     with pytest.raises(NonConvexPolygon):  # the per-image Polygon route fails here
         for w in _words(2, 9):
             Polygon(square).transform(compose_word(float_sys, w))
+
+
+def test_deep_cylinders_below_a_pixel_still_paint():
+    """At depth 8 every cylinder of hl-demo's square crosses no pixel-row
+    centre of the default raster; each paints the pixel under its vertex
+    mean instead of nothing."""
+    parsed = get_example("hl-demo", {})
+    spec = RenderSpec(depth=8, viewport=render.default_viewport(parsed.polygon, parsed.system))
+    img = render_cylinders(parsed.system, spec, polygon=parsed.polygon)
+    assert (img != 255).any(axis=2).sum() >= 1
 
 
 def _chaos_oracle(sysm, spec, weights, burn_in=100):
