@@ -13,7 +13,6 @@ from affdim.ifs import (
     check_ssc,
     compose_word,
     format_number,
-    gather,
     natural_projection,
     parse_system,
     polygons_disjoint,
@@ -305,12 +304,6 @@ class TestSharedColumns:
         assert got[0] is inv12
         assert type(got[1]) is float and math.copysign(1.0, got[1]) == 1.0
         assert type(got[2]) is float and math.copysign(1.0, got[2]) == -1.0
-
-    def test_gather_reads_arrays_and_keeps_floats(self):
-        cols = (np.array([1.0, 2.0, 3.0]), 0.5)
-        i = np.array([2, 0, 2])
-        a, b = gather(cols, i)
-        assert a.tolist() == [3.0, 1.0, 3.0] and b == 0.5
 
 
 class TestSystemTables:
