@@ -461,8 +461,8 @@ def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.
 def _series_fold(num, ratio, syms) -> tuple:
     """(slopes, prefactors), one per row of ``syms``: the slope series summed
     over the row's word and the product of its ratios.  ``num`` and
-    ``ratio`` are :func:`ifs.shared_columns`; each step reads one row of a
-    contiguous copy of the block's transpose."""
+    ``ratio`` come as :func:`ifs.shared_columns` returns them; each step
+    reads one row of a contiguous copy of the block's transpose."""
     slopes = np.zeros(len(syms))
     pref = np.ones(len(syms))
     for i in np.ascontiguousarray(syms.T):
@@ -475,8 +475,8 @@ def _series_fold(num, ratio, syms) -> tuple:
 def _product_fold(cols, syms) -> tuple:
     """M_{s_1} ... M_{s_depth}, one product per row of ``syms``, renormalised
     every step; ``cols`` holds the per-symbol entries of the M_i as
-    :func:`ifs.shared_columns`, and each step reads one row of a contiguous
-    copy of the block's transpose."""
+    :func:`ifs.shared_columns` returns them, and each step reads one row of
+    a contiguous copy of the block's transpose."""
     count = len(syms)
     p = (np.ones(count), np.zeros(count), np.zeros(count), np.ones(count))
     for i in np.ascontiguousarray(syms.T):
