@@ -186,13 +186,10 @@ def cmd_lyapunov(args) -> int:
 def cmd_directions(args) -> int:
     parsed = _load(args)
     weights = _weights_for(parsed)
-    split = splitting.certify(parsed.system)
-    angles = splitting.sample_nu_ss_angles(
-        parsed.system, weights, args.depth, args.count, args.seed, split
-    )
-    sep = splitting.min_angle_separation(
-        parsed.system, weights, args.depth, args.count, args.seed, split, ss_angles=angles
-    )
+    angles = splitting.sample_nu_ss_angles(parsed.system, weights, args.depth, args.count,
+                                           args.seed)
+    sep = splitting.min_angle_separation(parsed.system, weights, args.depth, args.count,
+                                         args.seed, ss_angles=angles)
     # format_number of an int is str and of a float repr: one C-level pass
     rows = map("\t".join, zip(map(str, range(len(angles))), map(repr, angles.tolist())))
     _emit_lines(("i", "theta"), rows, (f"min-separation: {sep!r}",), args.out)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
@@ -51,10 +51,10 @@ from .hochman import DeltaReport, LineIfs, direction_line_ifs, hochman_rate, x_a
 from .ifs import (BernoulliWeights, EstimateSeries, IfsSystem, Polygon, SscReport,
                   _least_squares, abs_diagonals, check_ssc, compose_word, format_number)
 from .ifs import box_dimension_estimate  # noqa: F401  -- only for perfbench's span of this name
-from .linalg2 import Mat2
+from .linalg2 import Mat2, det4
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
-from .splitting import SplitReport, certify, nest, sample_nu_ss_angles
+from .splitting import SplitReport, nest, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -140,7 +140,7 @@ def one_bunched(m: Mat2) -> bool:
     """
     a, b, c, d = (Fraction(e) for e in m.entries())
     t = a * a + b * b + c * c + d * d
-    det2 = (a * d - b * c) ** 2
+    det2 = det4((a, b, c, d)) ** 2
     delta = max(t * t - 4 * det2, 0)
     rhs = 8 * det2 - t ** 3 - 3 * t * delta
     return rhs >= 0 and delta * (3 * t * t + delta) ** 2 <= rhs * rhs
@@ -214,7 +214,7 @@ def hueter_lalley_check(
     report of ``check_ssc``; Unknown without one).  The only place that
     decides them: ``analyze`` reads its T4.1 statuses from here."""
     if split is None:
-        split = certify(sys)
+        split = sys.certificate
     return {
         "dominated-splitting": (VERIFIED if split.certified
                                 else FAILED if split.verdict == "Refuted" else UNKNOWN),
@@ -275,10 +275,8 @@ def build_subsystem(
     """Depth-n composition system with the excluded-symbols word class
     removed: maps f_w for w in S^depth minus E^depth."""
     exclude = set(exclude_symbols)
-    words = [()]
-    for _ in range(depth):
-        words = [w + (i,) for w in words for i in range(1, sys.n + 1)]
-    kept = [w for w in words if not all(s in exclude for s in w)]
+    words = product(range(1, sys.n + 1), repeat=depth)
+    kept = [w for w in words if not exclude.issuperset(w)]
     label = (sys.label or "system") + f"-sub{depth}"
     return IfsSystem(tuple(compose_word(sys, w) for w in kept), label=label)
 
@@ -287,9 +285,9 @@ def build_subsystem(
 class _Ctx:
     """What one analyze command fixes and computes once: its options, the
     weight-independent certificates, hypothesis statuses, pressure data and
-    detail lines, and every Delta_n table, exponent triple and measure report
-    its targets ask for, each keyed by what varies (the line system and
-    depth, or the weights)."""
+    detail lines, and every Delta_n table and measure report its targets ask
+    for, each keyed by what varies (the line system and depth, or the
+    weights)."""
 
     sys: IfsSystem
     split: SplitReport
@@ -311,11 +309,6 @@ class _Ctx:
 
     def delta_report(self, ifs: LineIfs, depth: int) -> DeltaReport:
         return self._once(("delta", ifs.maps, depth), lambda: hochman_rate(ifs, depth))
-
-    def exponents(self, weights) -> ExponentTriple:
-        # symbol stream 2: _empirical_direction samples e_ss from stream 0
-        return self._once(("exponents", weights.p), lambda: lyapunov_exponents(
-            self.sys, weights, self.mc_n, self.mc_trials, self.rng_seed, self.split, stream=2))
 
     def measure_report(self, weights) -> DimensionReport:
         return self._once(("measure", weights.p), lambda: _measure_report(self, weights))
@@ -343,18 +336,19 @@ def analyze_targets(
     mc_n: int = 1000,
     mc_trials: int = 1000,
     rng_seed: int = 0,
-    pressure_schedule: Optional[Sequence[int]] = None,
     family_closed_form: Optional[Tuple[str, float]] = None,
 ) -> tuple:
     """One report per target, in order, as ``analyze`` would give each.
 
-    The splitting certificate, the SSC check, the pressure root, the shared
-    detail lines, every Delta_n table, every exponent triple and every
-    measure report are computed once and shared by all targets.
+    The SSC check, the pressure root, the shared detail lines, every Delta_n
+    table and every measure report are computed once and shared by all
+    targets; the splitting certificate is the system's own
+    (``IfsSystem.certificate``), computed once per system.
 
     Dominated triangular systems take the pressure root from the exact
     closed form (``pressure-method: closed-form``); every other system runs
-    ``pressure_root`` along ``pressure_schedule`` (``pressure-history``).
+    ``pressure_root`` along ``pressure.DEFAULT_SCHEDULE``
+    (``pressure-history``).
     """
     for target in targets:
         if target not in ("measure", "attractor"):
@@ -362,14 +356,14 @@ def analyze_targets(
     if weights is None:
         weights = BernoulliWeights.uniform(sys.n)
 
-    split = certify(sys)
+    split = sys.certificate
     ssc = check_ssc(sys, polygon) if polygon is not None else None
     roots = None
     if split.triangular in ("ADominant", "CDominant"):
         roots = triangular_roots(sys)
         pressure = RootEstimate.closed_form(triangular_pressure_root(sys, roots))
     else:
-        pressure = pressure_root(sys, pressure_schedule)
+        pressure = pressure_root(sys)
 
     ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots,
                statuses=hueter_lalley_check(sys, ssc, split),
@@ -487,7 +481,9 @@ class _ReportState:
 
 def _measure_report(ctx: _Ctx, weights: BernoulliWeights) -> DimensionReport:
     """The report of the first rule of ``_RULES`` that fires."""
-    t = ctx.exponents(weights)
+    # symbol stream 2: _empirical_direction samples e_ss from stream 0
+    t = lyapunov_exponents(ctx.sys, weights, ctx.mc_n, ctx.mc_trials, ctx.rng_seed, ctx.split,
+                           stream=2)
     st = _ReportState(ctx, weights, t, list(ctx.details))
     st.details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
     st.details.append(("entropy", format_number(t.entropy)))

@@ -88,7 +88,8 @@ from ._record import record
 from . import ifs, pressure
 from .errors import BadExponents
 from .ifs import BernoulliWeights, IfsSystem, abs_diagonals, rng
-from .linalg2 import LIBM, det4, log_alpha1, mul4, numpy_ops, renormalise4, word_blocks
+from .linalg2 import (LIBM, Mat2, det4, log_alpha1, mul4, numpy_ops, renormalise4,
+                      singular_values, word_blocks)
 from .pressure import WALK_BLOCK, ordered_sum, word_ops
 
 if TYPE_CHECKING:  # certify's report is only passed through: splitting stays unexecuted
@@ -224,11 +225,10 @@ def exponent_bracket(
     t = [a11 * a11 + a12 * a12 + a21 * a21 + a22 * a22 for a11, a12, a21, a22 in syms]
     dt = [abs(det4(a)) for a in syms]  # alpha1 alpha2; t is alpha1^2 + alpha2^2
     disc = [max(x * x - 4.0 * y * y, 0.0) for x, y in zip(t, dt)]  # (alpha1^2 - alpha2^2)^2
-    alpha1 = [math.sqrt((x + math.sqrt(d)) / 2.0) for x, d in zip(t, disc)]
-    alpha2 = [y / a for y, a in zip(dt, alpha1)]
+    pairs = [singular_values(Mat2(*a)) for a in syms]
     lip = math.fsum(pa * (math.sqrt(d + 64 * _U * x * x) / (2.0 * y))
                     for pa, d, x, y in zip(p, disc, t, dt)) * (1 + 16 * _U)
-    big_f = max(abs(math.log(a)) for a in alpha1 + alpha2)
+    big_f = max(abs(math.log(alpha)) for pair in pairs for alpha in pair)
 
     arcs = split.multicone.arcs
     m2 = split.margin / 2.0
@@ -239,8 +239,8 @@ def exponent_bracket(
     for arc in arcs:
         start, end = arc.start.theta, arc.start.theta + arc.length
         cone.append((math.cos(start), math.cos(end), math.sin(start), math.sin(end)))
-    k = 2.0 * max(math.sqrt(x) / _min_gain(a, a2, arc.start.theta, arc.length, c)
-                  for a, x, a2 in zip(syms, t, alpha2) for arc, c in zip(arcs, cone))
+    k = 2.0 * max(math.sqrt(x) / _min_gain(a, pair.alpha2, arc.start.theta, arc.length, c)
+                  for a, x, pair in zip(syms, t, pairs) for arc, c in zip(arcs, cone))
     rho = max(math.sin(a.length) / (math.sin(m2) * math.sin(a.length - m2)) for a in arcs)
     eta = max(math.tan(a.length / 2.0) for a in arcs) / 2.0 * rho * (2 * k + n * (5 * k + 1)) * _U
     if not eta < m2:

@@ -49,7 +49,7 @@ class LineIfs:
         if len(self.maps) < 1:
             raise ValueError("LineIfs needs at least one map")
         for k, (beta, _gamma) in enumerate(self.maps):
-            if not 0 < abs(float(beta)) < 1:
+            if not 0 < abs(beta) < 1:
                 raise ValueError(f"map {k + 1}: contraction must satisfy 0 < |beta| < 1")
 
     @property
@@ -64,34 +64,29 @@ class LineIfs:
         """
         if weights is None:
             weights = [Fraction(1, self.n)] * self.n
-        seen = {}
-        order = []
-        for (b, g), w in zip(self.maps, weights):
-            key = (b, g)
-            if key in seen:
-                seen[key] += w
-            else:
-                seen[key] = w
-                order.append(key)
-        merged = LineIfs(tuple(order))
-        return merged, tuple(seen[k] for k in order)
+        merged = {}  # in order of first appearance
+        for m, w in zip(self.maps, weights):
+            merged[m] = merged[m] + w if m in merged else w
+        return LineIfs(tuple(merged)), tuple(merged.values())
 
     def hull(self) -> Tuple[float, float]:
-        """Interval hull of the attractor (smallest invariant interval)."""
-        fixed = [float(g) / (1.0 - float(b)) for b, g in self.maps]
-        lo, hi = min(fixed), max(fixed)
-        # grow until invariant: affine images of [lo,hi] stay inside.  The
-        # ends only move outward and stay bounded floats, so this ends.
+        """Interval hull of the attractor (smallest invariant interval).  Its
+        ends are among the attractor's points fix(g_i), and g_i(fix(g_j)) and
+        fix(g_i g_j) for beta_i, beta_j < 0: exact, even for |beta| within a
+        float of 1, and then rounded."""
+        fixed = [g / (1 - b) for b, g in self.maps]
+        flips = [(b, g) for b, g in self.maps if b < 0]
+        ends = (fixed + [b * x + g for b, g in flips for x in fixed]
+                + [(b1 * g2 + g1) / (1 - b1 * b2) for b1, g1 in flips for b2, g2 in flips])
+        lo, hi = float(min(ends)), float(max(ends))
+        # grow until invariant: float images of [lo, hi] stay inside.  The
+        # ends only move outward, by rounding, so this ends.
         while True:
-            new_lo, new_hi = lo, hi
-            for b, g in self.maps:
-                bf, gf = float(b), float(g)
-                a1, a2 = bf * lo + gf, bf * hi + gf
-                new_lo = min(new_lo, a1, a2)
-                new_hi = max(new_hi, a1, a2)
-            if new_lo == lo and new_hi == hi:
+            images = [float(b) * x + float(g) for b, g in self.maps for x in (lo, hi)]
+            grown = min(lo, *images), max(hi, *images)
+            if grown == (lo, hi):
                 return lo, hi
-            lo, hi = new_lo, new_hi
+            lo, hi = grown
 
 
 @record
@@ -179,7 +174,7 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    bound = 1.5 * max(-math.log(abs(float(b))) for b, _ in ifs.maps)
+    bound = 1.5 * max(map(_neg_log, (abs(b) for b, _ in ifs.maps)))
     rows = []
     overlap = False
     rates_ok = True
@@ -190,9 +185,8 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
         elif d == 0:
             rate = math.inf
             overlap = True
-        else:  # from the exact Fraction when Delta_n is below the least float
-            f = float(d)
-            rate = (-math.log(f) if f else math.log(d.denominator) - math.log(d.numerator)) / n
+        else:
+            rate = _neg_log(d) / n
             if rate > bound:
                 rates_ok = False
         rows.append((n, d, rate))
@@ -200,6 +194,12 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
             break
     verdict = "ExactOverlap" if overlap else "TrendBounded" if rates_ok else "Inconclusive"
     return DeltaReport(rows=tuple(rows), verdict=verdict)
+
+
+def _neg_log(x: Fraction) -> float:
+    """-log x > 0, from x's numerator and denominator below the least float."""
+    f = float(x)
+    return -math.log(f) if f else math.log(x.denominator) - math.log(x.numerator)
 
 
 def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):

@@ -26,7 +26,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from ._numpy import np
 from ._record import record
 from .errors import BadSymbol, NonConvexPolygon, NotTriangular, ParseError, TooFewPoints
-from .linalg2 import Mat2, log_alpha1, mul4, numpy_ops, operator_norm, renormalise4
+from .linalg2 import (Mat2, apply4, det4, log_alpha1, mul4, numpy_ops, operator_norm,
+                      renormalise4)
 
 Vec2 = tuple  # (x, y) pairs of float or Fraction
 
@@ -152,8 +153,8 @@ class IfsSystem:
     @cached_property
     def certificate(self):
         """The dominated-splitting certificate of :func:`splitting.certify`,
-        computed once per system for the direction routines called without
-        one."""
+        computed once per system: ``analyze``, the T4.1 statuses and every
+        direction routine called without one read it."""
         from .splitting import certify  # splitting imports this module
 
         return certify(self)
@@ -344,8 +345,10 @@ def _point_kernel(sys: IfsSystem, seed_point: Vec2):
         x = np.full(len(syms), float(seed_point[0]))
         y = np.full(len(syms), float(seed_point[1]))
         for i in np.ascontiguousarray(syms.T[::-1]):
-            a11, a12, a21, a22, tx, ty = gather(cols, i)
-            x, y = a11 * x + a12 * y + tx, a21 * x + a22 * y + ty
+            *a, tx, ty = gather(cols, i)
+            x, y = apply4(a, x, y)
+            x += tx
+            y += ty
         return np.column_stack([x, y])
 
     return points
@@ -410,7 +413,8 @@ def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> Estima
 
     Counts are exact at every k: the cells are exact floats, packed into one
     exact key x 2^26 + y while |x|, |y| < 2^25, and otherwise compared as
-    complex numbers, which sort by x, then y."""
+    complex numbers, which sort by x, then y; sorted neighbours count them
+    without ``np.unique``, which imports ``numpy.ma``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
@@ -428,7 +432,8 @@ def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> Estima
             key = cell[:, 0] * 2.0 ** 26 + cell[:, 1]
         else:
             key = cell.view(np.complex128)
-        counts.append(int(np.unique(key).size))
+        key = np.sort(key, axis=None)
+        counts.append(1 + int(np.count_nonzero(key[1:] != key[:-1])))
     x = np.array([k * math.log(2.0) for k in ks])
     y = np.log(np.array(counts, dtype=float))
     slope, r2 = _least_squares(x, y)
@@ -443,7 +448,7 @@ def box_dimension_estimate(points: np.ndarray, k_min: int, k_max: int) -> Estima
 
 
 def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return det4((a[0] - o[0], b[0] - o[0], a[1] - o[1], b[1] - o[1]))
 
 
 @record
@@ -456,11 +461,7 @@ class Polygon:
         verts = tuple(tuple(v) for v in self.vertices)
         if len(verts) < 3:
             raise NonConvexPolygon("polygon needs at least 3 vertices")
-        area2 = sum(
-            verts[i][0] * verts[(i + 1) % len(verts)][1]
-            - verts[(i + 1) % len(verts)][0] * verts[i][1]
-            for i in range(len(verts))
-        )
+        area2 = sum(det4((a[0], b[0], a[1], b[1])) for a, b in zip(verts, verts[1:] + verts[:1]))
         if area2 == 0:
             raise NonConvexPolygon("polygon is degenerate")
         if area2 < 0:
@@ -526,7 +527,7 @@ def _point_segment_dist2(pt, a, b):
         dx, dy = pt[0] - b[0], pt[1] - b[1]
         return dx * dx + dy * dy
     # foot inside the segment: dist^2 = cross^2 / |ab|^2
-    cr = apx * aby - apy * abx
+    cr = det4((apx, apy, abx, aby))
     return cr * cr / denom
 
 

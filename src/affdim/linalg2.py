@@ -6,21 +6,28 @@ Products, determinants and triangular predicates are exact on Fractions.
 Anything involving a square root (singular values, angles) is computed in
 float.
 
-The batched 2x2 kernel (:func:`mul4`, :func:`renormalise4`, :func:`log_alpha1`)
-forms every word product for the pressure, the exponents and the direction
-samplers, and :func:`word_blocks` enumerates the words of the pressure and
-the exponent enclosure in bounded blocks.  Its operands are entry 4-tuples
-of arrays: a system's per-map float entries are ``IfsSystem.columns``, and
-the merged alphabet's are ``IfsSystem.symbol_entries`` transposed.  A formula of a
-word walk is written once, over the ``Ops`` its caller binds in: one
-instance maps it over lists of Python floats with libm (:data:`LIBM`), the
-other calls it on numpy arrays (:func:`numpy_ops`).  Both make the same
-operations in the same order, so they give the same bits wherever numpy's
-loops equal libm's: under AVX2 dispatch, but for ``math.hypot``, which is
-CPython's own; numpy's AVX512 log may differ by 1 ulp.  The one list-only
-kernel is the product step of a walk, :func:`prepend_each`, bound in as
-``LIBM.products``.  Each caller keeps its own renormalisation cadence, and
-that cadence is part of the output bytes: it decides the last bits.
+The batched 2x2 kernel (:func:`mul4`, :func:`det4`, :func:`apply4`,
+:func:`renormalise4`, :func:`log_alpha1`) is the one place that writes out a
+2x2 product, determinant or matrix-vector image, for ``Mat2``, the singular
+values, the word products, sampled points, cylinders and direction angles.
+:func:`word_blocks` enumerates the words of the pressure and the exponent
+enclosure in bounded blocks.  The operands are entry 4-tuples: a system's
+per-map float entries are ``IfsSystem.columns``, and the merged alphabet's are
+``IfsSystem.symbol_entries`` transposed.  A formula of a word walk is written
+once, over the ``Ops`` its caller binds in: one instance maps it over lists of
+Python floats with libm (:data:`LIBM`), the other calls it on numpy arrays
+(:func:`numpy_ops`).  Both make the same operations in the same order, so they
+give the same bits wherever numpy's loops equal libm's: under AVX2 dispatch,
+but for ``math.hypot``, which is CPython's own; numpy's AVX512 log may differ
+by 1 ulp.  Each caller keeps its own renormalisation cadence, and that cadence
+is part of the output bytes: it decides the last bits.  Four kernels run once
+per word or point on Python floats and write their arithmetic out, as a call
+costs more there (Python 3.11, shared Xeon):
+
+- :func:`prepend_each`: 10 ms for 16,384 products, 23 ms through ``mul4``;
+- :func:`log_alpha1`'s kernel: 16 ms for 32,768 words, 21 ms through ``det4``;
+- ``ergodic._arc_values``: hl-demo's enclosure 36.8 ms, 41.6 ms with calls;
+- ``render.render_chaos``'s orbit: 18 ms for 200,100 steps, 62 ms via ``apply4``.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ class Mat2:
 
     @property
     def det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
+        return det4(self.entries())
 
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
@@ -87,16 +94,10 @@ class Mat2:
         return Mat2(float(self.a11), float(self.a12), float(self.a21), float(self.a22))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        return Mat2(*mul4(self.entries(), other.entries()))
 
     def apply(self, v):
-        x, y = v
-        return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)
+        return apply4(self.entries(), *v)
 
     def scaled(self, s) -> "Mat2":
         return Mat2(self.a11 * s, self.a12 * s, self.a21 * s, self.a22 * s)
@@ -124,8 +125,7 @@ def singular_values(m: Mat2) -> SingularPair:
     alpha2 is recovered from alpha1 * alpha2 = |D| so the product identity is
     exact; the inner sqrt argument is clamped at 0 against round-off.
     """
-    a, b, c, d = (float(e) for e in m.entries())
-    det = a * d - b * c
+    det = det4(tuple(map(float, m.entries())))
     if abs(det) < DET_FLOOR:
         raise SingularMatrix(f"|det| = {abs(det)} below floor {DET_FLOOR}")
     alpha1 = operator_norm(m)
@@ -134,11 +134,10 @@ def singular_values(m: Mat2) -> SingularPair:
 
 def operator_norm(m: Mat2) -> float:
     """alpha1 of a 2x2 matrix, in the closed form of :func:`singular_values`."""
-    a, b, c, d = (float(e) for e in m.entries())
+    e = a, b, c, d = tuple(map(float, m.entries()))
     t = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = max(t * t - 4.0 * det * det, 0.0)
-    return math.sqrt((t + math.sqrt(disc)) / 2.0)
+    det = det4(e)
+    return math.sqrt((t + math.sqrt(max(t * t - 4.0 * det * det, 0.0))) / 2.0)
 
 
 def phi_s(m: Mat2, s: float) -> float:
@@ -176,6 +175,12 @@ def mul4(p, q) -> tuple:
             p21 * q11 + p22 * q21, p21 * q12 + p22 * q22)
 
 
+def apply4(m, x, y) -> tuple:
+    """The images M (x, y) as an (x, y) pair, matrices and vectors broadcast."""
+    m11, m12, m21, m22 = m
+    return m11 * x + m12 * y, m21 * x + m22 * y
+
+
 def renormalise4(m) -> tuple:
     """(m / scale, scale) with scale the largest |entry| of each matrix."""
     m11, m12, m21, m22 = m
@@ -188,9 +193,7 @@ def prepend_each(syms, words) -> tuple:
     """``renormalise4(mul4(A, words))`` for every matrix A of ``syms``
     (4-tuples of Python floats), on a batch of words given as four entry
     lists: the products' four entry lists and their scales, A the slowest
-    index.  The operations are the batched kernel's, so are the values.
-    The one list-only kernel: a per-word ``renormalise4(mul4(...))`` took 23
-    ms for 16,384 products against 10 ms here (Python 3.11, shared Xeon)."""
+    index.  The operations are the batched kernel's, so are the values."""
     out, scales = ([], [], [], []), []
     q11, q12, q21, q22 = words
     for a11, a12, a21, a22 in syms:

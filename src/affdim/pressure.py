@@ -235,6 +235,10 @@ def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     block, summed by ``math.fsum``.  Arrays are read in blocks of at most
     ``WORD_BLOCK`` words twice, for the largest log term and for the two
     sums, which run along numpy's pairwise tree (:func:`_pairwise_sums`).
+    The two bodies stay apart: one two-pass body for both computes each log
+    term twice, and took four list evaluations of sec44's 6,561 depth-8 words
+    from 7.1 to 10.9 ms; one pass on arrays would hold all 531,441 terms of
+    phi-c's depth 12 at once, 4.25 MB more.
     """
     log_a1, log_det, log_w = words
     phi, slope = phi_log_values(log_a1, log_det, s), _phi_and_slope(s)[1]

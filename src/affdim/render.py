@@ -21,7 +21,7 @@ from ._numpy import np
 from ._record import record
 from .errors import UnsupportedDepth
 from .ifs import BernoulliWeights, IfsSystem, Polygon, rng
-from .linalg2 import mul4
+from .linalg2 import apply4, det4, mul4
 
 CYLINDER_WORD_CAP = 200_000
 PAIR_BLOCK = 1 << 16  # (polygon, pixel row) pairs scanned at once
@@ -133,10 +133,9 @@ def _cylinder_maps(sys: IfsSystem, depth: int):
     """
     maps = level = sys.columns
     for _ in range(depth - 1):
-        a11, a12, a21, a22, tx, ty = (c[:, None] for c in maps)
-        gx, gy = level[4], level[5]
-        level = tuple(np.ravel(c) for c in mul4((a11, a12, a21, a22), level[:4])
-                      + (a11 * gx + a12 * gy + tx, a21 * gx + a22 * gy + ty))
+        *a, tx, ty = (c[:, None] for c in maps)
+        x, y = apply4(a, *level[4:])
+        level = tuple(np.ravel(c) for c in mul4(a, level[:4]) + (x + tx, y + ty))
     return level
 
 
@@ -145,13 +144,11 @@ def _cylinder_vertices(sys: IfsSystem, polygon: Polygon, depth: int):
     float images f_w(polygon), ordered as Polygon orders them: reversed where
     the shoelace sum, taken left to right, is negative."""
     vx, vy = np.array(polygon.to_float().vertices).T
-    a11, a12, a21, a22, tx, ty = (c[:, None] for c in _cylinder_maps(sys, depth))
-    xs = a11 * vx + a12 * vy + tx
-    ys = a21 * vx + a22 * vy + ty
+    *a, tx, ty = (c[:, None] for c in _cylinder_maps(sys, depth))
+    xs, ys = apply4(a, vx, vy)
+    xs, ys = xs + tx, ys + ty
     xs_b, ys_b = np.roll(xs, -1, axis=1), np.roll(ys, -1, axis=1)
-    area2 = xs[:, 0] * ys_b[:, 0] - xs_b[:, 0] * ys[:, 0]
-    for k in range(1, len(vx)):
-        area2 = area2 + (xs[:, k] * ys_b[:, k] - xs_b[:, k] * ys[:, k])
+    area2 = functools.reduce(np.add, det4((xs, xs_b, ys, ys_b)).T)  # vertex by vertex
     flip = (area2 < 0)[:, None]
     return np.where(flip, xs[:, ::-1], xs), np.where(flip, ys[:, ::-1], ys)
 

@@ -57,6 +57,7 @@ from .linalg2 import (
     Mat2,
     ProjArc,
     ProjPoint,
+    apply4,
     arc_image,
     det4,
     mul4,
@@ -126,25 +127,26 @@ class SplitReport:
         return None if self.multicone is None else self.multicone.complement()
 
 
-def triangular_forward_cone(sys: IfsSystem, case: str) -> Multicone:
+def triangular_forward_cone(sys: IfsSystem, case: str) -> Optional[Multicone]:
     """Explicit forward-invariant arc for a dominated triangular family.
 
     ADominant: slopes contract toward the e_s series, so a symmetric slope
     band |slope| <= K is invariant once K beats max|b/a| / (1 - max|c/a|).
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
+    None when the float bound is not finite (some |a_i| and |c_i| round to
+    one float) or too large to leave a proper arc.
     """
     rows = [tuple(abs(float(x)) for x in f.linear.entries()) for f in sys.maps]
     if case == "ADominant":
-        bound = max(b / a for a, _, b, _ in rows) / (1.0 - max(c / a for a, _, _, c in rows))
-        k = max(bound * 1.001 + 1e-9, 0.01)
-        half = math.atan(k)
-        return Multicone((ProjArc.from_angles(-half, half),))
+        gap = 1.0 - max(c / a for a, _, _, c in rows)
+        bound = max(b / a for a, _, b, _ in rows) / gap if gap else math.inf
+        half = math.atan(max(bound * 1.001 + 1e-9, 0.01))
+        return Multicone((ProjArc.from_angles(-half, half),)) if half < math.pi / 2 else None
     if case == "CDominant":
-        t0 = max(b / (c - a) for a, _, b, c in rows)
-        t = max(t0 * 1.001 + 1e-9, 1.0)
-        cut = math.atan(t)
-        return Multicone((ProjArc.from_angles(cut, math.pi - cut),))
+        t0 = max(b / (c - a) if c > a else math.inf for a, _, b, c in rows)
+        cut = math.atan(max(t0 * 1.001 + 1e-9, 1.0))
+        return Multicone((ProjArc.from_angles(cut, math.pi - cut),)) if cut < math.pi / 2 else None
     raise ValueError(f"no cone for triangular case {case!r}")
 
 
@@ -274,8 +276,8 @@ def certify(sys: IfsSystem) -> SplitReport:
         case = check_triangular_split(sys)
     except NotTriangular:
         case = None
-    if case in ("ADominant", "CDominant"):
-        cone = triangular_forward_cone(sys, case)
+    cone = triangular_forward_cone(sys, case) if case in ("ADominant", "CDominant") else None
+    if cone is not None:  # near ties decline: an exact cone is not yet built
         checked = check_multicone_invariance(sys, cone)
         return SplitReport("Certified", method="Triangular", multicone=cone,
                            margin=checked.margin, triangular=case)
@@ -487,9 +489,7 @@ def _product_fold(cols, syms) -> tuple:
 def _image_angles(p, v) -> np.ndarray:
     """Angles in [0, pi) of the images P v of the vectors v = (vx, vy), the
     products and the vectors broadcast against each other."""
-    vx, vy = v
-    wx = p[0] * vx + p[1] * vy
-    wy = p[2] * vx + p[3] * vy
+    wx, wy = apply4(p, *v)
     return _fold(list(map(math.atan2, wy.tolist(), wx.tolist())))
 
 

@@ -705,6 +705,16 @@ class TestRender:
         assert "cap" in err
 
 
+# diagonals |a| and |c| of map 1 that round to one float, c-dominant and
+# its a-dominant mirror
+NEAR_TIE_C_CONFIG = ("map 1/2 0 0 50000000000000000001/100000000000000000000 0 0\n"
+                     "map 1/3 0 1/4 1/2 1/2 1/2\n"
+                     + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+NEAR_TIE_A_CONFIG = ("map 50000000000000000001/100000000000000000000 0 0 1/2 0 0\n"
+                     "map 1/2 0 1/4 1/3 1/2 1/2\n"
+                     + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["render", "--example", "sec44", "--viewport", "a,b,c,d"],
@@ -800,6 +810,34 @@ class TestBadInput:
         cfg.write_text(text)
         assert run_cli(["hochman", "--config", str(cfg)] + argv, capsys) == \
             (1, "", "affdim: error: map 1 has a nonzero upper-right entry\n")
+
+    @pytest.mark.parametrize("config", [NEAR_TIE_C_CONFIG, NEAR_TIE_A_CONFIG],
+                             ids=["c-dominant", "a-dominant"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["directions", "--count", "5"], ["hochman", "--n", "3"],
+        ["hochman", "--n", "3", "--derive", "x"], ["pressure", "--n", "2,4"],
+        ["lyapunov", "--mc-n", "20", "--mc-trials", "20"], ["ssc"], ["boxdim", "--count", "1000"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:4]))
+    def test_near_ties_exit_without_traceback(self, config, argv, capsys, tmp_path):
+        # diagonals that differ by less than a float divided by zero in the
+        # triangular cone; the exact tests decide, so only the direction system
+        # of the a-dominant mirror, whose ratio exceeds 1, is rejected
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(config)
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        rejected = config is NEAR_TIE_A_CONFIG and argv == ["hochman", "--n", "3"]
+        uncertified = argv[0] == "directions"
+        assert code == (1 if rejected or uncertified else 2 if argv[0] == "analyze" else 0), err
+        assert "Traceback" not in err
+        if argv[0] == "analyze":
+            assert out.count("split-verdict: Unknown\n") == 2
+
+    def test_hochman_ratio_within_a_float_of_one(self, capsys):
+        code, out, err = run_cli(["hochman", "--maps",
+                                  "99999999999999999999/100000000000000000000,0;1/2,1",
+                                  "--n", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "2\t1/100000000000000000000\t23.025850929940457"
 
     def test_chaos_mode_ignores_depth(self, capsys, tmp_path):
         out = tmp_path / "img.ppm"
@@ -1011,6 +1049,16 @@ class TestNumpyOnFirstUse:
         assert probe.code == code, probe.stderr
         assert executed <= probe.layers
         assert not absent & (probe.layers | probe.stdlib)
+
+    def test_boxdim_never_imports_numpy_ma(self):
+        # np.unique imports numpy.ma; the box counts sort and compare neighbours
+        code = ("import sys; from affdim.cli import main; "
+                "code = main(['boxdim', '--example', 'sec44', '--count', '2000']); "
+                "print('numpy.ma' in sys.modules, file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False\n"
 
     def test_certify_never_executes_numpy(self):
         # the proposed cone grows from eigenlines: no random words, no arrays

@@ -237,6 +237,16 @@ class TestEstimators:
         assert list(series.counts) == self.exact_counts(pts, range(1, 71))
         assert series.counts[-1] == len(np.unique(pts, axis=0))
 
+    def test_box_counts_merge_repeated_cells_and_signed_zeros(self):
+        # the count of unequal sorted neighbours, on packed and complex keys,
+        # where points repeat and cells are -0.0 on some points, +0.0 on others
+        pts = np.random.default_rng(137).uniform(-1.0, 1.0, size=(600, 2))
+        zeros = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]] * 100
+        pts = np.concatenate([pts, pts[:300], zeros])
+        series = box_dimension_estimate(pts, 1, 70)
+        assert list(series.counts) == self.exact_counts(pts, range(1, 71))
+        assert series.counts[-1] == 601
+
     def test_box_counts_up_to_the_largest_finite_grid(self):
         pts = np.random.default_rng(127).uniform(-3.0, 3.0, size=(1000, 2))
         k = 1024 - math.frexp(float(np.abs(pts).max()))[1]  # |pts| * 2^k < 2^1024
@@ -373,13 +383,17 @@ class TestAnalyze:
             if rep.certified_value is not None:
                 assert rep.certified_value <= upper + 1e-9
 
-    def test_dropped_depths_become_a_detail(self):
+    def test_dropped_depths_become_a_detail(self, monkeypatch):
+        import affdim.pressure
+
         # not triangular, so analyze runs the finite-depth schedule
         sysm = six_distinct_maps_system(upper_right=F(1, 100))
         assert not sysm.is_triangular()
-        rep = analyze(sysm, pressure_schedule=(2, 12), mc_n=200, mc_trials=50)
+        monkeypatch.setattr(affdim.pressure, "DEFAULT_SCHEDULE", (2, 12))
+        rep = analyze(sysm, mc_n=200, mc_trials=50)
         assert dict(rep.details)["pressure-depths-dropped"] == "12"
-        rep = analyze(sysm, pressure_schedule=(2,), mc_n=200, mc_trials=50)
+        monkeypatch.setattr(affdim.pressure, "DEFAULT_SCHEDULE", (2,))
+        rep = analyze(sysm, mc_n=200, mc_trials=50)
         assert "pressure-depths-dropped" not in dict(rep.details)
 
     @pytest.mark.parametrize("example", [sec44, hl_demo])

@@ -1,0 +1,65 @@
+"""Property suite: lower-triangular systems whose diagonals tie or nearly tie,
+|c_i| = |a_i| (1 + k 2^-60) for small integers k (k = 0 included), with
+norms up to within 2^-20 of 1.  Such diagonals round to one float, so no
+float test may stand in for the exact one: the certificate always comes back
+as a report, and ``analyze`` fails only with the errors the CLI reports as
+exit 1.
+
+Skipped where hypothesis is not installed.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import affdim.pressure  # noqa: E402
+from affdim.dimension import analyze_targets  # noqa: E402
+from affdim.errors import AffdimError  # noqa: E402
+from affdim.ifs import AffineMap, IfsSystem, Polygon  # noqa: E402
+from affdim.linalg2 import Mat2  # noqa: E402
+from affdim.splitting import SplitReport, certify  # noqa: E402
+
+UNIT_SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+
+# |a|: a small-denominator rational, or one within 2^-j of 1
+diagonal = st.one_of(
+    st.integers(2, 64).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))),
+    st.integers(20, 50).map(lambda j: 1 - F(1, 2 ** j)),
+)
+near_tie_row = st.tuples(diagonal, st.integers(-16, 16), st.integers(-7, 7),
+                         st.booleans(), st.booleans(), st.integers(0, 4), st.integers(0, 4))
+
+
+def near_tie_map(a, k, b_eighths, flip_a, flip_c, tx, ty):
+    """[[a, 0], [b, c]] with |c| = |a| (1 + k 2^-60) and |b| below 1 - max(|a|, |c|)."""
+    c = a * (1 + F(k, 2 ** 60))
+    b = F(b_eighths, 8) * (1 - max(a, c))
+    return AffineMap(Mat2.lower_triangular(-a if flip_a else a, b, -c if flip_c else c),
+                     (F(tx, 4), F(ty, 4)))
+
+
+def near_tie_system(rows):
+    try:
+        return IfsSystem(tuple(near_tie_map(*r) for r in rows))
+    except ValueError:  # a norm of 1 or more: not a contraction
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(near_tie_row, min_size=1, max_size=3), polygon=st.booleans())
+def test_near_ties_certify_and_analyze_without_crashing(rows, polygon):
+    sysm = near_tie_system(rows)
+    split = certify(sysm)
+    assert isinstance(split, SplitReport)
+    with pytest.MonkeyPatch.context() as mp:  # two depths keep the finite-depth root quick
+        mp.setattr(affdim.pressure, "DEFAULT_SCHEDULE", (2, 4))
+        try:
+            analyze_targets(sysm, ("measure", "attractor"),
+                            polygon=UNIT_SQUARE if polygon else None, mc_n=50, mc_trials=10,
+                            hochman_depth=3)
+        except (AffdimError, ValueError, OSError):  # what cli.main reports as exit 1
+            pass

@@ -171,6 +171,20 @@ class TestCertify:
         sysm = IfsSystem(maps)
         assert certify(sysm).verdict in ("Unknown", "Refuted")
 
+    @pytest.mark.parametrize("case, rows", [
+        ("CDominant", [(F(1, 2), F(0), F(1, 2) + F(1, 10 ** 20)), (F(1, 3), F(1, 4), F(1, 2))]),
+        ("ADominant", [(F(1, 2) + F(1, 10 ** 20), F(0), F(1, 2)), (F(1, 2), F(1, 4), F(1, 3))]),
+    ], ids=["c-dominant", "a-dominant"])
+    def test_near_tie_declines_the_triangular_route(self, case, rows):
+        # |a_1| and |c_1| are one float: the float cone bound divided by zero
+        from affdim.splitting import triangular_forward_cone
+
+        sysm = triangular_system(rows)
+        assert check_triangular_split(sysm) == case
+        assert triangular_forward_cone(sysm, case) is None
+        rep = certify(sysm)
+        assert rep.method != "Triangular" and rep.triangular is None
+
 
 def random_conjugated_system(seed):
     """2-4 maps R(c + t) diag(s1, s2) R(p - c), t and p uniform in (-w, w):
@@ -571,12 +585,17 @@ class TestWholeConeBound:
 
 
 def test_certificate_is_computed_once_per_system(monkeypatch):
+    # analyze, the T4.1 statuses and the direction routines called without a
+    # split all read IfsSystem.certificate
     import affdim.splitting as splitting_mod
+    from affdim.dimension import analyze_targets, hueter_lalley_check
 
     from conftest import count_calls
 
     sysm = _thin_rotated_pair()
     proposals = count_calls(monkeypatch, splitting_mod, "propose_multicone")
+    analyze_targets(sysm, ("measure",), mc_n=50, mc_trials=10)
+    hueter_lalley_check(sysm)
     first = strong_stable_direction(sysm, (1, 2) * 8, tol=1e-3)
     again = stable_direction(sysm, (2, 1) * 8, tol=1e-3)
     assert len(proposals) == 1
