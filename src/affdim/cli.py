@@ -351,7 +351,8 @@ COMMANDS = {
         _OUT,
     )),
     "hochman": ("separation quantities of a line system", cmd_hochman, (
-        ("--maps", dict(help='line maps "beta,gamma;beta,gamma;..." (rationals)'), None),
+        ("--maps", dict(help='line maps "beta,gamma;beta,gamma;..." (rationals); '
+                             'write --maps=-1/2,0;... when the first beta is negative'), None),
         ("--derive", dict(choices=("x", "direction"), default="direction",
                           help="derive the line system from a planar config"), None),
         ("--n", dict(default="6", help="max depth or depth range, e.g. 6 or 3..6"), None),

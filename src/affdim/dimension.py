@@ -152,26 +152,12 @@ def one_bunched(m: Mat2) -> bool:
 
 
 def _interval_images_disjoint(ifs: LineIfs) -> bool:
-    """Backward non-overlapping certificate for a 1-D system: an invariant
-    interval with pairwise disjoint open images.
-
-    Exact: the float hull is padded and rationalized, then every inclusion
-    is verified in the system's Fractions.
-    """
-    lo_f, hi_f = ifs.hull()
-    pad = max((hi_f - lo_f), 1.0) * 1e-6
-    lo = Fraction(lo_f - pad).limit_denominator(10 ** 9)
-    hi = Fraction(hi_f + pad).limit_denominator(10 ** 9)
-    images = []
-    for b, g in ifs.maps:
-        e1, e2 = b * lo + g, b * hi + g
-        img = (min(e1, e2), max(e1, e2))
-        if img[0] < lo or img[1] > hi:  # not nested: certificate fails
-            return False
-        images.append(img)
-    images.sort()
-    # an open overlap fails; touching endpoints pass
-    return not any(b1 > a2 for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
+    """Backward non-overlapping certificate for a 1-D system: the images of
+    its exact hull, an invariant interval, are pairwise disjoint closed
+    intervals.  Touching images fail."""
+    lo, hi = ifs.hull()
+    images = sorted(sorted((b * lo + g, b * hi + g)) for b, g in ifs.maps)
+    return all(b1 < a2 for (_a1, b1), (a2, _b2) in zip(images, images[1:]))
 
 
 def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:

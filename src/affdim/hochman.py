@@ -69,24 +69,15 @@ class LineIfs:
             merged[m] = merged[m] + w if m in merged else w
         return LineIfs(tuple(merged)), tuple(merged.values())
 
-    def hull(self) -> Tuple[float, float]:
-        """Interval hull of the attractor (smallest invariant interval).  Its
-        ends are among the attractor's points fix(g_i), and g_i(fix(g_j)) and
-        fix(g_i g_j) for beta_i, beta_j < 0: exact, even for |beta| within a
-        float of 1, and then rounded."""
+    def hull(self) -> Tuple[Fraction, Fraction]:
+        """Interval hull of the attractor (smallest invariant interval), exact.
+        Its ends are among the attractor's points fix(g_i), and g_i(fix(g_j))
+        and fix(g_i g_j) for beta_i, beta_j < 0."""
         fixed = [g / (1 - b) for b, g in self.maps]
         flips = [(b, g) for b, g in self.maps if b < 0]
         ends = (fixed + [b * x + g for b, g in flips for x in fixed]
                 + [(b1 * g2 + g1) / (1 - b1 * b2) for b1, g1 in flips for b2, g2 in flips])
-        lo, hi = float(min(ends)), float(max(ends))
-        # grow until invariant: float images of [lo, hi] stay inside.  The
-        # ends only move outward, by rounding, so this ends.
-        while True:
-            images = [float(b) * x + float(g) for b, g in self.maps for x in (lo, hi)]
-            grown = min(lo, *images), max(hi, *images)
-            if grown == (lo, hi):
-                return lo, hi
-            lo, hi = grown
+        return min(ends), max(ends)
 
 
 @record
@@ -197,9 +188,9 @@ def hochman_rate(ifs: LineIfs, n_max: int, cap: int = DEFAULT_CAP) -> DeltaRepor
 
 
 def _neg_log(x: Fraction) -> float:
-    """-log x > 0, from x's numerator and denominator below the least float."""
+    """-log x >= 0 (+0.0 at x = 1), from x's numerator and denominator below the least float."""
     f = float(x)
-    return -math.log(f) if f else math.log(x.denominator) - math.log(x.numerator)
+    return (-math.log(f) or 0.0) if f else math.log(x.denominator) - math.log(x.numerator)
 
 
 def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):

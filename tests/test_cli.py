@@ -136,6 +136,13 @@ PROPOSED_CONE_STDOUT_SHA256 = [
 ]
 
 
+# two c-dominant maps whose direction system x -> r x, r x - 1 has
+# r = 1/2 - 1e-8, with the unit square
+TINY_GAP_CONFIG = ("map 49999999/300000000 0 0 1/3 1/10 1/10\n"
+                   "map 49999999/300000000 0 1/3 1/3 3/5 1/5\n"
+                   + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
@@ -239,6 +246,33 @@ class TestAnalyzeCommand:
         assert out == ""
         assert err.startswith("affdim: error: bad --subsystem-depth")
 
+    def test_sub_pad_direction_gap_is_verified(self, capsys, tmp_path):
+        # direction system x -> r x and r x - 1 with r = 1/2 - 1e-8: its images
+        # are 4e-8 apart, closer than the 1e-6 pad the hull once carried
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(TINY_GAP_CONFIG)
+        code, out, err = run_cli(["analyze", "--config", str(cfg), "--target", "measure",
+                                  "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        for line in ("hypothesis backward-non-overlapping: Verified",
+                     "fired-theorem: T2.8-projection", "assumption: none",
+                     "certified-value: 0.6309297535714574"):
+            assert line in lines
+
+    def test_touching_direction_images_fail(self, capsys, tmp_path):
+        # a11 = 1/6: the direction images meet at -1, and touching fails;
+        # stdout recorded while the hull was padded and rationalised
+        cfg = tmp_path / "touch.cfg"
+        cfg.write_text(TINY_GAP_CONFIG.replace("49999999/300000000", "1/6"))
+        code, out, err = run_cli(["analyze", "--config", str(cfg), "--target", "measure",
+                                  "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert "hypothesis backward-non-overlapping: Failed" in out.splitlines()
+        assert "fired-theorem: T4.2-CDominant" in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "ca26aabd84b847ef5a0165466bd6e3a1c9b9cf8d87774557da9933f5106fa4f9"
+
     def test_config_round_trip(self, capsys, tmp_path):
         sysm, w, poly = sec44()
         cfg = tmp_path / "sec44.cfg"
@@ -298,6 +332,18 @@ class TestTableCommands:
             assert int(n) == k
             assert delta == f"1/{2 ** k}"
         assert "verdict: TrendBounded" in out
+
+    def test_hochman_rate_of_unit_delta_is_positive_zero(self, capsys):
+        out = ("n\tdelta_n\trate\n1\t1\t0.0\n2\t1/2\t0.34657359027997264\n"
+               "# verdict: TrendBounded\n")
+        assert run_cli(["hochman", "--maps", "1/2,0;1/2,1", "--n", "2"], capsys) == (0, out, "")
+
+    def test_hochman_negative_first_ratio_with_equals(self, capsys):
+        # "--maps -1/2,..." reads as a flag; the = form passes it as the value
+        code, out, err = run_cli(["hochman", "--maps=-1/2,0;-1/2,1", "--n", "4"], capsys)
+        assert (code, err) == (0, "")
+        rows = [l.split("\t")[:2] for l in out.splitlines()[1:] if not l.startswith("#")]
+        assert rows == [["1", "1"], ["2", "1/2"], ["3", "1/4"], ["4", "1/8"]]
 
     def test_hochman_depth_range_rows(self, capsys):
         code, out, _ = run_cli(["hochman", "--maps", "1/2,0;1/2,1/2", "--n", "3..6"], capsys)
@@ -941,7 +987,7 @@ HELP_SHA256 = {
     "lyapunov --help": ("5a35f6edcaa8033dd050fdcd15fbbf80773fb7a2229b0d324c17ea48108e21f9", ""),
     "directions --help": ("085c6dd3bbfe3ab3d32c907821bf235663fd91a2fd08d6305d1170934341aa71",
                           ""),
-    "hochman --help": ("bdf9d98254528b0af6c647be9b9f805209884fb335a6e7a0f2abf09c6568928d", ""),
+    "hochman --help": ("98beb6c2c0efcb3eed037320043bfe833a476f07545357cc3987570079d3ccc7", ""),
     "boxdim --help": ("d8efaf70cd5b72fd4b5117668b6506a3562089191f4922b1967f8176269a796b", ""),
     "ssc --help": ("4f7cbd1aabb74f43adffe309d59e29a9bbcbf10d990e30c2b301e266724f089e", ""),
     "render --help": ("6f8f318510653d9be484bf761d2c1dde3780abff20a6d64c7d642f5c4bc6f6e1", ""),

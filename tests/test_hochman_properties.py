@@ -1,5 +1,5 @@
 """Property suite: the integer enumeration behind Delta_n against the
-word-pair oracle on random rational line systems.
+word-pair oracle, and the exact hull, on random rational line systems.
 
 Skipped where hypothesis is not installed.
 """
@@ -56,3 +56,17 @@ def test_rows_are_the_oracle_up_to_the_first_overlap(maps, n_max):
             break
     assert [d for _, d, _ in rep.rows] == want
     assert (rep.verdict == "ExactOverlap") == (want[-1] == 0)
+
+
+twentieths = st.integers(-19, 19).filter(bool).map(lambda k: F(k, 20))
+shifts = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps=st.lists(st.tuples(twentieths, shifts), min_size=1, max_size=4))
+@example(maps=[(F(-19, 20), F(0)), (F(-19, 20), F(1))])  # slow reflections
+def test_hull_is_the_least_invariant_interval(maps):
+    lo, hi = LineIfs(maps).hull()
+    ends = [b * x + g for b, g in maps for x in (lo, hi)]
+    # every image lies inside the hull, and the outermost reach its ends
+    assert (min(ends), max(ends)) == (lo, hi)
