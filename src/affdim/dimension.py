@@ -73,8 +73,6 @@ FAILED = "Failed"
 UNKNOWN = "Unknown"
 
 SANDWICH_TOL = 1e-9
-# slack of the float backward non-overlapping tests: nesting and overlap
-OVERLAP_TOL = 1e-9
 
 
 @record
@@ -167,8 +165,12 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     a-dominant systems always fail (every inverse image contains the vertical
     direction).  Otherwise two maps that share a linear part fail under every
     cone; else the inverse-image arcs of the certificate's backward cone must
-    nest in it and be pairwise disjoint with slack ``OVERLAP_TOL``, or the
-    status is Unknown, since another cone may pass.
+    lie inside it with clearance > 0, and no two may overlap in more than an
+    endpoint, or the status is Unknown, since another cone may pass.  Arcs
+    that touch pass here, unlike the line images above: positive clearance
+    lets the backward cone shrink inside itself until images that only touch
+    are disjoint, while the line route's exact hull is the least invariant
+    interval and cannot shrink.
     """
     if split.triangular == "ADominant":
         return FAILED
@@ -181,10 +183,10 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
         return FAILED
     images, clearance = nest((f.linear.to_float().inverse() for f in sys.maps),
                              split.backward_cone)
-    if not clearance >= -OVERLAP_TOL:
+    if not clearance > 0:
         return UNKNOWN
     for arcs_i, arcs_j in combinations(images, 2):
-        if any(a.overlap(b) > OVERLAP_TOL for a in arcs_i for b in arcs_j):
+        if any(a.overlap(b) > 0 for a in arcs_i for b in arcs_j):
             return UNKNOWN
     return VERIFIED
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from ._record import record
 from .errors import EnumerationTooLarge
@@ -56,14 +56,12 @@ class LineIfs:
     def n(self) -> int:
         return len(self.maps)
 
-    def merged_duplicates(self, weights: Optional[Sequence] = None):
+    def merged_duplicates(self, weights: Sequence):
         """Collapse exactly identical maps, summing their weights.
 
         The push-forward measure only sees the map multiset, so duplicate
         maps must be merged before any separation or dimension reasoning.
         """
-        if weights is None:
-            weights = [Fraction(1, self.n)] * self.n
         merged = {}  # in order of first appearance
         for m, w in zip(self.maps, weights):
             merged[m] = merged[m] + w if m in merged else w

@@ -555,18 +555,16 @@ class SscReport:
     witness: Optional[str] = None
 
 
-def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
+def check_ssc(sys: IfsSystem, polygon: Polygon) -> SscReport:
     """Check f_i(closure(O)) inside O with pairwise disjoint images.
 
-    ``holds`` requires every image polygon strictly inside ``polygon`` with
-    boundary clearance > tolerance, and image polygons pairwise separated by
-    more than tolerance.  The polygon's vertices and the tolerance are
-    converted to Fractions like the system's entries, so every comparison is
-    exact and touching images fail cleanly.
+    ``holds`` requires every image polygon strictly inside ``polygon`` and
+    the image polygons pairwise at a positive distance.  The polygon's
+    vertices are converted to Fractions like the system's entries, so every
+    comparison is exact and touching images fail cleanly.
     """
     polygon = Polygon(tuple(tuple(map(Fraction, v)) for v in polygon.vertices))
     images = [polygon.transform(f) for f in sys.maps]
-    tol2 = Fraction(tolerance) ** 2
 
     # (a) containment with margin.  For an interior point of a convex polygon
     # the boundary distance is the min over edges of the distance to the edge
@@ -591,7 +589,7 @@ def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
                         margin_witness = f"image {i + 1} vertex ({x}, {y}) not interior to O"
     margin = math.copysign(math.sqrt(abs(float(margin_sd2))), float(margin_sd2))
 
-    # (b) pairwise disjointness with gap
+    # (b) pairwise disjointness
     kappa2 = None
     pair_witness = None
     for i in range(len(images)):
@@ -599,17 +597,13 @@ def check_ssc(sys: IfsSystem, polygon: Polygon, tolerance=1e-9) -> SscReport:
             d2 = polygon_distance2(images[i], images[j])
             if kappa2 is None or d2 < kappa2:
                 kappa2 = d2
-                pair_witness = f"images {i + 1} and {j + 1} within tolerance"
+                pair_witness = f"images {i + 1} and {j + 1} meet"
     kappa = math.sqrt(float(kappa2)) if kappa2 is not None else math.inf
 
-    contained = margin_sd2 > tol2
-    separated = kappa2 is None or kappa2 > tol2
+    contained = margin_sd2 > 0
+    separated = kappa2 is None or kappa2 > 0
     holds = bool(contained and separated)
-    witness = None
-    if not holds:
-        witness = margin_witness if not contained else pair_witness
-        if witness is None:
-            witness = "containment margin within tolerance"
+    witness = None if holds else margin_witness if not contained else pair_witness
     return SscReport(holds=holds, kappa=kappa, margin=margin, witness=witness)
 
 

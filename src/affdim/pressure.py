@@ -19,15 +19,13 @@ stored for every word.  Every word sees the same floating-point operations as
 in a level-by-level build.  log |det| and the log multiplicity are summed
 along the words apart, in the walk's order (:func:`_word_sums`): per-word
 arrays only when the symbols' values differ, otherwise the one float that
-every word carries.  A root evaluation runs over blocks of at most
-``WORD_BLOCK`` words: one pass takes the largest log term, a second sums the
-softmax weights and their slopes along numpy's pairwise-sum tree
-(:func:`_pairwise_sums`), so both sums equal ``np.sum`` of the full-length
-arrays bit for bit.  So the peak is one float64 per word when the symbols
-share |det| and multiplicity (phi-c, sec44, hl-demo), and three otherwise,
-beside blocks of fixed size.  Finite-n roots certify the true root from
-above: submultiplicativity of the singular value function makes the
-approximants decrease along doubling depths.
+every word carries.  A root evaluation reads the words once, in blocks of
+at most ``WORD_BLOCK`` words, and adds the blocks' softmax sums by
+``math.fsum`` (:func:`_pressure_with_slope`).  So the peak is one float64 per
+word when the symbols share |det| and multiplicity (phi-c, sec44, hl-demo),
+and three otherwise, beside blocks of fixed size.  Finite-n roots certify the
+true root from above: submultiplicativity of the singular value function
+makes the approximants decrease along doubling depths.
 
 The walk (:func:`_word_products`), log alpha1 (:func:`linalg2.log_alpha1`)
 and the log phi^s term with its slope (:func:`_phi_and_slope`) are defined
@@ -210,67 +208,43 @@ def pressure_n(sys: IfsSystem, s: float, n: int, cap: int = DEFAULT_CAP) -> floa
     return _pressure_with_slope(word_log_singulars(sys, n, cap=cap), n, s)[0]
 
 
-def _pairwise_sums(leaf: Callable[[slice], tuple], start: int, stop: int, block: int) -> tuple:
-    """Componentwise sums of ``leaf(words)`` over the words [start, stop),
-    split as ``np.sum`` splits a contiguous float64 array: a node of n > 128
-    at n//2 rounded down to a multiple of 8, while one of n <= 128 is one
-    loop.  A node of at most max(block, 128) words is one leaf, so leaves
-    that sum their slice with ``np.sum`` give the full-length ``np.sum`` bit
-    for bit.
-    """
-    n = stop - start
-    if n <= max(block, 128):
-        return leaf(slice(start, stop))
-    half = n // 2 - n // 2 % 8
-    left = _pairwise_sums(leaf, start, start + half, block)
-    right = _pairwise_sums(leaf, start + half, stop, block)
-    return tuple(a + b for a, b in zip(left, right))
-
-
 def _pressure_with_slope(words, n: int, s: float) -> Tuple[float, float]:
     """P_n(s) and its right derivative in s, from one phi_log_values call.
 
     The derivative is the softmax-weighted mean of the per-word slopes of the
-    affine piece that starts at s (:func:`_phi_and_slope`).  Lists are one
-    block, summed by ``math.fsum``.  Arrays are read in blocks of at most
-    ``WORD_BLOCK`` words twice, for the largest log term and for the two
-    sums, which run along numpy's pairwise tree (:func:`_pairwise_sums`).
-    The two bodies stay apart: one two-pass body for both computes each log
-    term twice, and took four list evaluations of sec44's 6,561 depth-8 words
-    from 7.1 to 10.9 ms; one pass on arrays would hold all 531,441 terms of
-    phi-c's depth 12 at once, 4.25 MB more.
+    affine piece that starts at s (:func:`_phi_and_slope`).  The words are
+    read once, in blocks of at most ``WORD_BLOCK`` words, a list being one
+    block.  Each block shifts its log terms by their largest, t_b, and sums
+    the softmax weights and their products with the slopes: ``math.fsum`` on
+    lists, ``np.sum`` in place on arrays.  ``math.fsum`` then adds the
+    blocks' sums, each scaled by exp(t_b - m) with m the largest t_b.  One
+    block is scaled by exp(0) = 1.0, so its sums are the result as they are.
     """
     log_a1, log_det, log_w = words
     phi, slope = phi_log_values(log_a1, log_det, s), _phi_and_slope(s)[1]
     lists = isinstance(log_a1, list)  # the container that word_log_singulars picked
     each = (LIBM if lists else numpy_ops()).each
-
-    def log_terms(words):
-        return each(operator.iadd, phi(words), _at(log_w, words))
-
-    def slopes(words):
-        a1 = log_a1[words]
-        return a1 if slope is None else each(slope, a1, _at(log_det, words))
-
-    if lists:
-        terms = log_terms(slice(None))
-        m = max(terms)
-        weights = [math.exp(e - m) for e in terms]
-        total = math.fsum(weights)
-        dot = math.fsum(map(operator.mul, weights, slopes(slice(None))))
-    else:
-        m = float(np.max([np.max(log_terms(slice(a, a + WORD_BLOCK)))
-                          for a in range(0, log_a1.size, WORD_BLOCK)]))
-
-        def sums(words):  # the softmax weights, and the weights times the slopes
-            e = log_terms(words)
-            e -= m
+    step = len(log_a1) if lists else WORD_BLOCK
+    blocks = []  # (t_b, sum of the weights, sum of the weights times the slopes)
+    for start in range(0, len(log_a1), step):
+        block = slice(start, start + step)
+        e = each(operator.iadd, phi(block), _at(log_w, block))
+        a1 = log_a1[block]
+        slopes = a1 if slope is None else each(slope, a1, _at(log_det, block))
+        if lists:
+            t = max(e)
+            e = [math.exp(x - t) for x in e]
+            blocks.append((t, math.fsum(e), math.fsum(map(operator.mul, e, slopes))))
+        else:
+            t = float(np.max(e))
+            e -= t
             np.exp(e, out=e)
             total = float(np.sum(e))
-            e *= slopes(words)
-            return total, float(np.sum(e))
-
-        total, dot = _pairwise_sums(sums, 0, log_a1.size, WORD_BLOCK)
+            e *= slopes
+            blocks.append((t, total, float(np.sum(e))))
+    m = max(t for t, _, _ in blocks)
+    total = math.fsum(math.exp(t - m) * w for t, w, _ in blocks)
+    dot = math.fsum(math.exp(t - m) * d for t, _, d in blocks)
     return (m + math.log(total)) / n, dot / (total * n)
 
 

@@ -237,7 +237,7 @@ def test_criterion_08_ssc_geometry():
     checked = 0
     while checked < 20:
         sysm = _random_ssc_system(rng)
-        rep = check_ssc(sysm, UNIT_SQUARE, tolerance=1e-9)
+        rep = check_ssc(sysm, UNIT_SQUARE)
         if not rep.holds:
             continue
         checked += 1

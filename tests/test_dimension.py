@@ -24,7 +24,7 @@ from affdim.ifs import AffineMap, IfsSystem, box_dimension_estimate, check_ssc, 
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, ProjArc
 from affdim.pressure import pressure_root
-from affdim.splitting import Multicone, SplitReport, certify
+from affdim.splitting import Multicone, SplitReport, certify, nest
 
 SEC44_H = math.log(3.0)
 SEC44_CHI_S = math.log(1.5)
@@ -184,6 +184,37 @@ class TestBackwardNonOverlapping:
         # the inverse turns [pi/2, pi] counterclockwise by 0.3: it starts
         # inside the cone and runs past its end
         sysm = IfsSystem((AffineMap(Mat2.rotation(-0.3).scaled(0.5), (0, 0)),))
+        assert backward_non_overlapping(sysm, self.split()) == "Unknown"
+
+    # no slack: an image that leaves the cone, or two that overlap, by 1e-10 of
+    # a radian
+
+    EPS = F(1, 10 ** 10)
+
+    @staticmethod
+    def reflected(*ps):
+        """Maps whose inverses are J p J, J = diag(-1, 1): each takes the
+        backward cone [pi/2, pi] to the arc between p's columns reflected."""
+        j = Mat2.diagonal(F(-1), F(1))
+        return IfsSystem(tuple(AffineMap((j @ p @ j).inverse(), (F(k), F(0)))
+                               for k, p in enumerate(ps)))
+
+    def test_image_leaving_the_cone_by_1e_10_is_unknown(self):
+        # a first column 1e-10 below the x-axis: the image runs 1e-10 past pi
+        sysm = self.reflected(Mat2(F(10), F(10), -10 * self.EPS, F(20)))
+        _, clearance = nest((f.linear.to_float().inverse() for f in sysm.maps),
+                            self.split().backward_cone)
+        assert -1e-9 < clearance < 0
+        assert backward_non_overlapping(sysm, self.split()) == "Unknown"
+
+    def test_images_overlapping_by_1e_10_are_unknown(self):
+        # columns (2, 1), (1, 1) and (1, 1 - 2e-10), (1, 2): arcs inside the
+        # cone that overlap by about 1e-10
+        sysm = self.reflected(Mat2(F(20), F(10), F(10), F(10)),
+                              Mat2(F(10), F(10), 10 - 20 * self.EPS, F(20)))
+        (first,), (second,) = nest((f.linear.to_float().inverse() for f in sysm.maps),
+                                   self.split().backward_cone)[0]
+        assert 0 < first.overlap(second) < 1e-9
         assert backward_non_overlapping(sysm, self.split()) == "Unknown"
 
     def test_failed_proposed_complement_is_unknown(self):

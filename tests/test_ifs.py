@@ -237,19 +237,30 @@ class TestCheckSsc:
         rep = check_ssc(sysm, square)
         assert rep.holds and rep.kappa > 0.4
 
-    def test_monotone_in_tolerance(self):
-        # margin is about 0.0101, kappa about 0.0287: holds below the margin,
-        # fails above it, and relaxing the tolerance can never break a pass.
-        sysm, _, poly = sec44()
-        assert not check_ssc(sysm, poly, tolerance=Fraction(1, 50)).holds
-        assert check_ssc(sysm, poly, tolerance=Fraction(1, 200)).holds
-        assert check_ssc(sysm, poly, tolerance=0).holds
+    @staticmethod
+    def two_thirds(eps):
+        """x/3 + (1/6, 1/3) and x/3 + (1/2 + eps, 1/3): images of the unit
+        square eps apart, each 1/6 - eps or more inside it."""
+        third = Mat2.diagonal(Fraction(1, 3), Fraction(1, 3))
+        return IfsSystem((AffineMap(third, (Fraction(1, 6), Fraction(1, 3))),
+                          AffineMap(third, (Fraction(1, 2) + eps, Fraction(1, 3)))))
+
+    def test_images_1e_12_apart_hold(self):
+        # decided on the exact Fractions: any positive gap holds
+        rep = check_ssc(self.two_thirds(Fraction(1, 10 ** 12)), UNIT_SQUARE)
+        assert rep.holds and rep.witness is None
+        assert 0 < rep.kappa < 2e-12
+
+    def test_touching_images_fail(self):
+        rep = check_ssc(self.two_thirds(Fraction(0)), UNIT_SQUARE)
+        assert not rep.holds and rep.kappa == 0.0
+        assert rep.witness == "images 1 and 2 meet"
 
     def test_cylinder_disjointness_to_depth_3(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             sysm = random_system(rng)
-            rep = check_ssc(sysm, UNIT_SQUARE, tolerance=1e-9)
+            rep = check_ssc(sysm, UNIT_SQUARE)
             if not rep.holds:
                 continue
             polys = {}

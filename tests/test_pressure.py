@@ -254,6 +254,30 @@ def assert_bit_identical(words, reference):
     assert np.array_equal(np.broadcast_to(log_w, ref_w.shape), ref_w)
 
 
+def full_list_pressure_with_slope(words, n, s):
+    """The root evaluation of one list of words written out, on libm and
+    ``math.fsum``: the oracle for the bits of a list evaluation."""
+    log_a1, log_det, log_w = (x if isinstance(x, list) else [x] * len(words[0]) for x in words)
+    if s <= 1:
+        e = [s * a for a in log_a1]
+    elif s <= 2:
+        e = [(d - a) * (s - 1.0) + a for a, d in zip(log_a1, log_det)]
+    else:
+        e = [(d - a + a) * (s / 2.0) for a, d in zip(log_a1, log_det)]
+    e = [x + w for x, w in zip(e, log_w)]
+    m = max(e)
+    weights = [math.exp(x - m) for x in e]
+    if s < 1.0:
+        slopes = log_a1
+    elif s < 2.0:
+        slopes = [d - a for a, d in zip(log_a1, log_det)]
+    else:
+        slopes = [(d - a + a) * 0.5 for a, d in zip(log_a1, log_det)]
+    total = math.fsum(weights)
+    dot = math.fsum(w * x for w, x in zip(weights, slopes))
+    return (m + math.log(total)) / n, dot / (total * n)
+
+
 def full_array_pressure_with_slope(words, n, s):
     """The root evaluation as it ran on full-length arrays, before the words
     were read in blocks: the oracle for its bits."""
@@ -322,32 +346,31 @@ class TestMergedSymbols:
     @BIT_SYSTEMS
     @pytest.mark.parametrize("block", [None, 4, 100, 129, 1000])
     def test_evaluation_bit_identical_to_full_arrays(self, make, block, monkeypatch):
-        # the default block splits 2^16 words or more into several leaves of
-        # the pairwise tree; blocks under 128 leave the leaves at 128 words
+        # one block, a list or an array of at most WORD_BLOCK words, makes the
+        # oracles' operations; several blocks add their sums by math.fsum, a
+        # few ulps from one np.sum over the full-length arrays
         if block is None:
-            least = 2 * pressure_mod.WORD_BLOCK
+            block = pressure_mod.WORD_BLOCK
         else:
             monkeypatch.setattr(pressure_mod, "WORD_BLOCK", block)
-            least = 2000
         sysm = make()
-        n_sym = len({f.linear for f in sysm.maps})
-        n = next(k for k in range(1, 40) if n_sym ** k >= least)
-        words = word_log_singulars(sysm, n)
+        n_sym = len(sysm.symbols)
+        one = [k for k in range(1, 40) if n_sym ** k <= block][-1:]
+        several = next(k for k in range(1, 40) if n_sym ** k >= max(2 * block, 2000))
+        evaluate = pressure_mod._pressure_with_slope
         for s in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0):
-            got = pressure_mod._pressure_with_slope(words, n, s)
-            assert got == full_array_pressure_with_slope(words, n, s)
+            for n in one:
+                for form, oracle in ((list_words, full_list_pressure_with_slope),
+                                     (array_words, full_array_pressure_with_slope)):
+                    words = form(sysm, n)
+                    assert evaluate(words, n, s) == oracle(words, n, s)
+            words = array_words(sysm, several)
+            got = evaluate(words, several, s)
+            want = full_array_pressure_with_slope(words, several, s)
+            assert got == evaluate(words, several, s)
             assert all(type(x) is float for x in got)
-
-    @pytest.mark.parametrize("size", [1, 7, 8, 127, 128, 129, 3 ** 8, 3 ** 12,
-                                      2 ** 15 - 1, 2 ** 15 + 1])
-    @pytest.mark.parametrize("block", [4, 1000, pressure_mod.WORD_BLOCK])
-    def test_pairwise_sums_match_np_sum(self, size, block):
-        # numpy's pairwise summation is an implementation detail: if an
-        # upgrade changes where it splits, this fails before any root moves
-        x = np.exp(np.random.default_rng(size).normal(0.0, 8.0, size))
-        leaf = lambda words: (float(np.sum(x[words])), float(np.sum(x[words] * x[words])))
-        got = pressure_mod._pairwise_sums(leaf, 0, size, block)
-        assert got == (float(np.sum(x)), float(np.sum(x * x)))
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 8 * math.ulp(w)
 
     @pytest.mark.parametrize("make, n_shared", [
         (lambda: phi_c(F(2, 5))[0], 2), (lambda: hl_demo()[0], 2), (lambda: sec44()[0], 2),
