@@ -231,22 +231,11 @@ def correlation_dimension_estimate(values, radii: Sequence[float]) -> EstimateSe
     n = vals.shape[0]
     if n < 1000:
         raise TooFewPoints(f"need >= 1000 samples, got {n}")
-    s = np.sort(vals)
-    total = n * (n - 1)
-    cs = []
-    for r in radii:
-        within = np.searchsorted(s, s + r, side="right") - np.arange(1, n + 1)
-        cs.append(2.0 * float(np.sum(within)) / total)
-
-    xs, ys = [], []
-    for r, c in zip(radii, cs):
-        if c > 0.0:
-            xs.append(math.log(r))
-            ys.append(math.log(c))
-    if len(xs) >= 2:
-        slope, r2 = _least_squares(np.array(xs), np.array(ys))
-    else:
-        slope, r2 = 0.0, 1.0
+    s, ranks, total = np.sort(vals), np.arange(1, n + 1), n * (n - 1)
+    cs = [2.0 * float(np.sum(np.searchsorted(s, s + r, side="right") - ranks)) / total
+          for r in radii]
+    logs = [(math.log(r), math.log(c)) for r, c in zip(radii, cs) if c > 0.0]
+    slope, r2 = _least_squares(*map(np.array, zip(*logs))) if len(logs) >= 2 else (0.0, 1.0)
     scales = tuple(sorted(radii, reverse=True))
     counts = tuple(c for _, c in sorted(zip(radii, cs), reverse=True))
     return EstimateSeries(scales=scales, counts=counts, slope=slope, r2=r2)

@@ -130,8 +130,8 @@ class ExponentTriple:
 
 
 def entropy(weights: BernoulliWeights) -> float:
-    """Shannon entropy -sum p_i log p_i in nats."""
-    return -ordered_sum(x * math.log(x) for x in map(float, weights.p))
+    """Shannon entropy -sum p_i log p_i in nats; 0.0, not -0.0, for a point mass."""
+    return 0.0 - ordered_sum(x * math.log(x) for x in map(float, weights.p))
 
 
 def det_identity_value(sys: IfsSystem, weights: BernoulliWeights) -> float:

@@ -1,9 +1,10 @@
 """Dominated-splitting certification and the invariant direction fields.
 
 Certification runs three routes in precedence order: the exact triangular
-criterion, the exact positivity criterion, then a numeric multicone
-invariance check of a best-effort proposal.  A failed numeric route yields
-Unknown, never Refuted; the only refutations are exact obstructions (a
+criterion (its cone's bound is exact, and its float ends nest exactly), the
+exact positivity criterion, then a numeric multicone invariance check of a
+best-effort proposal.  A cone that fails, like any failed numeric route,
+reads Unknown, never Refuted; the only refutations are exact obstructions (a
 generator with equal singular values keeps the ratio alpha1/alpha2 at one
 along its own powers).  The proposal grows from the attracting eigenlines of
 the generators and of their products of two, so certification draws no
@@ -36,7 +37,7 @@ raised unless the error bound after the whole word is below ``tol``.  Both
 bounds hold for the limit of every extension of the word:
 
 - series: the geometric tail max|num| |prefactor| / (1 - max|ratio|) of the
-  slope, with the prefactor the product of the word's ratios;
+  slope, with prefactor the product of the word's ratios (inf at a ratio 1.0);
 - products: the largest |sin| gap between the product's images of the start,
   midpoint and end of every arc of the cone, since the limit and the returned
   image of the first arc's midpoint both lie in the image of the cone.
@@ -45,6 +46,7 @@ bounds hold for the limit of every extension of the word:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -134,25 +136,38 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Optional[Multicone]:
     band |slope| <= K is invariant once K beats max|b/a| / (1 - max|c/a|).
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
-    None when the float bound is not finite (some |a_i| and |c_i| round to
-    one float) or too large to leave a proper arc.
+    Both bounds are Fractions, exact however near the tie; their float (2^64's
+    past 2^64, where atan is pi/2 anyway) is padded by 0.1% and 1e-9.  None
+    when that leaves no proper float arc, or its float ends fail to nest.
     """
-    rows = [tuple(abs(float(x)) for x in f.linear.entries()) for f in sys.maps]
+    rows = [tuple(map(abs, f.linear.entries())) for f in sys.maps]
     if case == "ADominant":
-        gap = 1.0 - max(c / a for a, _, _, c in rows)
-        bound = max(b / a for a, _, b, _ in rows) / gap if gap else math.inf
-        half = math.atan(max(bound * 1.001 + 1e-9, 0.01))
-        return Multicone((ProjArc.from_angles(-half, half),)) if half < math.pi / 2 else None
-    if case == "CDominant":
-        t0 = max(b / (c - a) if c > a else math.inf for a, _, b, c in rows)
-        cut = math.atan(max(t0 * 1.001 + 1e-9, 1.0))
-        return Multicone((ProjArc.from_angles(cut, math.pi - cut),)) if cut < math.pi / 2 else None
-    raise ValueError(f"no cone for triangular case {case!r}")
+        bound = max(b / a for a, _, b, _ in rows) / (1 - max(c / a for a, _, _, c in rows))
+        half = math.atan(max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 0.01))
+        arc = ProjArc.from_angles(-half, half) if half < math.pi / 2 else None
+    elif case == "CDominant":
+        bound = max(b / (c - a) for a, _, b, c in rows)
+        cut = math.atan(max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 1.0))
+        arc = ProjArc.from_angles(cut, math.pi - cut) if cut < math.pi / 2 else None
+    else:
+        raise ValueError(f"no cone for triangular case {case!r}")
+    return Multicone((arc,)) if arc is not None and _nests_exactly(sys, arc) else None
 
 
-def _sign_consistent(m: Mat2) -> bool:
-    e = [float(x) for x in m.entries()]
-    return all(x > 0 for x in e) or all(x < 0 for x in e)
+def _nests_exactly(sys: IfsSystem, arc: ProjArc) -> bool:
+    """Whether every linear part maps ``arc`` strictly into itself, on the
+    exact rationals u, v of the ends' float unit vectors, signed so that
+    det[u, v] > 0: each map sends both into the open cone s u + t v (s, t > 0)
+    or both into its negative."""
+    u, v = (tuple(map(Fraction, p.to_vector())) for p in (arc.start, arc.end))
+    v = v if det4((*u, *v)) > 0 else (-v[0], -v[1])
+    images = ([apply4(f.linear.entries(), *e) for e in (u, v)] for f in sys.maps)
+    return all(_one_sign([det4((*u, *w)) for w in ws] + [det4((*w, *v)) for w in ws])
+               for ws in images)
+
+
+def _one_sign(xs) -> bool:
+    return all(x > 0 for x in xs) or all(x < 0 for x in xs)
 
 
 def _is_similarity(m: Mat2) -> bool:
@@ -182,12 +197,12 @@ def _clearance(cone: Multicone, img: ProjArc) -> float:
 
 
 def check_multicone_invariance(sys: IfsSystem, m: Multicone) -> SplitReport:
-    """Certified iff every generator maps every arc strictly inside the cone;
-    reports the minimal clearance, -inf when an image leaves the cone."""
+    """Certified iff every generator maps every arc strictly inside the cone,
+    else Unknown: this cone fails, which refutes no other.  Reports the
+    minimal clearance, -inf when an image leaves the cone."""
     _, clearance = nest((f.linear for f in sys.maps), m)
-    if clearance < 0:
-        clearance = -math.inf
-    verdict = "Certified" if clearance > 0 else "Refuted"
+    clearance = clearance if clearance >= 0 else -math.inf
+    verdict = "Certified" if clearance > 0 else "Unknown"
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
 
 
@@ -272,16 +287,12 @@ def certify(sys: IfsSystem) -> SplitReport:
     triangular > positivity > proposed multicone."""
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
-    try:
-        case = check_triangular_split(sys)
-    except NotTriangular:
-        case = None
+    case = check_triangular_split(sys) if sys.is_triangular() else None
     cone = triangular_forward_cone(sys, case) if case in ("ADominant", "CDominant") else None
-    if cone is not None:  # near ties decline: an exact cone is not yet built
-        checked = check_multicone_invariance(sys, cone)
+    if cone is not None:
         return SplitReport("Certified", method="Triangular", multicone=cone,
-                           margin=checked.margin, triangular=case)
-    if all(_sign_consistent(f.linear) for f in sys.maps):
+                           margin=check_multicone_invariance(sys, cone).margin, triangular=case)
+    if all(_one_sign(f.linear.entries()) for f in sys.maps):
         cone = Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
         checked = check_multicone_invariance(sys, cone)
         if checked.certified:
@@ -371,10 +382,11 @@ def _route(sys, split, field, method="auto"):
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
         num, ratio = _slope_series(sys, field)
         steps = shared_columns((num, ratio))
+        gap = 1.0 - float(np.max(np.abs(ratio)))
         return (lambda syms: _series_fold(*steps, syms),
                 lambda folded: _fold(list(map(math.atan, folded[0].tolist()))),
-                lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0]))
-                / (1.0 - float(np.max(np.abs(ratio)))))
+                lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0])) / gap
+                if gap else math.inf)
     if method == "series":
         case = _SERIES[field][0].lower()
         raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
@@ -403,15 +415,14 @@ def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss
 
     ``field`` picks the target: "ss" needs depth along the future word,
     "s" along the past word; in the triangular cases one of the two fields
-    is constant and needs depth one.
+    is constant and needs depth one.  Clamping the rate to [1e-6, 0.97] moves
+    no depth of a rate below 1, and gives a rate whose float is 1 the cap.
     """
-    if split.triangular is not None:
-        if split.triangular == _PINNED[field]:
-            return 1
-        r = float(np.max(np.abs(_slope_series(sys, field)[1])))
-    else:
-        r = max(a2 / a1 for a1, a2 in (singular_values(f.linear) for f in sys.maps))
-        r = min(max(r, 1e-6), 0.97)
+    if split.triangular == _PINNED[field]:
+        return 1
+    r = (float(np.max(np.abs(_slope_series(sys, field)[1]))) if split.triangular is not None
+         else max(a2 / a1 for a1, a2 in (singular_values(f.linear) for f in sys.maps)))
+    r = min(max(r, 1e-6), 0.97)
     return int(min(max(math.ceil(math.log(SAMPLE_TOL) / math.log(r)), 8), 400))
 
 

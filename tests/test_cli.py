@@ -12,6 +12,7 @@ from conftest import TIE_CONFIG, avx2_env, count_calls, probe_cli, six_distinct_
 from test_dimension import RULE_CASES, UNIT_SQUARE
 
 from affdim.cli import main
+from affdim.ergodic import entropy
 from affdim.ifs import BernoulliWeights, parse_system, sample_measure, serialize_system
 from affdim.library import sec44
 from affdim.splitting import certify
@@ -272,6 +273,20 @@ class TestAnalyzeCommand:
         assert "fired-theorem: T4.2-CDominant" in out.splitlines()
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "ca26aabd84b847ef5a0165466bd6e3a1c9b9cf8d87774557da9933f5106fa4f9"
+
+    def test_one_map_direction_system_prints_positive_zero(self, capsys, tmp_path):
+        # a separated Bedford-McMullen carpet: every map has the same column,
+        # so the direction system has one map, whose point-mass entropy once
+        # printed as -0.0
+        cfg = tmp_path / "carpet.cfg"
+        cfg.write_text("".join(f"map 1/7 0 0 1/5 {t}\n" for t in
+                               ("1/7 1/5", "3/7 1/5", "5/7 1/5", "1/7 3/5"))
+                       + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+        code, out, err = run_cli(["analyze", "--config", str(cfg), "--target", "measure",
+                                  "--seed", "7"], capsys)
+        assert (code, err) == (2, "")
+        assert "nu-ss-dimension: 0.0" in out.splitlines()
+        assert math.copysign(1.0, entropy(BernoulliWeights.uniform(1))) == 1.0
 
     def test_config_round_trip(self, capsys, tmp_path):
         sysm, w, poly = sec44()
@@ -865,18 +880,25 @@ class TestBadInput:
         ["lyapunov", "--mc-n", "20", "--mc-trials", "20"], ["ssc"], ["boxdim", "--count", "1000"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:4]))
     def test_near_ties_exit_without_traceback(self, config, argv, capsys, tmp_path):
-        # diagonals that differ by less than a float divided by zero in the
-        # triangular cone; the exact tests decide, so only the direction system
-        # of the a-dominant mirror, whose ratio exceeds 1, is rejected
+        # diagonals that differ by less than a float once divided by zero in
+        # the triangular cone; the exact tests decide.  The c-dominant cone's
+        # exact bound is 3/2, so it certifies; the a-dominant mirror's is about
+        # 2.5e19, which leaves no float arc, so it stays uncertified, and its
+        # direction system, whose ratio exceeds 1, is rejected
         cfg = tmp_path / "near.cfg"
         cfg.write_text(config)
         code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
-        rejected = config is NEAR_TIE_A_CONFIG and argv == ["hochman", "--n", "3"]
-        uncertified = argv[0] == "directions"
+        mirror = config is NEAR_TIE_A_CONFIG
+        rejected = mirror and argv == ["hochman", "--n", "3"]
+        uncertified = mirror and argv[0] == "directions"
         assert code == (1 if rejected or uncertified else 2 if argv[0] == "analyze" else 0), err
         assert "Traceback" not in err
-        if argv[0] == "analyze":
+        if argv[0] == "analyze" and mirror:
             assert out.count("split-verdict: Unknown\n") == 2
+        elif argv[0] == "analyze":
+            for line in ("split-verdict: Certified", "split-method: Triangular",
+                         "split-triangular: CDominant"):
+                assert out.count(line + "\n") == 2
 
     def test_hochman_ratio_within_a_float_of_one(self, capsys):
         code, out, err = run_cli(["hochman", "--maps",

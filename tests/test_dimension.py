@@ -536,9 +536,11 @@ RULE_CASES = [
     (("3/20 0 1/40 1/6 1/6 1/10", "1/30 0 3/40 1/6 2/3 1/2"),
      "T4.2-CDominant", _DIRECTION_HYPS + ("hochman-direction",),
      "78b7df74487f481642b229690ba558b92979ab99c83d90b1ad053b600e2e0d70"),
+    # re-pinned when the triangular cone bound became exact: split-margin
+    # 0.0002087500908755091 -> 0.00020875009087528706, the float of 5/4 padded
     (("7/75 0 -1/20 2/15 11/60 3/10", "-2/75 0 -1/40 4/15 37/60 2/5"),
      "T2.8-projection", _DIRECTION_HYPS + ("one-bunched", "nu-ss-saturates"),
-     "2fa54d9cfaa9eb118f968332765ec7c5ac6c0334a50d812a4c1276a0aea6a1d9"),
+     "f522a56f67469330a9e24b42b019da6e0096a80e8e6c4b54a8b830b3213c660a"),
     # re-pinned when nu-ss-dimension got its cap at 1: 4.22002191296432 -> 1.0
     (("16/75 0 -1/20 4/15 7/60 1/2", "9/50 0 -1/20 1/5 13/20 2/5"),
      "T2.6-LY-formula", _DIRECTION_HYPS,

@@ -82,12 +82,14 @@ class TestMulticoneInvariance:
         rep = check_multicone_invariance(sysm, cone)
         assert rep.certified and rep.margin > 0
 
-    def test_rotation_refuted(self):
+    def test_rotation_fails_the_cone_and_certify_refutes(self):
+        # a failing cone refutes no other cone; the similarity proof does
         m = Mat2.rotation(1.0).scaled(0.5)
         sysm = IfsSystem((AffineMap(m, (0, 0)), AffineMap(m, (1, 0))))
         cone = Multicone((ProjArc.from_angles(0.2, 1.2),))
         rep = check_multicone_invariance(sysm, cone)
-        assert rep.verdict == "Refuted"
+        assert rep.verdict == "Unknown" and rep.margin == -math.inf
+        assert certify(sysm).verdict == "Refuted"
 
     def test_diagonal_attracting_axis(self):
         sysm = IfsSystem((AffineMap(Mat2.diagonal(0.5, 0.25), (0, 0)),
@@ -176,14 +178,44 @@ class TestCertify:
         ("ADominant", [(F(1, 2) + F(1, 10 ** 20), F(0), F(1, 2)), (F(1, 2), F(1, 4), F(1, 3))]),
     ], ids=["c-dominant", "a-dominant"])
     def test_near_tie_declines_the_triangular_route(self, case, rows):
-        # |a_1| and |c_1| are one float: the float cone bound divided by zero
+        # |a_1| and |c_1| are one float, and the float cone bound once divided
+        # by zero.  Only the a-dominant mirror still declines: its exact bound
+        # max|b/a| / (1 - max|c/a|), about 2.5e19, leaves no float arc below
+        # pi/2, while the c-dominant bound max|b| / (|c| - |a|) is 3/2
         from affdim.splitting import triangular_forward_cone
 
         sysm = triangular_system(rows)
         assert check_triangular_split(sysm) == case
-        assert triangular_forward_cone(sysm, case) is None
+        cone = triangular_forward_cone(sysm, case)
         rep = certify(sysm)
-        assert rep.method != "Triangular" and rep.triangular is None
+        if case == "CDominant":
+            assert cone is not None and rep.certified
+            assert rep.method == "Triangular" and rep.triangular == "CDominant"
+        else:
+            assert cone is None
+            assert rep.method != "Triangular" and rep.triangular is None
+
+    def test_bound_past_every_float_declines(self):
+        # |c_1| - |a_1| = 10^-400: the exact bound 10^400 / 4 has no float, and
+        # its arc would be the whole line
+        from affdim.splitting import triangular_forward_cone
+
+        sysm = triangular_system([(F(1, 2), F(1, 4), F(1, 2) + F(1, 10 ** 400))])
+        assert check_triangular_split(sysm) == "CDominant"
+        assert triangular_forward_cone(sysm, "CDominant") is None
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["same-sign", "flipped"])
+    def test_near_tie_arc_must_nest_in_fractions(self, sign):
+        # c = a (1 + 2^-60): the band |slope| >= 1 is invariant, but its float
+        # ends are not mirror images, so a map that flips the slope's sign sends
+        # one end just outside the other; that arc is declined
+        from affdim.splitting import triangular_forward_cone
+
+        a = 1 - F(1, 2 ** 20)
+        sysm = triangular_system([(a, F(0), sign * a * (1 + F(1, 2 ** 60)))])
+        cone = triangular_forward_cone(sysm, "CDominant")
+        assert (cone is not None) == (sign == 1)
+        assert certify(sysm).certified == (sign == 1)
 
 
 def random_conjugated_system(seed):
