@@ -54,7 +54,7 @@ from .ifs import box_dimension_estimate  # noqa: F401  -- only for perfbench's s
 from .linalg2 import Mat2, det4
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
-from .splitting import SplitReport, nest, sample_nu_ss_angles
+from .splitting import SplitReport, nest, nests_exactly, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -165,12 +165,12 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     a-dominant systems always fail (every inverse image contains the vertical
     direction).  Otherwise two maps that share a linear part fail under every
     cone; else the inverse-image arcs of the certificate's backward cone must
-    lie inside it with clearance > 0, and no two may overlap in more than an
-    endpoint, or the status is Unknown, since another cone may pass.  Arcs
-    that touch pass here, unlike the line images above: positive clearance
-    lets the backward cone shrink inside itself until images that only touch
-    are disjoint, while the line route's exact hull is the least invariant
-    interval and cannot shrink.
+    lie strictly inside it (``nests_exactly`` on the exact inverses), and no
+    two may overlap in more than an endpoint, or the status is Unknown, since
+    another cone may pass.  Arcs that touch pass here, unlike the line images
+    above: strict containment lets the backward cone shrink inside itself
+    until images that only touch are disjoint, while the line route's exact
+    hull is the least invariant interval and cannot shrink.
     """
     if split.triangular == "ADominant":
         return FAILED
@@ -181,10 +181,9 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
         return VERIFIED if _interval_images_disjoint(merged) else FAILED
     if len(sys.symbols) < sys.n:
         return FAILED
-    images, clearance = nest((f.linear.to_float().inverse() for f in sys.maps),
-                             split.backward_cone)
-    if not clearance > 0:
+    if not nests_exactly([f.linear.inverse() for f in sys.maps], split.backward_cone):
         return UNKNOWN
+    images, _ = nest((f.linear.to_float().inverse() for f in sys.maps), split.backward_cone)
     for arcs_i, arcs_j in combinations(images, 2):
         if any(a.overlap(b) > 0 for a in arcs_i for b in arcs_j):
             return UNKNOWN

@@ -232,7 +232,7 @@ def exponent_bracket(
 
     arcs = split.multicone.arcs
     m2 = split.margin / 2.0
-    if not m2 > 0.0:  # a triangular cone whose float check failed
+    if not m2 > 0.0:  # certified exactly, but its float clearance is not positive
         return None
     # each arc as the matrix [start | end] of unit vectors, ccw from start
     cone = []

@@ -100,8 +100,10 @@ class IfsSystem:
             raise ValueError("an IFS needs at least one map")
         for k, f in enumerate(self.maps):
             d = f.linear.det
-            if float(d) == 0.0:
+            if d == 0:
                 raise ValueError(f"map {k + 1} is singular")
+            if float(d) == 0.0:
+                raise ValueError(f"map {k + 1} has a nonzero determinant below the float range")
             # alpha1 < 1 iff T < 2 and (1 - alpha1^2)(1 - alpha2^2) = 1 - T + D^2 > 0,
             # with T = alpha1^2 + alpha2^2; the float norm bounds bounding_radius
             t = sum(e * e for e in f.linear.entries())

@@ -1,19 +1,18 @@
 """Dominated-splitting certification and the invariant direction fields.
 
-Certification runs three routes in precedence order: the exact triangular
-criterion (its cone's bound is exact, and its float ends nest exactly), the
-exact positivity criterion, then a numeric multicone invariance check of a
-best-effort proposal.  A cone that fails, like any failed numeric route,
-reads Unknown, never Refuted; the only refutations are exact obstructions (a
-generator with equal singular values keeps the ratio alpha1/alpha2 at one
-along its own powers).  The proposal grows from the attracting eigenlines of
-the generators and of their products of two, so certification draws no
-random numbers and executes no numpy, on any system.
+Certification tries three cones in precedence order: the triangular cone
+(its bound is exact), the positive quadrant, then a best-effort proposal
+grown from the attracting eigenlines of the generators and of their products
+of two.  A cone that fails reads Unknown, never Refuted; the only
+refutations are exact obstructions (a generator with equal singular values
+keeps the ratio alpha1/alpha2 at one along its own powers).  Certification
+draws no random numbers and executes no numpy, on any system.
 
 The certificate's forward multicone (``SplitReport.multicone``) and its
 complement (``SplitReport.backward_cone``) are the only cones that the
-backward check and the direction routines read, and :func:`nest` is the one
-nesting test of image arcs, forward and backward.
+backward check and the direction routines read.  :func:`nests_exactly`
+decides each proposal and the backward cone on Fractions; :func:`nest`'s
+float clearance is printed as ``split-margin`` and stops the proposal.
 
 Direction fields: e_ss depends on the forward word and is computed either from
 products of inverse matrices on the certificate's cone (generic) or by the
@@ -37,7 +36,8 @@ raised unless the error bound after the whole word is below ``tol``.  Both
 bounds hold for the limit of every extension of the word:
 
 - series: the geometric tail max|num| |prefactor| / (1 - max|ratio|) of the
-  slope, with prefactor the product of the word's ratios (inf at a ratio 1.0);
+  slope, with prefactor the product of the word's ratios and 1 - max|ratio|
+  taken from the exact ratios and rounded down (inf only if it rounds to 0);
 - products: the largest |sin| gap between the product's images of the start,
   midpoint and end of every arc of the cone, since the limit and the returned
   image of the first arc's midpoint both lie in the image of the cone.
@@ -111,7 +111,7 @@ class SplitReport:
     verdict: str  # Certified | Refuted | Unknown
     method: Optional[str] = None  # Triangular | Positivity | MulticoneCheck
     multicone: Optional[Multicone] = None  # certifying forward multicone
-    margin: float = 0.0  # min angular clearance of the invariance check
+    margin: float = 0.0  # float nest clearance, -inf when negative: printed, decides nothing
     triangular: Optional[str] = None  # ADominant | CDominant when applicable
 
     def __post_init__(self):
@@ -138,7 +138,7 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Optional[Multicone]:
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
     Both bounds are Fractions, exact however near the tie; their float (2^64's
     past 2^64, where atan is pi/2 anyway) is padded by 0.1% and 1e-9.  None
-    when that leaves no proper float arc, or its float ends fail to nest.
+    when that leaves no proper float arc; :func:`certify` decides the arc.
     """
     rows = [tuple(map(abs, f.linear.entries())) for f in sys.maps]
     if case == "ADominant":
@@ -151,19 +151,20 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Optional[Multicone]:
         arc = ProjArc.from_angles(cut, math.pi - cut) if cut < math.pi / 2 else None
     else:
         raise ValueError(f"no cone for triangular case {case!r}")
-    return Multicone((arc,)) if arc is not None and _nests_exactly(sys, arc) else None
+    return None if arc is None else Multicone((arc,))
 
 
-def _nests_exactly(sys: IfsSystem, arc: ProjArc) -> bool:
-    """Whether every linear part maps ``arc`` strictly into itself, on the
-    exact rationals u, v of the ends' float unit vectors, signed so that
-    det[u, v] > 0: each map sends both into the open cone s u + t v (s, t > 0)
-    or both into its negative."""
-    u, v = (tuple(map(Fraction, p.to_vector())) for p in (arc.start, arc.end))
-    v = v if det4((*u, *v)) > 0 else (-v[0], -v[1])
-    images = ([apply4(f.linear.entries(), *e) for e in (u, v)] for f in sys.maps)
-    return all(_one_sign([det4((*u, *w)) for w in ws] + [det4((*w, *v)) for w in ws])
-               for ws in images)
+def nests_exactly(linears, cone: Multicone) -> bool:
+    """Whether each linear map sends both ends u, v of every arc into the open
+    cone s u + t v (s, t > 0) of one arc with det[u, v] > 0, or both into its
+    negative; u, v are the Fractions of the float end vectors, v negated past pi."""
+    ends = [[tuple(map(Fraction, p.to_vector())) for p in (a.start, a.end)] for a in cone.arcs]
+    ends = [(u, v if a.end.theta > a.start.theta else (-v[0], -v[1]))
+            for a, (u, v) in zip(cone.arcs, ends)]
+    return all(any(det4((*u, *v)) > 0
+                   and _one_sign([det4((*p, *q)) for w in ws for p, q in ((u, w), (w, v))])
+                   for u, v in ends)
+               for m in linears for ws in ([apply4(m.entries(), *e) for e in uv] for uv in ends))
 
 
 def _one_sign(xs) -> bool:
@@ -197,12 +198,11 @@ def _clearance(cone: Multicone, img: ProjArc) -> float:
 
 
 def check_multicone_invariance(sys: IfsSystem, m: Multicone) -> SplitReport:
-    """Certified iff every generator maps every arc strictly inside the cone,
-    else Unknown: this cone fails, which refutes no other.  Reports the
-    minimal clearance, -inf when an image leaves the cone."""
+    """Certified iff :func:`nests_exactly` holds, else Unknown: this cone
+    fails, which refutes no other.  The margin is the float clearance, or -inf."""
     _, clearance = nest((f.linear for f in sys.maps), m)
     clearance = clearance if clearance >= 0 else -math.inf
-    verdict = "Certified" if clearance > 0 else "Unknown"
+    verdict = "Certified" if nests_exactly((f.linear for f in sys.maps), m) else "Unknown"
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
 
 
@@ -224,14 +224,14 @@ def attracting_line(m: Mat2) -> Optional[ProjPoint]:
     return ProjPoint.from_vector(float(2 * b), float(d - a) + root)
 
 
-def propose_multicone(sys: IfsSystem) -> Optional[SplitReport]:
-    """The certifying report of a proposed forward multicone, or None.
+def propose_multicone(sys: IfsSystem) -> Optional[Multicone]:
+    """A proposed forward multicone, or None; :func:`certify` decides it.
 
     The attracting eigenlines of the generators and of their products of two
     are fattened into arcs; each round, every image arc that does not nest
-    with clearance PROPOSAL_INFLATE / 4 is fattened and absorbed, until the
-    cone nests or is hopeless (Bochi-Gourmelon: a dominated finite family has
-    a strictly invariant multicone)."""
+    with float clearance PROPOSAL_INFLATE / 4 is fattened and absorbed, until
+    the cone nests so or is hopeless (Bochi-Gourmelon: a dominated finite
+    family has a strictly invariant multicone)."""
     linears = [f.linear for f in sys.maps]
     seeds = [attracting_line(m) for m in linears]
     seeds += [attracting_line(p @ q) for p, q in permutations(linears, 2)]
@@ -243,8 +243,7 @@ def propose_multicone(sys: IfsSystem) -> Optional[SplitReport]:
         cone = Multicone(tuple(arcs))  # merged arcs are disjoint
         images, clearance = nest(linears, cone)
         if clearance >= PROPOSAL_INFLATE / 4:
-            return SplitReport("Certified", method="MulticoneCheck", multicone=cone,
-                               margin=clearance)
+            return cone
         arcs = _merge_arcs(arcs + [ProjArc.around(img.midpoint.theta,
                                                   img.length / 2 + PROPOSAL_INFLATE)
                                    for row in images for img in row
@@ -283,22 +282,25 @@ def _union_two(a: ProjArc, b: ProjArc):
 
 
 def certify(sys: IfsSystem) -> SplitReport:
-    """Dominated-splitting certification with route precedence
-    triangular > positivity > proposed multicone."""
+    """Dominated-splitting certification: the first cone of :func:`_proposals`
+    that :func:`check_multicone_invariance` certifies, else Unknown."""
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
     case = check_triangular_split(sys) if sys.is_triangular() else None
-    cone = triangular_forward_cone(sys, case) if case in ("ADominant", "CDominant") else None
-    if cone is not None:
-        return SplitReport("Certified", method="Triangular", multicone=cone,
-                           margin=check_multicone_invariance(sys, cone).margin, triangular=case)
+    for method, cone in _proposals(sys, case):
+        if cone is not None and (checked := check_multicone_invariance(sys, cone)).certified:
+            return SplitReport("Certified", method=method, multicone=cone, margin=checked.margin,
+                               triangular=case if method == "Triangular" else None)
+    return SplitReport("Unknown")
+
+
+def _proposals(sys: IfsSystem, case: Optional[str]):
+    """(method, cone or None): triangular > positive quadrant > proposed, lazily."""
+    if case in ("ADominant", "CDominant"):
+        yield "Triangular", triangular_forward_cone(sys, case)
     if all(_one_sign(f.linear.entries()) for f in sys.maps):
-        cone = Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
-        checked = check_multicone_invariance(sys, cone)
-        if checked.certified:
-            return SplitReport("Certified", method="Positivity", multicone=cone,
-                               margin=checked.margin)
-    return propose_multicone(sys) or SplitReport("Unknown")
+        yield "Positivity", Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
+    yield "MulticoneCheck", propose_multicone(sys)
 
 
 def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitReport:
@@ -382,7 +384,9 @@ def _route(sys, split, field, method="auto"):
     if method in ("auto", "series") and split.triangular == _SERIES[field]:
         num, ratio = _slope_series(sys, field)
         steps = shared_columns((num, ratio))
-        gap = 1.0 - float(np.max(np.abs(ratio)))
+        exact = 1 - max(abs(a / c if field == "ss" else c / a)
+                        for a, _, _, c in (f.linear.entries() for f in sys.maps))
+        gap = float(exact) if float(exact) <= exact else math.nextafter(float(exact), 0.0)
         return (lambda syms: _series_fold(*steps, syms),
                 lambda folded: _fold(list(map(math.atan, folded[0].tolist()))),
                 lambda folded: float(np.max(np.abs(num))) * abs(float(folded[1][0])) / gap

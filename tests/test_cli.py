@@ -774,6 +774,10 @@ NEAR_TIE_C_CONFIG = ("map 1/2 0 0 50000000000000000001/100000000000000000000 0 0
 NEAR_TIE_A_CONFIG = ("map 50000000000000000001/100000000000000000000 0 0 1/2 0 0\n"
                      "map 1/2 0 1/4 1/3 1/2 1/2\n"
                      + "".join(f"polygon {v}\n" for v in UNIT_SQUARE))
+# a column (10^-17, 1/2) inside the positive quadrant whose float angle is
+# pi/2: the quadrant nests exactly, with float clearance 0.0
+ZERO_CLEARANCE_CONFIG = ("map 1/2 1/100000000000000000 1/4 1/2 0 0\n"
+                         "map 1/2 1/100000000000000000 1/4 1/2 1/2 1/2\n")
 
 
 class TestBadInput:
@@ -899,6 +903,37 @@ class TestBadInput:
             for line in ("split-verdict: Certified", "split-method: Triangular",
                          "split-triangular: CDominant"):
                 assert out.count(line + "\n") == 2
+
+    def test_near_tie_certificate_nests_exactly(self):
+        # the c-dominant near tie's cone has float clearance 0.0; the exact
+        # check that certified it certifies it again
+        from affdim.splitting import check_multicone_invariance
+
+        sysm = parse_system(NEAR_TIE_C_CONFIG).system
+        split = certify(sysm)
+        assert split.method == "Triangular" and split.margin == 0.0
+        assert check_multicone_invariance(sysm, split.multicone).certified
+
+    def test_zero_float_clearance_certifies_by_positivity(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(ZERO_CLEARANCE_CONFIG)
+        code, out, err = run_cli(["analyze", "--config", str(cfg)], capsys)
+        assert code == 2 and "Traceback" not in err
+        for line in ("split-verdict: Certified", "split-method: Positivity", "split-margin: 0.0"):
+            assert out.count(line + "\n") == 2
+
+    @pytest.mark.parametrize("row, message", [
+        (f"map 1/1{'0' * 200} 0 0 1/1{'0' * 200} 0 0",
+         "map 1 has a nonzero determinant below the float range"),
+        ("map 1/2 1/4 1 1/2 0 0", "map 1 is singular"),
+    ], ids=["det-1e-400", "det-0"])
+    def test_singularity_decided_on_the_fraction(self, row, message, capsys, tmp_path):
+        # det 10^-400 is not zero, but has no float: the float layers would
+        # take log 0
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"{row}\nmap 1/2 0 0 1/3 1/2 1/2\n")
+        assert run_cli(["ssc", "--config", str(cfg)], capsys) == \
+            (1, "", f"affdim: error: {message}\n")
 
     def test_hochman_ratio_within_a_float_of_one(self, capsys):
         code, out, err = run_cli(["hochman", "--maps",

@@ -207,6 +207,16 @@ class TestBackwardNonOverlapping:
         assert -1e-9 < clearance < 0
         assert backward_non_overlapping(sysm, self.split()) == "Unknown"
 
+    def test_image_inside_the_cone_by_1e_16_is_verified(self):
+        # a first column 1e-16 above the x-axis: the image ends 1e-16 short of
+        # pi, which its float angle does not resolve (clearance 0.0), while the
+        # exact inverse keeps it strictly inside
+        sysm = self.reflected(Mat2(F(10), F(10), 10 * F(1, 10 ** 16), F(20)))
+        _, clearance = nest((f.linear.to_float().inverse() for f in sysm.maps),
+                            self.split().backward_cone)
+        assert clearance == 0.0
+        assert backward_non_overlapping(sysm, self.split()) == "Verified"
+
     def test_images_overlapping_by_1e_10_are_unknown(self):
         # columns (2, 1), (1, 1) and (1, 1 - 2e-10), (1, 2): arcs inside the
         # cone that overlap by about 1e-10

@@ -10,6 +10,7 @@ from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import (Mat2, ProjArc, ProjPoint, angle_gap, proj_act, proj_metric,
                             singular_values)
 from affdim.splitting import (
+    DEFAULT_TOL,
     Multicone,
     attracting_line,
     certify,
@@ -97,6 +98,32 @@ class TestMulticoneInvariance:
         cone = Multicone((ProjArc.around(0.0, 0.3),))
         rep = check_multicone_invariance(sysm, cone)
         assert rep.certified
+
+    def test_positive_float_clearance_that_leaves_the_cone_is_unknown(self):
+        # with u, v the Fractions of the arc's float end vectors, M u =
+        # (u - eps v) / 2 leaves the cone s u + t v by eps = 5e-18 in exact
+        # arithmetic, while the float images keep a clearance of 5.6e-17
+        arc = ProjArc.from_angles(0.38819916615494554, 1.0822980004404603)
+        u, v = (tuple(map(F, p.to_vector())) for p in (arc.start, arc.end))
+        eps = F(1, 2 * 10 ** 17)
+        images = Mat2((u[0] - eps * v[0]) / 2, (u[0] + v[0]) / 4,
+                      (u[1] - eps * v[1]) / 2, (u[1] + v[1]) / 4)
+        m = images @ Mat2(u[0], v[0], u[1], v[1]).inverse()
+        sysm = IfsSystem((AffineMap(m, (F(0), F(0))),))
+        rep = check_multicone_invariance(sysm, Multicone((arc,)))
+        assert rep.verdict == "Unknown"
+        assert 0 < rep.margin < 1e-16  # the float clearance is still reported
+
+    def test_zero_float_clearance_that_nests_exactly_is_certified(self):
+        # M e2 = (10^-17, 1/2) lies inside the quadrant, but its float angle
+        # rounds to pi/2: clearance 0.0, and the exact check certifies
+        from test_cli import ZERO_CLEARANCE_CONFIG
+
+        sysm = parse_system(ZERO_CLEARANCE_CONFIG).system
+        rep = check_multicone_invariance(sysm, Multicone((ProjArc.from_angles(0.0, math.pi / 2),)))
+        assert rep.certified and rep.margin == 0.0
+        split = certify(sysm)
+        assert split.certified and split.method == "Positivity" and split.margin == 0.0
 
 
 class TestAttractingLine:
@@ -208,14 +235,16 @@ class TestCertify:
     def test_near_tie_arc_must_nest_in_fractions(self, sign):
         # c = a (1 + 2^-60): the band |slope| >= 1 is invariant, but its float
         # ends are not mirror images, so a map that flips the slope's sign sends
-        # one end just outside the other; that arc is declined
+        # one end just outside the other; the exact check declines that arc
         from affdim.splitting import triangular_forward_cone
 
         a = 1 - F(1, 2 ** 20)
         sysm = triangular_system([(a, F(0), sign * a * (1 + F(1, 2 ** 60)))])
         cone = triangular_forward_cone(sysm, "CDominant")
-        assert (cone is not None) == (sign == 1)
-        assert certify(sysm).certified == (sign == 1)
+        assert check_multicone_invariance(sysm, cone).certified == (sign == 1)
+        rep = certify(sysm)
+        assert rep.certified == (sign == 1)
+        assert (rep.method == "Triangular") == (sign == 1)
 
 
 def random_conjugated_system(seed):
@@ -304,6 +333,18 @@ class TestStrongStableDirection:
         sysm = triangular_system([(0.125, 0.5, 0.25), (0.125, -0.25, 0.25)])
         with pytest.raises(PrefixTooShort):
             strong_stable_direction(sysm, (1, 2), tol=1e-13)
+
+    def test_series_bound_from_the_exact_ratios(self):
+        # map 1's ratio a/c = (1/2) / (1/2 + 10^-20) has the float 1.0, but the
+        # exact gap 1 - a/c, rounded down, keeps the series bound finite
+        from test_cli import NEAR_TIE_C_CONFIG
+
+        sysm = parse_system(NEAR_TIE_C_CONFIG).system
+        got = strong_stable_direction(sysm, [2] * 200)
+        assert proj_metric(got, strong_stable_direction(sysm, [2] * 200, method="iterate")) \
+            < DEFAULT_TOL
+        with pytest.raises(PrefixTooShort, match=r"error bound \d"):
+            strong_stable_direction(sysm, [2] * 60 + [1] * 5)
 
     def test_not_certified(self):
         m = Mat2.rotation(0.7).scaled(0.5)
