@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from ._numpy import np
@@ -54,7 +54,7 @@ from .ifs import box_dimension_estimate  # noqa: F401  -- only for perfbench's s
 from .linalg2 import Mat2, det4
 from .pressure import (RootEstimate, ordered_sum, pressure_root, triangular_pressure_root,
                        triangular_roots)
-from .splitting import SplitReport, nest, nests_exactly, sample_nu_ss_angles
+from .splitting import SplitReport, images_overlap, nests_exactly, sample_nu_ss_angles
 
 # fired-theorem labels
 T_LY = "T2.6-LY-formula"
@@ -164,9 +164,9 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     Triangular c-dominant systems use the exact 1-D slope-system certificate;
     a-dominant systems always fail (every inverse image contains the vertical
     direction).  Otherwise two maps that share a linear part fail under every
-    cone; else the inverse-image arcs of the certificate's backward cone must
-    lie strictly inside it (``nests_exactly`` on the exact inverses), and no
-    two may overlap in more than an endpoint, or the status is Unknown, since
+    cone; else the exact inverse images of the certificate's backward cone
+    must lie strictly inside it (``nests_exactly``), and no two may share an
+    interior direction (``images_overlap``), or the status is Unknown, since
     another cone may pass.  Arcs that touch pass here, unlike the line images
     above: strict containment lets the backward cone shrink inside itself
     until images that only touch are disjoint, while the line route's exact
@@ -181,13 +181,8 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
         return VERIFIED if _interval_images_disjoint(merged) else FAILED
     if len(sys.symbols) < sys.n:
         return FAILED
-    if not nests_exactly([f.linear.inverse() for f in sys.maps], split.backward_cone):
-        return UNKNOWN
-    images, _ = nest((f.linear.to_float().inverse() for f in sys.maps), split.backward_cone)
-    for arcs_i, arcs_j in combinations(images, 2):
-        if any(a.overlap(b) > 0 for a in arcs_i for b in arcs_j):
-            return UNKNOWN
-    return VERIFIED
+    inv, cone = [f.linear.inverse() for f in sys.maps], split.backward_cone
+    return VERIFIED if nests_exactly(inv, cone) and not images_overlap(inv, cone) else UNKNOWN
 
 
 def hueter_lalley_check(

@@ -386,15 +386,6 @@ class ProjArc:
         """Closed arcs meet iff one of them starts on the other."""
         return self.start_offset(other) is not None or other.start_offset(self) is not None
 
-    def overlap(self, other: "ProjArc") -> float:
-        """Length of the overlap of two arcs (0 when disjoint or just touching)."""
-        best = 0.0
-        for first, second in ((self, other), (other, self)):
-            off = first.start_offset(second)
-            if off is not None:
-                best = max(best, min(first.length - off, second.length))
-        return best
-
 
 def arc_image(m: Mat2, arc: ProjArc) -> ProjArc:
     """Image arc of a closed arc under a nonsingular linear map.

@@ -9,10 +9,10 @@ keeps the ratio alpha1/alpha2 at one along its own powers).  Certification
 draws no random numbers and executes no numpy, on any system.
 
 The certificate's forward multicone (``SplitReport.multicone``) and its
-complement (``SplitReport.backward_cone``) are the only cones that the
-backward check and the direction routines read.  :func:`nests_exactly`
-decides each proposal and the backward cone on Fractions; :func:`nest`'s
-float clearance is printed as ``split-margin`` and stops the proposal.
+complement (``SplitReport.backward_cone``) are the cones that the backward
+check and the direction routines read.  Integer determinants on their exact
+ends decide each cone (:func:`nests_exactly`, :func:`images_overlap`); the
+float arcs' :func:`nest` clearance prints as ``split-margin`` and stops growth.
 
 Direction fields: e_ss depends on the forward word and is computed either from
 products of inverse matrices on the certificate's cone (generic) or by the
@@ -46,7 +46,6 @@ bounds hold for the limit of every extension of the word:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
@@ -78,9 +77,10 @@ _SERIES = {"ss": "CDominant", "s": "ADominant"}
 
 @record
 class Multicone:
-    """Finite disjoint union of closed angular arcs with total measure < pi."""
+    """Disjoint closed arcs of total measure < pi, decided on their exact ``ends``."""
 
-    arcs: tuple
+    arcs: tuple  # floats: the printed clearance, the proposal's growth, directions, enclosure
+    ends: tuple = ()  # per arc integer u, v, det[u, v] > 0: the cone s u + t v up to sign
 
     def __post_init__(self):
         arcs = tuple(self.arcs)
@@ -88,20 +88,31 @@ class Multicone:
             raise ValueError("multicone needs at least one arc")
         if sum(a.length for a in arcs) >= math.pi:
             raise ValueError("multicone must have total measure < pi")
-        order = sorted(arcs, key=lambda a: a.start.theta)
-        for i, a in enumerate(order):
-            for b in order[i + 1 :]:
-                if a.intersects(b):  # closed arcs, so touching endpoints fail too
-                    raise ValueError("multicone arcs must be disjoint with positive gaps")
-        object.__setattr__(self, "arcs", tuple(order))
+        given = self.ends or [(a.start.to_vector(), a.end.to_vector()) for a in arcs]
+        ends = [(_integers(*u), _integers(*v)) for u, v in given]
+        ends = [(u, v if det4((*u, *v)) > 0 else (-v[0], -v[1])) for u, v in ends]
+        if not all(det4((*u, *v)) for u, v in ends):
+            raise ValueError("the ends of an arc must lie on two different lines")
+        arcs, ends = zip(*sorted(zip(arcs, ends, strict=True), key=lambda p: p[0].start.theta))
+        if any(a.intersects(b) for a, b in combinations(arcs, 2)):  # touching endpoints fail too
+            raise ValueError("multicone arcs must be disjoint with positive gaps")
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "ends", ends)
 
     def complement(self) -> "Multicone":
         """Closure of the complement: the gap arcs between the components."""
-        following = self.arcs[1:] + self.arcs[:1]
-        return Multicone(tuple(ProjArc(a.end, b.start) for a, b in zip(self.arcs, following)))
+        arcs, ends = self.arcs, self.ends
+        return Multicone(tuple(ProjArc(arcs[i - 1].end, arcs[i].start) for i in range(len(arcs))),
+                         tuple((ends[i - 1][1], ends[i][0]) for i in range(len(ends))))
 
     def seed_point(self) -> ProjPoint:
         return self.arcs[0].midpoint
+
+
+def _integers(*xs) -> tuple:
+    """``xs`` times the lcm of their denominators: integers, every sign kept."""
+    k = math.lcm(*(x.as_integer_ratio()[1] for x in xs))
+    return tuple(p * (k // q) for p, q in (x.as_integer_ratio() for x in xs))
 
 
 @record
@@ -137,34 +148,51 @@ def triangular_forward_cone(sys: IfsSystem, case: str) -> Optional[Multicone]:
     CDominant: slopes expand toward the vertical, so the band around the
     y-axis |slope| >= T is invariant once T beats max |b| / (|c| - |a|).
     Both bounds are Fractions, exact however near the tie; their float (2^64's
-    past 2^64, where atan is pi/2 anyway) is padded by 0.1% and 1e-9.  None
+    past 2^64, where atan is pi/2 anyway) is padded by 0.1% and 1e-9 into the
+    exact K or T of the arc's ends (1, -K), (1, K) or (1, T), (-1, T).  None
     when that leaves no proper float arc; :func:`certify` decides the arc.
     """
     rows = [tuple(map(abs, f.linear.entries())) for f in sys.maps]
     if case == "ADominant":
         bound = max(b / a for a, _, b, _ in rows) / (1 - max(c / a for a, _, _, c in rows))
-        half = math.atan(max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 0.01))
+        k = max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 0.01)
+        half, ends = math.atan(k), ((1, -k), (1, k))
         arc = ProjArc.from_angles(-half, half) if half < math.pi / 2 else None
     elif case == "CDominant":
         bound = max(b / (c - a) for a, _, b, c in rows)
-        cut = math.atan(max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 1.0))
+        t = max(float(min(bound, 2 ** 64)) * 1.001 + 1e-9, 1.0)
+        cut, ends = math.atan(t), ((1, t), (-1, t))
         arc = ProjArc.from_angles(cut, math.pi - cut) if cut < math.pi / 2 else None
     else:
         raise ValueError(f"no cone for triangular case {case!r}")
-    return None if arc is None else Multicone((arc,))
+    return None if arc is None else Multicone((arc,), (ends,))
 
 
 def nests_exactly(linears, cone: Multicone) -> bool:
-    """Whether each linear map sends both ends u, v of every arc into the open
-    cone s u + t v (s, t > 0) of one arc with det[u, v] > 0, or both into its
-    negative; u, v are the Fractions of the float end vectors, v negated past pi."""
-    ends = [[tuple(map(Fraction, p.to_vector())) for p in (a.start, a.end)] for a in cone.arcs]
-    ends = [(u, v if a.end.theta > a.start.theta else (-v[0], -v[1]))
-            for a, (u, v) in zip(cone.arcs, ends)]
-    return all(any(det4((*u, *v)) > 0
-                   and _one_sign([det4((*p, *q)) for w in ws for p, q in ((u, w), (w, v))])
-                   for u, v in ends)
-               for m in linears for ws in ([apply4(m.entries(), *e) for e in uv] for uv in ends))
+    """Whether each linear map sends both ends of every arc of ``cone`` into
+    the open cone s u + t v (s, t > 0) of the ends u, v of one arc, or both
+    into its negative: signs of integer determinants (:func:`_images`)."""
+    return all(any(_one_sign([det4((*p, *q)) for w in img for p, q in ((u, w), (w, v))])
+                   for u, v in cone.ends)
+               for row in _images(linears, cone) for img in row)
+
+
+def images_overlap(linears, cone: Multicone) -> bool:
+    """Whether the images of ``cone`` under two of the linear maps share an
+    interior direction: open arcs from p to q and from r to s meet iff they
+    start on one line or one starts inside the other.  Touching is not overlap."""
+    return any(det4((*p, *r)) == 0 or _one_sign((det4((*p, *r)), det4((*r, *q))))
+               or _one_sign((det4((*r, *p)), det4((*p, *s))))
+               for row_i, row_j in combinations(_images(linears, cone), 2)
+               for p, q in row_i for r, s in row_j)
+
+
+def _images(linears, cone: Multicone):
+    """Per linear map M, scaled once to integers, the images (M u, M v) of the
+    ends of every arc, swapped when det M < 0 so that det[M u, M v] > 0."""
+    for m in (_integers(*m.entries()) for m in linears):
+        images = [(apply4(m, *u), apply4(m, *v)) for u, v in cone.ends]
+        yield images if det4(m) > 0 else [(q, p) for p, q in images]
 
 
 def _one_sign(xs) -> bool:
@@ -197,10 +225,10 @@ def _clearance(cone: Multicone, img: ProjArc) -> float:
     return -math.inf
 
 
-def check_multicone_invariance(sys: IfsSystem, m: Multicone) -> SplitReport:
+def check_multicone_invariance(sys: IfsSystem, m: Multicone, clearance=None) -> SplitReport:
     """Certified iff :func:`nests_exactly` holds, else Unknown: this cone
-    fails, which refutes no other.  The margin is the float clearance, or -inf."""
-    _, clearance = nest((f.linear for f in sys.maps), m)
+    fails, which refutes no other.  Margin: the float ``clearance`` (nest's if None), or -inf."""
+    clearance = nest((f.linear for f in sys.maps), m)[1] if clearance is None else clearance
     clearance = clearance if clearance >= 0 else -math.inf
     verdict = "Certified" if nests_exactly((f.linear for f in sys.maps), m) else "Unknown"
     return SplitReport(verdict, method="MulticoneCheck", multicone=m, margin=clearance)
@@ -224,8 +252,8 @@ def attracting_line(m: Mat2) -> Optional[ProjPoint]:
     return ProjPoint.from_vector(float(2 * b), float(d - a) + root)
 
 
-def propose_multicone(sys: IfsSystem) -> Optional[Multicone]:
-    """A proposed forward multicone, or None; :func:`certify` decides it.
+def propose_multicone(sys: IfsSystem) -> Optional[tuple]:
+    """(cone, :func:`nest` clearance) of a proposed forward multicone, or None; certify decides.
 
     The attracting eigenlines of the generators and of their products of two
     are fattened into arcs; each round, every image arc that does not nest
@@ -243,7 +271,7 @@ def propose_multicone(sys: IfsSystem) -> Optional[Multicone]:
         cone = Multicone(tuple(arcs))  # merged arcs are disjoint
         images, clearance = nest(linears, cone)
         if clearance >= PROPOSAL_INFLATE / 4:
-            return cone
+            return cone, clearance
         arcs = _merge_arcs(arcs + [ProjArc.around(img.midpoint.theta,
                                                   img.length / 2 + PROPOSAL_INFLATE)
                                    for row in images for img in row
@@ -287,20 +315,21 @@ def certify(sys: IfsSystem) -> SplitReport:
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
     case = check_triangular_split(sys) if sys.is_triangular() else None
-    for method, cone in _proposals(sys, case):
-        if cone is not None and (checked := check_multicone_invariance(sys, cone)).certified:
-            return SplitReport("Certified", method=method, multicone=cone, margin=checked.margin,
+    for method, cone, clearance in _proposals(sys, case):
+        if cone is not None and (rep := check_multicone_invariance(sys, cone, clearance)).certified:
+            return SplitReport("Certified", method=method, multicone=cone, margin=rep.margin,
                                triangular=case if method == "Triangular" else None)
     return SplitReport("Unknown")
 
 
 def _proposals(sys: IfsSystem, case: Optional[str]):
-    """(method, cone or None): triangular > positive quadrant > proposed, lazily."""
+    """(method, cone or None, its clearance or None): triangular > quadrant > proposed, lazily."""
     if case in ("ADominant", "CDominant"):
-        yield "Triangular", triangular_forward_cone(sys, case)
+        yield "Triangular", triangular_forward_cone(sys, case), None
     if all(_one_sign(f.linear.entries()) for f in sys.maps):
-        yield "Positivity", Multicone((ProjArc.from_angles(0.0, math.pi / 2),))
-    yield "MulticoneCheck", propose_multicone(sys)
+        quadrant = ProjArc.from_angles(0.0, math.pi / 2)
+        yield "Positivity", Multicone((quadrant,), (((1, 0), (0, 1)),)), None
+    yield "MulticoneCheck", *(propose_multicone(sys) or (None, None))
 
 
 def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitReport:

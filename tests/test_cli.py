@@ -1164,14 +1164,21 @@ class TestNumpyOnFirstUse:
         assert proc.stderr == "False\n"
 
     def test_certify_never_executes_numpy(self):
-        # the proposed cone grows from eigenlines: no random words, no arrays
+        # the proposed cone grows from eigenlines: no random words, no arrays;
+        # the backward check is integer determinants on the cone's ends
         code = ("import sys\nfrom affdim.ifs import parse_system\n"
+                "from affdim.library import hl_demo\n"
                 "from affdim.splitting import certify\n"
-                f"split = certify(parse_system({PROPOSED_CONE_CONFIGS['rotated-diagonal']!r}).system)\n"
-                "print(split.method, 'numpy._core' in sys.modules, 'numpy.random' in sys.modules)")
+                "from affdim.dimension import backward_non_overlapping\n"
+                f"rotated = parse_system({PROPOSED_CONE_CONFIGS['rotated-diagonal']!r}).system\n"
+                "for sysm in (rotated, hl_demo()[0]):\n"
+                "    split = certify(sysm)\n"
+                "    print(split.method, backward_non_overlapping(sysm, split))\n"
+                "print('numpy._core' in sys.modules, 'numpy.random' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
-        assert proc.stdout == "MulticoneCheck False False\n", proc.stderr
+        assert proc.stdout == "MulticoneCheck Unknown\nPositivity Verified\nFalse False\n", \
+            proc.stderr
 
     def test_float_form_bytes_do_not_depend_on_numpy_dispatch(self):
         # a child with numpy's AVX512 loops switched off prints the same bytes;

@@ -24,7 +24,7 @@ from affdim.ifs import AffineMap, IfsSystem, box_dimension_estimate, check_ssc, 
 from affdim.library import hl_demo, phi_c, sec44
 from affdim.linalg2 import Mat2, ProjArc
 from affdim.pressure import pressure_root
-from affdim.splitting import Multicone, SplitReport, certify, nest
+from affdim.splitting import Multicone, SplitReport, certify, images_overlap, nest
 
 SEC44_H = math.log(3.0)
 SEC44_CHI_S = math.log(1.5)
@@ -217,15 +217,37 @@ class TestBackwardNonOverlapping:
         assert clearance == 0.0
         assert backward_non_overlapping(sysm, self.split()) == "Verified"
 
+    def pair(self, eps):
+        """Columns (2, 1), (1, 1) and (1, 1 - 2 eps), (1, 2): arcs inside the
+        cone, the second ending about eps past the start of the first."""
+        return self.reflected(Mat2(F(20), F(10), F(10), F(10)),
+                              Mat2(F(10), F(10), 10 - 20 * eps, F(20)))
+
     def test_images_overlapping_by_1e_10_are_unknown(self):
-        # columns (2, 1), (1, 1) and (1, 1 - 2e-10), (1, 2): arcs inside the
-        # cone that overlap by about 1e-10
-        sysm = self.reflected(Mat2(F(20), F(10), F(10), F(10)),
-                              Mat2(F(10), F(10), 10 - 20 * self.EPS, F(20)))
+        sysm = self.pair(self.EPS)
+        inverses = [f.linear.inverse() for f in sysm.maps]
+        assert images_overlap(inverses, self.split().backward_cone)
         (first,), (second,) = nest((f.linear.to_float().inverse() for f in sysm.maps),
                                    self.split().backward_cone)[0]
-        assert 0 < first.overlap(second) < 1e-9
+        assert 0 < second.end.theta - first.start.theta < 1e-9
         assert backward_non_overlapping(sysm, self.split()) == "Unknown"
+
+    @pytest.mark.parametrize("eps", [F(1, 10 ** 16), F(1, 10 ** 17), F(1, 10 ** 20)])
+    def test_images_overlapping_below_an_ulp_are_unknown(self, eps):
+        # the float images touch (a float overlap of 0.0), while the exact
+        # ones overlap by about eps
+        sysm = self.pair(eps)
+        (first,), (second,) = nest((f.linear.to_float().inverse() for f in sysm.maps),
+                                   self.split().backward_cone)[0]
+        assert second.end == first.start
+        assert backward_non_overlapping(sysm, self.split()) == "Unknown"
+
+    def test_images_touching_at_an_exact_end_are_verified(self):
+        # at eps = 0 the images touch exactly at 3 pi / 4 on the quadrant's
+        # exact ends; on its float ends (6.1e-17, 1) they overlap by ~1e-17
+        quadrant = Multicone((ProjArc.from_angles(0.0, math.pi / 2),), (((1, 0), (0, 1)),))
+        assert backward_non_overlapping(self.pair(F(0)), self.split(quadrant)) == "Verified"
+        assert backward_non_overlapping(self.pair(F(0)), self.split()) == "Unknown"
 
     def test_failed_proposed_complement_is_unknown(self):
         # diag(1/5, 1/100) and its conjugate by the rotation (3/5, 4/5): the

@@ -6,12 +6,15 @@ as a report, and ``analyze`` fails only with the errors the CLI reports as
 exit 1.  Whenever the exact dominance has a triangular cone, ``certify`` takes
 the triangular route exactly when the cone, re-checked in Fractions, is
 strictly invariant.  The same re-check holds for every cone certified by the
-positivity and proposal routes.
+positivity and proposal routes, and a Fraction-only overlap check of the
+inverse images gives the backward non-overlapping status.
 
 Skipped where hypothesis is not installed.
 """
 
+import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -20,11 +23,12 @@ from hypothesis import assume, event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import affdim.pressure  # noqa: E402
-from affdim.dimension import analyze_targets  # noqa: E402
+from affdim.dimension import analyze_targets, backward_non_overlapping  # noqa: E402
 from affdim.errors import AffdimError  # noqa: E402
 from affdim.ifs import AffineMap, IfsSystem, Polygon, check_triangular_split  # noqa: E402
-from affdim.linalg2 import Mat2  # noqa: E402
-from affdim.splitting import (SplitReport, certify, check_multicone_invariance,  # noqa: E402
+from affdim.linalg2 import Mat2, ProjArc  # noqa: E402
+from affdim.splitting import (Multicone, SplitReport, certify,  # noqa: E402
+                              check_multicone_invariance, propose_multicone,
                               triangular_forward_cone)
 
 UNIT_SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
@@ -73,19 +77,20 @@ def det(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def strictly_invariant_in_fractions(sysm, cone) -> bool:
-    """Each arc's ends as the exact rationals of their float unit vectors, u
-    and v signed so that det[u, v] > 0 (every arc is shorter than pi): every
-    exact linear part maps the u and v of each arc strictly inside the cone
+def image(m, uv):
+    """The images under the Mat2 ``m``, its entries as Fractions, of the
+    vectors ``uv``."""
+    a11, a12, a21, a22 = map(F, m.entries())
+    return [(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in uv]
+
+
+def strictly_invariant_in_fractions(linears, cone) -> bool:
+    """Each arc's exact ends u, v (``cone.ends``, det[u, v] > 0): every
+    linear part maps the u and v of each arc strictly inside the cone
     s u' + t v' of one arc, or both strictly inside its negative, decided by
     determinant signs."""
-    ends = []
-    for arc in cone.arcs:
-        u, v = (tuple(map(F, p.to_vector())) for p in (arc.start, arc.end))
-        if det(u, v) < 0:
-            v = (-v[0], -v[1])
-        assert det(u, v) > 0
-        ends.append((u, v))
+    ends = cone.ends
+    assert all(det(u, v) > 0 for u, v in ends)
 
     def inside(images, host):
         u, v = host
@@ -93,13 +98,46 @@ def strictly_invariant_in_fractions(sysm, cone) -> bool:
         return all(det(u, w) != 0 and det(w, v) != 0 for w in images) and \
             signs in ({(True, True)}, {(False, False)})
 
-    for f in sysm.maps:
-        a11, a12, a21, a22 = f.linear.entries()
-        for u, v in ends:
-            images = [(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in (u, v)]
-            if not any(inside(images, host) for host in ends):
-                return False
-    return True
+    return all(any(inside(image(m, uv), host) for host in ends) for m in linears for uv in ends)
+
+
+def images_overlap_in_fractions(linears, cone) -> bool:
+    """Whether the images of ``cone`` under two of the linear parts share an
+    interior direction: an end of one image lies strictly inside the other
+    (w = s p + t q with s t > 0, s and t by Cramer's rule), or the two images
+    have the same pair of end lines.  No orientation is needed."""
+    def strictly_inside(w, p, q):
+        return det(w, q) / det(p, q) * (det(p, w) / det(p, q)) > 0
+
+    rows = [[image(m, uv) for uv in cone.ends] for m in linears]
+    return any(any(strictly_inside(w, *b) for w in a) or any(strictly_inside(w, *a) for w in b)
+               or all(any(det(w, z) == 0 for z in b) for w in a)
+               for row_i, row_j in combinations(rows, 2) for a in row_i for b in row_j)
+
+
+QUADRANT = Multicone((ProjArc.from_angles(0.0, math.pi / 2),), (((1, 0), (0, 1)),))
+
+
+def assert_cone_verdicts_match_fractions(sysm):
+    """The engine's forward verdict on the quadrant and on the proposed cone,
+    and its backward status on the certificate's backward cone when the cone
+    route decides it, are the Fraction checkers'; returns that status."""
+    linears = [f.linear for f in sysm.maps]
+    proposed = propose_multicone(sysm)
+    for cone in [QUADRANT] + ([proposed[0]] if proposed else []):
+        assert check_multicone_invariance(sysm, cone).certified == \
+            strictly_invariant_in_fractions(linears, cone)
+    split = certify(sysm)
+    if not split.certified or split.triangular is not None:
+        return None
+    inverses = [Mat2(*map(F, m.entries())).inverse() for m in linears]
+    backward = split.backward_cone
+    verified = strictly_invariant_in_fractions(inverses, backward) and \
+        not images_overlap_in_fractions(inverses, backward)
+    status = backward_non_overlapping(sysm, split)
+    assert status == ("Failed" if len(sysm.symbols) < sysm.n
+                      else "Verified" if verified else "Unknown")
+    return status
 
 
 # near-tie rows whose k share one sign, nonzero: c-dominant, or a-dominant
@@ -114,18 +152,19 @@ dominated_rows = st.tuples(st.lists(near_tie_row, min_size=1, max_size=3),
 @given(rows=st.one_of(st.lists(near_tie_row, min_size=1, max_size=3), dominated_rows))
 def test_triangular_cones_certify_and_are_invariant_in_fractions(rows):
     # the triangular cone is only a proposal: the exact check decides it, and
-    # certify takes the triangular route exactly when the arc nests in Fractions
+    # certify takes the triangular route exactly when the arc nests in
+    # Fractions.  Its exact ends (1, +-K) or (+-1, T) lie past the exact
+    # bound, so every arc there nests, sign flips and near ties included
     sysm = near_tie_system(rows)
     case = check_triangular_split(sysm)
     cone = triangular_forward_cone(sysm, case) if case in ("ADominant", "CDominant") else None
-    nests = cone is not None and strictly_invariant_in_fractions(sysm, cone)
+    nests = cone is not None and strictly_invariant_in_fractions(
+        [f.linear for f in sysm.maps], cone)
     event(f"{case}, {'no arc' if cone is None else 'an arc that nests' if nests else 'an arc'}")
     if cone is not None:
         split = certify(sysm)
-        assert check_multicone_invariance(sysm, cone).certified == nests
-        assert (split.method == "Triangular") == nests
-        if nests:
-            assert split.certified and split.triangular == case
+        assert nests and check_multicone_invariance(sysm, cone).certified
+        assert split.method == "Triangular" and split.triangular == case
 
 
 def test_positive_and_proposed_cones_are_invariant_in_fractions():
@@ -145,5 +184,37 @@ def test_positive_and_proposed_cones_are_invariant_in_fractions():
         split = certify(sysm)
         if split.certified:
             methods.append(split.method)
-            assert strictly_invariant_in_fractions(sysm, split.multicone)
+            assert strictly_invariant_in_fractions([f.linear for f in sysm.maps], split.multicone)
     assert methods.count("MulticoneCheck") >= 29 and "Positivity" in methods
+
+
+def test_cone_verdicts_match_the_fraction_checkers():
+    # forward and backward, on the proposal's systems, hl-demo and the 60
+    # random conjugated systems
+    from test_cli import PROPOSED_CONE_CONFIGS
+    from test_splitting import random_conjugated_system
+
+    from affdim.ifs import parse_system
+    from affdim.library import hl_demo
+
+    systems = [parse_system(text).system for text in PROPOSED_CONE_CONFIGS.values()]
+    systems += [hl_demo()[0]] + [random_conjugated_system(seed) for seed in range(60)]
+    statuses = [assert_cone_verdicts_match_fractions(sysm) for sysm in systems]
+    assert statuses[:3] == ["Unknown", "Verified", "Verified"]
+    assert statuses[3:].count("Unknown") >= 29  # the random images overlap
+
+
+positive = st.integers(1, 11).flatmap(lambda p: st.integers(2 * p + 1, 24).map(lambda q: F(p, q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(positive, min_size=8, max_size=8))
+def test_positive_pairs_match_the_fraction_checkers(entries):
+    # entries in (0, 1/2): the quadrant certifies, and the backward status
+    # turns on how the two inverse images of its complement meet
+    linears = Mat2(*entries[:4]), Mat2(*entries[4:])
+    assume(all(m.det != 0 for m in linears))
+    sysm = IfsSystem((AffineMap(linears[0], (F(0), F(0))), AffineMap(linears[1], (F(1, 2), F(1, 2)))))
+    status = assert_cone_verdicts_match_fractions(sysm)
+    event(str(status))
+    assert status is not None

@@ -125,6 +125,44 @@ class TestMulticoneInvariance:
         split = certify(sysm)
         assert split.certified and split.method == "Positivity" and split.margin == 0.0
 
+    def test_ends_default_to_the_float_unit_vectors(self):
+        # each end is its float unit vector times a power of two, the end of
+        # an arc across pi negated, and the complement carries both over
+        arc = ProjArc.from_angles(2.5, 3.5)
+        cone = Multicone((arc,))
+        ((u, v),) = cone.ends
+        for w, p, sign in ((u, arc.start, 1), (v, arc.end, -1)):
+            x, y = map(F, p.to_vector())
+            k = sign * F(w[0]) / x
+            assert k == sign * F(w[1]) / y and k > 0
+            assert k.numerator & (k.numerator - 1) == 0 and k.denominator & (k.denominator - 1) == 0
+        assert cone.complement().ends == ((v, (-u[0], -u[1])),)
+
+    def test_quadrant_certifies_on_its_exact_ends(self):
+        # M e2 = (10^-17, 1/2) and M e1 = (1/4, 1/4): the float end
+        # (6.1e-17, 1) of the quadrant maps outside it, the exact end (0, 1)
+        # inside, so positivity certifies before the proposal is tried
+        m = Mat2(F(1, 4), F(1, 10 ** 17), F(1, 4), F(1, 2))
+        sysm = IfsSystem((AffineMap(m, (F(0), F(0))), AffineMap(m, (F(1, 2), F(1, 2)))))
+        split = certify(sysm)
+        assert split.certified and split.method == "Positivity"
+        assert split.multicone.ends == (((1, 0), (0, 1)),)
+
+    def test_accepted_proposal_is_nested_once(self, monkeypatch):
+        # certify reuses the clearance the proposal computed on its accepted
+        # cone, and prints it unchanged
+        import affdim.splitting as splitting_mod
+
+        sysm = _rotated_diagonal()
+        cones = []
+        nest = splitting_mod.nest
+        monkeypatch.setattr(splitting_mod, "nest",
+                            lambda linears, cone: cones.append(cone) or nest(linears, cone))
+        split = certify(sysm)
+        assert split.method == "MulticoneCheck"
+        assert cones.count(split.multicone) == 1
+        assert split.margin == nest([f.linear for f in sysm.maps], split.multicone)[1]
+
 
 class TestAttractingLine:
     def test_dominant_eigenvector(self):
@@ -233,18 +271,19 @@ class TestCertify:
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["same-sign", "flipped"])
     def test_near_tie_arc_must_nest_in_fractions(self, sign):
-        # c = a (1 + 2^-60): the band |slope| >= 1 is invariant, but its float
-        # ends are not mirror images, so a map that flips the slope's sign sends
-        # one end just outside the other; the exact check declines that arc
+        # c = a (1 + 2^-60): the band |slope| >= 1 is invariant.  The float
+        # ends of its arc are not mirror images, and a map that flips the
+        # slope's sign sends one just outside the other; the exact ends (1, 1)
+        # and (-1, 1) are, so the exact check certifies both signs
         from affdim.splitting import triangular_forward_cone
 
         a = 1 - F(1, 2 ** 20)
         sysm = triangular_system([(a, F(0), sign * a * (1 + F(1, 2 ** 60)))])
         cone = triangular_forward_cone(sysm, "CDominant")
-        assert check_multicone_invariance(sysm, cone).certified == (sign == 1)
+        assert cone.ends == (((1, 1), (-1, 1)),)
+        assert check_multicone_invariance(sysm, cone).certified
         rep = certify(sysm)
-        assert rep.certified == (sign == 1)
-        assert (rep.method == "Triangular") == (sign == 1)
+        assert rep.certified and rep.method == "Triangular" and rep.triangular == "CDominant"
 
 
 def random_conjugated_system(seed):
