@@ -5,10 +5,10 @@ Every measure report starts from the exponents, the Lyapunov dimension and
 the pressure root.  The exponents of a triangular system are exact, those of
 any other certified system come from the Furstenberg enclosure over the
 certificate's multicone (``chi-s-enclosure``), and the rest from Monte Carlo
-(``ergodic.lyapunov_exponents``).  The root of a dominated triangular system
-comes from the exact closed form (``pressure-method: closed-form``), that of
-any other system from finite-depth roots along the schedule
-(``pressure-history``).
+(``ergodic.lyapunov_exponents``).  The root of a dominated triangular class
+(``IfsSystem.triangular``, whichever cone certifies) comes from the exact
+closed form (``pressure-method: closed-form``), any other from finite-depth
+roots along the schedule (``pressure-history``).
 The report is then that of the first rule of ``_RULES`` that fires, tried in
 this order, with the theorem labels each rule can fire:
 
@@ -172,9 +172,9 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     until images that only touch are disjoint, while the line route's exact
     hull is the least invariant interval and cannot shrink.
     """
-    if split.triangular == "ADominant":
+    if sys.triangular == "ADominant":
         return FAILED
-    if split.triangular == "CDominant":
+    if sys.triangular == "CDominant":
         merged, _ = direction_line_ifs(sys, BernoulliWeights.uniform(sys.n))
         if merged.n == 1:
             return FAILED  # single direction map: all inverse images coincide
@@ -185,18 +185,13 @@ def backward_non_overlapping(sys: IfsSystem, split: SplitReport) -> str:
     return VERIFIED if nests_exactly(inv, cone) and not images_overlap(inv, cone) else UNKNOWN
 
 
-def hueter_lalley_check(
-    sys: IfsSystem,
-    ssc: Optional[SscReport] = None,
-    split: Optional[SplitReport] = None,
-):
+def hueter_lalley_check(sys: IfsSystem, ssc: Optional[SscReport] = None):
     """Statuses of the four projection-theorem hypotheses: dominated
     splitting, backward non-overlapping, the bunching inequality
     alpha1^2 <= alpha2 per generator, and strong separation (``ssc``, the
-    report of ``check_ssc``; Unknown without one).  The only place that
-    decides them: ``analyze`` reads its T4.1 statuses from here."""
-    if split is None:
-        split = sys.certificate
+    report of ``check_ssc``; Unknown without one), on ``IfsSystem.certificate``.
+    The only place that decides them: ``analyze`` reads its T4.1 statuses."""
+    split = sys.certificate
     return {
         "dominated-splitting": (VERIFIED if split.certified
                                 else FAILED if split.verdict == "Refuted" else UNKNOWN),
@@ -261,7 +256,6 @@ class _Ctx:
     weights)."""
 
     sys: IfsSystem
-    split: SplitReport
     ssc: Optional[SscReport]
     pressure: RootEstimate
     triangular_roots: Optional[Tuple[float, float]]  # (s1, s2) when dominated
@@ -316,10 +310,10 @@ def analyze_targets(
     targets; the splitting certificate is the system's own
     (``IfsSystem.certificate``), computed once per system.
 
-    Dominated triangular systems take the pressure root from the exact
-    closed form (``pressure-method: closed-form``); every other system runs
-    ``pressure_root`` along ``pressure.DEFAULT_SCHEDULE``
-    (``pressure-history``).
+    A dominated triangular class (``IfsSystem.triangular``, whichever cone
+    certifies) takes its pressure root from the exact closed form
+    (``pressure-method: closed-form``); every other system runs
+    ``pressure_root`` along ``pressure.DEFAULT_SCHEDULE`` (``pressure-history``).
     """
     for target in targets:
         if target not in ("measure", "attractor"):
@@ -330,14 +324,14 @@ def analyze_targets(
     split = sys.certificate
     ssc = check_ssc(sys, polygon) if polygon is not None else None
     roots = None
-    if split.triangular in ("ADominant", "CDominant"):
+    if sys.triangular in ("ADominant", "CDominant"):
         roots = triangular_roots(sys)
         pressure = RootEstimate.closed_form(triangular_pressure_root(sys, roots))
     else:
         pressure = pressure_root(sys)
 
-    ctx = _Ctx(sys=sys, split=split, ssc=ssc, pressure=pressure, triangular_roots=roots,
-               statuses=hueter_lalley_check(sys, ssc, split),
+    ctx = _Ctx(sys=sys, ssc=ssc, pressure=pressure, triangular_roots=roots,
+               statuses=hueter_lalley_check(sys, ssc),
                hochman_depth=hochman_depth, mc_n=mc_n, mc_trials=mc_trials,
                rng_seed=rng_seed, details=[], memo={})
     d = ctx.details
@@ -347,8 +341,8 @@ def analyze_targets(
     d.append(("split-verdict", split.verdict))
     if split.method:
         d.append(("split-method", split.method))
-    if split.triangular:
-        d.append(("split-triangular", split.triangular))
+    if split.method == "Triangular":
+        d.append(("split-triangular", sys.triangular))
     d.append(("split-margin", format_number(split.margin)))
     if ssc is not None:
         d.append(("ssc-holds", "true" if ssc.holds else "false"))
@@ -453,8 +447,8 @@ class _ReportState:
 def _measure_report(ctx: _Ctx, weights: BernoulliWeights) -> DimensionReport:
     """The report of the first rule of ``_RULES`` that fires."""
     # symbol stream 2: _empirical_direction samples e_ss from stream 0
-    t = lyapunov_exponents(ctx.sys, weights, ctx.mc_n, ctx.mc_trials, ctx.rng_seed, ctx.split,
-                           stream=2)
+    t = lyapunov_exponents(ctx.sys, weights, ctx.mc_n, ctx.mc_trials, ctx.rng_seed,
+                           ctx.sys.certificate, stream=2)
     st = _ReportState(ctx, weights, t, list(ctx.details))
     st.details.append(("weights", " ".join(format_number(float(p)) for p in weights.p)))
     st.details.append(("entropy", format_number(t.entropy)))
@@ -481,7 +475,7 @@ def _bounds_only(st: _ReportState):
 
 
 def _a_dominant(st: _ReportState):
-    if st.ctx.split.triangular != "ADominant":
+    if st.ctx.sys.triangular != "ADominant":
         return None
     depth, hochman_x, h_x = st.line_separation(x_axis_line_ifs, "hochman-x-verdict")
     st.details.append(("transversal-entropy", format_number(h_x)))
@@ -504,7 +498,7 @@ def _direction_data(st: _ReportState):
     the direction data that the rules after it read."""
     st.status("backward-non-overlapping")
     h_dir = st.t.entropy
-    if st.ctx.split.triangular == "CDominant":
+    if st.ctx.sys.triangular == "CDominant":
         _, st.hochman_dir, h_dir = st.line_separation(direction_line_ifs,
                                                       "hochman-direction-verdict")
     if st.t.chi_ss > st.t.chi_s:  # a measure on the projective line: at most 1
@@ -557,7 +551,7 @@ def _empirical_direction(st: _ReportState):
     if st.separated:
         return None
     ctx = st.ctx
-    angles = sample_nu_ss_angles(ctx.sys, st.weights, None, 4000, ctx.rng_seed, ctx.split)
+    angles = sample_nu_ss_angles(ctx.sys, st.weights, None, 4000, ctx.rng_seed)
     series = correlation_dimension_estimate(angles, [2.0 ** -k for k in range(3, 11)])
     st.details.append(("nu-ss-empirical-slope", format_number(series.slope)))
     if series.slope + st.h_over_chi_ss > 2.0 and st.dim_lyap > 1.0:

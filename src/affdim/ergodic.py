@@ -169,6 +169,8 @@ def lyapunov_monte_carlo(
     from the determinant identity, so the identity holds exactly by
     construction and stderr_ss mirrors stderr_s.  The (n, trials) draw from
     ``rng(rng_seed, stream)`` comes in :func:`ifs.symbol_blocks` of whole steps.
+    stderr_s is the spread of the trials, not an error bound: it omits the
+    O(1/n) bias of a length-n product, which may be far larger.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -357,7 +359,7 @@ def lyapunov_exponents(
     enclosure's midpoint once the enclosure is ``ENCLOSURE_TOL`` wide, and
     otherwise the Monte-Carlo estimate clamped into the enclosure.  Monte
     Carlo alone (symbol stream ``stream``) serves every other system."""
-    if sys.is_triangular():
+    if sys.triangular is not None:
         return lyapunov_triangular(sys, weights)
     enc = None
     if split is not None and split.certified:

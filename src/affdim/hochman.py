@@ -194,8 +194,8 @@ def _neg_log(x: Fraction) -> float:
 def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Projected first-coordinate system {a_i x + t_i} of a triangular family,
     duplicates merged with summed weights.  NotTriangular otherwise."""
-    from .ifs import require_lower_triangular
-    require_lower_triangular(sys)
+    from .ifs import check_triangular_split
+    check_triangular_split(sys)
     maps = tuple((f.linear.a11, f.translation[0]) for f in sys.maps)
     return LineIfs(maps).merged_duplicates(weights.p)
 
@@ -203,7 +203,7 @@ def x_axis_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
 def direction_line_ifs(sys: IfsSystem, weights: BernoulliWeights):
     """Strong-stable slope system {(a_i/c_i) x - b_i/c_i} of a triangular
     family, duplicates merged with summed weights.  NotTriangular otherwise."""
-    from .ifs import require_lower_triangular
-    require_lower_triangular(sys)
+    from .ifs import check_triangular_split
+    check_triangular_split(sys)
     maps = tuple((f.linear.a11 / f.linear.a22, -f.linear.a21 / f.linear.a22) for f in sys.maps)
     return LineIfs(maps).merged_duplicates(weights.p)

@@ -11,9 +11,10 @@ kernels read ``IfsSystem.columns``; the sampling kernels read
 ``IfsSystem.step_columns``, where an entry bitwise equal in every map is one
 Python float that each step multiplies by instead of gathering it, and they
 draw their symbols from raw Philox words (``BernoulliWeights.draw``).  The
-triangular tests (``check_triangular_split``, ``abs_diagonals``) live here
-too: they read only the system's Fractions, so ``pressure`` and ``ergodic``
-take them without executing ``splitting``.
+triangular class (``IfsSystem.triangular``) is decided here, once per system
+on its Fractions, and every layer reads it there, through
+``check_triangular_split`` and ``abs_diagonals`` when it needs a triangular
+system: ``pressure`` and ``ergodic`` take it without executing ``splitting``.
 """
 
 from __future__ import annotations
@@ -114,8 +115,24 @@ class IfsSystem:
     def n(self) -> int:
         return len(self.maps)
 
-    def is_triangular(self) -> bool:
-        return all(f.linear.is_lower_triangular() for f in self.maps)
+    @cached_property
+    def triangular(self) -> Optional[str]:
+        """The triangular class, decided once on the Fractions: None when a
+        linear part has a nonzero upper-right entry, else ADominant when
+        |a_i| > |c_i| for every map, CDominant when |a_i| < |c_i| for every
+        map, and "None" otherwise (any tie).  Every layer reads it here."""
+        if self._upper_right is not None:
+            return None
+        diagonals = [(abs(f.linear.a11), abs(f.linear.a22)) for f in self.maps]
+        if all(a > c for a, c in diagonals):
+            return "ADominant"
+        return "CDominant" if all(a < c for a, c in diagonals) else "None"
+
+    @cached_property
+    def _upper_right(self) -> Optional[int]:
+        """The first map (1-based) with a nonzero upper-right entry, or None."""
+        return next((k + 1 for k, f in enumerate(self.maps)
+                     if not f.linear.is_lower_triangular()), None)
 
     @cached_property
     def columns(self) -> tuple:
@@ -156,7 +173,7 @@ class IfsSystem:
     def certificate(self):
         """The dominated-splitting certificate of :func:`splitting.certify`,
         computed once per system: ``analyze``, the T4.1 statuses and every
-        direction routine called without one read it."""
+        direction routine read it."""
         from .splitting import certify  # splitting imports this module
 
         return certify(self)
@@ -168,26 +185,12 @@ class IfsSystem:
         return tmax / (1.0 - self.max_norm) if tmax > 0 else 1.0
 
 
-def require_lower_triangular(sys: IfsSystem) -> None:
-    """NotTriangular, naming the first map with a nonzero upper-right entry."""
-    for k, f in enumerate(sys.maps):
-        if not f.linear.is_lower_triangular():
-            raise NotTriangular(f"map {k + 1} has a nonzero upper-right entry")
-
-
 def check_triangular_split(sys: IfsSystem) -> str:
-    """Sufficient triangular criterion: ADominant, CDominant or None.
-
-    Exact on the system's Fractions; any tie |a_i| = |c_i| yields None.
-    """
-    require_lower_triangular(sys)
-    a_dom = all(abs(f.linear.a11) > abs(f.linear.a22) for f in sys.maps)
-    c_dom = all(abs(f.linear.a11) < abs(f.linear.a22) for f in sys.maps)
-    if a_dom:
-        return "ADominant"
-    if c_dom:
-        return "CDominant"
-    return "None"
+    """``IfsSystem.triangular``: ADominant, CDominant or "None"; NotTriangular,
+    naming the first map with a nonzero upper-right entry, when it is None."""
+    if sys.triangular is None:
+        raise NotTriangular(f"map {sys._upper_right} has a nonzero upper-right entry")
+    return sys.triangular
 
 
 def abs_diagonals(sys: IfsSystem):

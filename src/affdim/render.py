@@ -63,6 +63,8 @@ class RenderSpec:
         x0, y0, x1, y1 = self.viewport
         if not (x1 > x0 and y1 > y0):
             raise ValueError("viewport must be non-degenerate")
+        if not np.isfinite((*self.viewport, self.width / (x1 - x0), self.height / (y1 - y0))).all():
+            raise ValueError("viewport must be finite, with a finite pixel scale")
         if self.mode not in ("cylinders", "chaos"):
             raise ValueError("mode must be 'cylinders' or 'chaos'")
         if self.mode == "chaos" and self.count < 1:

@@ -1,27 +1,29 @@
 """Dominated-splitting certification and the invariant direction fields.
 
-Certification tries three cones in precedence order: the triangular cone
-(its bound is exact), the positive quadrant, then a best-effort proposal
-grown from the attracting eigenlines of the generators and of their products
-of two.  A cone that fails reads Unknown, never Refuted; the only
-refutations are exact obstructions (a generator with equal singular values
-keeps the ratio alpha1/alpha2 at one along its own powers).  Certification
-draws no random numbers and executes no numpy, on any system.
+Certification tries three cones in precedence order: the triangular cone of
+a dominated class (``IfsSystem.triangular``), the positive quadrant, then a
+best-effort proposal grown from the attracting eigenlines of the generators
+and their products of two.  A cone that fails reads Unknown, never Refuted;
+the only refutations are exact obstructions (a generator with equal singular
+values keeps the ratio alpha1/alpha2 at one along its own powers).
+Certification draws no random numbers and executes no numpy, on any system.
 
-The certificate's forward multicone (``SplitReport.multicone``) and its
-complement (``SplitReport.backward_cone``) are the cones that the backward
-check and the direction routines read.  Integer determinants on their exact
-ends decide each cone (:func:`nests_exactly`, :func:`images_overlap`); the
-float arcs' :func:`nest` clearance prints as ``split-margin`` and stops growth.
+The certificate records how its cone was found (``method``), not the class.
+Its forward multicone (``SplitReport.multicone``) and the complement
+(``SplitReport.backward_cone``) are the cones that the backward check and
+the direction routines read.  Integer determinants on their exact ends
+decide each cone (:func:`nests_exactly`, :func:`images_overlap`); the float
+arcs' :func:`nest` clearance prints as ``split-margin`` and stops growth.
 
-Direction fields: e_ss depends on the forward word and is computed either from
-products of inverse matrices on the certificate's cone (generic) or by the
-explicit slope series for lower-triangular systems with dominant second
-diagonal.  e_s is the mirror, and one routine serves both fields: e_ss takes
-the future word, the inverse maps, the backward cone and the series
-(-b/c, a/c), and is pinned vertical for a-dominant systems; e_s takes the past
-word from its most recent symbol, the forward maps, the forward cone and the
-series (b/a, c/a), and is pinned vertical for c-dominant systems.
+Direction fields read the system's own certificate (``IfsSystem.certificate``)
+and class, and take no ``split``.  e_ss depends on the forward word and is
+computed from products of inverse matrices on the certificate's cone
+(generic), or by the explicit slope series for c-dominant systems.  e_s is
+the mirror, and one routine serves both fields: e_ss takes the future word,
+the inverse maps, the backward cone and the series (-b/c, a/c), and is
+pinned vertical for a-dominant systems; e_s takes the past word from its
+most recent symbol, the forward maps, the forward cone and the series
+(b/a, c/a), and is pinned vertical for c-dominant systems.
 
 The folds read each step as one row of a contiguous copy of the symbol
 block's transpose, and multiply by an entry that is bitwise equal for every
@@ -123,7 +125,6 @@ class SplitReport:
     method: Optional[str] = None  # Triangular | Positivity | MulticoneCheck
     multicone: Optional[Multicone] = None  # certifying forward multicone
     margin: float = 0.0  # float nest clearance, -inf when negative: printed, decides nothing
-    triangular: Optional[str] = None  # ADominant | CDominant when applicable
 
     def __post_init__(self):
         if self.verdict == "Certified" and self.multicone is None:
@@ -314,30 +315,25 @@ def certify(sys: IfsSystem) -> SplitReport:
     that :func:`check_multicone_invariance` certifies, else Unknown."""
     if any(_is_similarity(f.linear) for f in sys.maps):
         return SplitReport("Refuted", method=None, margin=-math.inf)
-    case = check_triangular_split(sys) if sys.is_triangular() else None
-    for method, cone, clearance in _proposals(sys, case):
+    for method, cone, clearance in _proposals(sys):
         if cone is not None and (rep := check_multicone_invariance(sys, cone, clearance)).certified:
-            return SplitReport("Certified", method=method, multicone=cone, margin=rep.margin,
-                               triangular=case if method == "Triangular" else None)
+            return SplitReport("Certified", method=method, multicone=cone, margin=rep.margin)
     return SplitReport("Unknown")
 
 
-def _proposals(sys: IfsSystem, case: Optional[str]):
+def _proposals(sys: IfsSystem):
     """(method, cone or None, its clearance or None): triangular > quadrant > proposed, lazily."""
-    if case in ("ADominant", "CDominant"):
-        yield "Triangular", triangular_forward_cone(sys, case), None
+    if sys.triangular in ("ADominant", "CDominant"):
+        yield "Triangular", triangular_forward_cone(sys, sys.triangular), None
     if all(_one_sign(f.linear.entries()) for f in sys.maps):
         quadrant = ProjArc.from_angles(0.0, math.pi / 2)
         yield "Positivity", Multicone((quadrant,), (((1, 0), (0, 1)),)), None
     yield "MulticoneCheck", *(propose_multicone(sys) or (None, None))
 
 
-def _require_certified(sys: IfsSystem, split: Optional[SplitReport]) -> SplitReport:
-    if split is None:
-        split = sys.certificate
-    if not split.certified:
+def _require_certified(sys: IfsSystem) -> None:
+    if not (split := sys.certificate).certified:
         raise NotCertified(f"dominated splitting not certified (verdict {split.verdict})")
-    return split
 
 
 def _slope_series(sys: IfsSystem, field: str):
@@ -353,7 +349,6 @@ def strong_stable_direction(
     sys: IfsSystem,
     prefix: Sequence[int],
     tol: float = DEFAULT_TOL,
-    split: Optional[SplitReport] = None,
     method: str = "auto",
 ) -> ProjPoint:
     """Strong-stable direction e_ss for a one-sided forward word.
@@ -365,16 +360,13 @@ def strong_stable_direction(
     after it, which bounds the distance to the limit of every extension of
     the word, is not below ``tol``.
     """
-    split = _require_certified(sys, split)
-    validate_word(sys, prefix)
-    return _direction(sys, "ss", prefix, tol, split, method)
+    return _direction(sys, "ss", prefix, tol, method)
 
 
 def stable_direction(
     sys: IfsSystem,
     suffix: Sequence[int],
     tol: float = DEFAULT_TOL,
-    split: Optional[SplitReport] = None,
     method: str = "auto",
 ) -> ProjPoint:
     """Stable direction e_s for a one-sided past word (oldest symbol first).
@@ -382,16 +374,17 @@ def stable_direction(
     Mirror of :func:`strong_stable_direction` with forward products; the
     triangular shortcuts swap roles (c-dominant pins e_s to the y-axis).
     """
-    split = _require_certified(sys, split)
-    validate_word(sys, suffix)
-    return _direction(sys, "s", tuple(reversed(suffix)), tol, split, method)
+    return _direction(sys, "s", suffix, tol, method)
 
 
-def _direction(sys, field, word, tol, split, method) -> ProjPoint:
-    """e_ss (``field`` "ss", future word) or e_s ("s", past word from its
-    most recent symbol): the route's folds on the one-row symbol array of
+def _direction(sys, field, word, tol, method) -> ProjPoint:
+    """e_ss (``field`` "ss", future word) or e_s ("s", past word, folded from
+    its most recent symbol): the route's folds on the one-row symbol array of
     ``word``, checked against ``tol`` with the route's error bound."""
-    route = _route(sys, split, field, method)
+    _require_certified(sys)
+    validate_word(sys, word)
+    word = word if field == "ss" else tuple(reversed(word))
+    route = _route(sys, field, method)
     if route is None:
         return ProjPoint(math.pi / 2)
     fold, angles, error = route
@@ -402,15 +395,15 @@ def _direction(sys, field, word, tol, split, method) -> ProjPoint:
     return ProjPoint(float(angles(folded)[0]))
 
 
-def _route(sys, split, field, method="auto"):
+def _route(sys, field, method="auto"):
     """The route to e_ss (``field`` "ss") or e_s ("s"): None when the field is
     pinned vertical, else (fold, angles, error).  ``fold`` reads a
     (count, depth) array of 0-based symbols, one word per row, ``angles``
     turns what it returns into angles in [0, pi), and ``error`` gives the
     error bound of a one-row fold (see the module docstring)."""
-    if method == "auto" and split.triangular == _PINNED[field]:
+    if method == "auto" and sys.triangular == _PINNED[field]:
         return None
-    if method in ("auto", "series") and split.triangular == _SERIES[field]:
+    if method in ("auto", "series") and sys.triangular == _SERIES[field]:
         num, ratio = _slope_series(sys, field)
         steps = shared_columns((num, ratio))
         exact = 1 - max(abs(a / c if field == "ss" else c / a)
@@ -425,11 +418,11 @@ def _route(sys, split, field, method="auto"):
         raise NotTriangular(f"slope series needs a lower-triangular {case}-dominant system")
     cols = sys.columns[:4]
     if field == "ss":  # inverse maps applied to the backward cone
-        cone = split.backward_cone
+        cone = sys.certificate.backward_cone
         det = det4(cols)
         cols = (cols[3] / det, -cols[1] / det, -cols[2] / det, cols[0] / det)
     else:
-        cone = split.multicone
+        cone = sys.certificate.multicone
     cols = shared_columns(cols)
     seed = cone.seed_point().to_vector()
 
@@ -442,7 +435,7 @@ def _route(sys, split, field, method="auto"):
             lambda prod: _image_angles(prod, seed), error)
 
 
-def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss") -> int:
+def default_direction_depth(sys: IfsSystem, field: str = "ss") -> int:
     """Word depth whose geometric tail bound for the direction iteration is
     below SAMPLE_TOL; heuristic contraction rate outside the triangular cases.
 
@@ -451,9 +444,9 @@ def default_direction_depth(sys: IfsSystem, split: SplitReport, field: str = "ss
     is constant and needs depth one.  Clamping the rate to [1e-6, 0.97] moves
     no depth of a rate below 1, and gives a rate whose float is 1 the cap.
     """
-    if split.triangular == _PINNED[field]:
+    if sys.triangular == _PINNED[field]:
         return 1
-    r = (float(np.max(np.abs(_slope_series(sys, field)[1]))) if split.triangular is not None
+    r = (float(np.max(np.abs(_slope_series(sys, field)[1]))) if sys.triangular == _SERIES[field]
          else max(a2 / a1 for a1, a2 in (singular_values(f.linear) for f in sys.maps)))
     r = min(max(r, 1e-6), 0.97)
     return int(min(max(math.ceil(math.log(SAMPLE_TOL) / math.log(r)), 8), 400))
@@ -465,10 +458,9 @@ def sample_nu_ss_angles(
     depth: Optional[int],
     count: int,
     rng_seed: int,
-    split: Optional[SplitReport] = None,
 ) -> np.ndarray:
     """Vectorized angle samples of the strong-stable direction distribution."""
-    return _direction_angles(sys, weights, depth, count, rng_seed, split, "ss")
+    return _direction_angles(sys, weights, depth, count, rng_seed, "ss")
 
 
 def sample_e_s_angles(
@@ -477,25 +469,24 @@ def sample_e_s_angles(
     depth: Optional[int],
     count: int,
     rng_seed: int,
-    split: Optional[SplitReport] = None,
 ) -> np.ndarray:
     """Vectorized angle samples of the stable-direction distribution over
     random past words."""
-    return _direction_angles(sys, weights, depth, count, rng_seed, split, "s")
+    return _direction_angles(sys, weights, depth, count, rng_seed, "s")
 
 
-def _direction_angles(sys, weights, depth, count, rng_seed, split, field) -> np.ndarray:
+def _direction_angles(sys, weights, depth, count, rng_seed, field) -> np.ndarray:
     """``count`` angles of e_ss (``field`` "ss", random future words, symbol
     stream 0) or e_s ("s", random past words, column k the k-th symbol into
     the past, stream 1); see the module docstring for the mirror."""
-    split = _require_certified(sys, split)
+    _require_certified(sys)
     if count < 1:
         raise ValueError("count must be >= 1")
     if depth is None:
-        depth = default_direction_depth(sys, split, field=field)
+        depth = default_direction_depth(sys, field=field)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    route = _route(sys, split, field)
+    route = _route(sys, field)
     if route is None:
         return np.full(count, math.pi / 2)
     fold, angles, _ = route
@@ -551,7 +542,6 @@ def min_angle_separation(
     depth: Optional[int],
     count: int,
     rng_seed: int,
-    split: Optional[SplitReport] = None,
     ss_angles: Optional[np.ndarray] = None,
 ) -> float:
     """Empirical min of |sin(e_s - e_ss)| over sampled pairs of past/future
@@ -560,10 +550,9 @@ def min_angle_separation(
     ``ss_angles`` passes e_ss samples already drawn with these arguments
     (``sample_nu_ss_angles``), so a caller that prints them samples once.
     """
-    split = _require_certified(sys, split)
     if ss_angles is None:
-        ss_angles = sample_nu_ss_angles(sys, weights, depth, count, rng_seed, split)
-    es = sample_e_s_angles(sys, weights, depth, count, rng_seed, split)
+        ss_angles = sample_nu_ss_angles(sys, weights, depth, count, rng_seed)
+    es = sample_e_s_angles(sys, weights, depth, count, rng_seed)
     return math.sin(min_circular_gap(ss_angles, es))
 
 

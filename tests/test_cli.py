@@ -15,6 +15,7 @@ from affdim.cli import main
 from affdim.ergodic import entropy
 from affdim.ifs import BernoulliWeights, parse_system, sample_measure, serialize_system
 from affdim.library import sec44
+from affdim.pressure import triangular_pressure_root
 from affdim.splitting import certify
 
 SEC44_DIM = 1.0 + math.log(2.0) / math.log(81.0 / 16.0)
@@ -795,6 +796,14 @@ class TestBadInput:
         ["hochman", "--example", "hl-demo"],  # not triangular: no line system
         ["render", "--example", "sec44", "--mode", "chaos", "--count", "0"],
         ["render", "--example", "sec44", "--mode", "chaos", "--count", "-5"],
+        # an infinite corner once divided inf by inf, and a height of 1e-320
+        # overflowed the pixel scale: both drew an image past a RuntimeWarning
+        ["render", "--example", "sec44", "--depth", "3", "--viewport=-inf,0,inf,1"],
+        ["render", "--example", "sec44", "--depth", "3", "--viewport=0,0,1,1e-320"],
+        ["render", "--example", "sec44", "--mode", "chaos", "--count", "1000",
+         "--viewport=-inf,0,inf,1"],
+        ["render", "--example", "sec44", "--mode", "chaos", "--count", "1000",
+         "--viewport=0,0,1,1e-320"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_library_value_errors_exit_1_without_traceback(self, argv, capsys, tmp_path):
         if argv[0] == "render":
@@ -898,7 +907,12 @@ class TestBadInput:
         assert code == (1 if rejected or uncertified else 2 if argv[0] == "analyze" else 0), err
         assert "Traceback" not in err
         if argv[0] == "analyze" and mirror:
+            # the class is decided on the exact diagonals, whichever cone
+            # certifies: the closed-form root in both blocks
             assert out.count("split-verdict: Unknown\n") == 2
+            assert out.count("pressure-method: closed-form\n") == 2
+            root = triangular_pressure_root(parse_system(config).system)
+            assert out.count(f"triangular-pressure-root: {root!r}\n") == 2
         elif argv[0] == "analyze":
             for line in ("split-verdict: Certified", "split-method: Triangular",
                          "split-triangular: CDominant"):
@@ -1103,10 +1117,15 @@ class TestNumpyOnFirstUse:
         (["pressure", "--example", "hl-demo", "--n", "15"], 0),  # 2^15 words: the last on lists
         # a cone proposed from eigenlines, and words on Python floats
         (["analyze", "--config", PROPOSED_CONE_CONFIGS["thin-rotated"]], 2),
+        # the triangular class is decided on the Fractions: an uncertified
+        # dominated system, and a map with a nonzero upper-right entry
+        (["analyze", "--config", NEAR_TIE_A_CONFIG], 2),
+        (["hochman", "--config", "map 1/2 1/4 0 1/3 0 0\nmap 1/3 0 0 1/4 1/2 1/2\n",
+          "--derive", "x"], 1),
     ], ids=["ssc", "hochman", "help", "input-error", "analyze-sec44", "analyze-phi-c",
             "analyze-subsystem", "analyze-a-dominant", "analyze-c-dominant", "lyapunov-sec44",
             "analyze-hl-demo", "pressure-sec44-n8", "pressure-hl-demo-n15",
-            "analyze-thin-rotated"])
+            "analyze-thin-rotated", "analyze-a-dominant-mirror", "hochman-upper-right"])
     def test_exact_commands_never_execute_numpy(self, argv, code, tmp_path):
         if "--config" in argv:  # the config text goes to a file
             k = argv.index("--config") + 1

@@ -154,7 +154,7 @@ class TestHueterLalleyCheck:
         m = Mat2.lower_triangular(F(1, 4), F(1, 8), F(1, 2))
         sysm = IfsSystem((AffineMap(m, (F(0), F(0))), AffineMap(m, (F(3, 4), F(1, 2)))))
         split = certify(sysm)
-        assert split.triangular == "CDominant"
+        assert split.method == "Triangular" and sysm.triangular == "CDominant"
         assert backward_non_overlapping(sysm, split) == "Failed"
 
     def test_a_dominant_never_backward_separates(self):
@@ -451,7 +451,7 @@ class TestAnalyze:
 
         # not triangular, so analyze runs the finite-depth schedule
         sysm = six_distinct_maps_system(upper_right=F(1, 100))
-        assert not sysm.is_triangular()
+        assert sysm.triangular is None
         monkeypatch.setattr(affdim.pressure, "DEFAULT_SCHEDULE", (2, 12))
         rep = analyze(sysm, mc_n=200, mc_trials=50)
         assert dict(rep.details)["pressure-depths-dropped"] == "12"

@@ -7,7 +7,9 @@ exit 1.  Whenever the exact dominance has a triangular cone, ``certify`` takes
 the triangular route exactly when the cone, re-checked in Fractions, is
 strictly invariant.  The same re-check holds for every cone certified by the
 positivity and proposal routes, and a Fraction-only overlap check of the
-inverse images gives the backward non-overlapping status.
+inverse images gives the backward non-overlapping status.  The system's
+triangular class (``IfsSystem.triangular``) is the one re-derived on the
+Fractions, with upper-right entries, signs and mixed dominance drawn too.
 
 Skipped where hypothesis is not installed.
 """
@@ -24,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import affdim.pressure  # noqa: E402
 from affdim.dimension import analyze_targets, backward_non_overlapping  # noqa: E402
-from affdim.errors import AffdimError  # noqa: E402
+from affdim.errors import AffdimError, NotTriangular  # noqa: E402
 from affdim.ifs import AffineMap, IfsSystem, Polygon, check_triangular_split  # noqa: E402
 from affdim.linalg2 import Mat2, ProjArc  # noqa: E402
 from affdim.splitting import (Multicone, SplitReport, certify,  # noqa: E402
@@ -128,7 +130,7 @@ def assert_cone_verdicts_match_fractions(sysm):
         assert check_multicone_invariance(sysm, cone).certified == \
             strictly_invariant_in_fractions(linears, cone)
     split = certify(sysm)
-    if not split.certified or split.triangular is not None:
+    if not split.certified or sysm.triangular in ("ADominant", "CDominant"):
         return None
     inverses = [Mat2(*map(F, m.entries())).inverse() for m in linears]
     backward = split.backward_cone
@@ -164,7 +166,7 @@ def test_triangular_cones_certify_and_are_invariant_in_fractions(rows):
     if cone is not None:
         split = certify(sysm)
         assert nests and check_multicone_invariance(sysm, cone).certified
-        assert split.method == "Triangular" and split.triangular == case
+        assert split.method == "Triangular" and sysm.triangular == case
 
 
 def test_positive_and_proposed_cones_are_invariant_in_fractions():
@@ -218,3 +220,54 @@ def test_positive_pairs_match_the_fraction_checkers(entries):
     status = assert_cone_verdicts_match_fractions(sysm)
     event(str(status))
     assert status is not None
+
+
+# one map of the class property: |a| from ``diagonal``; |c| ties it, nearly
+# ties it (+-2^-60), or is drawn apart; random signs
+class_row = st.tuples(diagonal, st.sampled_from(("tie", "above", "below", "apart")), diagonal,
+                      st.integers(-7, 7), st.booleans(), st.booleans(),
+                      st.integers(0, 4), st.integers(0, 4))
+
+
+def class_map(a, relation, other, b_eighths, flip_a, flip_c, tx, ty, upper=0):
+    """[[+-a, u], [b, +-c]], u = upper/8 and b = b_eighths/8 times 1 - max(|a|, |c|)."""
+    c = {"tie": a, "above": a * (1 + F(1, 2 ** 60)), "below": a * (1 - F(1, 2 ** 60)),
+         "apart": other}[relation]
+    room = 1 - max(a, c)
+    m = Mat2(-a if flip_a else a, F(upper, 8) * room, F(b_eighths, 8) * room,
+             -c if flip_c else c)
+    return AffineMap(m, (F(tx, 4), F(ty, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(class_row, min_size=1, max_size=4),
+       uppers=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((-3, -1, 1, 2))),
+                       max_size=2))
+def test_triangular_class_is_the_fraction_class(rows, uppers):
+    # ``uppers`` puts nonzero upper-right entries on some maps (index mod the
+    # map count).  The class is re-derived on the Fractions of the rows: None
+    # on a nonzero upper-right entry, else the strict dominance every map shares
+    upper = {k % len(rows): u for k, u in uppers}
+    try:
+        sysm = IfsSystem(tuple(class_map(*r, upper=upper.get(k, 0)) for k, r in enumerate(rows)))
+    except ValueError:  # a norm of 1 or more: not a contraction
+        assume(False)
+    diagonals = [(abs(f.linear.a11), abs(f.linear.a22)) for f in sysm.maps]
+    if upper:
+        want = None
+    elif all(a > c for a, c in diagonals):
+        want = "ADominant"
+    elif all(a < c for a, c in diagonals):
+        want = "CDominant"
+    else:
+        want = "None"
+    event(repr(want))
+    assert sysm.triangular == want
+    if upper:
+        first = min(upper) + 1
+        with pytest.raises(NotTriangular, match=f"^map {first} has a nonzero upper-right entry$"):
+            check_triangular_split(sysm)
+    else:
+        assert check_triangular_split(sysm) == want
+    if certify(sysm).method == "Triangular":
+        assert want in ("ADominant", "CDominant")

@@ -194,7 +194,7 @@ class TestCertify:
         sysm, _, _ = sec44()
         rep = certify(sysm)
         assert rep.certified and rep.method == "Triangular"
-        assert rep.triangular == "CDominant" and rep.margin > 0
+        assert sysm.triangular == "CDominant" and rep.margin > 0
 
     def test_hl_demo_positivity_route(self):
         sysm, _, _ = hl_demo()
@@ -255,10 +255,10 @@ class TestCertify:
         rep = certify(sysm)
         if case == "CDominant":
             assert cone is not None and rep.certified
-            assert rep.method == "Triangular" and rep.triangular == "CDominant"
+            assert rep.method == "Triangular" and sysm.triangular == "CDominant"
         else:
             assert cone is None
-            assert rep.method != "Triangular" and rep.triangular is None
+            assert rep.method != "Triangular" and sysm.triangular == "ADominant"
 
     def test_bound_past_every_float_declines(self):
         # |c_1| - |a_1| = 10^-400: the exact bound 10^400 / 4 has no float, and
@@ -283,7 +283,7 @@ class TestCertify:
         assert cone.ends == (((1, 1), (-1, 1)),)
         assert check_multicone_invariance(sysm, cone).certified
         rep = certify(sysm)
-        assert rep.certified and rep.method == "Triangular" and rep.triangular == "CDominant"
+        assert rep.certified and rep.method == "Triangular" and sysm.triangular == "CDominant"
 
 
 def random_conjugated_system(seed):
@@ -472,15 +472,16 @@ class TestNuSsSampling:
         assert a.tobytes() == b.tobytes()
 
     def test_generic_route_matches_triangular(self):
-        # force the generic inverse-product route by passing a split without
-        # the triangular tag, then compare with the exact series
-        sysm, w, _ = sec44()
-        from affdim.splitting import SplitReport, triangular_forward_cone
+        # the sampler sums the exact slope series of a c-dominant system; the
+        # inverse-matrix products on the certificate's backward cone, forced
+        # on each of the sampler's own words, give the same angles
+        from affdim.ifs import rng
 
-        cone = triangular_forward_cone(sysm, "CDominant")
-        split = SplitReport("Certified", method="MulticoneCheck", multicone=cone, margin=0.1)
-        generic = sample_nu_ss_angles(sysm, w, 80, 200, 9, split=split)
+        sysm, w, _ = sec44()
         series = sample_nu_ss_angles(sysm, w, 80, 200, 9)
+        words = w.draw(rng(9, 0), (200, 80)) + 1
+        generic = np.array([strong_stable_direction(sysm, tuple(map(int, word)), tol=1e-8,
+                                                    method="iterate").theta for word in words])
         assert np.max(np.abs(np.sin(generic - series))) < 1e-8
 
 
@@ -639,16 +640,16 @@ class TestSingleWordAgreesWithSampler:
         else:
             sysm, w, _ = {"hl-demo": hl_demo, "sec44": sec44,
                           "phi-c": lambda: phi_c(F(1, 4))}[case]()
-        depth, count, split = 80, 12, certify(sysm)
+        depth, count = 80, 12
         for stream, sampler, single in ((0, sample_nu_ss_angles, strong_stable_direction),
                                         (1, sample_e_s_angles, stable_direction)):
-            angles = sampler(sysm, w, depth, count, 5, split)
+            angles = sampler(sysm, w, depth, count, 5)
             rows = w.draw(rng(5, stream), (count, depth)) + 1
             for row, angle in zip(rows, angles):
                 # the sampler's e_s rows run into the past; stable_direction
                 # takes its word oldest symbol first
                 word = tuple(int(s) for s in (row if stream == 0 else row[::-1]))
-                got = single(sysm, word, tol=1e-6, split=split).theta
+                got = single(sysm, word, tol=1e-6).theta
                 gap = abs(got - angle)
                 assert min(gap, math.pi - gap) <= 1e-14
 
@@ -660,7 +661,7 @@ class TestWholeConeBound:
     @pytest.mark.parametrize("tol", [1e-3, 1e-6])
     def test_within_tol_of_every_extension(self, tol):
         sysm = _thin_rotated_pair()
-        split = certify(sysm)
+        split = sysm.certificate
         assert len(split.multicone.arcs) > 1
         rng = np.random.default_rng(43)
         returned = 0
@@ -674,7 +675,7 @@ class TestWholeConeBound:
                 (stable_direction, lambda e: (e + w)[::-1], split.multicone, False),
             ):
                 try:
-                    got = single(sysm, w, tol=tol, split=split)
+                    got = single(sysm, w, tol=tol)
                 except PrefixTooShort:
                     continue
                 returned += 1
@@ -697,8 +698,8 @@ class TestWholeConeBound:
 
 
 def test_certificate_is_computed_once_per_system(monkeypatch):
-    # analyze, the T4.1 statuses and the direction routines called without a
-    # split all read IfsSystem.certificate
+    # analyze, the T4.1 statuses and the direction routines all read
+    # IfsSystem.certificate; a fresh system of the same maps certifies afresh
     import affdim.splitting as splitting_mod
     from affdim.dimension import analyze_targets, hueter_lalley_check
 
@@ -711,8 +712,10 @@ def test_certificate_is_computed_once_per_system(monkeypatch):
     first = strong_stable_direction(sysm, (1, 2) * 8, tol=1e-3)
     again = stable_direction(sysm, (2, 1) * 8, tol=1e-3)
     assert len(proposals) == 1
-    assert first == strong_stable_direction(sysm, (1, 2) * 8, tol=1e-3, split=certify(sysm))
-    assert again == stable_direction(sysm, (2, 1) * 8, tol=1e-3, split=certify(sysm))
+    fresh = IfsSystem(sysm.maps)
+    assert first == strong_stable_direction(fresh, (1, 2) * 8, tol=1e-3)
+    assert again == stable_direction(fresh, (2, 1) * 8, tol=1e-3)
+    assert len(proposals) == 2
 
 
 def test_certified_split_needs_its_cone():
